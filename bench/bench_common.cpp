@@ -107,6 +107,10 @@ CellStats run_cell(Method method, circuits::Testcase testcase, core::VerifMethod
   double sum_runtime = 0.0;
   double sum_wall = 0.0;
   for (const core::CampaignEntry& entry : table.entries) {
+    stats.all_mean_iterations += static_cast<double>(entry.result.rl_iterations);
+    stats.all_mean_simulations += static_cast<double>(entry.result.n_simulations);
+    stats.all_mean_wall_seconds += entry.result.wall_seconds;
+    ++stats.terminations[entry.result.termination];
     if (entry.state != core::SessionState::Finished || !entry.result.success) continue;
     ++successes;
     // Paper footnote: cells with < 100 % success average successful runs.
@@ -122,7 +126,22 @@ CellStats run_cell(Method method, circuits::Testcase testcase, core::VerifMethod
     stats.mean_wall_seconds = sum_wall / static_cast<double>(successes);
   }
   stats.success_rate = static_cast<double>(successes) / static_cast<double>(options.seeds);
+  const double runs = static_cast<double>(table.entries.size());
+  if (runs > 0.0) {
+    stats.all_mean_iterations /= runs;
+    stats.all_mean_simulations /= runs;
+    stats.all_mean_wall_seconds /= runs;
+  }
   return stats;
+}
+
+std::string termination_tally(const CellStats& stats) {
+  std::string out;
+  for (const auto& [reason, count] : stats.terminations) {
+    if (!out.empty()) out += ' ';
+    out += reason + '=' + std::to_string(count);
+  }
+  return out;
 }
 
 void print_table2_block(circuits::Testcase testcase,

@@ -20,6 +20,7 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -35,13 +36,25 @@ using Method = core::Algorithm;
 
 /// Aggregated multi-seed statistics for one (method, circuit, verif) cell.
 struct CellStats {
-  double mean_iterations = 0.0;   ///< over successful runs (paper's footnote)
-  double mean_simulations = 0.0;  ///< over successful runs
+  // The paper's footnoted Table II/III columns: means over successful runs
+  // only, 0 when no run succeeded.
+  double mean_iterations = 0.0;
+  double mean_simulations = 0.0;
   double mean_modeled_runtime = 0.0;
   double mean_wall_seconds = 0.0;
   double success_rate = 0.0;      ///< over all runs
   std::size_t runs = 0;
+  // Means over every run, failed ones included, so a cell that never
+  // verifies still shows what it cost.
+  double all_mean_iterations = 0.0;
+  double all_mean_simulations = 0.0;
+  double all_mean_wall_seconds = 0.0;
+  /// Runs per GlovaResult::termination ("verified", "iteration-cap", ...).
+  std::map<std::string, std::size_t> terminations;
 };
+
+/// "iteration-cap=2 verified=1": the termination tally on one line.
+[[nodiscard]] std::string termination_tally(const CellStats& stats);
 
 struct BenchOptions {
   std::size_t seeds = 3;

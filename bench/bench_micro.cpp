@@ -14,6 +14,7 @@
 #include "nn/mlp.hpp"
 #include "opt/gp.hpp"
 #include "pdk/variation.hpp"
+#include "rl/agent.hpp"
 #include "rl/ensemble_critic.hpp"
 #include "spice/lu.hpp"
 #include "spice/simulator.hpp"
@@ -224,19 +225,32 @@ static void BM_CriticUpdate(benchmark::State& state) {
   Rng rng(3);
   rl::CriticConfig cfg;
   rl::EnsembleCritic critic(14, cfg, rng);
-  std::vector<std::vector<double>> xs(10);
-  std::vector<double> rs(10);
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    xs[i] = rng.uniform_vector(14, 0.0, 1.0);
-    rs[i] = rng.uniform(-1.0, 0.2);
+  std::vector<rl::Experience> data(10);
+  std::vector<const rl::Experience*> batch;
+  std::vector<double> grad;
+  for (rl::Experience& e : data) {
+    e.x01 = rng.uniform_vector(14, 0.0, 1.0);
+    e.reward = rng.uniform(-1.0, 0.2);
+    batch.push_back(&e);
   }
   for (auto _ : state) {
     for (std::size_t i = 0; i < critic.ensemble_size(); ++i) {
-      benchmark::DoNotOptimize(critic.train_base(i, xs, rs));
+      benchmark::DoNotOptimize(critic.train_base(i, batch, grad));
     }
   }
 }
 BENCHMARK(BM_CriticUpdate);
+
+// One Algorithm-1 iteration at the SAL design dimension: five critic steps
+// plus the actor step through the frozen critic.
+static void BM_AgentUpdate(benchmark::State& state) {
+  Rng rng(6);
+  rl::WorstCaseReplayBuffer buffer;
+  for (int i = 0; i < 64; ++i) buffer.add(rng.uniform_vector(14, 0.0, 1.0), rng.uniform(-1.0, 0.2));
+  rl::RiskSensitiveAgent agent(14, rl::AgentConfig{}, rng.split(1));
+  for (auto _ : state) benchmark::DoNotOptimize(agent.update(buffer));
+}
+BENCHMARK(BM_AgentUpdate);
 
 static void BM_HScoreReordering(benchmark::State& state) {
   Rng rng(4);

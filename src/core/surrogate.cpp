@@ -89,34 +89,34 @@ void SurrogateModel::observe(std::span<const double> input, std::span<const doub
     out_mean_[j] += d / static_cast<double>(observations_);
     out_m2_[j] += d * (metrics[j] - out_mean_[j]);
   }
-  std::vector<double> zx(input.size());
-  for (std::size_t j = 0; j < input.size(); ++j) zx[j] = (input[j] - in_mean_[j]) / in_std(j);
-  std::vector<double> zt(metrics.size());
-  for (std::size_t j = 0; j < metrics.size(); ++j) {
-    zt[j] = (metrics[j] - out_mean_[j]) / out_std(j);
-  }
-  nn::Mlp::Workspace ws;
-  const std::vector<double> y = mlp_->forward(zx, ws);
-  std::vector<double> dLdy(y.size());
+  normalize_input(input);
+  const std::span<const double> y = mlp_->forward(zx_, ws_);
+  dLdy_.resize(y.size());
   for (std::size_t j = 0; j < y.size(); ++j) {
-    dLdy[j] = (y[j] - zt[j]) / static_cast<double>(y.size());
+    const double zt = (metrics[j] - out_mean_[j]) / out_std(j);
+    dLdy_[j] = (y[j] - zt) / static_cast<double>(y.size());
   }
   std::fill(grad_.begin(), grad_.end(), 0.0);
-  (void)mlp_->backward(ws, dLdy, grad_);
+  mlp_->backward(ws_, dLdy_, grad_, {});
   adam_->step(mlp_->parameters(), grad_);
   ++train_steps_;
 }
 
-std::vector<double> SurrogateModel::predict(std::span<const double> input) const {
+std::vector<double> SurrogateModel::predict(std::span<const double> input) {
   if (!mlp_) throw std::logic_error("SurrogateModel::predict: model not built");
   if (input.size() != mlp_->input_dim()) {
     throw std::invalid_argument("SurrogateModel::predict: input dimension mismatch");
   }
-  std::vector<double> zx(input.size());
-  for (std::size_t j = 0; j < input.size(); ++j) zx[j] = (input[j] - in_mean_[j]) / in_std(j);
-  std::vector<double> y = mlp_->forward(zx);
-  for (std::size_t j = 0; j < y.size(); ++j) y[j] = y[j] * out_std(j) + out_mean_[j];
+  normalize_input(input);
+  const std::span<const double> z = mlp_->forward(zx_, ws_);
+  std::vector<double> y(z.size());
+  for (std::size_t j = 0; j < y.size(); ++j) y[j] = z[j] * out_std(j) + out_mean_[j];
   return y;
+}
+
+void SurrogateModel::normalize_input(std::span<const double> input) {
+  zx_.resize(input.size());
+  for (std::size_t j = 0; j < input.size(); ++j) zx_[j] = (input[j] - in_mean_[j]) / in_std(j);
 }
 
 double SurrogateModel::extremity(std::span<const double> prediction) const {

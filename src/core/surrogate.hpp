@@ -58,7 +58,7 @@ class SurrogateModel {
   [[nodiscard]] const SurrogateConfig& config() const { return config_; }
 
   /// Predicted metric vector (denormalized).  Requires built().
-  [[nodiscard]] std::vector<double> predict(std::span<const double> input) const;
+  [[nodiscard]] std::vector<double> predict(std::span<const double> input);
 
   /// Ranking score of one prediction: the largest |z-score| of its
   /// components under the running output statistics.  Batches are confirmed
@@ -74,6 +74,8 @@ class SurrogateModel {
 
  private:
   void build(std::size_t in, std::size_t out);
+  /// zx_ = input under the running input statistics.
+  void normalize_input(std::span<const double> input);
   [[nodiscard]] double in_std(std::size_t j) const;
   [[nodiscard]] double out_std(std::size_t j) const;
 
@@ -84,7 +86,9 @@ class SurrogateModel {
   std::uint64_t train_steps_ = 0;
   /// Running per-coordinate mean and sum of squared deviations (Welford).
   std::vector<double> in_mean_, in_m2_, out_mean_, out_m2_;
-  std::vector<double> grad_;  ///< parameter-gradient scratch
+  // Scratch for observe() and predict(), sized on first use.
+  nn::Mlp::Workspace ws_;
+  std::vector<double> zx_, dLdy_, grad_;
 };
 
 }  // namespace glova::core

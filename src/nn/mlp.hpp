@@ -3,8 +3,13 @@
 // The paper's actor and critic are both "4-layer neural networks"
 // (Sec. IV-A).  This implementation keeps all parameters in one flat vector
 // so optimizers (nn::Adam) and parameter copies (ensemble base models) are
-// trivial, and exposes backward() variants that return input gradients so the
-// actor can be trained through the frozen critic (Algorithm 1's L_A).
+// trivial, and backward() can return input gradients so the actor can be
+// trained through the frozen critic (Algorithm 1's L_A).
+//
+// Bit-identity contract (docs/architecture.md#nn-layer): each output's
+// pre-activation is one sum, bias first, then ascending input index; each
+// activation is evaluated once and backward() takes its derivative from the
+// stored value; parameter gradients accumulate in call (sample) order.
 #pragma once
 
 #include <cstddef>
@@ -20,8 +25,8 @@ enum class Activation { Identity, Tanh, ReLU, Sigmoid };
 
 /// Value of the activation function.
 [[nodiscard]] double activate(Activation act, double x);
-/// Derivative of the activation expressed via pre-activation x.
-[[nodiscard]] double activate_grad(Activation act, double x);
+/// Derivative of the activation expressed via its output y = activate(act, x).
+[[nodiscard]] double activate_grad_from_output(Activation act, double y);
 
 /// Fully-connected feed-forward network.
 class Mlp {
@@ -39,28 +44,28 @@ class Mlp {
   [[nodiscard]] std::span<double> parameters() { return params_; }
   [[nodiscard]] std::span<const double> parameters() const { return params_; }
 
-  /// Inference-only forward pass.
-  [[nodiscard]] std::vector<double> forward(std::span<const double> x) const;
-
-  /// Activations cached by the training forward pass.
+  /// Activations recorded by forward() for backward(), plus backward()'s
+  /// scratch.  Buffers are sized on first use, so a workspace reused across
+  /// calls makes forward and backward allocation-free.  Owned by whoever
+  /// trains or queries the network; any network of the same shape may use it.
   struct Workspace {
-    std::vector<std::vector<double>> pre;   ///< pre-activation per layer
-    std::vector<std::vector<double>> post;  ///< post-activation per layer; post[0] is the input
+    std::vector<std::vector<double>> post;  ///< post[0] is the input, post[l + 1] layer l's output
+    std::vector<double> delta;              ///< dL/d(activation) of the layer being walked
+    std::vector<double> prev_delta;
   };
 
-  /// Forward pass that records activations for backward().
-  std::vector<double> forward(std::span<const double> x, Workspace& ws) const;
+  /// Forward pass that records every layer's activations in `ws`.  Returns
+  /// the output, a view into `ws` valid until its next forward().
+  std::span<const double> forward(std::span<const double> x, Workspace& ws) const;
 
   /// Backpropagate `dLdy` (gradient of the loss w.r.t. the network output)
-  /// through the cached workspace.  Parameter gradients are *accumulated*
-  /// into `grad` (must have parameter_count() entries).  Returns dL/dx.
-  std::vector<double> backward(const Workspace& ws, std::span<const double> dLdy,
-                               std::span<double> grad) const;
-
-  /// Gradient of the output w.r.t. the input only (no parameter gradients);
-  /// used when the critic is frozen during the actor update.
-  [[nodiscard]] std::vector<double> input_gradient(const Workspace& ws,
-                                                   std::span<const double> dLdy) const;
+  /// through the activations the last forward() recorded in `ws`.
+  /// Parameter gradients are *accumulated* into `grad` (parameter_count()
+  /// entries) and dL/dx is *written* to `dLdx` (input_dim() entries).  An
+  /// empty span skips that output: no `grad` is the frozen-network input
+  /// gradient, no `dLdx` skips the first layer's input-gradient product.
+  void backward(Workspace& ws, std::span<const double> dLdy, std::span<double> grad,
+                std::span<double> dLdx) const;
 
   /// Text-serialize the flat parameter vector (architecture comes from the
   /// constructor).  `load` throws when the stored count does not match this
@@ -76,9 +81,6 @@ class Mlp {
     std::size_t out;
     Activation act;
   };
-
-  std::vector<double> backprop(const Workspace& ws, std::span<const double> dLdy,
-                               std::span<double>* grad) const;
 
   std::vector<std::size_t> sizes_;
   std::vector<LayerView> layers_;

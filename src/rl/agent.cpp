@@ -1,7 +1,6 @@
 #include "rl/agent.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <ostream>
@@ -42,38 +41,30 @@ double RiskSensitiveAgent::update(const WorstCaseReplayBuffer& buffer) {
 
   // --- critic: each base model trains on its own batch (Sec. IV-B) ---
   for (std::size_t i = 0; i < critic_.ensemble_size(); ++i) {
-    const std::vector<Experience> batch = buffer.sample(config_.batch_size, rng_);
-    std::vector<std::vector<double>> xs;
-    std::vector<double> rs;
-    xs.reserve(batch.size());
-    rs.reserve(batch.size());
-    for (const Experience& e : batch) {
-      xs.push_back(e.x01);
-      rs.push_back(e.reward);
-    }
-    critic_.train_base(i, xs, rs);
+    buffer.sample(config_.batch_size, rng_, batch_);
+    critic_.train_base(i, batch_, grad_);
   }
 
   // --- actor: minimize MSE(0.2, Q(A(x)) + bias) through the frozen critic ---
-  const std::vector<Experience> batch = buffer.sample(config_.batch_size, rng_);
-  std::vector<double> grad(actor_.parameter_count(), 0.0);
+  buffer.sample(config_.batch_size, rng_, batch_);
+  grad_.assign(actor_.parameter_count(), 0.0);
+  dLda_.resize(actor_.output_dim());
   double loss = 0.0;
-  nn::Mlp::Workspace ws;
-  const double scale = 1.0 / static_cast<double>(batch.size());
-  for (const Experience& e : batch) {
-    const std::vector<double> action = actor_.forward(e.x01, ws);
-    const double q = critic_.predict(action) + config_.critic.bias;
+  const double scale = 1.0 / static_cast<double>(batch_.size());
+  for (const Experience* e : batch_) {
+    const std::span<const double> action = actor_.forward(e->x01, actor_ws_);
+    const double q = critic_.bound(action).risk_adjusted + config_.critic.bias;
     loss += nn::mse(q, config_.target_reward) * scale;
-    const double dLdq = nn::mse_grad_scalar(q, config_.target_reward) * scale;
-    const std::vector<double> dLda = critic_.input_gradient(action, dLdq);
-    (void)actor_.backward(ws, dLda, grad);
+    critic_.input_gradient(nn::mse_grad_scalar(q, config_.target_reward) * scale, dLda_);
+    actor_.backward(actor_ws_, dLda_, grad_, {});
   }
-  actor_opt_.step(actor_.parameters(), grad);
+  actor_opt_.step(actor_.parameters(), grad_);
   return loss;
 }
 
 std::vector<double> RiskSensitiveAgent::propose(std::span<const double> x_last) {
-  std::vector<double> x_new = actor_.forward(x_last);
+  const std::span<const double> mean = actor_.forward(x_last, actor_ws_);
+  std::vector<double> x_new(mean.begin(), mean.end());
   for (double& v : x_new) {
     v = std::clamp(v + rng_.normal(0.0, noise_), 0.0, 1.0);
   }
@@ -83,27 +74,29 @@ std::vector<double> RiskSensitiveAgent::propose(std::span<const double> x_last) 
 
 std::vector<double> RiskSensitiveAgent::propose_screened(std::span<const double> x_last,
                                                          std::size_t candidates) {
-  const std::vector<double> mean = actor_.forward(x_last);
-  std::vector<double> best = mean;
+  const std::span<const double> mean = actor_.forward(x_last, actor_ws_);
+  std::vector<double> best(mean.begin(), mean.end());
+  std::vector<double> cand;
   double best_bound = -std::numeric_limits<double>::infinity();
   for (std::size_t c = 0; c < std::max<std::size_t>(candidates, 1); ++c) {
-    std::vector<double> cand = mean;
+    cand.assign(mean.begin(), mean.end());
     // A fraction of candidates explore at doubled noise so the screen can
     // escape shallow local basins.
     const double sigma = (c % 4 == 3) ? 2.0 * noise_ : noise_;
     for (double& v : cand) v = std::clamp(v + rng_.normal(0.0, sigma), 0.0, 1.0);
-    const double bound = critic_.predict(cand);
+    const double bound = critic_.bound(cand).risk_adjusted;
     if (bound > best_bound) {
       best_bound = bound;
-      best = std::move(cand);
+      best = cand;
     }
   }
   noise_ = std::max(config_.noise_min, noise_ * config_.noise_decay);
   return best;
 }
 
-std::vector<double> RiskSensitiveAgent::act(std::span<const double> x_last) const {
-  return actor_.forward(x_last);
+std::vector<double> RiskSensitiveAgent::act(std::span<const double> x_last) {
+  const std::span<const double> out = actor_.forward(x_last, actor_ws_);
+  return {out.begin(), out.end()};
 }
 
 void RiskSensitiveAgent::save(std::ostream& os) const {

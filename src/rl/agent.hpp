@@ -54,9 +54,9 @@ class RiskSensitiveAgent {
                                                      std::size_t candidates);
 
   /// Deterministic actor output (no exploration noise).
-  [[nodiscard]] std::vector<double> act(std::span<const double> x_last) const;
+  [[nodiscard]] std::vector<double> act(std::span<const double> x_last);
 
-  [[nodiscard]] const EnsembleCritic& critic() const { return critic_; }
+  [[nodiscard]] EnsembleCritic& critic() { return critic_; }
   [[nodiscard]] double exploration_noise() const { return noise_; }
   [[nodiscard]] std::size_t update_count() const { return updates_; }
 
@@ -74,6 +74,12 @@ class RiskSensitiveAgent {
   EnsembleCritic critic_;
   double noise_;
   std::size_t updates_ = 0;
+  // Scratch, sized on first use.  grad_ serves the critic members' steps
+  // and then the actor's.
+  nn::Mlp::Workspace actor_ws_;
+  std::vector<const Experience*> batch_;
+  std::vector<double> grad_;
+  std::vector<double> dLda_;
 };
 
 }  // namespace glova::rl

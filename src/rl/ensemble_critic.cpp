@@ -26,74 +26,60 @@ EnsembleCritic::EnsembleCritic(std::size_t input_dim, const CriticConfig& config
   }
 }
 
-EnsembleCritic::Bound EnsembleCritic::bound(std::span<const double> x) const {
-  Bound b;
-  std::vector<double> outs(models_.size());
-  for (std::size_t i = 0; i < models_.size(); ++i) outs[i] = models_[i].forward(x)[0];
+EnsembleCritic::Bound EnsembleCritic::bound(std::span<const double> x) {
+  const std::size_t e = models_.size();
+  member_ws_.resize(e);
+  outs_.resize(e);
+  for (std::size_t i = 0; i < e; ++i) outs_[i] = models_[i].forward(x, member_ws_[i])[0];
   double mean = 0.0;
-  for (const double o : outs) mean += o;
-  mean /= static_cast<double>(outs.size());
+  for (const double o : outs_) mean += o;
+  mean /= static_cast<double>(e);
   double var = 0.0;
-  for (const double o : outs) var += (o - mean) * (o - mean);
-  var = outs.size() > 1 ? var / static_cast<double>(outs.size() - 1) : 0.0;
-  b.mean = mean;
-  b.std = std::sqrt(var);
-  b.risk_adjusted = mean + config_.beta1 * b.std;
-  return b;
+  for (const double o : outs_) var += (o - mean) * (o - mean);
+  var = e > 1 ? var / static_cast<double>(e - 1) : 0.0;
+  last_.mean = mean;
+  last_.std = std::sqrt(var);
+  last_.risk_adjusted = mean + config_.beta1 * last_.std;
+  return last_;
 }
 
-double EnsembleCritic::predict(std::span<const double> x) const { return bound(x).risk_adjusted; }
-
-double EnsembleCritic::train_base(std::size_t i, const std::vector<std::vector<double>>& xs,
-                                  std::span<const double> rewards) {
+double EnsembleCritic::train_base(std::size_t i, std::span<const Experience* const> batch,
+                                  std::vector<double>& grad) {
   if (i >= models_.size()) throw std::out_of_range("EnsembleCritic::train_base");
-  if (xs.size() != rewards.size() || xs.empty()) {
-    throw std::invalid_argument("EnsembleCritic::train_base: bad batch");
-  }
+  if (batch.empty()) throw std::invalid_argument("EnsembleCritic::train_base: empty batch");
   nn::Mlp& model = models_[i];
-  std::vector<double> grad(model.parameter_count(), 0.0);
+  grad.assign(model.parameter_count(), 0.0);
   double loss = 0.0;
-  nn::Mlp::Workspace ws;
-  const double scale = 1.0 / static_cast<double>(xs.size());
-  for (std::size_t n = 0; n < xs.size(); ++n) {
-    const std::vector<double> out = model.forward(xs[n], ws);
-    const double pred = out[0] + config_.bias;
-    loss += nn::mse(pred, rewards[n]) * scale;
-    const double dLdy = nn::mse_grad_scalar(pred, rewards[n]) * scale;
-    const std::array<double, 1> dl{dLdy};
-    (void)model.backward(ws, std::span<const double>(dl.data(), 1), grad);
+  const double scale = 1.0 / static_cast<double>(batch.size());
+  for (const Experience* e : batch) {
+    const double pred = model.forward(e->x01, train_ws_)[0] + config_.bias;
+    loss += nn::mse(pred, e->reward) * scale;
+    const std::array<double, 1> dl{nn::mse_grad_scalar(pred, e->reward) * scale};
+    model.backward(train_ws_, dl, grad, {});
   }
   optimizers_[i].step(model.parameters(), grad);
   return loss;
 }
 
-std::vector<double> EnsembleCritic::input_gradient(std::span<const double> x, double dLdq) const {
+void EnsembleCritic::input_gradient(double dLdq, std::span<double> dx) {
+  if (dx.size() != input_dim()) {
+    throw std::invalid_argument("EnsembleCritic::input_gradient: bad dx size");
+  }
+  if (member_ws_.empty()) throw std::logic_error("EnsembleCritic::input_gradient: no bound() yet");
   // Q = mean_i Q_i + beta1 * sigma.  dQ/dQ_i = 1/E + beta1 * (Q_i - mean) /
   // ((E-1) * sigma); for sigma -> 0 only the mean term survives.
   const std::size_t e = models_.size();
-  std::vector<double> outs(e);
-  std::vector<nn::Mlp::Workspace> wss(e);
-  for (std::size_t i = 0; i < e; ++i) outs[i] = models_[i].forward(x, wss[i])[0];
-  double mean = 0.0;
-  for (const double o : outs) mean += o;
-  mean /= static_cast<double>(e);
-  double var = 0.0;
-  for (const double o : outs) var += (o - mean) * (o - mean);
-  var = e > 1 ? var / static_cast<double>(e - 1) : 0.0;
-  const double sigma = std::sqrt(var);
-
-  std::vector<double> dx(x.size(), 0.0);
+  member_dx_.resize(dx.size());
+  std::fill(dx.begin(), dx.end(), 0.0);
   for (std::size_t i = 0; i < e; ++i) {
     double weight = 1.0 / static_cast<double>(e);
-    if (e > 1 && sigma > 1e-12) {
-      weight += config_.beta1 * (outs[i] - mean) / (static_cast<double>(e - 1) * sigma);
+    if (e > 1 && last_.std > 1e-12) {
+      weight += config_.beta1 * (outs_[i] - last_.mean) / (static_cast<double>(e - 1) * last_.std);
     }
     const std::array<double, 1> dl{dLdq * weight};
-    const std::vector<double> gi =
-        models_[i].input_gradient(wss[i], std::span<const double>(dl.data(), 1));
-    for (std::size_t d = 0; d < dx.size(); ++d) dx[d] += gi[d];
+    models_[i].backward(member_ws_[i], dl, {}, member_dx_);
+    for (std::size_t d = 0; d < dx.size(); ++d) dx[d] += member_dx_[d];
   }
-  return dx;
 }
 
 void EnsembleCritic::save(std::ostream& os) const {

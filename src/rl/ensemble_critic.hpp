@@ -16,6 +16,7 @@
 #include "common/rng.hpp"
 #include "nn/adam.hpp"
 #include "nn/mlp.hpp"
+#include "rl/replay_buffer.hpp"
 
 namespace glova::rl {
 
@@ -31,26 +32,30 @@ class EnsembleCritic {
  public:
   EnsembleCritic(std::size_t input_dim, const CriticConfig& config, Rng& rng);
 
-  /// Risk-adjusted bound Q(x) of Eq. (6).
-  [[nodiscard]] double predict(std::span<const double> x) const;
-
-  /// Mean and std of the base-model outputs (Fig. 3 reproduction).
+  /// Mean and std of the base-model outputs and the risk-adjusted bound
+  /// Q(x) of Eq. (6) (Fig. 3 reproduction).
   struct Bound {
     double mean = 0.0;
     double std = 0.0;
     double risk_adjusted = 0.0;
   };
-  [[nodiscard]] Bound bound(std::span<const double> x) const;
+  /// Runs every base model once at x and keeps their activations, so
+  /// input_gradient() can backpropagate this bound without a second pass.
+  [[nodiscard]] Bound bound(std::span<const double> x);
 
-  /// One gradient step of base model `i` on (x, r) targets:
-  /// L_Qi = MSE(r, Q_i(x) + bias).  Returns the batch loss.
-  double train_base(std::size_t i, const std::vector<std::vector<double>>& xs,
-                    std::span<const double> rewards);
+  /// One gradient step of base model `i` on the (x, r) pairs of `batch`:
+  /// L_Qi = MSE(r, Q_i(x) + bias).  `grad` is the caller's scratch for the
+  /// parameter gradient (resized to fit), so a trainer can share one buffer
+  /// across networks.  Returns the batch loss.
+  double train_base(std::size_t i, std::span<const Experience* const> batch,
+                    std::vector<double>& grad);
 
-  /// d Q(x) / d x of the aggregated (risk-adjusted) output, used to push
-  /// gradients into the actor.  `dLdq` scales the result.
-  [[nodiscard]] std::vector<double> input_gradient(std::span<const double> x, double dLdq) const;
+  /// dLdq * dQ/dx of the bound the last bound() call computed, written to
+  /// `dx` (input_dim() entries); used to push gradients into the actor.
+  /// Throws std::logic_error when no bound() came first.
+  void input_gradient(double dLdq, std::span<double> dx);
 
+  [[nodiscard]] std::size_t input_dim() const { return models_.front().input_dim(); }
   [[nodiscard]] std::size_t ensemble_size() const { return models_.size(); }
   [[nodiscard]] const CriticConfig& config() const { return config_; }
 
@@ -63,6 +68,14 @@ class EnsembleCritic {
   CriticConfig config_;
   std::vector<nn::Mlp> models_;
   std::vector<nn::Adam> optimizers_;
+  // Scratch, sized on first use.  bound() fills member_ws_/outs_/last_ for
+  // input_gradient(); train_base() has its own workspace so training never
+  // clobbers them.
+  std::vector<nn::Mlp::Workspace> member_ws_;
+  std::vector<double> outs_;
+  Bound last_;
+  std::vector<double> member_dx_;
+  nn::Mlp::Workspace train_ws_;
 };
 
 }  // namespace glova::rl

@@ -25,12 +25,11 @@ void WorstCaseReplayBuffer::add(std::vector<double> x01, double reward) {
   }
 }
 
-std::vector<Experience> WorstCaseReplayBuffer::sample(std::size_t n, Rng& rng) const {
+void WorstCaseReplayBuffer::sample(std::size_t n, Rng& rng,
+                                   std::vector<const Experience*>& out) const {
   if (entries_.empty()) throw std::logic_error("WorstCaseReplayBuffer::sample: empty");
-  std::vector<Experience> batch;
-  batch.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) batch.push_back(entries_[rng.index(entries_.size())]);
-  return batch;
+  out.clear();
+  for (std::size_t i = 0; i < n; ++i) out.push_back(&entries_[rng.index(entries_.size())]);
 }
 
 std::optional<Experience> WorstCaseReplayBuffer::best() const { return best_; }

@@ -29,9 +29,10 @@ class WorstCaseReplayBuffer {
   [[nodiscard]] bool empty() const { return entries_.empty(); }
   [[nodiscard]] const Experience& at(std::size_t i) const { return entries_[i]; }
 
-  /// Sample `n` experiences uniformly with replacement (distinct batches per
-  /// critic base model come from distinct calls / rng streams).
-  [[nodiscard]] std::vector<Experience> sample(std::size_t n, Rng& rng) const;
+  /// Sample `n` experiences uniformly with replacement into `out` (distinct
+  /// batches per critic base model come from distinct calls / rng streams).
+  /// The pointers stay valid until the next add() or load().
+  void sample(std::size_t n, Rng& rng, std::vector<const Experience*>& out) const;
 
   /// Best experience seen so far (highest reward), if any.
   [[nodiscard]] std::optional<Experience> best() const;

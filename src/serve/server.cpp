@@ -277,10 +277,14 @@ void Server::connection_loop(int fd) {
     } else if (request.verb == "LIST" && request.args.empty()) {
       handle_list(fd);
     } else if (request.verb == "SHUTDOWN" && request.args.empty()) {
+      {
+        // Record the request before acknowledging it: a client that has
+        // read the reply must find shutdown_requested() true.
+        std::lock_guard<std::mutex> lock(mutex_);
+        shutdown_requested_ = true;
+        cv_shutdown_.notify_all();
+      }
       io.write_line(ok_line("shutting-down"));
-      std::lock_guard<std::mutex> lock(mutex_);
-      shutdown_requested_ = true;
-      cv_shutdown_.notify_all();
     } else {
       io.write_line(err_line("bad request: " + line +
                              " (expected SUBMIT/STATUS/RESULT/WATCH/CANCEL/LIST/SHUTDOWN)"));

@@ -3,11 +3,13 @@
 // whole RL stack), Adam convergence, and end-to-end regression.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <string>
 
 #include "common/rng.hpp"
+#include "counting_new.hpp"
 #include "nn/adam.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
@@ -17,7 +19,7 @@ namespace {
 
 TEST(Activation, ValuesAndDerivatives) {
   EXPECT_DOUBLE_EQ(activate(Activation::Identity, 1.7), 1.7);
-  EXPECT_DOUBLE_EQ(activate_grad(Activation::Identity, 1.7), 1.0);
+  EXPECT_DOUBLE_EQ(activate_grad_from_output(Activation::Identity, 1.7), 1.0);
   EXPECT_DOUBLE_EQ(activate(Activation::ReLU, -2.0), 0.0);
   EXPECT_DOUBLE_EQ(activate(Activation::ReLU, 2.0), 2.0);
   EXPECT_NEAR(activate(Activation::Tanh, 0.5), std::tanh(0.5), 1e-15);
@@ -28,7 +30,7 @@ TEST(Activation, ValuesAndDerivatives) {
     const double x = 0.37;
     const double eps = 1e-6;
     const double fd = (activate(act, x + eps) - activate(act, x - eps)) / (2 * eps);
-    EXPECT_NEAR(activate_grad(act, x), fd, 1e-8);
+    EXPECT_NEAR(activate_grad_from_output(act, activate(act, x)), fd, 1e-8);
   }
 }
 
@@ -40,13 +42,22 @@ TEST(Mlp, ShapesAndDeterminism) {
   EXPECT_EQ(net.layer_count(), 3u);
   EXPECT_EQ(net.parameter_count(), 3u * 8 + 8 + 8u * 8 + 8 + 8u * 2 + 2);
   const std::vector<double> x = {0.1, -0.2, 0.3};
-  EXPECT_EQ(net.forward(x), net.forward(x));
+  Mlp::Workspace a;
+  Mlp::Workspace b;
+  const std::span<const double> ya = net.forward(x, a);
+  EXPECT_TRUE(std::ranges::equal(ya, net.forward(x, b)));
+  // A reused workspace gives the same bits as a fresh one.
+  EXPECT_TRUE(std::ranges::equal(ya, net.forward(x, b)));
 }
 
 TEST(Mlp, BadInputSizeThrows) {
   Rng rng(1);
   const Mlp net({2, 4, 1}, Activation::Tanh, Activation::Identity, rng);
-  EXPECT_THROW((void)net.forward(std::vector<double>{1.0}), std::invalid_argument);
+  Mlp::Workspace ws;
+  EXPECT_THROW((void)net.forward(std::vector<double>{1.0}, ws), std::invalid_argument);
+  // backward() needs a forward pass of this network in the workspace.
+  std::vector<double> dx(2);
+  EXPECT_THROW(net.backward(ws, std::vector<double>{1.0}, {}, dx), std::logic_error);
 }
 
 /// Property sweep: analytic gradients match finite differences across
@@ -76,10 +87,13 @@ TEST_P(MlpGradient, MatchesFiniteDifferences) {
   Mlp::Workspace ws;
   (void)net.forward(x, ws);
   std::vector<double> grad(net.parameter_count(), 0.0);
-  const std::vector<double> dx = net.backward(ws, dLdy, grad);
+  std::vector<double> dx(x.size());
+  net.backward(ws, dLdy, grad, dx);
 
+  Mlp::Workspace probe;
+  Mlp::Workspace probe_down;
   const auto loss_at = [&](void) {
-    const auto y = net.forward(x);
+    const auto y = net.forward(x, probe);
     double l = 0.0;
     for (std::size_t i = 0; i < y.size(); ++i) l += dLdy[i] * y[i];
     return l;
@@ -103,18 +117,24 @@ TEST_P(MlpGradient, MatchesFiniteDifferences) {
   for (std::size_t i = 0; i < x.size(); ++i) {
     const double saved = x_mut[i];
     x_mut[i] = saved + eps;
-    const auto yu = net.forward(x_mut);
+    const auto yu = net.forward(x_mut, probe);
     x_mut[i] = saved - eps;
-    const auto yd = net.forward(x_mut);
+    const auto yd = net.forward(x_mut, probe_down);
     x_mut[i] = saved;
     double fd = 0.0;
     for (std::size_t o = 0; o < yu.size(); ++o) fd += dLdy[o] * (yu[o] - yd[o]) / (2 * eps);
     EXPECT_NEAR(dx[i], fd, 1e-5) << "input " << i;
   }
 
-  // input_gradient (no parameter accumulation) agrees with backward's dx.
-  const std::vector<double> dx2 = net.input_gradient(ws, dLdy);
-  for (std::size_t i = 0; i < dx.size(); ++i) EXPECT_NEAR(dx[i], dx2[i], 1e-12);
+  // The frozen-network input gradient (no parameter accumulation) is the
+  // same computation as backward's dx, bit for bit, and skipping dx leaves
+  // the parameter gradients unchanged.
+  std::vector<double> dx2(x.size());
+  net.backward(ws, dLdy, {}, dx2);
+  EXPECT_EQ(dx, dx2);
+  std::vector<double> grad2(net.parameter_count(), 0.0);
+  net.backward(ws, dLdy, grad2, {});
+  EXPECT_EQ(grad, grad2);
 }
 
 INSTANTIATE_TEST_SUITE_P(Cases, MlpGradient, ::testing::Range(0, 10));
@@ -165,7 +185,9 @@ TEST(Serialization, MlpSaveLoadRoundTripsParameters) {
   }
   // Bit-identical parameters mean bit-identical inference.
   const std::vector<double> x = {0.1, -0.7, 2.5};
-  EXPECT_EQ(restored.forward(x), net.forward(x));
+  Mlp::Workspace a;
+  Mlp::Workspace b;
+  EXPECT_TRUE(std::ranges::equal(restored.forward(x, a), net.forward(x, b)));
 
   // Save -> load -> save is a byte fixed point.
   std::ostringstream resaved;
@@ -198,7 +220,7 @@ TEST(Serialization, AdamSaveLoadRoundTripsMoments) {
     std::vector<double> grad(net.parameter_count(), 0.0);
     const auto y = net.forward(std::vector<double>{0.3, -0.9}, ws);
     const std::vector<double> dLdy = {y[0] - 1.0};
-    (void)net.backward(ws, dLdy, grad);
+    net.backward(ws, dLdy, grad, {});
     adam.step(net.parameters(), grad);
   }
   std::ostringstream saved;
@@ -235,6 +257,35 @@ TEST(Serialization, AdamLoadRejectsMismatchedCount) {
   }
 }
 
+TEST(Mlp, WarmWorkspaceTrainingStepAllocatesNothing) {
+  Rng rng(29);
+  Mlp net({14, 64, 64, 64, 1}, Activation::Tanh, Activation::Identity, rng);
+  Adam adam(net.parameter_count());
+  Mlp::Workspace ws;
+  std::vector<double> grad(net.parameter_count());
+  std::vector<double> dx(net.input_dim());
+  const std::vector<double> x = rng.uniform_vector(net.input_dim(), 0.0, 1.0);
+  const std::vector<double> dLdy = {0.25};
+  const auto step = [&] {
+    std::fill(grad.begin(), grad.end(), 0.0);
+    (void)net.forward(x, ws);
+    net.backward(ws, dLdy, grad, dx);
+    adam.step(net.parameters(), grad);
+  };
+  step();  // sizes the workspace
+  g_alloc_count.store(0);
+  g_alloc_counting.store(true);
+  for (int i = 0; i < 10; ++i) step();
+  g_alloc_counting.store(false);
+  EXPECT_EQ(g_alloc_count.load(), 0u);
+  // The counter is live: a fresh workspace does allocate.
+  g_alloc_counting.store(true);
+  Mlp::Workspace fresh;
+  (void)net.forward(x, fresh);
+  g_alloc_counting.store(false);
+  EXPECT_GT(g_alloc_count.load(), 0u);
+}
+
 TEST(Training, LearnsOneDimensionalRegression) {
   // Fit y = sin(3x) on a fixed grid (full-batch); checks the complete
   // forward/backward/Adam loop end to end.
@@ -250,13 +301,13 @@ TEST(Training, LearnsOneDimensionalRegression) {
       const double target = std::sin(3.0 * x);
       const auto y = net.forward(std::vector<double>{x}, ws);
       const std::vector<double> dLdy = {mse_grad_scalar(y[0], target) / kGrid};
-      (void)net.backward(ws, dLdy, grad);
+      net.backward(ws, dLdy, grad, {});
     }
     adam.step(net.parameters(), grad);
   }
   double worst = 0.0;
   for (double x = -1.0; x <= 1.0; x += 0.05) {
-    const double y = net.forward(std::vector<double>{x})[0];
+    const double y = net.forward(std::vector<double>{x}, ws)[0];
     worst = std::max(worst, std::abs(y - std::sin(3.0 * x)));
   }
   EXPECT_LT(worst, 0.15);

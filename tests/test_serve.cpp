@@ -444,7 +444,11 @@ TEST(Server, WatchStreamsEventsUntilTheJobEnds) {
   serve::Server server(std::move(config));
   server.start();
 
+  // Three seeds x three algorithms: the first quantum starts nine sessions,
+  // each with its own TuRBO init and agent warm-up, so the margin does not
+  // shrink to a fraction of a second when the optimizer gets faster.
   core::SweepSpec blocker_sweep = serve_sweep();
+  blocker_sweep.seeds = {1, 2, 3};
   core::SweepSpec watched_sweep = serve_sweep();
   watched_sweep.algorithms = {core::Algorithm::Glova};
 
