@@ -252,6 +252,28 @@ static void BM_AgentUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_AgentUpdate);
 
+// One forward and one backward with parameter gradients of a batch of n
+// samples through a critic member ({14, 64, 64, 64, 1}); n = 1 is the
+// single-sample cost of bound(), propose() and the engine surrogate.
+static void BM_MlpBatch(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Rng rng(7);
+  const nn::Mlp net({14, 64, 64, 64, 1}, nn::Activation::Tanh, nn::Activation::Identity, rng);
+  const std::vector<double> x = rng.uniform_vector(14 * n, 0.0, 1.0);  // lane-major batch
+  const std::vector<double> dLdy = rng.uniform_vector(n, -0.1, 0.1);
+  std::vector<double> grad(net.parameter_count(), 0.0);
+  nn::Mlp::Workspace ws;
+  nn::Mlp::Scratch scratch;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(net.forward(x, ws).data());
+    net.backward(ws, scratch, dLdy, grad, {});
+    benchmark::DoNotOptimize(grad.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_MlpBatch)->Arg(1)->Arg(8)->Arg(10);
+
 static void BM_HScoreReordering(benchmark::State& state) {
   Rng rng(4);
   const std::size_t n = state.range(0);

@@ -97,7 +97,7 @@ void SurrogateModel::observe(std::span<const double> input, std::span<const doub
     dLdy_[j] = (y[j] - zt) / static_cast<double>(y.size());
   }
   std::fill(grad_.begin(), grad_.end(), 0.0);
-  mlp_->backward(ws_, dLdy_, grad_, {});
+  mlp_->backward(ws_, scratch_, dLdy_, grad_, {});
   adam_->step(mlp_->parameters(), grad_);
   ++train_steps_;
 }

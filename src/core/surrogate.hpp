@@ -88,6 +88,7 @@ class SurrogateModel {
   std::vector<double> in_mean_, in_m2_, out_mean_, out_m2_;
   // Scratch for observe() and predict(), sized on first use.
   nn::Mlp::Workspace ws_;
+  nn::Mlp::Scratch scratch_;
   std::vector<double> zx_, dLdy_, grad_;
 };
 

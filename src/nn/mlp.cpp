@@ -1,7 +1,9 @@
 #include "nn/mlp.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
+#include <cstring>
 #include <stdexcept>
 
 #include "common/state_io.hpp"
@@ -30,50 +32,280 @@ double activate_grad_from_output(Activation act, double y) {
 
 namespace {
 
-/// z[o] = b[o] + sum_i w[o * in + i] * x[i], every sum bias first and then
-/// in ascending input order.  Each sum is one dependent add chain, so eight
-/// outputs advance together: a tile of products is formed first (contiguous
-/// along the weight rows), then added into the eight chains input by input.
-void affine(const double* w, const double* b, const double* x, std::size_t in, std::size_t out,
-            double* z) {
-  constexpr std::size_t kOut = 8;
-  constexpr std::size_t kIn = 4;
+// Batched kernels.  forward() keeps a layer's activations lane-major: row
+// u holds unit u of every sample, `stride` lanes long, and the affine kernel
+// runs whole rows of lanes as GCC/Clang vector-extension values, so every
+// sample of a batch goes through each weight while it is in a register.  A
+// row's lanes past the batch are zero.  Every kernel gives each sample the
+// exact operation sequence of the single-sample loops it replaced: samples
+// never mix.
+// W doubles as one vector.  The typedef sits in a class template because
+// GCC drops a dependent vector_size from an alias template; the
+// static_asserts catch that.
+template <std::size_t W>
+struct VecOf {
+  typedef double type __attribute__((vector_size(W * sizeof(double))));
+};
+template <std::size_t W>
+using Vec = typename VecOf<W>::type;
+
+constexpr std::size_t kLanes = 8;          ///< doubles per full lane vector
+constexpr std::size_t kHalf = kLanes / 2;  ///< the stride is a multiple of this
+using Lanes = Vec<kLanes>;
+using Half = Vec<kHalf>;
+static_assert(sizeof(Lanes) == kLanes * sizeof(double));
+static_assert(sizeof(Half) == kHalf * sizeof(double));
+
+std::size_t lane_stride(std::size_t n) { return (n + kHalf - 1) / kHalf * kHalf; }
+
+// Vectors move through references, never by value: the kernels' vectors
+// are wider than the baseline ISA's registers (GCC's -Wpsabi).
+template <class V>
+void load(V& v, const double* p) {
+  std::memcpy(&v, p, sizeof v);
+}
+
+template <class V>
+void store(double* p, const V& v) {
+  std::memcpy(p, &v, sizeof v);
+}
+
+template <class V>
+void splat(V& v, double x) {
+  double lanes[sizeof v / sizeof x] = {};
+  std::fill_n(lanes, sizeof v / sizeof x, x);
+  load(v, lanes);
+}
+
+/// C full lane vectors and then H half ones: the lanes one affine call
+/// keeps in registers.
+template <std::size_t C, std::size_t H>
+struct LaneGroup {
+  std::array<Lanes, C> full;
+  std::array<Half, H> half;
+
+  void load_from(const double* p) {
+    for (std::size_t c = 0; c < C; ++c) load(full[c], p + c * kLanes);
+    for (std::size_t h = 0; h < H; ++h) load(half[h], p + C * kLanes + h * kHalf);
+  }
+  void splat_of(double v) {
+    for (Lanes& l : full) splat(l, v);
+    for (Half& l : half) splat(l, v);
+  }
+  void store_to(double* p) const {
+    for (std::size_t c = 0; c < C; ++c) store(p + c * kLanes, full[c]);
+    for (std::size_t h = 0; h < H; ++h) store(p + C * kLanes + h * kHalf, half[h]);
+  }
+  /// this += w * x, lane by lane.
+  void add_product(double w, const LaneGroup& x) {
+    for (std::size_t c = 0; c < C; ++c) full[c] += w * x.full[c];
+    for (std::size_t h = 0; h < H; ++h) half[h] += w * x.half[h];
+  }
+};
+
+/// z = b + W x for outputs [o, o + K) on the lanes of group G from lane l0:
+/// each lane's sum starts at the bias and adds the inputs in ascending order.
+template <std::size_t K, class G>
+void affine_rows(const double* w, const double* b, const double* x, std::size_t in,
+                 std::size_t stride, std::size_t o, std::size_t l0, double* z) {
+  G acc[K] = {};
+  for (std::size_t k = 0; k < K; ++k) acc[k].splat_of(b[o + k]);
+  for (std::size_t i = 0; i < in; ++i) {
+    G xi = {};
+    xi.load_from(x + i * stride + l0);
+    for (std::size_t k = 0; k < K; ++k) acc[k].add_product(w[(o + k) * in + i], xi);
+  }
+  for (std::size_t k = 0; k < K; ++k) acc[k].store_to(z + (o + k) * stride + l0);
+}
+
+/// Every output on the lanes of group G from lane l0: eight outputs at a
+/// time (enough independent sums to hide the add latency), then one.
+template <class G>
+void affine_lanes(const double* w, const double* b, const double* x, std::size_t in,
+                  std::size_t out, std::size_t stride, std::size_t l0, double* z) {
+  constexpr std::size_t kRows = 8;
   std::size_t o = 0;
-  for (; o + kOut <= out; o += kOut) {
-    double acc[kOut];
-    for (std::size_t k = 0; k < kOut; ++k) acc[k] = b[o + k];
-    std::size_t i = 0;
-    for (; i + kIn <= in; i += kIn) {
-      double p[kIn][kOut];
-      for (std::size_t k = 0; k < kOut; ++k) {
-        for (std::size_t j = 0; j < kIn; ++j) p[j][k] = w[(o + k) * in + i + j] * x[i + j];
-      }
-      for (std::size_t j = 0; j < kIn; ++j) {
-        for (std::size_t k = 0; k < kOut; ++k) acc[k] += p[j][k];
-      }
-    }
-    for (; i < in; ++i) {
-      for (std::size_t k = 0; k < kOut; ++k) acc[k] += w[(o + k) * in + i] * x[i];
-    }
-    for (std::size_t k = 0; k < kOut; ++k) z[o + k] = acc[k];
+  for (; o + kRows <= out; o += kRows) affine_rows<kRows, G>(w, b, x, in, stride, o, l0, z);
+  for (; o < out; ++o) affine_rows<1, G>(w, b, x, in, stride, o, l0, z);
+}
+
+/// One layer's pre-activations z = b + W x for every lane: one pass over the
+/// weights for each 16 lanes, so a batch of up to 16 samples makes one pass.
+void affine(const double* w, const double* b, const double* x, std::size_t in, std::size_t out,
+            std::size_t stride, double* z) {
+  std::size_t l0 = 0;
+  for (; l0 + 2 * kLanes <= stride; l0 += 2 * kLanes) {
+    affine_lanes<LaneGroup<2, 0>>(w, b, x, in, out, stride, l0, z);
   }
-  for (; o < out; ++o) {
-    const double* wo = w + o * in;
-    double zo = b[o];
-    for (std::size_t i = 0; i < in; ++i) zo += wo[i] * x[i];
-    z[o] = zo;
+  switch ((stride - l0) / kHalf) {
+    case 3: affine_lanes<LaneGroup<1, 1>>(w, b, x, in, out, stride, l0, z); break;
+    case 2: affine_lanes<LaneGroup<1, 0>>(w, b, x, in, out, stride, l0, z); break;
+    case 1: affine_lanes<LaneGroup<0, 1>>(w, b, x, in, out, stride, l0, z); break;
+    default: break;
   }
 }
 
-void activate_in_place(Activation act, std::span<double> v) {
-  if (act == Activation::Identity) return;
-  for (double& x : v) x = activate(act, x);
+// backward() keeps dL/d(activation) sample-major (sample s of unit u at
+// [s * width + u]): a weight row then vectorizes along its inputs for both
+// products, with no padding lanes, and one load of a weight segment serves
+// several samples.
+
+/// Weight gradients of rows [o, o + B), columns [i, i + W): each element
+/// adds its n terms d_s * x_s[i] in sample order while it stays in a
+/// register.  `delta` points at unit o of sample 0 (row length `out`);
+/// `rows` holds the layer input sample-major (x_s = rows + s * in).
+template <std::size_t B, std::size_t W>
+void weight_grad_chunk(const double* delta, const double* rows, std::size_t in, std::size_t out,
+                       std::size_t n, std::size_t i, double* g) {
+  Vec<W> acc[B] = {};
+  for (std::size_t b = 0; b < B; ++b) load(acc[b], g + b * in + i);
+  for (std::size_t s = 0; s < n; ++s) {
+    Vec<W> xs = {};
+    load(xs, rows + s * in + i);
+    for (std::size_t b = 0; b < B; ++b) acc[b] += delta[s * out + b] * xs;
+  }
+  for (std::size_t b = 0; b < B; ++b) store(g + b * in + i, acc[b]);
 }
 
-/// delta[o] *= f'(pre[o]), with f' taken from the stored output y = f(pre).
-void scale_by_activation_grad(Activation act, std::span<const double> y, std::span<double> delta) {
+/// Weight and bias gradients of rows [o, o + B) over the n samples.
+template <std::size_t B>
+void weight_grad_rows(const double* delta, const double* rows, std::size_t in, std::size_t out,
+                      std::size_t n, double* g, double* gb) {
+  std::size_t i = 0;
+  for (; i + kLanes <= in; i += kLanes) weight_grad_chunk<B, kLanes>(delta, rows, in, out, n, i, g);
+  for (; i + kHalf <= in; i += kHalf) weight_grad_chunk<B, kHalf>(delta, rows, in, out, n, i, g);
+  for (; i < in; ++i) {
+    double acc[B] = {};
+    for (std::size_t b = 0; b < B; ++b) acc[b] = g[b * in + i];
+    for (std::size_t s = 0; s < n; ++s) {
+      const double xs = rows[s * in + i];
+      for (std::size_t b = 0; b < B; ++b) acc[b] += delta[s * out + b] * xs;
+    }
+    for (std::size_t b = 0; b < B; ++b) g[b * in + i] = acc[b];
+  }
+  for (std::size_t b = 0; b < B; ++b) {
+    double acc = gb[b];
+    for (std::size_t s = 0; s < n; ++s) acc += delta[s * out + b];
+    gb[b] = acc;
+  }
+}
+
+/// Accumulates the n samples' weight and bias gradients of one layer from
+/// dL/d(pre-activation) and the layer input, both sample-major.  Eight rows
+/// go together, so even a narrow layer has enough independent sums to hide
+/// the add latency.
+void weight_grad(const double* delta, const double* rows, std::size_t in, std::size_t out,
+                 std::size_t n, double* gw, double* gb) {
+  constexpr std::size_t kRows = 8;
+  std::size_t o = 0;
+  for (; o + kRows <= out; o += kRows) {
+    weight_grad_rows<kRows>(delta + o, rows, in, out, n, gw + o * in, gb + o);
+  }
+  for (; o < out; ++o) weight_grad_rows<1>(delta + o, rows, in, out, n, gw + o * in, gb + o);
+}
+
+/// dL/dx of S samples at inputs [i, i + R * W): each starts at 0.0 and adds
+/// the outputs in ascending order, and each weight-row segment is loaded
+/// once for all S samples.  `delta` (row length `out`) and `dx` (row length
+/// `in`) point at the first of the S samples.
+template <std::size_t S, std::size_t R, std::size_t W>
+void input_grad_chunk(const double* w, const double* delta, std::size_t in, std::size_t out,
+                      std::size_t i, double* dx) {
+  Vec<W> acc[S][R] = {};
+  for (std::size_t o = 0; o < out; ++o) {
+    Vec<W> wv[R] = {};
+    for (std::size_t r = 0; r < R; ++r) load(wv[r], w + o * in + i + r * W);
+    for (std::size_t s = 0; s < S; ++s) {
+      const double d = delta[s * out + o];
+      for (std::size_t r = 0; r < R; ++r) acc[s][r] += wv[r] * d;
+    }
+  }
+  for (std::size_t s = 0; s < S; ++s) {
+    for (std::size_t r = 0; r < R; ++r) store(dx + s * in + i + r * W, acc[s][r]);
+  }
+}
+
+/// dL/dx of S samples over every input: the row splits into blocks of four
+/// lane vectors, then single vectors, a half vector and scalars.
+template <std::size_t S>
+void input_grad_samples(const double* w, const double* delta, std::size_t in, std::size_t out,
+                        double* dx) {
+  std::size_t i = 0;
+  for (; i + 4 * kLanes <= in; i += 4 * kLanes) {
+    input_grad_chunk<S, 4, kLanes>(w, delta, in, out, i, dx);
+  }
+  for (; i + kLanes <= in; i += kLanes) input_grad_chunk<S, 1, kLanes>(w, delta, in, out, i, dx);
+  for (; i + kHalf <= in; i += kHalf) input_grad_chunk<S, 1, kHalf>(w, delta, in, out, i, dx);
+  for (; i < in; ++i) {
+    double acc[S] = {};
+    for (std::size_t o = 0; o < out; ++o) {
+      const double wo = w[o * in + i];
+      for (std::size_t s = 0; s < S; ++s) acc[s] += wo * delta[s * out + o];
+    }
+    for (std::size_t s = 0; s < S; ++s) dx[s * in + i] = acc[s];
+  }
+}
+
+/// dL/dx = W^T delta for n samples, sample-major, four samples at a time.
+void input_grad(const double* w, const double* delta, std::size_t in, std::size_t out,
+                std::size_t n, double* dx) {
+  std::size_t s = 0;
+  for (; s + 4 <= n; s += 4) input_grad_samples<4>(w, delta + s * out, in, out, dx + s * in);
+  switch (n - s) {
+    case 3: input_grad_samples<3>(w, delta + s * out, in, out, dx + s * in); break;
+    case 2: input_grad_samples<2>(w, delta + s * out, in, out, dx + s * in); break;
+    case 1: input_grad_samples<1>(w, delta + s * out, in, out, dx + s * in); break;
+    default: break;
+  }
+}
+
+/// delta *= f'(pre) for n samples (delta sample-major, row length `units`),
+/// with f' taken from the stored lane-major output y = f(pre).
+void scale_by_activation_grad(Activation act, const double* y, std::size_t units, std::size_t n,
+                              std::size_t stride, double* delta) {
   if (act == Activation::Identity) return;
-  for (std::size_t o = 0; o < delta.size(); ++o) delta[o] *= activate_grad_from_output(act, y[o]);
+  for (std::size_t s = 0; s < n; ++s) {
+    for (std::size_t u = 0; u < units; ++u) {
+      delta[s * units + u] *= activate_grad_from_output(act, y[u * stride + s]);
+    }
+  }
+}
+
+/// out[c * rows + r] = v[r * ld + c] for r < rows, c < cols: the transpose
+/// of a rows x cols block whose rows start `ld` apart.
+void transpose(const double* v, std::size_t rows, std::size_t cols, std::size_t ld, double* out) {
+  for (std::size_t c = 0; c < cols; ++c) {
+    for (std::size_t r = 0; r < rows; ++r) out[c * rows + r] = v[r * ld + c];
+  }
+}
+
+/// f applied to the n real lanes of each of `units` rows; the padding lanes
+/// are zeroed, so only real samples reach tanh/exp.
+void activate_rows(Activation act, std::size_t units, std::size_t n, std::size_t stride,
+                   double* y) {
+  for (std::size_t u = 0; u < units; ++u) {
+    double* row = y + u * stride;
+    if (act != Activation::Identity) {
+      for (std::size_t s = 0; s < n; ++s) row[s] = activate(act, row[s]);
+    }
+    std::fill(row + n, row + stride, 0.0);
+  }
+}
+
+/// Copies `units` rows of n values (row stride n) into rows of `stride`
+/// lanes, zero-padded.
+void to_lanes(std::span<const double> v, std::size_t units, std::size_t n, std::size_t stride,
+              double* out) {
+  for (std::size_t u = 0; u < units; ++u) {
+    std::copy_n(v.data() + u * n, n, out + u * stride);
+    std::fill(out + u * stride + n, out + (u + 1) * stride, 0.0);
+  }
+}
+
+/// The inverse of to_lanes: drops the padding lanes.
+void from_lanes(const double* in, std::size_t units, std::size_t n, std::size_t stride,
+                double* v) {
+  for (std::size_t u = 0; u < units; ++u) std::copy_n(in + u * stride, n, v + u * n);
 }
 
 }  // namespace
@@ -106,62 +338,68 @@ Mlp::Mlp(std::vector<std::size_t> sizes, Activation hidden, Activation output, R
 }
 
 std::span<const double> Mlp::forward(std::span<const double> x, Workspace& ws) const {
-  if (x.size() != input_dim()) throw std::invalid_argument("Mlp::forward: bad input size");
+  if (x.empty() || x.size() % input_dim() != 0) {
+    throw std::invalid_argument("Mlp::forward: bad input size");
+  }
+  const std::size_t n = x.size() / input_dim();
+  const std::size_t stride = lane_stride(n);
+  ws.sizes.assign(sizes_.begin(), sizes_.end());
+  ws.batch = n;
+  ws.stride = stride;
   ws.post.resize(layers_.size() + 1);
-  ws.post[0].assign(x.begin(), x.end());
+  ws.post[0].resize(input_dim() * stride);
+  to_lanes(x, input_dim(), n, stride, ws.post[0].data());
   for (std::size_t l = 0; l < layers_.size(); ++l) {
     const LayerView& layer = layers_[l];
     std::vector<double>& y = ws.post[l + 1];
-    y.resize(layer.out);
+    y.resize(layer.out * stride);
     affine(&params_[layer.w_offset], &params_[layer.b_offset], ws.post[l].data(), layer.in,
-           layer.out, y.data());
-    activate_in_place(layer.act, y);
+           layer.out, stride, y.data());
+    activate_rows(layer.act, layer.out, n, stride, y.data());
   }
-  return ws.post.back();
+  ws.out.resize(output_dim() * n);
+  from_lanes(ws.post.back().data(), output_dim(), n, stride, ws.out.data());
+  return ws.out;
 }
 
-void Mlp::backward(Workspace& ws, std::span<const double> dLdy, std::span<double> grad,
-                   std::span<double> dLdx) const {
-  if (dLdy.size() != output_dim()) throw std::invalid_argument("Mlp::backward: bad dLdy size");
+void Mlp::backward(const Workspace& ws, Scratch& scratch, std::span<const double> dLdy,
+                   std::span<double> grad, std::span<double> dLdx) const {
+  if (dLdy.empty() || dLdy.size() % output_dim() != 0) {
+    throw std::invalid_argument("Mlp::backward: bad dLdy size");
+  }
+  const std::size_t n = dLdy.size() / output_dim();
+  if (!std::ranges::equal(ws.sizes, sizes_) || ws.batch != n) {
+    throw std::logic_error(
+        "Mlp::backward: workspace holds no forward pass of this network at this batch size");
+  }
   if (!grad.empty() && grad.size() != params_.size()) {
     throw std::invalid_argument("Mlp::backward: bad grad size");
   }
-  if (!dLdx.empty() && dLdx.size() != input_dim()) {
+  if (!dLdx.empty() && dLdx.size() != input_dim() * n) {
     throw std::invalid_argument("Mlp::backward: bad dLdx size");
   }
-  if (ws.post.size() != layers_.size() + 1) {
-    throw std::logic_error("Mlp::backward: workspace holds no forward pass of this network");
-  }
-  ws.delta.assign(dLdy.begin(), dLdy.end());
+  const std::size_t stride = ws.stride;
+  const std::size_t width = std::ranges::max(sizes_);
+  scratch.delta.resize(n * width);
+  scratch.other.resize(n * width);
+  transpose(dLdy.data(), output_dim(), n, n, scratch.delta.data());
   for (std::size_t li = layers_.size(); li-- > 0;) {
     const LayerView& layer = layers_[li];
     // delta holds dL/d(post-activation) of this layer; make it dL/d(pre).
-    scale_by_activation_grad(layer.act, ws.post[li + 1], ws.delta);
-    const double* delta = ws.delta.data();
-    const double* input = ws.post[li].data();
+    scale_by_activation_grad(layer.act, ws.post[li + 1].data(), layer.out, n, stride,
+                             scratch.delta.data());
     if (!grad.empty()) {
-      for (std::size_t o = 0; o < layer.out; ++o) {
-        double* gw_row = &grad[layer.w_offset + o * layer.in];
-        const double d = delta[o];
-        for (std::size_t i = 0; i < layer.in; ++i) gw_row[i] += d * input[i];
-        grad[layer.b_offset + o] += d;
-      }
+      transpose(ws.post[li].data(), layer.in, n, stride, scratch.other.data());
+      weight_grad(scratch.delta.data(), scratch.other.data(), layer.in, layer.out, n,
+                  &grad[layer.w_offset], &grad[layer.b_offset]);
     }
     // The first layer's dL/dx is only computed when someone reads it.
     if (li == 0 && dLdx.empty()) break;
-    double* prev = dLdx.data();
-    if (li > 0) {
-      ws.prev_delta.resize(layer.in);
-      prev = ws.prev_delta.data();
-    }
-    std::fill(prev, prev + layer.in, 0.0);
-    for (std::size_t o = 0; o < layer.out; ++o) {
-      const double* w_row = &params_[layer.w_offset + o * layer.in];
-      const double d = delta[o];
-      for (std::size_t i = 0; i < layer.in; ++i) prev[i] += w_row[i] * d;
-    }
-    if (li > 0) ws.delta.swap(ws.prev_delta);
+    input_grad(&params_[layer.w_offset], scratch.delta.data(), layer.in, layer.out, n,
+               scratch.other.data());
+    scratch.delta.swap(scratch.other);
   }
+  if (!dLdx.empty()) transpose(scratch.delta.data(), n, input_dim(), input_dim(), dLdx.data());
 }
 
 void Mlp::save(std::ostream& os) const { state::write_doubles(os, "mlp", params_); }

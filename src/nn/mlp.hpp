@@ -6,10 +6,14 @@
 // trivial, and backward() can return input gradients so the actor can be
 // trained through the frozen critic (Algorithm 1's L_A).
 //
+// forward() and backward() take a batch of n samples and run it through each
+// layer in one pass over the weights; a single sample is the batch n = 1.
+//
 // Bit-identity contract (docs/architecture.md#nn-layer): each output's
 // pre-activation is one sum, bias first, then ascending input index; each
 // activation is evaluated once and backward() takes its derivative from the
-// stored value; parameter gradients accumulate in call (sample) order.
+// stored value; parameter gradients accumulate in sample order.  A batch of n
+// therefore gives the same bits as n single-sample calls in sample order.
 #pragma once
 
 #include <cstddef>
@@ -44,28 +48,47 @@ class Mlp {
   [[nodiscard]] std::span<double> parameters() { return params_; }
   [[nodiscard]] std::span<const double> parameters() const { return params_; }
 
-  /// Activations recorded by forward() for backward(), plus backward()'s
-  /// scratch.  Buffers are sized on first use, so a workspace reused across
-  /// calls makes forward and backward allocation-free.  Owned by whoever
-  /// trains or queries the network; any network of the same shape may use it.
+  /// What forward() records for backward(): the batch and every layer's
+  /// activations.  Buffers are sized on first use to the batch, so a
+  /// workspace and a Scratch reused across calls make forward and backward
+  /// allocation-free.  Owned by whoever trains or queries the network; any
+  /// network of the same shape may use it.
   struct Workspace {
-    std::vector<std::vector<double>> post;  ///< post[0] is the input, post[l + 1] layer l's output
-    std::vector<double> delta;              ///< dL/d(activation) of the layer being walked
-    std::vector<double> prev_delta;
+    std::vector<std::size_t> sizes;  ///< layer widths of the network that recorded the pass
+    std::size_t batch = 0;           ///< n of the recorded pass
+    std::size_t stride = 0;          ///< lanes per unit: n rounded up to the kernels' vector width
+    /// post[0] is the input, post[l + 1] layer l's output; sample s of unit
+    /// u sits at [u * stride + s], and lanes n..stride-1 are zero.
+    std::vector<std::vector<double>> post;
+    std::vector<double> out;  ///< the output, lane-major with stride n (forward's result)
   };
 
-  /// Forward pass that records every layer's activations in `ws`.  Returns
-  /// the output, a view into `ws` valid until its next forward().
+  /// backward()'s working buffers, sized on first use to the widest layer
+  /// and the batch.  One serves any number of workspaces and networks, so an
+  /// owner of several recorded passes keeps a single one.
+  struct Scratch {
+    std::vector<double> delta;  ///< dL/d(activation) of the layer being walked
+    std::vector<double> other;  ///< that layer's input sample-major, then dL/d(its input)
+  };
+
+  /// Forward pass of a batch of n = x.size() / input_dim() samples that
+  /// records every layer's activations in `ws`.  Batches are lane-major:
+  /// coordinate j of sample s is x[j * n + s], so one sample is a plain
+  /// vector.  Returns the n outputs in the same layout, a view into `ws`
+  /// valid until its next forward().
   std::span<const double> forward(std::span<const double> x, Workspace& ws) const;
 
-  /// Backpropagate `dLdy` (gradient of the loss w.r.t. the network output)
-  /// through the activations the last forward() recorded in `ws`.
-  /// Parameter gradients are *accumulated* into `grad` (parameter_count()
-  /// entries) and dL/dx is *written* to `dLdx` (input_dim() entries).  An
-  /// empty span skips that output: no `grad` is the frozen-network input
-  /// gradient, no `dLdx` skips the first layer's input-gradient product.
-  void backward(Workspace& ws, std::span<const double> dLdy, std::span<double> grad,
-                std::span<double> dLdx) const;
+  /// Backpropagate `dLdy` (gradient of the loss w.r.t. the network outputs,
+  /// lane-major like forward()'s result) through the activations the last
+  /// forward() recorded in `ws`.  Parameter gradients of all n samples are
+  /// *accumulated* into `grad` (parameter_count() entries), in sample
+  /// order; dL/dx is *written* to `dLdx` (input_dim() * n entries,
+  /// lane-major).  An empty span skips that output: no `grad` is the
+  /// frozen-network input gradient, no `dLdx` skips the first layer's
+  /// input-gradient product.  Throws std::logic_error when `ws` holds no
+  /// forward pass of a network of this shape at this batch size.
+  void backward(const Workspace& ws, Scratch& scratch, std::span<const double> dLdy,
+                std::span<double> grad, std::span<double> dLdx) const;
 
   /// Text-serialize the flat parameter vector (architecture comes from the
   /// constructor).  `load` throws when the stored count does not match this

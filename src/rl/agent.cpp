@@ -5,6 +5,7 @@
 #include <limits>
 #include <ostream>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/state_io.hpp"
 #include "common/text.hpp"
@@ -45,25 +46,40 @@ double RiskSensitiveAgent::update(const WorstCaseReplayBuffer& buffer) {
     critic_.train_base(i, batch_, grad_);
   }
 
-  // --- actor: minimize MSE(0.2, Q(A(x)) + bias) through the frozen critic ---
+  // --- actor: minimize MSE(0.2, Q(A(x)) + bias) through the frozen critic,
+  // the whole batch at once: actor forward, critic bounds of the actions,
+  // their input gradients, actor backward ---
   buffer.sample(config_.batch_size, rng_, batch_);
-  grad_.assign(actor_.parameter_count(), 0.0);
-  dLda_.resize(actor_.output_dim());
+  const std::size_t n = batch_.size();
+  gather_designs(batch_, actor_.input_dim(), batch_x_);
+  const std::span<const double> actions = actor_.forward(batch_x_, actor_ws_);
+  bounds_.resize(n);
+  critic_.bound(actions, bounds_);
+  dLdq_.resize(n);
   double loss = 0.0;
-  const double scale = 1.0 / static_cast<double>(batch_.size());
-  for (const Experience* e : batch_) {
-    const std::span<const double> action = actor_.forward(e->x01, actor_ws_);
-    const double q = critic_.bound(action).risk_adjusted + config_.critic.bias;
+  const double scale = 1.0 / static_cast<double>(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const double q = bounds_[s].risk_adjusted + config_.critic.bias;
     loss += nn::mse(q, config_.target_reward) * scale;
-    critic_.input_gradient(nn::mse_grad_scalar(q, config_.target_reward) * scale, dLda_);
-    actor_.backward(actor_ws_, dLda_, grad_, {});
+    dLdq_[s] = nn::mse_grad_scalar(q, config_.target_reward) * scale;
   }
+  dLda_.resize(actions.size());
+  critic_.input_gradient(dLdq_, dLda_);
+  grad_.assign(actor_.parameter_count(), 0.0);
+  actor_.backward(actor_ws_, actor_scratch_, dLda_, grad_, {});
   actor_opt_.step(actor_.parameters(), grad_);
   return loss;
 }
 
+std::span<const double> RiskSensitiveAgent::actor_mean(std::span<const double> x_last) {
+  if (x_last.size() != actor_.input_dim()) {
+    throw std::invalid_argument("RiskSensitiveAgent: bad design size");
+  }
+  return actor_.forward(x_last, actor_ws_);
+}
+
 std::vector<double> RiskSensitiveAgent::propose(std::span<const double> x_last) {
-  const std::span<const double> mean = actor_.forward(x_last, actor_ws_);
+  const std::span<const double> mean = actor_mean(x_last);
   std::vector<double> x_new(mean.begin(), mean.end());
   for (double& v : x_new) {
     v = std::clamp(v + rng_.normal(0.0, noise_), 0.0, 1.0);
@@ -74,20 +90,28 @@ std::vector<double> RiskSensitiveAgent::propose(std::span<const double> x_last) 
 
 std::vector<double> RiskSensitiveAgent::propose_screened(std::span<const double> x_last,
                                                          std::size_t candidates) {
-  const std::span<const double> mean = actor_.forward(x_last, actor_ws_);
-  std::vector<double> best(mean.begin(), mean.end());
-  std::vector<double> cand;
-  double best_bound = -std::numeric_limits<double>::infinity();
-  for (std::size_t c = 0; c < std::max<std::size_t>(candidates, 1); ++c) {
-    cand.assign(mean.begin(), mean.end());
+  const std::span<const double> mean = actor_mean(x_last);
+  const std::size_t p = mean.size();
+  const std::size_t m = std::max<std::size_t>(candidates, 1);
+  // All candidates' noise first, candidate by candidate, then one batched
+  // critic pass over them.
+  candidates_.resize(p * m);
+  for (std::size_t c = 0; c < m; ++c) {
     // A fraction of candidates explore at doubled noise so the screen can
     // escape shallow local basins.
     const double sigma = (c % 4 == 3) ? 2.0 * noise_ : noise_;
-    for (double& v : cand) v = std::clamp(v + rng_.normal(0.0, sigma), 0.0, 1.0);
-    const double bound = critic_.bound(cand).risk_adjusted;
-    if (bound > best_bound) {
-      best_bound = bound;
-      best = cand;
+    for (std::size_t j = 0; j < p; ++j) {
+      candidates_[j * m + c] = std::clamp(mean[j] + rng_.normal(0.0, sigma), 0.0, 1.0);
+    }
+  }
+  bounds_.resize(m);
+  critic_.bound(candidates_, bounds_);
+  std::vector<double> best(mean.begin(), mean.end());
+  double best_bound = -std::numeric_limits<double>::infinity();
+  for (std::size_t c = 0; c < m; ++c) {
+    if (bounds_[c].risk_adjusted > best_bound) {
+      best_bound = bounds_[c].risk_adjusted;
+      for (std::size_t j = 0; j < p; ++j) best[j] = candidates_[j * m + c];
     }
   }
   noise_ = std::max(config_.noise_min, noise_ * config_.noise_decay);
@@ -95,7 +119,7 @@ std::vector<double> RiskSensitiveAgent::propose_screened(std::span<const double>
 }
 
 std::vector<double> RiskSensitiveAgent::act(std::span<const double> x_last) {
-  const std::span<const double> out = actor_.forward(x_last, actor_ws_);
+  const std::span<const double> out = actor_mean(x_last);
   return {out.begin(), out.end()};
 }
 

@@ -67,6 +67,9 @@ class RiskSensitiveAgent {
   void load(std::istream& is);
 
  private:
+  /// The actor's output for one design (the batch n = 1).
+  std::span<const double> actor_mean(std::span<const double> x_last);
+
   AgentConfig config_;
   Rng rng_;
   nn::Mlp actor_;
@@ -77,9 +80,14 @@ class RiskSensitiveAgent {
   // Scratch, sized on first use.  grad_ serves the critic members' steps
   // and then the actor's.
   nn::Mlp::Workspace actor_ws_;
+  nn::Mlp::Scratch actor_scratch_;
   std::vector<const Experience*> batch_;
   std::vector<double> grad_;
+  std::vector<double> batch_x_;  ///< the actor batch, lane-major
+  std::vector<EnsembleCritic::Bound> bounds_;
+  std::vector<double> dLdq_;
   std::vector<double> dLda_;
+  std::vector<double> candidates_;  ///< propose_screened()'s candidates, lane-major
 };
 
 }  // namespace glova::rl

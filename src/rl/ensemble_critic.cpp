@@ -1,6 +1,6 @@
 #include "rl/ensemble_critic.hpp"
 
-#include <array>
+#include <algorithm>
 #include <cmath>
 #include <ostream>
 #include <stdexcept>
@@ -24,23 +24,43 @@ EnsembleCritic::EnsembleCritic(std::size_t input_dim, const CriticConfig& config
     optimizers_.emplace_back(models_.back().parameter_count(),
                              nn::AdamConfig{config_.learning_rate, 0.9, 0.999, 1e-8});
   }
+  member_ws_.resize(config_.ensemble_size);
+}
+
+void EnsembleCritic::bound(std::span<const double> x, std::span<Bound> out) {
+  const std::size_t n = out.size();
+  if (n == 0 || x.size() != input_dim() * n) {
+    throw std::invalid_argument("EnsembleCritic::bound: bad design batch size");
+  }
+  const std::size_t e = models_.size();
+  outs_.resize(e * n);
+  for (std::size_t i = 0; i < e; ++i) {
+    const std::span<const double> q = models_[i].forward(x, member_ws_[i]);
+    std::copy(q.begin(), q.end(), outs_.begin() + static_cast<std::ptrdiff_t>(i * n));
+  }
+  last_.resize(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    double mean = 0.0;
+    for (std::size_t i = 0; i < e; ++i) mean += outs_[i * n + s];
+    mean /= static_cast<double>(e);
+    double var = 0.0;
+    for (std::size_t i = 0; i < e; ++i) {
+      const double o = outs_[i * n + s];
+      var += (o - mean) * (o - mean);
+    }
+    var = e > 1 ? var / static_cast<double>(e - 1) : 0.0;
+    Bound& b = last_[s];
+    b.mean = mean;
+    b.std = std::sqrt(var);
+    b.risk_adjusted = mean + config_.beta1 * b.std;
+    out[s] = b;
+  }
 }
 
 EnsembleCritic::Bound EnsembleCritic::bound(std::span<const double> x) {
-  const std::size_t e = models_.size();
-  member_ws_.resize(e);
-  outs_.resize(e);
-  for (std::size_t i = 0; i < e; ++i) outs_[i] = models_[i].forward(x, member_ws_[i])[0];
-  double mean = 0.0;
-  for (const double o : outs_) mean += o;
-  mean /= static_cast<double>(e);
-  double var = 0.0;
-  for (const double o : outs_) var += (o - mean) * (o - mean);
-  var = e > 1 ? var / static_cast<double>(e - 1) : 0.0;
-  last_.mean = mean;
-  last_.std = std::sqrt(var);
-  last_.risk_adjusted = mean + config_.beta1 * last_.std;
-  return last_;
+  Bound b;
+  bound(x, std::span<Bound>(&b, 1));
+  return b;
 }
 
 double EnsembleCritic::train_base(std::size_t i, std::span<const Experience* const> batch,
@@ -48,38 +68,55 @@ double EnsembleCritic::train_base(std::size_t i, std::span<const Experience* con
   if (i >= models_.size()) throw std::out_of_range("EnsembleCritic::train_base");
   if (batch.empty()) throw std::invalid_argument("EnsembleCritic::train_base: empty batch");
   nn::Mlp& model = models_[i];
-  grad.assign(model.parameter_count(), 0.0);
+  gather_designs(batch, input_dim(), train_x_);
+  last_.clear();
+  const std::span<const double> q = model.forward(train_x_, member_ws_[i]);
+  const std::size_t n = batch.size();
+  member_dl_.resize(n);
   double loss = 0.0;
-  const double scale = 1.0 / static_cast<double>(batch.size());
-  for (const Experience* e : batch) {
-    const double pred = model.forward(e->x01, train_ws_)[0] + config_.bias;
-    loss += nn::mse(pred, e->reward) * scale;
-    const std::array<double, 1> dl{nn::mse_grad_scalar(pred, e->reward) * scale};
-    model.backward(train_ws_, dl, grad, {});
+  const double scale = 1.0 / static_cast<double>(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const double pred = q[s] + config_.bias;
+    loss += nn::mse(pred, batch[s]->reward) * scale;
+    member_dl_[s] = nn::mse_grad_scalar(pred, batch[s]->reward) * scale;
   }
+  grad.assign(model.parameter_count(), 0.0);
+  model.backward(member_ws_[i], scratch_, member_dl_, grad, {});
   optimizers_[i].step(model.parameters(), grad);
   return loss;
 }
 
-void EnsembleCritic::input_gradient(double dLdq, std::span<double> dx) {
-  if (dx.size() != input_dim()) {
+void EnsembleCritic::input_gradient(std::span<const double> dLdq, std::span<double> dx) {
+  const std::size_t n = last_.size();
+  if (n == 0) throw std::logic_error("EnsembleCritic::input_gradient: no bound() yet");
+  if (dLdq.size() != n) {
+    throw std::logic_error("EnsembleCritic::input_gradient: last bound() had another batch size");
+  }
+  if (dx.size() != input_dim() * n) {
     throw std::invalid_argument("EnsembleCritic::input_gradient: bad dx size");
   }
-  if (member_ws_.empty()) throw std::logic_error("EnsembleCritic::input_gradient: no bound() yet");
   // Q = mean_i Q_i + beta1 * sigma.  dQ/dQ_i = 1/E + beta1 * (Q_i - mean) /
   // ((E-1) * sigma); for sigma -> 0 only the mean term survives.
   const std::size_t e = models_.size();
   member_dx_.resize(dx.size());
+  member_dl_.resize(n);
   std::fill(dx.begin(), dx.end(), 0.0);
   for (std::size_t i = 0; i < e; ++i) {
-    double weight = 1.0 / static_cast<double>(e);
-    if (e > 1 && last_.std > 1e-12) {
-      weight += config_.beta1 * (outs_[i] - last_.mean) / (static_cast<double>(e - 1) * last_.std);
+    for (std::size_t s = 0; s < n; ++s) {
+      double weight = 1.0 / static_cast<double>(e);
+      if (e > 1 && last_[s].std > 1e-12) {
+        weight += config_.beta1 * (outs_[i * n + s] - last_[s].mean) /
+                  (static_cast<double>(e - 1) * last_[s].std);
+      }
+      member_dl_[s] = dLdq[s] * weight;
     }
-    const std::array<double, 1> dl{dLdq * weight};
-    models_[i].backward(member_ws_[i], dl, {}, member_dx_);
+    models_[i].backward(member_ws_[i], scratch_, member_dl_, {}, member_dx_);
     for (std::size_t d = 0; d < dx.size(); ++d) dx[d] += member_dx_[d];
   }
+}
+
+void EnsembleCritic::input_gradient(double dLdq, std::span<double> dx) {
+  input_gradient(std::span<const double>(&dLdq, 1), dx);
 }
 
 void EnsembleCritic::save(std::ostream& os) const {

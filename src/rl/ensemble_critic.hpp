@@ -39,20 +39,29 @@ class EnsembleCritic {
     double std = 0.0;
     double risk_adjusted = 0.0;
   };
-  /// Runs every base model once at x and keeps their activations, so
-  /// input_gradient() can backpropagate this bound without a second pass.
+  /// Bounds of n = out.size() designs, lane-major like nn::Mlp batches
+  /// (x[j * n + s] is coordinate j of design s): every base model runs once
+  /// on the batch and keeps its activations, so input_gradient() can
+  /// backpropagate these bounds without a second pass.
+  void bound(std::span<const double> x, std::span<Bound> out);
+  /// The bound of one design (the batch n = 1).
   [[nodiscard]] Bound bound(std::span<const double> x);
 
   /// One gradient step of base model `i` on the (x, r) pairs of `batch`:
-  /// L_Qi = MSE(r, Q_i(x) + bias).  `grad` is the caller's scratch for the
-  /// parameter gradient (resized to fit), so a trainer can share one buffer
-  /// across networks.  Returns the batch loss.
+  /// L_Qi = MSE(r, Q_i(x) + bias), one forward and one backward over the
+  /// whole batch.  `grad` is the caller's scratch for the parameter gradient
+  /// (resized to fit), so a trainer can share one buffer across networks.
+  /// Training records into the member's bound() workspace, so it ends the
+  /// last bound(): input_gradient() needs a new one.  Returns the batch loss.
   double train_base(std::size_t i, std::span<const Experience* const> batch,
                     std::vector<double>& grad);
 
-  /// dLdq * dQ/dx of the bound the last bound() call computed, written to
-  /// `dx` (input_dim() entries); used to push gradients into the actor.
-  /// Throws std::logic_error when no bound() came first.
+  /// dLdq[s] * dQ/dx of each bound the last bound() call computed, written
+  /// to `dx` (input_dim() * n entries, lane-major); used to push gradients
+  /// into the actor.  Throws std::logic_error when no bound() of this batch
+  /// size came first.
+  void input_gradient(std::span<const double> dLdq, std::span<double> dx);
+  /// The same for the batch n = 1.
   void input_gradient(double dLdq, std::span<double> dx);
 
   [[nodiscard]] std::size_t input_dim() const { return models_.front().input_dim(); }
@@ -68,14 +77,16 @@ class EnsembleCritic {
   CriticConfig config_;
   std::vector<nn::Mlp> models_;
   std::vector<nn::Adam> optimizers_;
-  // Scratch, sized on first use.  bound() fills member_ws_/outs_/last_ for
-  // input_gradient(); train_base() has its own workspace so training never
-  // clobbers them.
+  // Scratch, sized on first use to the batch.  bound() fills member_ws_ /
+  // outs_ / last_ for input_gradient(); train_base(i) records into
+  // member_ws_[i] and empties last_.
   std::vector<nn::Mlp::Workspace> member_ws_;
-  std::vector<double> outs_;
-  Bound last_;
+  nn::Mlp::Scratch scratch_;  ///< every member's backward()
+  std::vector<double> outs_;  ///< member i's output for design s at [i * n + s]
+  std::vector<Bound> last_;
   std::vector<double> member_dx_;
-  nn::Mlp::Workspace train_ws_;
+  std::vector<double> member_dl_;
+  std::vector<double> train_x_;
 };
 
 }  // namespace glova::rl

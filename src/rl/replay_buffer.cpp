@@ -25,6 +25,17 @@ void WorstCaseReplayBuffer::add(std::vector<double> x01, double reward) {
   }
 }
 
+void gather_designs(std::span<const Experience* const> batch, std::size_t dim,
+                    std::vector<double>& x) {
+  const std::size_t n = batch.size();
+  x.resize(dim * n);
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::vector<double>& design = batch[s]->x01;
+    if (design.size() != dim) throw std::invalid_argument("gather_designs: bad design size");
+    for (std::size_t j = 0; j < dim; ++j) x[j * n + s] = design[j];
+  }
+}
+
 void WorstCaseReplayBuffer::sample(std::size_t n, Rng& rng,
                                    std::vector<const Experience*>& out) const {
   if (entries_.empty()) throw std::logic_error("WorstCaseReplayBuffer::sample: empty");

@@ -7,6 +7,7 @@
 #include <cstddef>
 #include <iosfwd>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -17,6 +18,12 @@ struct Experience {
   std::vector<double> x01;  ///< normalized design
   double reward = 0.0;      ///< worst-case reward r_worst
 };
+
+/// The designs of `batch` lane-major, the batch layout nn::Mlp takes:
+/// x[j * n + s] is coordinate j of batch[s], for n = batch.size().  Throws
+/// std::invalid_argument when a design is not `dim` long.
+void gather_designs(std::span<const Experience* const> batch, std::size_t dim,
+                    std::vector<double>& x);
 
 /// Bounded FIFO of worst-case experiences.
 class WorstCaseReplayBuffer {

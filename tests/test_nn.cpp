@@ -4,7 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
 #include <sstream>
 #include <string>
 
@@ -54,41 +57,70 @@ TEST(Mlp, BadInputSizeThrows) {
   Rng rng(1);
   const Mlp net({2, 4, 1}, Activation::Tanh, Activation::Identity, rng);
   Mlp::Workspace ws;
+  Mlp::Scratch scratch;
   EXPECT_THROW((void)net.forward(std::vector<double>{1.0}, ws), std::invalid_argument);
+  EXPECT_THROW((void)net.forward(std::vector<double>{}, ws), std::invalid_argument);
   // backward() needs a forward pass of this network in the workspace.
   std::vector<double> dx(2);
-  EXPECT_THROW(net.backward(ws, std::vector<double>{1.0}, {}, dx), std::logic_error);
+  EXPECT_THROW(net.backward(ws, scratch, std::vector<double>{1.0}, {}, dx), std::logic_error);
+  // ... at the batch size of dLdy: a batch of 2 recorded, one sample's dLdy.
+  (void)net.forward(std::vector<double>{0.1, 0.2, 0.3, 0.4}, ws);
+  EXPECT_THROW(net.backward(ws, scratch, std::vector<double>{1.0}, {}, dx), std::logic_error);
+  std::vector<double> dx2(4);
+  net.backward(ws, scratch, std::vector<double>{1.0, -1.0}, {}, dx2);
+  EXPECT_THROW(net.backward(ws, scratch, std::vector<double>{1.0, -1.0}, {}, dx),
+               std::invalid_argument);
+
+  // A workspace recorded by another network of the same depth is refused
+  // (it would read past the recorded activations).
+  const Mlp narrow({14, 8, 8, 8, 1}, Activation::Tanh, Activation::Identity, rng);
+  const Mlp wide({6, 64, 64, 64, 6}, Activation::Tanh, Activation::Sigmoid, rng);
+  Mlp::Workspace other;
+  (void)narrow.forward(std::vector<double>(14, 0.5), other);
+  std::vector<double> grad(wide.parameter_count());
+  std::vector<double> wide_dx(6);
+  EXPECT_THROW(wide.backward(other, scratch, std::vector<double>(6, 1.0), grad, wide_dx),
+               std::logic_error);
 }
 
 /// Property sweep: analytic gradients match finite differences across
-/// architectures and activation choices.
+/// architectures and activation choices.  The last three cases are the
+/// critic, actor and engine-surrogate shapes.
 struct GradCase {
   std::vector<std::size_t> sizes;
   Activation hidden;
   Activation output;
 };
 
-class MlpGradient : public ::testing::TestWithParam<int> {};
-
-TEST_P(MlpGradient, MatchesFiniteDifferences) {
-  static const GradCase cases[] = {
+const std::vector<GradCase>& grad_cases() {
+  static const std::vector<GradCase> cases = {
       {{2, 5, 1}, Activation::Tanh, Activation::Identity},
       {{3, 6, 6, 2}, Activation::Tanh, Activation::Sigmoid},
       {{4, 8, 8, 8, 4}, Activation::Tanh, Activation::Sigmoid},
       {{5, 7, 3}, Activation::ReLU, Activation::Identity},
       {{1, 4, 4, 1}, Activation::Sigmoid, Activation::Identity},
+      {{14, 64, 64, 64, 1}, Activation::Tanh, Activation::Identity},
+      {{6, 64, 64, 64, 6}, Activation::Tanh, Activation::Sigmoid},
+      {{9, 64, 64, 4}, Activation::Tanh, Activation::Identity},
   };
-  const GradCase& c = cases[GetParam() % std::size(cases)];
+  return cases;
+}
+
+class MlpGradient : public ::testing::TestWithParam<int> {};
+
+TEST_P(MlpGradient, MatchesFiniteDifferences) {
+  const GradCase& c = grad_cases()[GetParam() % grad_cases().size()];
   Rng rng(17 + GetParam());
   Mlp net(c.sizes, c.hidden, c.output, rng);
   const std::vector<double> x = rng.uniform_vector(c.sizes.front(), -0.9, 0.9);
   const std::vector<double> dLdy = rng.uniform_vector(c.sizes.back(), -1.0, 1.0);
 
   Mlp::Workspace ws;
+  Mlp::Scratch scratch;
   (void)net.forward(x, ws);
   std::vector<double> grad(net.parameter_count(), 0.0);
   std::vector<double> dx(x.size());
-  net.backward(ws, dLdy, grad, dx);
+  net.backward(ws, scratch, dLdy, grad, dx);
 
   Mlp::Workspace probe;
   Mlp::Workspace probe_down;
@@ -130,14 +162,75 @@ TEST_P(MlpGradient, MatchesFiniteDifferences) {
   // same computation as backward's dx, bit for bit, and skipping dx leaves
   // the parameter gradients unchanged.
   std::vector<double> dx2(x.size());
-  net.backward(ws, dLdy, {}, dx2);
+  net.backward(ws, scratch, dLdy, {}, dx2);
   EXPECT_EQ(dx, dx2);
   std::vector<double> grad2(net.parameter_count(), 0.0);
-  net.backward(ws, dLdy, grad2, {});
+  net.backward(ws, scratch, dLdy, grad2, {});
   EXPECT_EQ(grad, grad2);
 }
 
-INSTANTIATE_TEST_SUITE_P(Cases, MlpGradient, ::testing::Range(0, 10));
+/// Bitwise equality of two double sequences (distinguishes -0.0 and NaNs).
+::testing::AssertionResult same_bits(std::span<const double> a, std::span<const double> b) {
+  if (a.size() != b.size()) return ::testing::AssertionFailure() << "sizes differ";
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::bit_cast<std::uint64_t>(a[i]) != std::bit_cast<std::uint64_t>(b[i])) {
+      return ::testing::AssertionFailure() << "entry " << i << ": " << a[i] << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// One batch of n gives the bits of n single-sample calls in sample order:
+// outputs, the accumulated parameter gradient and each sample's dL/dx.  The
+// batch sizes cover a lone sample, partial and full lane vectors and more
+// than one pass over the weights.
+TEST_P(MlpGradient, BatchMatchesPerSampleCalls) {
+  const GradCase& c = grad_cases()[GetParam() % grad_cases().size()];
+  Rng rng(101 + GetParam());
+  const Mlp net(c.sizes, c.hidden, c.output, rng);
+  const std::size_t in = net.input_dim();
+  const std::size_t out = net.output_dim();
+  const std::vector<double> grad0 = rng.uniform_vector(net.parameter_count(), -0.1, 0.1);
+  Mlp::Workspace batch_ws;
+  Mlp::Workspace one_ws;
+  Mlp::Scratch scratch;
+  for (const std::size_t n : {1u, 2u, 7u, 8u, 9u, 10u, 17u}) {
+    SCOPED_TRACE("n = " + std::to_string(n));
+    const std::vector<double> x = rng.uniform_vector(in * n, -1.5, 1.5);  // lane-major
+    const std::vector<double> dLdy = rng.uniform_vector(out * n, -1.0, 1.0);
+    const std::span<const double> y = net.forward(x, batch_ws);
+    ASSERT_EQ(y.size(), out * n);
+    const std::vector<double> y_batch(y.begin(), y.end());
+    std::vector<double> grad_batch = grad0;
+    std::vector<double> dx_batch(in * n);
+    net.backward(batch_ws, scratch, dLdy, grad_batch, dx_batch);
+    std::vector<double> dx_frozen(in * n);
+    net.backward(batch_ws, scratch, dLdy, {}, dx_frozen);
+    EXPECT_TRUE(same_bits(dx_frozen, dx_batch));
+
+    std::vector<double> grad_one = grad0;
+    std::vector<double> xs(in);
+    std::vector<double> dys(out);
+    std::vector<double> dxs(in);
+    for (std::size_t s = 0; s < n; ++s) {
+      for (std::size_t j = 0; j < in; ++j) xs[j] = x[j * n + s];
+      for (std::size_t o = 0; o < out; ++o) dys[o] = dLdy[o * n + s];
+      const std::span<const double> ys = net.forward(xs, one_ws);
+      for (std::size_t o = 0; o < out; ++o) {
+        EXPECT_TRUE(same_bits(std::span(&ys[o], 1), std::span(&y_batch[o * n + s], 1)))
+            << "output " << o << " of sample " << s;
+      }
+      net.backward(one_ws, scratch, dys, grad_one, dxs);
+      for (std::size_t j = 0; j < in; ++j) {
+        EXPECT_TRUE(same_bits(std::span(&dxs[j], 1), std::span(&dx_batch[j * n + s], 1)))
+            << "dL/dx " << j << " of sample " << s;
+      }
+    }
+    EXPECT_TRUE(same_bits(grad_batch, grad_one));
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Cases, MlpGradient, ::testing::Range(0, 16));
 
 TEST(Adam, ConvergesOnQuadratic) {
   // minimize (p - 3)^2 elementwise.
@@ -215,12 +308,13 @@ TEST(Serialization, AdamSaveLoadRoundTripsMoments) {
   Mlp net({2, 6, 1}, Activation::Tanh, Activation::Identity, rng);
   Adam adam(net.parameter_count());
   Mlp::Workspace ws;
+  Mlp::Scratch scratch;
   // A few real steps so the moments and timestep are non-trivial.
   for (int step = 0; step < 5; ++step) {
     std::vector<double> grad(net.parameter_count(), 0.0);
     const auto y = net.forward(std::vector<double>{0.3, -0.9}, ws);
     const std::vector<double> dLdy = {y[0] - 1.0};
-    net.backward(ws, dLdy, grad, {});
+    net.backward(ws, scratch, dLdy, grad, {});
     adam.step(net.parameters(), grad);
   }
   std::ostringstream saved;
@@ -262,20 +356,29 @@ TEST(Mlp, WarmWorkspaceTrainingStepAllocatesNothing) {
   Mlp net({14, 64, 64, 64, 1}, Activation::Tanh, Activation::Identity, rng);
   Adam adam(net.parameter_count());
   Mlp::Workspace ws;
+  Mlp::Scratch scratch;
   std::vector<double> grad(net.parameter_count());
   std::vector<double> dx(net.input_dim());
   const std::vector<double> x = rng.uniform_vector(net.input_dim(), 0.0, 1.0);
   const std::vector<double> dLdy = {0.25};
-  const auto step = [&] {
+  // A replay batch of 10 (lane-major) through the same workspace.
+  const std::vector<double> xb = rng.uniform_vector(net.input_dim() * 10, 0.0, 1.0);
+  const std::vector<double> dLdyb(10, 0.025);
+  std::vector<double> dxb(net.input_dim() * 10);
+  const auto step = [&](std::span<const double> in, std::span<const double> dy,
+                        std::span<double> dxs) {
     std::fill(grad.begin(), grad.end(), 0.0);
-    (void)net.forward(x, ws);
-    net.backward(ws, dLdy, grad, dx);
+    (void)net.forward(in, ws);
+    net.backward(ws, scratch, dy, grad, dxs);
     adam.step(net.parameters(), grad);
   };
-  step();  // sizes the workspace
+  step(xb, dLdyb, dxb);  // sizes the workspace and scratch to the batch
   g_alloc_count.store(0);
   g_alloc_counting.store(true);
-  for (int i = 0; i < 10; ++i) step();
+  for (int i = 0; i < 10; ++i) {
+    step(x, dLdy, dx);
+    step(xb, dLdyb, dxb);
+  }
   g_alloc_counting.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0u);
   // The counter is live: a fresh workspace does allocate.
@@ -293,6 +396,7 @@ TEST(Training, LearnsOneDimensionalRegression) {
   Mlp net({1, 24, 24, 1}, Activation::Tanh, Activation::Identity, rng);
   Adam adam(net.parameter_count(), AdamConfig{5e-3, 0.9, 0.999, 1e-8});
   Mlp::Workspace ws;
+  Mlp::Scratch scratch;
   constexpr int kGrid = 64;
   for (int epoch = 0; epoch < 1500; ++epoch) {
     std::vector<double> grad(net.parameter_count(), 0.0);
@@ -301,7 +405,7 @@ TEST(Training, LearnsOneDimensionalRegression) {
       const double target = std::sin(3.0 * x);
       const auto y = net.forward(std::vector<double>{x}, ws);
       const std::vector<double> dLdy = {mse_grad_scalar(y[0], target) / kGrid};
-      net.backward(ws, dLdy, grad, {});
+      net.backward(ws, scratch, dLdy, grad, {});
     }
     adam.step(net.parameters(), grad);
   }

@@ -100,6 +100,7 @@ void hash_surrogate_loop(Fnv1a& h) {
   nn::Adam adam(net.parameter_count());
   nn::Mlp::Workspace ws;
   nn::Mlp::Workspace infer;
+  nn::Mlp::Scratch scratch;
   std::vector<double> grad(net.parameter_count());
   std::vector<double> dLdy(net.output_dim());
   std::vector<double> dx(net.input_dim());
@@ -111,7 +112,7 @@ void hash_surrogate_loop(Fnv1a& h) {
       dLdy[j] = (y[j] - std::sin(x[j] + x[j + 4])) / static_cast<double>(y.size());
     }
     std::fill(grad.begin(), grad.end(), 0.0);
-    net.backward(ws, dLdy, grad, dx);
+    net.backward(ws, scratch, dLdy, grad, dx);
     if (step % 10 == 0) h.add(dx);
     adam.step(net.parameters(), grad);
     if (step % 25 == 0) h.add(net.forward(rng.uniform_vector(9, -1.0, 1.0), infer));
