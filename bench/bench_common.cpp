@@ -34,9 +34,6 @@ BenchOptions options_from_env() {
     }
     opt.backend = *backend;
   }
-  if (const char* s = std::getenv("GLOVA_BENCH_BATCHED")) {
-    opt.batched_draws = s[0] != '\0' && s[0] != '0';
-  }
   if (const char* s = std::getenv("GLOVA_BENCH_MOS_MODEL")) {
     if (std::string_view(s) != "level1" && std::string_view(s) != "ekv") {
       fprintf(stderr, "GLOVA_BENCH_MOS_MODEL: unknown model '%s' (level1, ekv)\n", s);
@@ -75,7 +72,6 @@ CellStats run_cell(Method method, circuits::Testcase testcase, core::VerifMethod
   sweep.base.use_ensemble_critic = options.use_ensemble_critic;
   sweep.base.use_mu_sigma = options.use_mu_sigma;
   sweep.base.use_reordering = options.use_reordering;
-  sweep.base.engine.batched_draws = options.batched_draws;
   sweep.base.engine.mos_model = options.mos_model;
   sweep.base.engine.spice_noise = options.spice_noise;
   sweep.base.corner_filter = options.corner_filter;

@@ -8,9 +8,6 @@
 //   GLOVA_BENCH_BACKEND (default behavioral) evaluator backend; "spice"
 //                       runs every testcase transistor-level on the MNA
 //                       engine (see circuits::available_backends)
-//   GLOVA_BENCH_BATCHED (default 0) route mismatch-draw groups through the
-//                       lockstep batched SPICE evaluator
-//                       (RunSpec engine.batched_draws; no-op on behavioral)
 //   GLOVA_BENCH_MOS_MODEL (default level1) SPICE MOSFET channel model
 //                       (RunSpec engine.mos_model: level1 or ekv)
 //   GLOVA_BENCH_SPICE_NOISE (default 0) simulated AC/noise pass in place of
@@ -62,9 +59,6 @@ struct BenchOptions {
   /// Evaluator backend for every cell (GLOVA_BENCH_BACKEND).  Every
   /// testcase supports both backends.
   circuits::Backend backend = circuits::Backend::Behavioral;
-  /// Batched mismatch-draw evaluation (GLOVA_BENCH_BATCHED), forwarded to
-  /// RunSpec engine.batched_draws.
-  bool batched_draws = false;
   /// SPICE MOSFET channel model (GLOVA_BENCH_MOS_MODEL), forwarded to
   /// RunSpec engine.mos_model.
   std::string mos_model = "level1";

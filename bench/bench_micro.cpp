@@ -71,19 +71,14 @@ static void BM_SpiceSalTransient(benchmark::State& state) {
 }
 BENCHMARK(BM_SpiceSalTransient)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
-static void BM_SpiceBatchedDraws(benchmark::State& state) {
+static void BM_SpiceDrawGroup(benchmark::State& state) {
   // 16 mismatch draws of one SAL (design, corner) cell, the inner loop of a
-  // verification batch.  Arg 0 = sequential per-draw evaluate() on the fixed
-  // grid (the pre-batching path), arg 1 = the lockstep batched evaluator on
-  // the LTE-adaptive union grid — the batched production regime.  Newton
-  // LU-bypass stays off in both legs: measured slower at SAL matrix sizes
-  // (a chord iteration still pays the full companion-model evaluation, and
-  // the O(n^3) refactor it saves is noise at n~20; see BENCH_spice.json).
-  // Warm start on for both, with a per-iteration cache clear so every run
-  // is cold-equivalent.
+  // verification batch: sequential per-draw evaluate() with DC warm starts,
+  // on the fixed grid (arg 0) and the LTE-adaptive grid (arg 1).  The warm-
+  // start cache is cleared before each group, so the first draw solves cold
+  // and seeds the other 15.
   constexpr std::size_t kDraws = 16;
-  const bool batched = state.range(0) != 0;
-  spice::set_adaptive_timestep_default(batched);
+  spice::set_adaptive_timestep_default(state.range(0) != 0);
   circuits::StrongArmLatchSpice sal;
   const auto& sz = sal.sizing();
   std::vector<double> x01 = {0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2, 0, 0, 0, 0, 0, 0.05, 0.01};
@@ -95,19 +90,15 @@ static void BM_SpiceBatchedDraws(benchmark::State& state) {
     state.PauseTiming();
     spice::thread_local_dc_cache().clear();
     state.ResumeTiming();
-    if (batched) {
-      benchmark::DoNotOptimize(sal.evaluate_draws(x, pdk::typical_corner(), hs));
-    } else {
-      for (const auto& h : hs) {
-        benchmark::DoNotOptimize(sal.evaluate(x, pdk::typical_corner(), h));
-      }
+    for (const auto& h : hs) {
+      benchmark::DoNotOptimize(sal.evaluate(x, pdk::typical_corner(), h));
     }
   }
   spice::set_adaptive_timestep_default(false);
   state.counters["draws_per_s"] = benchmark::Counter(
       static_cast<double>(kDraws) * state.iterations(), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SpiceBatchedDraws)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SpiceDrawGroup)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 static void BM_SpiceAssemblyOnly(benchmark::State& state) {
   // One Newton iteration's assembly through the compiled stamp plan: memcpy

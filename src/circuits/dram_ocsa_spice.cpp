@@ -31,14 +31,12 @@
 #include "circuits/spice_backend.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <stdexcept>
 
 #include "circuits/parasitics.hpp"
 #include "common/units.hpp"
 #include "pdk/mos_params.hpp"
-#include "spice/batch.hpp"
 #include "spice/measure.hpp"
 #include "spice/warm_start.hpp"
 
@@ -292,61 +290,6 @@ std::vector<double> DramOcsaSubholeSpice::evaluate(std::span<const double> x,
 
   const double energy = 0.5 * energy_sum + driver_overhead_energy(x, corner, h);
   return {dvd[0], dvd[1], energy};
-}
-
-std::vector<std::vector<double>> DramOcsaSubholeSpice::evaluate_draws(
-    std::span<const double> x, const pdk::PvtCorner& corner,
-    std::span<const std::vector<double>> hs, std::vector<EvaluationFailure>& failures) const {
-  const std::size_t n = hs.size();
-  failures.assign(n, {});
-  std::vector<char> failed(n, 0);
-  std::vector<std::array<double, 2>> dvd(n, {1e-6, 1e-6});
-  std::vector<double> energy_sum(n, 0.0);
-
-  // One lockstep batch per data polarity; each polarity keeps its own
-  // warm-start key (the stored level changes the DC operating point).
-  for (const bool data_one : {false, true}) {
-    std::vector<spice::Circuit> lanes;
-    lanes.reserve(n);
-    for (const std::vector<double>& h : hs) lanes.push_back(build_netlist(x, corner, h, data_one));
-    const spice::TransientSpec spec = dram_transient_spec();
-
-    const bool warm = spice::dc_warm_start_enabled();
-    const spice::OpResult* seed = nullptr;
-    spice::DcWarmStartCache::Key key;
-    if (warm) {
-      key = spice::make_dc_key(kDramWarmStartTag[data_one ? 1 : 0], x, corner);
-      seed = spice::thread_local_dc_cache().lookup(key);
-    }
-    spice::BatchSimulator batch(lanes, spice::default_simulator_options());
-    const std::vector<spice::TransientResult> results = batch.transient(spec, seed);
-    if (warm) spice::sync_warm_start_cache(key, seed, results);
-
-    for (std::size_t l = 0; l < n; ++l) {
-      if (!results[l].ok) {
-        // First failing polarity's report wins (matches the sequential
-        // path, which stops at the first non-convergent polarity).
-        if (!failed[l]) failures[l] = evaluation_failure_from(results[l].failure);
-        failed[l] = 1;
-        continue;
-      }
-      const auto [margin, e_read] = polarity_margin_energy(results[l], x, corner, hs[l], data_one);
-      dvd[l][data_one ? 1 : 0] = margin;
-      energy_sum[l] += e_read;
-    }
-  }
-
-  std::vector<std::vector<double>> out;
-  out.reserve(n);
-  for (std::size_t l = 0; l < n; ++l) {
-    if (failed[l]) {
-      out.push_back({1e-6, 1e-6, 1.0});
-      continue;
-    }
-    const double energy = 0.5 * energy_sum[l] + driver_overhead_energy(x, corner, hs[l]);
-    out.push_back({dvd[l][0], dvd[l][1], energy});
-  }
-  return out;
 }
 
 }  // namespace glova::circuits

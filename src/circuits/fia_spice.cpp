@@ -27,7 +27,6 @@
 #include "circuits/parasitics.hpp"
 #include "common/units.hpp"
 #include "spice/ac.hpp"
-#include "spice/batch.hpp"
 #include "spice/measure.hpp"
 #include "spice/warm_start.hpp"
 
@@ -146,11 +145,10 @@ spice::Circuit FloatingInverterAmplifierSpice::build_netlist(std::span<const dou
 }
 
 namespace {
-/// Transient spec shared by the sequential and batched FIA paths: amplify
-/// well past the nominal integration window so the reservoir droop has fully
-/// developed when energy is measured.  The timebase comes from the
-/// nominal-mismatch analysis, so every draw of one design shares it (which
-/// also keeps the DC warm-start cache coherent).
+/// FIA transient spec: amplify well past the nominal integration window so
+/// the reservoir droop has fully developed when energy is measured.  The
+/// timebase comes from the nominal-mismatch analysis, so every draw of one
+/// design shares it (which also keeps the DC warm-start cache coherent).
 spice::TransientSpec fia_transient_spec(double nominal_t_int) {
   spice::TransientSpec spec;
   const double window = std::clamp(4.0 * nominal_t_int, 0.4e-9, 40e-9);
@@ -188,41 +186,6 @@ std::vector<double> FloatingInverterAmplifierSpice::evaluate(std::span<const dou
     throw EvaluationError(evaluation_failure_from(res.failure), {1.0, 1.0});
   }
   return metrics_from_transient(res, x, corner, h, spec.t_stop);
-}
-
-std::vector<std::vector<double>> FloatingInverterAmplifierSpice::evaluate_draws(
-    std::span<const double> x, const pdk::PvtCorner& corner,
-    std::span<const std::vector<double>> hs, std::vector<EvaluationFailure>& failures) const {
-  const FiaAnalysis nominal = behavioral_.analyze(x, corner, {});
-  const spice::TransientSpec spec = fia_transient_spec(nominal.t_int);
-
-  std::vector<spice::Circuit> lanes;
-  lanes.reserve(hs.size());
-  for (const std::vector<double>& h : hs) lanes.push_back(build_netlist(x, corner, h));
-
-  const bool warm = spice::dc_warm_start_enabled();
-  const spice::OpResult* seed = nullptr;
-  spice::DcWarmStartCache::Key key;
-  if (warm) {
-    key = spice::make_dc_key(kFiaWarmStartTag, x, corner);
-    seed = spice::thread_local_dc_cache().lookup(key);
-  }
-  spice::BatchSimulator batch(lanes, spice::default_simulator_options());
-  const std::vector<spice::TransientResult> results = batch.transient(spec, seed);
-  if (warm) spice::sync_warm_start_cache(key, seed, results);
-
-  std::vector<std::vector<double>> out;
-  out.reserve(results.size());
-  failures.assign(results.size(), {});
-  for (std::size_t l = 0; l < results.size(); ++l) {
-    if (results[l].ok) {
-      out.push_back(metrics_from_transient(results[l], x, corner, hs[l], spec.t_stop));
-    } else {
-      failures[l] = evaluation_failure_from(results[l].failure);
-      out.push_back({1.0, 1.0});
-    }
-  }
-  return out;
 }
 
 std::vector<double> FloatingInverterAmplifierSpice::metrics_from_transient(

@@ -57,15 +57,6 @@ class StrongArmLatchSpice final : public Testbench {
                                              const pdk::PvtCorner& corner,
                                              std::span<const double> h) const override;
 
-  /// Batched draw group: all draws of one (x, corner) march through one
-  /// lockstep spice::BatchSimulator transient with a single warm-start cache
-  /// lookup for the whole group.
-  using Testbench::evaluate_draws;
-  [[nodiscard]] std::vector<std::vector<double>> evaluate_draws(
-      std::span<const double> x, const pdk::PvtCorner& corner,
-      std::span<const std::vector<double>> hs,
-      std::vector<EvaluationFailure>& failures) const override;
-  [[nodiscard]] bool supports_batched_draws() const override { return true; }
   [[nodiscard]] const Testbench* degraded_fallback() const override { return &behavioral_; }
 
   /// Build the SAL netlist for inspection (Fig. 4 reproduction).  With
@@ -78,8 +69,7 @@ class StrongArmLatchSpice final : public Testbench {
                                              bool amplify_phase_dc = false) const;
 
  private:
-  /// Metric extraction from a converged transient (shared by the sequential
-  /// and batched paths so they cannot drift apart).
+  /// Metric extraction from a converged transient.
   [[nodiscard]] std::vector<double> metrics_from_transient(const spice::TransientResult& res,
                                                            std::span<const double> x,
                                                            const pdk::PvtCorner& corner,
@@ -114,14 +104,6 @@ class FloatingInverterAmplifierSpice final : public Testbench {
                                              const pdk::PvtCorner& corner,
                                              std::span<const double> h) const override;
 
-  /// Batched draw group through one lockstep spice::BatchSimulator transient
-  /// (the timebase comes from the nominal analysis, so every draw shares it).
-  using Testbench::evaluate_draws;
-  [[nodiscard]] std::vector<std::vector<double>> evaluate_draws(
-      std::span<const double> x, const pdk::PvtCorner& corner,
-      std::span<const std::vector<double>> hs,
-      std::vector<EvaluationFailure>& failures) const override;
-  [[nodiscard]] bool supports_batched_draws() const override { return true; }
   [[nodiscard]] const Testbench* degraded_fallback() const override { return &behavioral_; }
 
   /// Build the FIA netlist for inspection (reservoir, switches, inverters).
@@ -134,8 +116,7 @@ class FloatingInverterAmplifierSpice final : public Testbench {
                                              bool amplify_phase_dc = false) const;
 
  private:
-  /// Metric extraction from a converged transient (shared by the sequential
-  /// and batched paths so they cannot drift apart).
+  /// Metric extraction from a converged transient.
   [[nodiscard]] std::vector<double> metrics_from_transient(const spice::TransientResult& res,
                                                            std::span<const double> x,
                                                            const pdk::PvtCorner& corner,
@@ -171,15 +152,6 @@ class DramOcsaSubholeSpice final : public Testbench {
                                              const pdk::PvtCorner& corner,
                                              std::span<const double> h) const override;
 
-  /// Batched draw group: one lockstep spice::BatchSimulator transient per
-  /// data polarity (two total for the whole group), each with a single
-  /// warm-start cache lookup.
-  using Testbench::evaluate_draws;
-  [[nodiscard]] std::vector<std::vector<double>> evaluate_draws(
-      std::span<const double> x, const pdk::PvtCorner& corner,
-      std::span<const std::vector<double>> hs,
-      std::vector<EvaluationFailure>& failures) const override;
-  [[nodiscard]] bool supports_batched_draws() const override { return true; }
   [[nodiscard]] const Testbench* degraded_fallback() const override { return &behavioral_; }
 
   /// Build the sensing netlist for one stored data polarity.
@@ -189,7 +161,7 @@ class DramOcsaSubholeSpice final : public Testbench {
 
  private:
   /// Per-polarity sensing margin and measured read energy from a converged
-  /// transient (shared by the sequential and batched paths).
+  /// transient.
   [[nodiscard]] std::pair<double, double> polarity_margin_energy(
       const spice::TransientResult& res, std::span<const double> x,
       const pdk::PvtCorner& corner, std::span<const double> h, bool data_one) const;

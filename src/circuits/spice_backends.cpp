@@ -6,7 +6,6 @@
 #include "circuits/parasitics.hpp"
 #include "common/units.hpp"
 #include "spice/ac.hpp"
-#include "spice/batch.hpp"
 #include "spice/measure.hpp"
 #include "spice/warm_start.hpp"
 
@@ -151,46 +150,6 @@ std::vector<double> StrongArmLatchSpice::evaluate(std::span<const double> x,
     throw EvaluationError(evaluation_failure_from(res.failure), {1.0, 1.0, 1.0, 1.0});
   }
   return metrics_from_transient(res, x, corner, h);
-}
-
-std::vector<std::vector<double>> StrongArmLatchSpice::evaluate_draws(
-    std::span<const double> x, const pdk::PvtCorner& corner,
-    std::span<const std::vector<double>> hs, std::vector<EvaluationFailure>& failures) const {
-  std::vector<spice::Circuit> lanes;
-  lanes.reserve(hs.size());
-  for (const std::vector<double>& h : hs) lanes.push_back(build_netlist(x, corner, h));
-
-  spice::TransientSpec spec;
-  spec.t_stop = kTStop;
-  spec.dt = kDt;
-  spec.record = {"out_a", "out_b"};
-
-  // One warm-start lookup for the whole group; BatchSimulator rolls the
-  // seed forward across lanes exactly as the per-draw cache would, and
-  // sync_warm_start_cache replays the per-draw store/hit bookkeeping.
-  const bool warm = spice::dc_warm_start_enabled();
-  const spice::OpResult* seed = nullptr;
-  spice::DcWarmStartCache::Key key;
-  if (warm) {
-    key = spice::make_dc_key(kSalWarmStartTag, x, corner);
-    seed = spice::thread_local_dc_cache().lookup(key);
-  }
-  spice::BatchSimulator batch(lanes, spice::default_simulator_options());
-  const std::vector<spice::TransientResult> results = batch.transient(spec, seed);
-  if (warm) spice::sync_warm_start_cache(key, seed, results);
-
-  std::vector<std::vector<double>> out;
-  out.reserve(results.size());
-  failures.assign(results.size(), {});
-  for (std::size_t l = 0; l < results.size(); ++l) {
-    if (results[l].ok) {
-      out.push_back(metrics_from_transient(results[l], x, corner, hs[l]));
-    } else {
-      failures[l] = evaluation_failure_from(results[l].failure);
-      out.push_back({1.0, 1.0, 1.0, 1.0});
-    }
-  }
-  return out;
 }
 
 std::vector<double> StrongArmLatchSpice::metrics_from_transient(

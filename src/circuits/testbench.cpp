@@ -54,13 +54,6 @@ double normalized_margin(const MetricSpec& spec, double value) {
 
 std::vector<std::vector<double>> Testbench::evaluate_draws(
     std::span<const double> x, const pdk::PvtCorner& corner,
-    std::span<const std::vector<double>> hs) const {
-  std::vector<EvaluationFailure> failures;
-  return evaluate_draws(x, corner, hs, failures);
-}
-
-std::vector<std::vector<double>> Testbench::evaluate_draws(
-    std::span<const double> x, const pdk::PvtCorner& corner,
     std::span<const std::vector<double>> hs, std::vector<EvaluationFailure>& failures) const {
   std::vector<std::vector<double>> out;
   out.reserve(hs.size());

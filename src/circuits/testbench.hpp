@@ -122,29 +122,16 @@ class Testbench {
                                                      std::span<const double> h) const = 0;
 
   /// Evaluate a group of mismatch draws of one (x, corner), one metric vector
-  /// per draw, in input order.  The base implementation loops evaluate();
-  /// backends that override supports_batched_draws() march the draws through
-  /// one lockstep batched simulation instead (spice::BatchSimulator), which
-  /// amortizes netlist-independent work and keeps the Newton state of every
-  /// draw hot in cache.  Semantics are identical to the loop: with adaptive
-  /// stepping and Newton bypass off the metrics are bit-identical.
-  [[nodiscard]] std::vector<std::vector<double>> evaluate_draws(
-      std::span<const double> x, const pdk::PvtCorner& corner,
-      std::span<const std::vector<double>> hs) const;
-
-  /// As above, additionally reporting per-draw failures: failures[i].failed
-  /// is set (and the draw's metrics are the backend's penalty sentinel) when
-  /// draw i did not converge.  The base implementation loops evaluate(),
-  /// translating EvaluationError into the per-draw record; batched backends
-  /// override this overload and annotate lanes from their simulator reports.
+  /// per draw, in input order: a loop over evaluate() that records per-draw
+  /// failures (failures[i].failed is set and the draw's metrics are the
+  /// backend's penalty sentinel when draw i did not converge).  Virtual only
+  /// because e2ebench/glova_e2e.cpp overrides it; nothing else does.
   [[nodiscard]] virtual std::vector<std::vector<double>> evaluate_draws(
       std::span<const double> x, const pdk::PvtCorner& corner,
       std::span<const std::vector<double>> hs,
       std::vector<EvaluationFailure>& failures) const;
 
-  /// True when evaluate_draws() is a genuine batched implementation rather
-  /// than the sequential fallback loop (the evaluation engine only routes
-  /// draw groups here when this holds).
+  /// Always false; kept because e2ebench/glova_e2e.cpp overrides it.
   [[nodiscard]] virtual bool supports_batched_draws() const { return false; }
 
   /// Cheaper stand-in for graceful degradation: when an evaluation keeps

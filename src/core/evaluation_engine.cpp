@@ -39,9 +39,9 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
   // The warm-start switch is process-wide (the caches are per worker
   // thread); the most recently constructed engine's config wins, which
   // matches the one-engine-per-run usage everywhere in the codebase.  The
-  // adaptive-timestep and Newton-bypass switches follow the same pattern:
-  // they configure spice::default_simulator_options() for every simulation
-  // this engine (or anything sharing the process) runs from here on.
+  // adaptive-timestep switch follows the same pattern: it configures
+  // spice::default_simulator_options() for every simulation this engine (or
+  // anything sharing the process) runs from here on.
   if (config_.max_eval_retries < 0) {
     throw std::invalid_argument("EvaluationEngine: max_eval_retries must be >= 0");
   }
@@ -63,7 +63,6 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
   spice::set_noise_analysis_default(config_.spice_noise);
   spice::set_dc_warm_start_enabled(config_.dc_warm_start);
   spice::set_adaptive_timestep_default(config_.adaptive_timestep);
-  spice::set_newton_bypass_default(config_.newton_bypass);
   spice::set_recovery_default(config_.recovery);
   spice::set_deadline_default(config_.eval_deadline_steps);
   snapshot_warm_baseline();
@@ -135,15 +134,11 @@ void EvaluationEngine::snapshot_warm_baseline() {
   warm_base_misses_ = warm.misses;
   warm_base_stores_ = warm.stores;
   const spice::SpiceCounters sc = spice::spice_counters();
-  spice_base_[0] = sc.batch_groups;
-  spice_base_[1] = sc.batch_lanes;
-  spice_base_[2] = sc.bypass_solves;
-  spice_base_[3] = sc.bypass_refactors;
-  spice_base_[4] = sc.steps_accepted;
-  spice_base_[5] = sc.steps_rejected;
-  spice_base_[6] = sc.recovered_dc;
-  spice_base_[7] = sc.recovered_transient;
-  spice_base_[8] = sc.deadline_aborts;
+  spice_base_[0] = sc.steps_accepted;
+  spice_base_[1] = sc.steps_rejected;
+  spice_base_[2] = sc.recovered_dc;
+  spice_base_[3] = sc.recovered_transient;
+  spice_base_[4] = sc.deadline_aborts;
 }
 
 EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, std::size_t parallelism)
@@ -410,54 +405,6 @@ std::vector<std::vector<double>> EvaluationEngine::evaluate_batch(
     if (miss_indices.empty()) return results;
   }
 
-  // Batched draw-group path: every miss of this call shares (x, corner), so
-  // when the testbench can march draws in lockstep, hand it the whole miss
-  // set at once.  A single parallelism slot covers the group (it occupies
-  // one thread); the memo cache sees each lane's metrics exactly as the
-  // sequential path would have inserted them.
-  if (config_.batched_draws && miss_indices.size() > 1 &&
-      testbench_->supports_batched_draws()) {
-    std::vector<std::vector<double>> miss_hs;
-    miss_hs.reserve(miss_indices.size());
-    for (const std::size_t i : miss_indices) miss_hs.push_back(hs[i]);
-    std::vector<std::vector<double>> group;
-    std::vector<circuits::EvaluationFailure> lane_failures;
-    // Failed lanes re-enter the funnel one by one while the group's slot is
-    // still held: each is retried with the ladder escalated and then (when
-    // configured) degraded, exactly as a sequential failure would be.  The
-    // group's metrics for that lane already hold the penalty sentinel, so
-    // with no retries and no degradation nothing changes.
-    const auto run_group = [&] {
-      group = testbench_->evaluate_draws(x_phys, corner, miss_hs, lane_failures);
-      if (config_.max_eval_retries > 0 || config_.degrade_to_behavioral) {
-        for (std::size_t mi = 0; mi < miss_hs.size(); ++mi) {
-          if (mi < lane_failures.size() && lane_failures[mi].failed) {
-            group[mi] = recover_or_degrade(x_phys, corner, miss_hs[mi], group[mi]);
-          }
-        }
-      }
-    };
-    if (slots_) {
-      slots_->acquire();
-      try {
-        run_group();
-      } catch (...) {
-        slots_->release();
-        throw;
-      }
-      slots_->release();
-    } else {
-      run_group();
-    }
-    for (std::size_t mi = 0; mi < miss_indices.size(); ++mi) {
-      results[miss_indices[mi]] = std::move(group[mi]);
-      executed_.fetch_add(1);
-      if (caching) cache_insert(std::move(miss_keys[mi]), results[miss_indices[mi]]);
-    }
-    train_surrogate(x_phys, corner, hs, miss_indices, results);
-    return results;
-  }
-
   const auto run_one = [&](std::size_t mi) {
     const std::size_t i = miss_indices[mi];
     results[i] = evaluate_with_slot(x_phys, corner, hs[i]);
@@ -564,15 +511,11 @@ EngineStats EvaluationEngine::stats() const {
   const auto delta = [](std::uint64_t now, std::uint64_t base) {
     return now >= base ? now - base : 0;
   };
-  s.batch_groups = delta(sc.batch_groups, spice_base_[0]);
-  s.batch_lanes = delta(sc.batch_lanes, spice_base_[1]);
-  s.bypass_solves = delta(sc.bypass_solves, spice_base_[2]);
-  s.bypass_refactors = delta(sc.bypass_refactors, spice_base_[3]);
-  s.steps_accepted = delta(sc.steps_accepted, spice_base_[4]);
-  s.steps_rejected = delta(sc.steps_rejected, spice_base_[5]);
-  s.recovered_dc = delta(sc.recovered_dc, spice_base_[6]);
-  s.recovered_transient = delta(sc.recovered_transient, spice_base_[7]);
-  s.deadline_aborts = delta(sc.deadline_aborts, spice_base_[8]);
+  s.steps_accepted = delta(sc.steps_accepted, spice_base_[0]);
+  s.steps_rejected = delta(sc.steps_rejected, spice_base_[1]);
+  s.recovered_dc = delta(sc.recovered_dc, spice_base_[2]);
+  s.recovered_transient = delta(sc.recovered_transient, spice_base_[3]);
+  s.deadline_aborts = delta(sc.deadline_aborts, spice_base_[4]);
   s.retries = retries_.load();
   s.degraded_evals = degraded_evals_.load();
   s.surrogate_prunes = surrogate_prunes_.load();
@@ -585,10 +528,6 @@ EngineStats EvaluationEngine::stats() const {
   s.dc_warm_hits += carried_.dc_warm_hits;
   s.dc_warm_misses += carried_.dc_warm_misses;
   s.dc_warm_stores += carried_.dc_warm_stores;
-  s.batch_groups += carried_.batch_groups;
-  s.batch_lanes += carried_.batch_lanes;
-  s.bypass_solves += carried_.bypass_solves;
-  s.bypass_refactors += carried_.bypass_refactors;
   s.steps_accepted += carried_.steps_accepted;
   s.steps_rejected += carried_.steps_rejected;
   s.recovered_dc += carried_.recovered_dc;
@@ -630,11 +569,12 @@ void EvaluationEngine::save_state(std::ostream& os) const {
      << ' ' << retries_.load() << ' ' << degraded_evals_.load() << '\n';
   // Fold the live process-wide deltas into the carried totals so a restore in
   // a fresh process (whose deltas restart at zero) continues the same counts.
+  // The four zeros hold the places of the retired batch/bypass counters, so
+  // the frame layout stays the one earlier releases read and write.
   const EngineStats s = stats();
-  os << "carried " << s.dc_warm_hits << ' ' << s.dc_warm_misses << ' ' << s.dc_warm_stores << ' '
-     << s.batch_groups << ' ' << s.batch_lanes << ' ' << s.bypass_solves << ' '
-     << s.bypass_refactors << ' ' << s.steps_accepted << ' ' << s.steps_rejected << ' '
-     << s.recovered_dc << ' ' << s.recovered_transient << ' ' << s.deadline_aborts << '\n';
+  os << "carried " << s.dc_warm_hits << ' ' << s.dc_warm_misses << ' ' << s.dc_warm_stores
+     << " 0 0 0 0 " << s.steps_accepted << ' ' << s.steps_rejected << ' ' << s.recovered_dc
+     << ' ' << s.recovered_transient << ' ' << s.deadline_aborts << '\n';
   if (v2) {
     os << "surrogate-counters " << surrogate_prunes_.load() << ' ' << surrogate_confirms_.load()
        << '\n';
@@ -679,9 +619,10 @@ void EvaluationEngine::load_state(std::istream& is) {
   {
     std::istringstream line(state::expect_line(is, "carried"));
     EngineStats c;
-    if (!(line >> c.dc_warm_hits >> c.dc_warm_misses >> c.dc_warm_stores >> c.batch_groups >>
-          c.batch_lanes >> c.bypass_solves >> c.bypass_refactors >> c.steps_accepted >>
-          c.steps_rejected >> c.recovered_dc >> c.recovered_transient >> c.deadline_aborts)) {
+    std::uint64_t retired[4] = {0, 0, 0, 0};  // batch/bypass counters: read, discarded
+    if (!(line >> c.dc_warm_hits >> c.dc_warm_misses >> c.dc_warm_stores >> retired[0] >>
+          retired[1] >> retired[2] >> retired[3] >> c.steps_accepted >> c.steps_rejected >>
+          c.recovered_dc >> c.recovered_transient >> c.deadline_aborts)) {
       state::bad("malformed engine carried counters");
     }
     carried_ = c;

@@ -67,20 +67,10 @@ struct EngineConfig {
   /// to the process-wide spice::set_dc_warm_start_enabled switch at engine
   /// construction; behavioral testbenches are unaffected.
   bool dc_warm_start = true;
-  /// Route same-(x, corner) mismatch-draw groups through the testbench's
-  /// batched evaluator (spice::BatchSimulator lockstep marching) when it
-  /// supports one.  Cache misses of one evaluate_batch() call become one
-  /// batched group; memoization and DC warm starts compose as usual.  Off by
-  /// default: with adaptive stepping and bypass off the batched metrics are
-  /// bit-identical, but the sequential path stays the reference.
-  bool batched_draws = false;
   /// LTE-adaptive timestep control in the SPICE transient (process-wide
   /// spice::set_adaptive_timestep_default, like dc_warm_start).  Changes
   /// metric values within the controller's truncation-error tolerance.
   bool adaptive_timestep = false;
-  /// Newton LU-bypass (chord iterations on retained factors, process-wide
-  /// spice::set_newton_bypass_default).  Changes metrics within Newton vtol.
-  bool newton_bypass = false;
   /// Convergence-recovery ladder in the SPICE engine (process-wide
   /// spice::set_recovery_default): gmin stepping for hard DC points, substep
   /// cutting and restart-from-DC for transient Newton failures.  Off by
@@ -93,9 +83,8 @@ struct EngineConfig {
   /// legacy penalty metrics.
   int max_eval_retries = 0;
   /// Cooperative per-evaluation deadline in Newton iterations (process-wide
-  /// spice::set_deadline_default; per lane in the batched evaluator).  A run
-  /// that exhausts it aborts deterministically with FailureStage::Deadline.
-  /// 0 = no deadline.
+  /// spice::set_deadline_default).  A run that exhausts it aborts
+  /// deterministically with FailureStage::Deadline.  0 = no deadline.
   std::uint64_t eval_deadline_steps = 0;
   /// Graceful degradation: when an evaluation still fails after every retry,
   /// quarantine it to the testbench's degraded_fallback() (the behavioral
@@ -159,13 +148,8 @@ struct EngineStats {
   std::uint64_t dc_warm_misses = 0;
   std::uint64_t dc_warm_stores = 0;
   /// Simulator-level activity (same delta-vs-snapshot convention as the
-  /// dc_warm_* counters): batched draw groups and their total lanes, chord
-  /// solves vs refactors under Newton bypass, and the adaptive timestep
-  /// controller's accepted/rejected step totals.
-  std::uint64_t batch_groups = 0;
-  std::uint64_t batch_lanes = 0;
-  std::uint64_t bypass_solves = 0;
-  std::uint64_t bypass_refactors = 0;
+  /// dc_warm_* counters): the adaptive timestep controller's
+  /// accepted/rejected step totals.
   std::uint64_t steps_accepted = 0;
   std::uint64_t steps_rejected = 0;
   /// Convergence-recovery funnel: DC points and transient steps the
@@ -291,8 +275,8 @@ class EvaluationEngine {
   [[nodiscard]] std::vector<double> evaluate_guarded(std::span<const double> x_phys,
                                                      const pdk::PvtCorner& corner,
                                                      std::span<const double> h);
-  /// The retry / degrade tail of the funnel, shared by the sequential and
-  /// batched paths.  `penalty` is returned when everything fails.
+  /// The retry / degrade tail of the funnel.  `penalty` is returned when
+  /// everything fails.
   [[nodiscard]] std::vector<double> recover_or_degrade(std::span<const double> x_phys,
                                                        const pdk::PvtCorner& corner,
                                                        std::span<const double> h,
@@ -345,9 +329,9 @@ class EvaluationEngine {
   std::uint64_t warm_base_hits_ = 0;
   std::uint64_t warm_base_misses_ = 0;
   std::uint64_t warm_base_stores_ = 0;
-  /// Process-wide simulator counters (batch/bypass/adaptive/recovery) at the
-  /// same baseline instant.
-  std::uint64_t spice_base_[9] = {0, 0, 0, 0, 0, 0, 0, 0, 0};
+  /// Process-wide simulator counters (adaptive/recovery) at the same
+  /// baseline instant.
+  std::uint64_t spice_base_[5] = {0, 0, 0, 0, 0};
   void snapshot_warm_baseline();
   /// Counter totals carried over from a previous process via load_state();
   /// stats() adds these to the live deltas.  All-zero outside resumes.

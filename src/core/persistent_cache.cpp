@@ -70,9 +70,11 @@ std::string memo_cache_tag(const std::string& testbench_name, const EngineConfig
   std::string tag = testbench_name;
   tag += "|q=" + format_double_roundtrip(engine.cache_quantum);
   tag += engine.dc_warm_start ? "|warm=1" : "|warm=0";
-  tag += engine.batched_draws ? "|batched=1" : "|batched=0";
+  // "batched" and "bypass" name retired knobs that were always 0 here; the
+  // literal keeps memo files written before their removal valid.
+  tag += "|batched=0";
   tag += engine.adaptive_timestep ? "|adaptive=1" : "|adaptive=0";
-  tag += engine.newton_bypass ? "|bypass=1" : "|bypass=0";
+  tag += "|bypass=0";
   tag += engine.recovery ? "|recovery=1" : "|recovery=0";
   tag += "|retries=" + std::to_string(engine.max_eval_retries);
   tag += "|deadline=" + std::to_string(engine.eval_deadline_steps);

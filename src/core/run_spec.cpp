@@ -127,8 +127,7 @@ const std::vector<std::string_view>& run_spec_keys() {
       "cost_per_rl_iteration", "parallelism",
       "min_parallel_batch", "cache_capacity",
       "cache_quantum",   "dc_warm_start",
-      "batched_draws",   "adaptive_timestep",
-      "newton_bypass",   "recovery",
+      "adaptive_timestep", "recovery",
       "mos_model",       "spice_noise",
       "max_eval_retries", "eval_deadline_steps",
       "degrade_to_behavioral", "cache_path",
@@ -167,9 +166,7 @@ std::string RunSpec::to_string() const {
   kv("cache_capacity", std::to_string(engine.cache_capacity));
   kv("cache_quantum", format_double(engine.cache_quantum));
   kv("dc_warm_start", engine.dc_warm_start ? "1" : "0");
-  kv("batched_draws", engine.batched_draws ? "1" : "0");
   kv("adaptive_timestep", engine.adaptive_timestep ? "1" : "0");
-  kv("newton_bypass", engine.newton_bypass ? "1" : "0");
   kv("recovery", engine.recovery ? "1" : "0");
   kv("mos_model", engine.mos_model);
   kv("spice_noise", engine.spice_noise ? "1" : "0");
@@ -255,12 +252,17 @@ RunSpec RunSpec::from_string(std::string_view text) {
       spec.engine.cache_quantum = parse_double(key, value);
     } else if (key == "dc_warm_start") {
       spec.engine.dc_warm_start = parse_bool(key, value);
-    } else if (key == "batched_draws") {
-      spec.engine.batched_draws = parse_bool(key, value);
     } else if (key == "adaptive_timestep") {
       spec.engine.adaptive_timestep = parse_bool(key, value);
-    } else if (key == "newton_bypass") {
-      spec.engine.newton_bypass = parse_bool(key, value);
+    } else if (key == "batched_draws" || key == "newton_bypass") {
+      // Retired keys: every spec written before their removal carries them
+      // at 0, so 0 still loads (and re-saves without them); 1 asks for a
+      // solver path that no longer exists.
+      if (parse_bool(key, value)) {
+        throw std::invalid_argument("RunSpec: " + std::string(key) +
+                                    " was removed; only 0 is accepted "
+                                    "(see docs/run_spec.md#retired-keys)");
+      }
     } else if (key == "recovery") {
       spec.engine.recovery = parse_bool(key, value);
     } else if (key == "mos_model") {

@@ -5,10 +5,6 @@
 namespace glova::spice {
 
 namespace {
-std::atomic<std::uint64_t> g_batch_groups{0};
-std::atomic<std::uint64_t> g_batch_lanes{0};
-std::atomic<std::uint64_t> g_bypass_solves{0};
-std::atomic<std::uint64_t> g_bypass_refactors{0};
 std::atomic<std::uint64_t> g_steps_accepted{0};
 std::atomic<std::uint64_t> g_steps_rejected{0};
 std::atomic<std::uint64_t> g_recovered_dc{0};
@@ -18,10 +14,6 @@ std::atomic<std::uint64_t> g_deadline_aborts{0};
 
 SpiceCounters spice_counters() {
   SpiceCounters c;
-  c.batch_groups = g_batch_groups.load(std::memory_order_relaxed);
-  c.batch_lanes = g_batch_lanes.load(std::memory_order_relaxed);
-  c.bypass_solves = g_bypass_solves.load(std::memory_order_relaxed);
-  c.bypass_refactors = g_bypass_refactors.load(std::memory_order_relaxed);
   c.steps_accepted = g_steps_accepted.load(std::memory_order_relaxed);
   c.steps_rejected = g_steps_rejected.load(std::memory_order_relaxed);
   c.recovered_dc = g_recovered_dc.load(std::memory_order_relaxed);
@@ -31,25 +23,11 @@ SpiceCounters spice_counters() {
 }
 
 void reset_spice_counters() {
-  g_batch_groups.store(0, std::memory_order_relaxed);
-  g_batch_lanes.store(0, std::memory_order_relaxed);
-  g_bypass_solves.store(0, std::memory_order_relaxed);
-  g_bypass_refactors.store(0, std::memory_order_relaxed);
   g_steps_accepted.store(0, std::memory_order_relaxed);
   g_steps_rejected.store(0, std::memory_order_relaxed);
   g_recovered_dc.store(0, std::memory_order_relaxed);
   g_recovered_transient.store(0, std::memory_order_relaxed);
   g_deadline_aborts.store(0, std::memory_order_relaxed);
-}
-
-void note_batch_group(std::uint64_t lanes) {
-  g_batch_groups.fetch_add(1, std::memory_order_relaxed);
-  g_batch_lanes.fetch_add(lanes, std::memory_order_relaxed);
-}
-
-void note_bypass_solves(std::uint64_t solves, std::uint64_t refactors) {
-  if (solves != 0) g_bypass_solves.fetch_add(solves, std::memory_order_relaxed);
-  if (refactors != 0) g_bypass_refactors.fetch_add(refactors, std::memory_order_relaxed);
 }
 
 void note_lte_steps(std::uint64_t accepted, std::uint64_t rejected) {

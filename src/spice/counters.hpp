@@ -1,7 +1,7 @@
 // Process-wide simulator counters (relaxed atomics, summed over every
-// thread), mirroring the warm-start statistics pattern: the scalar and
-// batched evaluators note events here and core::EvaluationEngine surfaces
-// them through EngineStats as deltas against a construction-time snapshot.
+// thread), mirroring the warm-start statistics pattern: the simulator notes
+// events here and core::EvaluationEngine surfaces them through EngineStats
+// as deltas against a construction-time snapshot.
 #pragma once
 
 #include <cstdint>
@@ -9,20 +9,17 @@
 namespace glova::spice {
 
 struct SpiceCounters {
-  /// Batched-evaluator groups run and total lanes marched across them.
+  /// Retired batch/bypass counters, always 0: kept because e2ebench/glova_e2e.cpp reads them.
   std::uint64_t batch_groups = 0;
   std::uint64_t batch_lanes = 0;
-  /// Chord-Newton solves on frozen LU factors (Newton bypass) vs. full
-  /// stamp + refactor solves taken in bypass mode (first step, stalls).
   std::uint64_t bypass_solves = 0;
   std::uint64_t bypass_refactors = 0;
   /// LTE-adaptive timestep controller: accepted steps and rejected (redone)
-  /// steps, scalar and batched paths combined.
+  /// steps.
   std::uint64_t steps_accepted = 0;
   std::uint64_t steps_rejected = 0;
   /// Convergence-recovery ladder: DC operating points rescued by gmin
-  /// stepping and transient steps rescued by substep cutting / DC restart
-  /// (scalar and per-lane batched rescues combined).
+  /// stepping and transient steps rescued by substep cutting / DC restart.
   std::uint64_t recovered_dc = 0;
   std::uint64_t recovered_transient = 0;
   /// Runs aborted by the cooperative Newton-iteration deadline.
@@ -32,8 +29,6 @@ struct SpiceCounters {
 [[nodiscard]] SpiceCounters spice_counters();
 void reset_spice_counters();
 
-void note_batch_group(std::uint64_t lanes);
-void note_bypass_solves(std::uint64_t solves, std::uint64_t refactors);
 void note_lte_steps(std::uint64_t accepted, std::uint64_t rejected);
 void note_recovered_dc();
 void note_recovered_transient();

@@ -18,7 +18,6 @@ namespace glova::spice {
 
 namespace {
 std::atomic<bool> g_adaptive_timestep_default{false};
-std::atomic<bool> g_newton_bypass_default{false};
 std::atomic<bool> g_recovery_default{false};
 std::atomic<std::uint64_t> g_deadline_default{0};
 std::atomic<unsigned char> g_mos_model_default{static_cast<unsigned char>(MosModel::kLevel1)};
@@ -32,10 +31,6 @@ bool adaptive_timestep_default() {
 }
 void set_adaptive_timestep_default(bool enabled) {
   g_adaptive_timestep_default.store(enabled, std::memory_order_relaxed);
-}
-bool newton_bypass_default() { return g_newton_bypass_default.load(std::memory_order_relaxed); }
-void set_newton_bypass_default(bool enabled) {
-  g_newton_bypass_default.store(enabled, std::memory_order_relaxed);
 }
 bool recovery_default() { return g_recovery_default.load(std::memory_order_relaxed); }
 void set_recovery_default(bool enabled) {
@@ -62,7 +57,6 @@ SimulatorOptions default_simulator_options() {
   SimulatorOptions options;
   options.mos_model = mos_model_default();
   options.adaptive_timestep = adaptive_timestep_default();
-  options.newton_bypass = newton_bypass_default();
   options.recovery.enabled = recovery_default();
   options.deadline_newton_iterations = deadline_default();
   // Escalated retries (core::EvaluationEngine) harden the ladder beyond the
@@ -141,6 +135,10 @@ const FaultPlan::Site* FaultPlan::match(std::uint64_t index) const {
 void set_thread_fault_plan(const FaultPlan* plan) { t_fault_plan = plan; }
 const FaultPlan* thread_fault_plan() { return t_fault_plan; }
 
+namespace {
+
+/// Human-readable label for one row of the solved system: the node name for
+/// unknown-node rows, "branch <k>" for branch-current rows.
 std::string row_label(const Circuit& circuit, const StampPlan& plan, std::size_t row) {
   if (row < plan.unknown_node_count()) {
     for (NodeId nd = 1; nd < circuit.node_count(); ++nd) {
@@ -150,6 +148,9 @@ std::string row_label(const Circuit& circuit, const StampPlan& plan, std::size_t
   return "branch " + std::to_string(row);
 }
 
+/// Fill `report`'s residual fields from the last failed Newton iterate `x`:
+/// computes the true KCL residual (plan state must still be the failing
+/// solve's begin_solve) and records the worst row's magnitude and label.
 void note_worst_residual(const Circuit& circuit, StampPlan& plan, std::span<const double> x,
                          FailureReport& report) {
   const std::size_t n = plan.unknown_count();
@@ -167,6 +168,8 @@ void note_worst_residual(const Circuit& circuit, StampPlan& plan, std::span<cons
   report.final_residual = worst_abs;
   report.worst_node = row_label(circuit, plan, worst);
 }
+
+}  // namespace
 
 // ---------------------------------------------------------------------------
 // TransientResult
@@ -681,6 +684,13 @@ double Simulator::voltage_of(const std::vector<double>& x, NodeId node) const {
   return x[plan_.x_slot(node)];
 }
 
+namespace {
+
+/// One damped Newton solve over an already-compiled plan: begin_solve,
+/// load_pinned, then iterate stamp / fused factor-solve / clamped update
+/// until the maximum node-voltage change drops below vtol.  `x` is the
+/// initial guess on entry and the converged iterate on exit (padded
+/// layout); `iterations` is incremented by the iterations spent.
 bool newton_solve_plan(StampPlan& plan, const SimulatorOptions& options,
                        SimulatorWorkspace& ws, const AssemblyInputs& in, std::vector<double>& x,
                        int& iterations) {
@@ -748,9 +758,16 @@ bool newton_solve_plan(StampPlan& plan, const SimulatorOptions& options,
   return false;
 }
 
+/// DC operating point over an already-compiled plan, including the warm
+/// start attempt, cold restart, source-stepping fallback, and (when
+/// options.recovery.enabled) the gmin-stepping ladder.  `failure`, when
+/// non-null, receives the structured report on non-convergence.  `time`
+/// freezes source waveforms at a transient instant for the restart-from-DC
+/// recovery rung (0 = the conventional t=0 operating point).
 OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
                               const SimulatorOptions& options, SimulatorWorkspace& ws,
-                              const OpResult* warm_start, FailureReport* failure, double time) {
+                              const OpResult* warm_start, FailureReport* failure = nullptr,
+                              double time = 0.0) {
   const std::size_t n_nodes = circuit.node_count();
   const std::size_t n_vsrc = circuit.vsources().size();
   OpResult result;
@@ -862,6 +879,8 @@ OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
   }
   return result;
 }
+
+}  // namespace
 
 bool Simulator::newton_solve(const AssemblyInputs& in, std::vector<double>& x, int& iterations) {
   return newton_solve_plan(plan_, options_, *workspace_, in, x, iterations);

@@ -82,9 +82,7 @@ enum class FailureStage : std::uint8_t {
 
 /// Structured failure taxonomy replacing the bare error string: what stage
 /// gave up, at what simulated time, how many recovery rungs were tried, and
-/// the worst KCL-residual row of the last failed iterate.  Both the scalar
-/// and the batched evaluator fill the same report, so failure messages are
-/// identical across the two paths.
+/// the worst KCL-residual row of the last failed iterate.
 struct FailureReport {
   FailureStage stage = FailureStage::None;
   double time = 0.0;           ///< [s] simulated time of the failing solve
@@ -190,26 +188,19 @@ struct SimulatorOptions {
   double dt_min_factor = 1e-3;  ///< dt never drops below spec.dt * this
   double dt_max_factor = 16.0;  ///< dt never grows above spec.dt * this
 
-  /// Newton LU-bypass (batched evaluator only): keep each lane's previous
-  /// LU factorization and iterate chord Newton on the true residual while
-  /// it converges, falling back to a full stamp + refactor on stall.  The
-  /// scalar Simulator ignores this flag — its fused factor+solve kernel is
-  /// already cheaper than a retained factorization for single lanes.
-  bool newton_bypass = false;
-
   /// MOSFET channel model.  kLevel1 (default) is the historical square law
   /// with hard sub-Vth cutoff — every pinned baseline was recorded against
-  /// it.  kEkv switches every channel evaluation (scalar Newton loop,
-  /// StampPlan companion pass, batched device-major loop) to the continuous
+  /// it.  kEkv switches every channel evaluation (StampPlan companion pass,
+  /// KCL branch-current recovery, failure residuals) to the continuous
   /// weak/strong-inversion interpolation in mos_model.hpp.
   MosModel mos_model = MosModel::kLevel1;
 
   /// Convergence-recovery ladder (see RecoveryPolicy); off by default.
   RecoveryPolicy recovery;
-  /// Cooperative evaluation deadline: abort a run (DC + transient combined;
-  /// per lane in the batched evaluator) once this many Newton iterations
-  /// were spent, reporting FailureStage::Deadline.  Checked between solves,
-  /// so the abort point is deterministic.  0 = no deadline.
+  /// Cooperative evaluation deadline: abort a run (DC + transient combined)
+  /// once this many Newton iterations were spent, reporting
+  /// FailureStage::Deadline.  Checked between solves, so the abort point is
+  /// deterministic.  0 = no deadline.
   std::uint64_t deadline_newton_iterations = 0;
 };
 
@@ -226,8 +217,6 @@ struct SimulatorOptions {
 /// tests toggle them directly.  Both default to off.
 [[nodiscard]] bool adaptive_timestep_default();
 void set_adaptive_timestep_default(bool enabled);
-[[nodiscard]] bool newton_bypass_default();
-void set_newton_bypass_default(bool enabled);
 [[nodiscard]] bool recovery_default();
 void set_recovery_default(bool enabled);
 [[nodiscard]] std::uint64_t deadline_default();
@@ -246,15 +235,15 @@ void set_noise_analysis_default(bool enabled);
 void set_recovery_escalation(int level);
 
 /// SimulatorOptions with the process-wide switches applied — what testbench
-/// backends pass to their Simulator / BatchSimulator.
+/// backends pass to their Simulator.
 [[nodiscard]] SimulatorOptions default_simulator_options();
 
 /// Deterministic fault injection for tests and benches (off by default).
 /// A plan is installed thread-locally; while one is installed, every Newton
 /// solve on that thread consumes one solve index (DC attempts,
-/// source-stepping and gmin rungs, timestep solves, and batched lanes in
-/// lane order all count), and a site whose half-open [begin, end) range
-/// covers the index forces the chosen failure mode on that solve.
+/// source-stepping and gmin rungs, and timestep solves all count), and a
+/// site whose half-open [begin, end) range covers the index forces the
+/// chosen failure mode on that solve.
 struct FaultPlan {
   enum class Kind : std::uint8_t {
     NanStamp,        ///< poison the assembled RHS with a NaN
@@ -295,8 +284,7 @@ struct AssemblyInputs {
   /// 0 outside the recovery ladder, and always 0 on the solve that counts).
   double extra_gmin = 0.0;
   /// Previous-timepoint solution in padded layout (see StampPlan::padded_size);
-  /// required in Transient mode.  A span so the batched evaluator can point
-  /// it at one lane of its lane-strided state without copying.
+  /// required in Transient mode.
   std::span<const double> x_prev{};
   /// Per-capacitor branch current i_n (trapezoidal companion); Transient only.
   std::span<const double> cap_current_prev{};
@@ -326,21 +314,6 @@ struct AssemblyInputs {
 class StampPlan {
  public:
   StampPlan(const Circuit& circuit, const SimulatorOptions& options);
-
-  /// One MOSFET's resolved stamp targets: Jacobian / RHS / iterate-read
-  /// slots plus the hoisted device parameters.  Exposed so the batched
-  /// evaluator can run its device-major companion pass across lanes; slot
-  /// indices are identical across structurally congruent circuits (same
-  /// topology, element order, and node order — only values differing).
-  struct MosStamp {
-    std::size_t j_dg, j_dd, j_ds;  ///< drain-row Jacobian slots
-    std::size_t j_sg, j_sd, j_ss;  ///< source-row Jacobian slots
-    std::size_t rhs_d, rhs_s;
-    std::size_t xg, xd, xs;        ///< padded solution reads
-    double mg, md, ms;             ///< 1.0 iff that terminal is an unknown node
-    const pdk::MosParams* params;
-    double w_over_l;               ///< hoisted out of the Newton loop
-  };
 
   /// Solved unknowns: free node voltages, then branch currents.
   [[nodiscard]] std::size_t unknown_count() const { return n_; }
@@ -386,27 +359,11 @@ class StampPlan {
   /// sized to unknown_count().
   void stamp(std::span<const double> x, DenseMatrix& g, std::span<double> rhs) const;
 
-  /// The linear half of stamp(): copy the cached static matrix / RHS base
-  /// into `g` / `rhs` without the MOSFET companion pass.  The batched
-  /// evaluator uses this so it can interleave the nonlinear pass
-  /// device-major across lanes.  Preconditions as stamp().
-  void load_static(DenseMatrix& g, std::span<double> rhs) const;
-
-  /// Per-MOSFET stamp records in circuit order (see MosStamp).
-  [[nodiscard]] std::span<const MosStamp> mos_stamps() const { return mosfets_; }
-
-  /// Channel model every MOSFET in this plan is linearized with (captured
-  /// from SimulatorOptions at construction).  The batched evaluator reads it
-  /// so its device-major companion pass evaluates the exact expressions the
-  /// scalar loop does.
-  [[nodiscard]] MosModel mos_model() const { return mos_model_; }
-
   /// True nonlinear KCL residual at iterate `x` for the current solve:
   /// r = G_static * x + i_mos(x) - rhs_base, row for row the amount by which
-  /// the assembled equations are violated.  Used by the Newton LU-bypass
-  /// path, which iterates on frozen factors and only needs the residual —
-  /// no Jacobian, no matrix copy.  Must be called between begin_solve() and
-  /// the next begin_solve(); `x` as in stamp(); `r` needs
+  /// the assembled equations are violated.  Failure reports use it to name
+  /// the worst row of a failed iterate.  Must be called between
+  /// begin_solve() and the next begin_solve(); `x` as in stamp(); `r` needs
   /// unknown_count() + 1 entries (trailing scratch slot).
   void residual(std::span<const double> x, std::span<double> r) const;
 
@@ -422,6 +379,17 @@ class StampPlan {
   struct LinearStamp {
     std::size_t slot;
     double value;
+  };
+  /// One MOSFET's resolved stamp targets: Jacobian / RHS / iterate-read
+  /// slots plus the hoisted device parameters.
+  struct MosStamp {
+    std::size_t j_dg, j_dd, j_ds;  ///< drain-row Jacobian slots
+    std::size_t j_sg, j_sd, j_ss;  ///< source-row Jacobian slots
+    std::size_t rhs_d, rhs_s;
+    std::size_t xg, xd, xs;        ///< padded solution reads
+    double mg, md, ms;             ///< 1.0 iff that terminal is an unknown node
+    const pdk::MosParams* params;
+    double w_over_l;               ///< hoisted out of the Newton loop
   };
   /// Static matrix entry whose column is a pinned node: the known voltage
   /// contribution goes to the RHS base instead (rhs[row] += coeff * V_pin).
@@ -473,6 +441,9 @@ class StampPlan {
 
   static constexpr std::size_t kNoPin = kNoSlot;
 
+  /// The linear half of stamp(): copy the cached static matrix / RHS base
+  /// into `g` / `rhs` without the MOSFET companion pass.
+  void load_static(DenseMatrix& g, std::span<double> rhs) const;
   [[nodiscard]] std::size_t mat_slot(NodeId row, NodeId col) const;
   [[nodiscard]] std::size_t rhs_slot(NodeId node) const;
   [[nodiscard]] std::size_t pin_index(NodeId node) const { return node_pin_[node]; }
@@ -540,41 +511,6 @@ struct SimulatorWorkspace {
 /// explicit workspace use this one, so repeated evaluations on a worker
 /// thread (the common testbench pattern) reuse the same buffers.
 [[nodiscard]] SimulatorWorkspace& thread_local_workspace();
-
-/// One damped Newton solve over an already-compiled plan: begin_solve,
-/// load_pinned, then iterate stamp / fused factor-solve / clamped update
-/// until the maximum node-voltage change drops below vtol.  `x` is the
-/// initial guess on entry and the converged iterate on exit (padded
-/// layout); `iterations` is incremented by the iterations spent.  This is
-/// the kernel behind Simulator::operating_point / transient, shared with
-/// the batched evaluator so both paths run bit-identical arithmetic.
-[[nodiscard]] bool newton_solve_plan(StampPlan& plan, const SimulatorOptions& options,
-                                     SimulatorWorkspace& ws, const AssemblyInputs& in,
-                                     std::vector<double>& x, int& iterations);
-
-/// DC operating point over an already-compiled plan, including the warm
-/// start attempt, cold restart, source-stepping fallback, and (when
-/// options.recovery.enabled) the gmin-stepping ladder (see
-/// Simulator::operating_point, which delegates here).  `failure`, when
-/// non-null, receives the structured report on non-convergence.  `time`
-/// freezes source waveforms at a transient instant for the restart-from-DC
-/// recovery rung (0 = the conventional t=0 operating point).
-[[nodiscard]] OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
-                                            const SimulatorOptions& options,
-                                            SimulatorWorkspace& ws, const OpResult* warm_start,
-                                            FailureReport* failure = nullptr, double time = 0.0);
-
-/// Human-readable label for one row of the solved system: the node name for
-/// unknown-node rows, "branch <k>" for branch-current rows.  Used by failure
-/// reports to name the worst-residual row.
-[[nodiscard]] std::string row_label(const Circuit& circuit, const StampPlan& plan,
-                                    std::size_t row);
-
-/// Fill `report`'s residual fields from the last failed Newton iterate `x`:
-/// computes the true KCL residual (plan state must still be the failing
-/// solve's begin_solve) and records the worst row's magnitude and label.
-void note_worst_residual(const Circuit& circuit, StampPlan& plan, std::span<const double> x,
-                         FailureReport& report);
 
 class Simulator {
  public:

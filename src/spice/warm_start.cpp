@@ -29,10 +29,6 @@ void reset_warm_start_stats() {
   g_stores.store(0);
 }
 
-void note_warm_start_hits(std::uint64_t count) {
-  if (count != 0) g_hits.fetch_add(count, std::memory_order_relaxed);
-}
-
 bool dc_warm_start_enabled() { return g_enabled.load(); }
 
 void set_dc_warm_start_enabled(bool enabled) { g_enabled.store(enabled); }
@@ -80,30 +76,6 @@ void DcWarmStartCache::clear() {
 DcWarmStartCache& thread_local_dc_cache() {
   thread_local DcWarmStartCache cache;
   return cache;
-}
-
-void sync_warm_start_cache(const DcWarmStartCache::Key& key, const OpResult* seed,
-                           std::span<const TransientResult> results) {
-  if (!dc_warm_start_enabled()) return;
-  DcWarmStartCache& cache = thread_local_dc_cache();
-  std::uint64_t warmed = 0;
-  for (const TransientResult& r : results) {
-    if (!r.ok) continue;
-    if (r.dc_op.warm_started) {
-      ++warmed;
-    } else {
-      // The sequential path stores on a miss and refreshes after a failed
-      // warm attempt; both present as a successful cold solve.
-      cache.store(key, r.dc_op);
-    }
-  }
-  // The group's single lookup already counted one hit when it returned a
-  // seed that lane 0 then used; every other successful warm start replaced
-  // a per-draw lookup the sequential path would have counted as a hit.
-  const bool lookup_hit_used = seed != nullptr && !results.empty() && results.front().ok &&
-                               results.front().dc_op.warm_started;
-  const std::uint64_t counted = lookup_hit_used ? 1 : 0;
-  if (warmed > counted) note_warm_start_hits(warmed - counted);
 }
 
 DcWarmStartCache::Key make_dc_key(std::uint64_t testbench_tag, std::span<const double> x_phys,

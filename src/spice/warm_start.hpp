@@ -39,14 +39,6 @@ struct WarmStartStats {
 [[nodiscard]] WarmStartStats warm_start_stats();
 void reset_warm_start_stats();
 
-/// Credit `count` extra warm-start hits to the process-wide statistics.  The
-/// batched draw-group path performs ONE cache lookup per group and then rolls
-/// the seed forward internally (BatchSimulator), where the sequential path
-/// would have performed one counted lookup per draw; the batched caller
-/// credits the hits its internal reseeding replaced so the dc_warm_* figures
-/// stay comparable across paths.
-void note_warm_start_hits(std::uint64_t count);
-
 /// Global enable switch (default on).  Tests that need bit-identical repeat
 /// evaluations disable it; the evaluation engine applies its config here.
 [[nodiscard]] bool dc_warm_start_enabled();
@@ -88,17 +80,6 @@ class DcWarmStartCache {
 /// The calling thread's warm-start cache, adjacent to its
 /// thread_local_workspace().
 [[nodiscard]] DcWarmStartCache& thread_local_dc_cache();
-
-/// Reconcile the calling thread's warm-start cache and the process-wide
-/// statistics after a batched draw-group run.  `seed` is what the group's
-/// single lookup(key) returned; `results` are the per-lane transients from
-/// BatchSimulator::transient(spec, seed).  Mirrors the sequential per-draw
-/// bookkeeping: every lane that cold-solved stores (refreshing a stale entry
-/// exactly as the per-draw store rule would), and every successful warm
-/// start beyond the one the lookup already counted is credited as a hit.
-/// No-op while dc_warm_start_enabled() is false.
-void sync_warm_start_cache(const DcWarmStartCache::Key& key, const OpResult* seed,
-                           std::span<const TransientResult> results);
 
 /// Build a cache key from a testbench tag (distinguishes circuit topologies
 /// that share a design-vector shape), the physical design vector, and the

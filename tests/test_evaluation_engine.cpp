@@ -9,11 +9,13 @@
 #include <chrono>
 #include <cmath>
 #include <set>
+#include <sstream>
 #include <thread>
 
 #include "circuits/registry.hpp"
 #include "core/evaluation_engine.hpp"
 #include "pdk/variation.hpp"
+#include "spice/simulator.hpp"
 
 namespace glova::core {
 namespace {
@@ -335,6 +337,61 @@ TEST(EvaluationEngine, SequentialParallelismNeverUsesThePool) {
   for (int i = 0; i < 20; ++i) hs.push_back({static_cast<double>(i)});
   (void)engine.evaluate_batch(std::vector<double>{0.5}, pdk::typical_corner(), hs);
   EXPECT_EQ(probe->max_in_flight(), 1);
+}
+
+// An engine-state frame written before the lockstep batch path and the Newton
+// bypass were retired (SAL on SPICE, adaptive_timestep=1, three draws).  Its
+// carried line holds the four retired batch/bypass counters at 0 between the
+// warm-start and timestep counters; loading and re-saving must reproduce the
+// frame byte for byte, and the surviving counters must land in their fields.
+TEST(EvaluationEngine, StateFrameWithRetiredCountersReSavesByteIdentically) {
+  const std::string frame =
+      "engine-state 1\n"
+      "counters 3 3 0 0 0\n"
+      "carried 2 1 1 0 0 0 0 707 34 0 0 0\n"
+      "cache 3\n"
+      "key 41 1 900000000000000 26999999999999996 14 16540000000 16540000000 16540000000 "
+      "16540000000 16540000000 16540000000 180000000 180000000 180000000 180000000 "
+      "180000000 180000000 2752 2752 22 1390163471398 -8073372385858 131428176692 "
+      "-20330363319274 -1059155887564 13360998163792 2312636501558 1613980964695 "
+      "-532608993740 -2974891188818 824014303684 -11058658672669 3858280852351 769808079413 "
+      "2184120465183 2395962779979 3584965766123 6634160313187 1592729277299 12955778697559 "
+      "27442053823 -365347267803\n"
+      "val 4 1.5157985465132094e-05 7.3705189966987404e-09 1.9999999999999999e-11 "
+      "4.3245033264620046e-05\n"
+      "key 41 1 900000000000000 26999999999999996 14 16540000000 16540000000 16540000000 "
+      "16540000000 16540000000 16540000000 180000000 180000000 180000000 180000000 "
+      "180000000 180000000 2752 2752 22 -2204271864049 -15228584542570 -3260821457722 "
+      "-4492696625551 -1367463223276 1904550974792 1349388083645 7912493421854 -9178631797 "
+      "-11110563333590 -1085579451615 -11011768678073 1112062495726 730678341938 "
+      "-550129739358 7137084737504 -722858552507 -1333633993726 125167333262 11227920414112 "
+      "2296516978130 1382804816842\n"
+      "val 4 1.6161041707600288e-05 7.1459808392000268e-09 4.2920858578204117e-11 "
+      "4.3335453550796601e-05\n"
+      "key 19 1 900000000000000 26999999999999996 14 16540000000 16540000000 16540000000 "
+      "16540000000 16540000000 16540000000 180000000 180000000 180000000 180000000 "
+      "180000000 180000000 2752 2752 0\n"
+      "val 4 1.5299755014435429e-05 7.2751524044664771e-09 1.9999999999999999e-11 "
+      "4.3373456954211326e-05\n";
+  EngineConfig config;
+  config.adaptive_timestep = true;
+  EvaluationEngine engine(
+      circuits::make_testbench(circuits::Testcase::Sal, circuits::Backend::Spice), config);
+  std::istringstream in(frame);
+  engine.load_state(in);
+  std::ostringstream out;
+  engine.save_state(out);
+  EXPECT_EQ(out.str(), frame);
+
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.requested, 3u);
+  EXPECT_EQ(stats.dc_warm_hits, 2u);
+  EXPECT_EQ(stats.dc_warm_misses, 1u);
+  EXPECT_EQ(stats.dc_warm_stores, 1u);
+  EXPECT_EQ(stats.steps_accepted, 707u);
+  EXPECT_EQ(stats.steps_rejected, 34u);
+  EXPECT_EQ(engine.cache_size(), 3u);
+  spice::set_adaptive_timestep_default(false);  // the engine set it process-wide
 }
 
 }  // namespace

@@ -330,6 +330,46 @@ TEST(RunSpec, DefaultSpecIsValidAndRoundTrips) {
   EXPECT_EQ(core::RunSpec::from_string(spec.to_string()), spec);
 }
 
+// Checkpoints and glova-serve spools written before batched_draws and
+// newton_bypass were retired carry both keys at 0.  They must keep loading;
+// re-saving drops exactly those two tokens and is then a byte fixed point.
+TEST(RunSpec, SpecWrittenWithTheRetiredKeysStillLoads) {
+  const std::string saved =
+      "testcase=FIA backend=behavioral algorithm=glova method=C corner_filter=all seed=7 "
+      "max_iterations=3000 n_opt_samples=3 use_ensemble_critic=1 use_mu_sigma=1 "
+      "use_reordering=1 max_simulations=0 budget_iterations=0 max_wall_seconds=0 "
+      "cost_per_simulation=1 cost_per_rl_iteration=2 parallelism=0 min_parallel_batch=8 "
+      "cache_capacity=4096 cache_quantum=1.0000000000000001e-15 dc_warm_start=1 "
+      "batched_draws=0 adaptive_timestep=1 newton_bypass=0 recovery=0 mos_model=level1 "
+      "spice_noise=0 max_eval_retries=0 eval_deadline_steps=0 degrade_to_behavioral=0 "
+      "cache_path= surrogate=0 surrogate_keep=0.5 surrogate_warmup=64 progress_log=0";
+  const core::RunSpec spec = core::RunSpec::from_string(saved);
+  EXPECT_EQ(spec.testcase, circuits::Testcase::Fia);
+  EXPECT_EQ(spec.seed, 7u);
+  EXPECT_TRUE(spec.engine.adaptive_timestep);
+
+  std::string expected = saved;
+  for (const std::string token : {" batched_draws=0", " newton_bypass=0"}) {
+    expected.erase(expected.find(token), token.size());
+  }
+  const std::string resaved = spec.to_string();
+  EXPECT_EQ(resaved, expected);
+  EXPECT_EQ(core::RunSpec::from_string(resaved).to_string(), resaved);
+}
+
+TEST(RunSpec, RetiredKeysRejectOneWithADocsPointer) {
+  for (const char* text : {"batched_draws=1", "newton_bypass=1"}) {
+    try {
+      (void)core::RunSpec::from_string(text);
+      FAIL() << "expected std::invalid_argument for " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("docs/run_spec.md#retired-keys"), std::string::npos)
+          << e.what();
+    }
+  }
+  EXPECT_EQ(core::RunSpec::from_string("batched_draws=0 newton_bypass=off"), core::RunSpec{});
+}
+
 TEST(RunSpec, FromStringRejectsGarbage) {
   EXPECT_THROW((void)core::RunSpec::from_string("testcase=XYZ"), std::invalid_argument);
   EXPECT_THROW((void)core::RunSpec::from_string("algorithm=sgd"), std::invalid_argument);

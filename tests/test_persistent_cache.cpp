@@ -192,6 +192,41 @@ TEST(PersistentCache, EngineFlushesOnDestructionAndPreloadsOnConstruction) {
   EXPECT_EQ(warm.stats().cache_hits, 6u);
 }
 
+// The tag still spells the retired batch/bypass knobs as literal 0s, so memo
+// files written before their removal (whose tag this is for the default
+// config) keep loading instead of being rejected as foreign.
+TEST(PersistentCache, DefaultTagIsPinnedAndOlderMemoFilesStillLoad) {
+  EXPECT_EQ(core::memo_cache_tag("X", core::EngineConfig{}),
+            "X|q=1.0000000000000001e-15|warm=1|batched=0|adaptive=0|bypass=0|recovery=0"
+            "|retries=0|deadline=0|degrade=0|mos=level1|noise=0");
+
+  const std::string dir = fresh_dir("glova_memo_older_release");
+  core::EngineConfig cfg;
+  cfg.cache_path = dir + "/sal.memo";
+  {
+    std::ofstream os(cfg.cache_path);
+    os << "glova-memo v1\n"
+          "tag StrongARM latch|q=1.0000000000000001e-15|warm=1|batched=0|adaptive=0|bypass=0"
+          "|recovery=0|retries=0|deadline=0|degrade=0|mos=level1|noise=0\n"
+          "entries 1\n"
+          "key 19 1 900000000000000 26999999999999996 14 16540000000 16540000000 16540000000 "
+          "16540000000 16540000000 16540000000 180000000 180000000 180000000 180000000 "
+          "180000000 180000000 2752 2752 0\n"
+          "val 4 0.00040532783151035772 1.5801978999547426e-09 2.0674653238861908e-09 "
+          "4.3373456954211326e-05\n"
+          "surrogate-lines 0\n"
+          "end\n";
+  }
+  const auto tb = circuits::make_testbench(circuits::Testcase::Sal);
+  core::EvaluationEngine engine(tb, cfg);  // a tag mismatch would throw here
+  ASSERT_EQ(engine.cache_size(), 1u);
+  const auto x = midpoint_design(*tb);
+  EXPECT_EQ(engine.evaluate_one(x, pdk::typical_corner(), {}),
+            tb->evaluate(x, pdk::typical_corner(), {}));
+  EXPECT_EQ(engine.stats().executed, 0u);
+  EXPECT_EQ(engine.stats().cache_hits, 1u);
+}
+
 TEST(PersistentCache, FlushMergesWithEntriesAlreadyOnDisk) {
   const std::string dir = fresh_dir("glova_memo_merge");
   core::EngineConfig cfg;

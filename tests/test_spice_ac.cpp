@@ -4,42 +4,22 @@
 //   - common-source amplifier gain and output PSD against the hand-stamped
 //     small-signal model,
 //   - the noise-funnel invariant thermal^2 + flicker^2 == total^2,
-//   - EKV-vs-Level-1 agreement deep in strong inversion,
-//   - bit-identity of the batched evaluator against sequential runs with
-//     mos_model=ekv (the model dispatch must not break lockstep parity).
+//   - EKV-vs-Level-1 agreement deep in strong inversion.
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <vector>
 
-#include "backend_parity_grid.hpp"
-#include "circuits/registry.hpp"
-#include "common/rng.hpp"
 #include "common/units.hpp"
 #include "pdk/corner.hpp"
 #include "pdk/mos_params.hpp"
-#include "pdk/variation.hpp"
 #include "spice/ac.hpp"
 #include "spice/circuit.hpp"
 #include "spice/mos_model.hpp"
 #include "spice/simulator.hpp"
-#include "spice/warm_start.hpp"
 
 namespace glova::spice {
 namespace {
-
-class ScopedMosModel {
- public:
-  explicit ScopedMosModel(MosModel model) : prev_(mos_model_default()) {
-    set_mos_model_default(model);
-  }
-  ~ScopedMosModel() { set_mos_model_default(prev_); }
-  ScopedMosModel(const ScopedMosModel&) = delete;
-  ScopedMosModel& operator=(const ScopedMosModel&) = delete;
-
- private:
-  MosModel prev_;
-};
 
 // ------------------------------------------------------------------ RC ----
 
@@ -254,61 +234,6 @@ TEST(MosModels, EkvConductsInWeakInversion) {
   const double n_vt = pdk::kEkvSlopeFactor * units::thermal_voltage(p.temp_k);
   EXPECT_NEAR(ekv.gm, ekv.id / n_vt, 0.05 * ekv.gm);
 }
-
-// ------------------------------------------------- batched ekv parity ----
-
-/// A nominal lane plus deterministic local draws (same recipe as
-/// test_spice_batch.cpp).
-std::vector<std::vector<double>> draw_group(const circuits::Testbench& tb,
-                                            std::span<const double> x, std::size_t count,
-                                            std::uint64_t seed) {
-  Rng rng(seed);
-  const auto layout = tb.mismatch_layout(x, false);
-  auto hs = pdk::sample_mismatch_set(layout, count, rng, pdk::GlobalMode::Zero);
-  hs.insert(hs.begin(), std::vector<double>{});
-  return hs;
-}
-
-class BatchedEkvParity : public ::testing::TestWithParam<int> {};
-
-// The model dispatch is a plan constant shared by the scalar and batched
-// kernels, so the lockstep bit-identity promise must survive mos_model=ekv
-// — including at the cold corner only ekv can evaluate.
-TEST_P(BatchedEkvParity, BitIdenticalToSequentialUnderEkv) {
-  const circuits::Testcase tc = circuits::all_testcases()[GetParam()];
-  const ScopedMosModel guard(MosModel::kEkv);
-  set_adaptive_timestep_default(false);
-  set_newton_bypass_default(false);
-  const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
-
-  const auto designs = parity_grid::designs_x01(tc);
-  auto corners = parity_grid::corners();
-  corners.push_back(parity_grid::cold_low_voltage_corner());
-  for (std::size_t d = 0; d < 2; ++d) {  // two designs bound the runtime
-    const auto x = tb->sizing().denormalize(designs[d]);
-    const auto hs = draw_group(*tb, x, 2, 100 + d);
-    for (std::size_t c = 0; c < corners.size(); ++c) {
-      thread_local_dc_cache().clear();
-      std::vector<std::vector<double>> seq;
-      for (const auto& h : hs) seq.push_back(tb->evaluate(x, corners[c], h));
-
-      thread_local_dc_cache().clear();
-      const auto bat = tb->evaluate_draws(x, corners[c], hs);
-
-      ASSERT_EQ(bat.size(), seq.size());
-      for (std::size_t i = 0; i < seq.size(); ++i) {
-        ASSERT_EQ(bat[i].size(), seq[i].size());
-        for (std::size_t mi = 0; mi < seq[i].size(); ++mi) {
-          EXPECT_EQ(bat[i][mi], seq[i][mi])
-              << circuits::to_string(tc) << " design " << d << " corner " << c << " draw " << i
-              << " metric " << mi;
-        }
-      }
-    }
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(AllTestcases, BatchedEkvParity, ::testing::Range(0, 3));
 
 }  // namespace
 }  // namespace glova::spice

@@ -1,18 +1,21 @@
 // LTE-adaptive timestep tests: controller bookkeeping (accepted/rejected
 // counters, dt trace) on a stiff clocked circuit, agreement with the fixed
-// reference grid, and the process-wide step counters the evaluation engine
-// surfaces.
+// reference grid (on that circuit and on every SPICE testbench's metrics),
+// and the process-wide step counters the evaluation engine surfaces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
 #include <numeric>
 
+#include "backend_parity_grid.hpp"
+#include "circuits/registry.hpp"
 #include "pdk/corner.hpp"
 #include "pdk/mos_params.hpp"
 #include "spice/circuit.hpp"
 #include "spice/counters.hpp"
 #include "spice/simulator.hpp"
+#include "spice/warm_start.hpp"
 
 namespace glova::spice {
 namespace {
@@ -119,6 +122,45 @@ TEST(AdaptiveTimestep, ProcessCountersMirrorResultCounters) {
   EXPECT_EQ(c.steps_rejected, res.steps_rejected);
   reset_spice_counters();
 }
+
+class AdaptiveTestbenchMetrics : public ::testing::TestWithParam<int> {};
+
+// Every SPICE testbench's metrics on the adaptive grid stay within 3% of the
+// fixed grid, over two parity-grid designs, every parity corner, and a
+// nominal draw plus two local-mismatch draws.  The band is ~4x the worst
+// deviation observed across the parity grid (see docs/architecture.md).
+TEST_P(AdaptiveTestbenchMetrics, StayWithinToleranceBandOfTheFixedGrid) {
+  const circuits::Testcase tc = circuits::all_testcases()[GetParam()];
+  const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
+  const auto designs = parity_grid::designs_x01(tc);
+  const auto corners = parity_grid::corners();
+  for (std::size_t d = 0; d < 2; ++d) {  // two designs bound the runtime
+    const auto x = tb->sizing().denormalize(designs[d]);
+    Rng rng(100 + d);
+    auto hs = pdk::sample_mismatch_set(tb->mismatch_layout(x, false), 2, rng,
+                                       pdk::GlobalMode::Zero);
+    hs.insert(hs.begin(), std::vector<double>{});
+    for (std::size_t c = 0; c < corners.size(); ++c) {
+      for (std::size_t i = 0; i < hs.size(); ++i) {
+        set_adaptive_timestep_default(false);
+        thread_local_dc_cache().clear();
+        const auto fixed = tb->evaluate(x, corners[c], hs[i]);
+        set_adaptive_timestep_default(true);
+        thread_local_dc_cache().clear();
+        const auto adaptive = tb->evaluate(x, corners[c], hs[i]);
+        set_adaptive_timestep_default(false);
+        ASSERT_EQ(adaptive.size(), fixed.size());
+        for (std::size_t mi = 0; mi < fixed.size(); ++mi) {
+          EXPECT_NEAR(adaptive[mi], fixed[mi], 0.03 * std::abs(fixed[mi]) + 1e-12)
+              << circuits::to_string(tc) << " design " << d << " corner " << c << " draw " << i
+              << " metric " << mi;
+        }
+      }
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(AllTestcases, AdaptiveTestbenchMetrics, ::testing::Range(0, 3));
 
 }  // namespace
 }  // namespace glova::spice

@@ -1,7 +1,6 @@
 // Convergence-recovery ladder, evaluation deadlines, and deterministic fault
 // injection: every rescue rung (DC gmin stepping, transient substep cutting,
-// restart-from-DC), the cooperative Newton-iteration deadline, scalar/batch
-// failure-message parity, per-lane escalation inside a batch, the engine's
+// restart-from-DC), the cooperative Newton-iteration deadline, the engine's
 // retry / degrade funnel, and the defaults-off bit-identity guarantee.
 #include <gtest/gtest.h>
 
@@ -14,7 +13,6 @@
 #include "circuits/registry.hpp"
 #include "circuits/testbench.hpp"
 #include "core/evaluation_engine.hpp"
-#include "spice/batch.hpp"
 #include "spice/circuit.hpp"
 #include "spice/counters.hpp"
 #include "spice/simulator.hpp"
@@ -259,103 +257,6 @@ TEST(Recovery, DeadlineAbortsDeterministically) {
     EXPECT_EQ(res.error, res.failure.to_string());
   }
   EXPECT_EQ(spice_counters().deadline_aborts, before.deadline_aborts + 1);
-
-  // Per lane in the batched evaluator: the same deadline, the same stage.
-  const FaultPlan fp2 = one_site(0, kAll, FaultPlan::Kind::SlowConverge, 50);
-  ScopedFaults guard(&fp2);
-  std::vector<Circuit> lanes;
-  lanes.push_back(rc_circuit());
-  BatchSimulator batch(lanes, opts);
-  const auto results = batch.transient(rc_spec());
-  ASSERT_EQ(results.size(), 1u);
-  EXPECT_FALSE(results[0].ok);
-  EXPECT_EQ(results[0].failure.stage, FailureStage::Deadline);
-}
-
-// Satellite guarantee: the sequential and batched evaluators render the same
-// structured report — byte-identical error strings for the same failure.
-TEST(Recovery, FailureMessagesMatchBetweenScalarAndBatch) {
-  const Circuit ckt = rc_circuit();
-  const TransientSpec spec = rc_spec();
-
-  TransientResult scalar;
-  {
-    const FaultPlan fp = one_site(3, 4, FaultPlan::Kind::NonConverge);
-    ScopedFaults guard(&fp);
-    Simulator sim(ckt, SimulatorOptions{});
-    scalar = sim.transient(spec);
-  }
-  std::vector<TransientResult> batch_res;
-  {
-    const FaultPlan fp = one_site(3, 4, FaultPlan::Kind::NonConverge);
-    ScopedFaults guard(&fp);
-    std::vector<Circuit> lanes;
-    lanes.push_back(ckt);
-    BatchSimulator batch(lanes, SimulatorOptions{});
-    batch_res = batch.transient(spec);
-  }
-  ASSERT_EQ(batch_res.size(), 1u);
-  EXPECT_FALSE(scalar.ok);
-  EXPECT_FALSE(batch_res[0].ok);
-  EXPECT_EQ(scalar.failure.stage, batch_res[0].failure.stage);
-  EXPECT_DOUBLE_EQ(scalar.failure.time, batch_res[0].failure.time);
-  EXPECT_EQ(scalar.failure.worst_node, batch_res[0].failure.worst_node);
-  EXPECT_EQ(scalar.error, batch_res[0].error);
-}
-
-TEST(Recovery, BatchLaneEscalatesAloneWithoutDisturbingItsNeighbors) {
-  std::vector<Circuit> lanes;
-  lanes.push_back(rc_circuit(1e3));
-  lanes.push_back(rc_circuit(1.5e3));
-  lanes.push_back(rc_circuit(2e3));
-  const TransientSpec spec = rc_spec();
-  SimulatorOptions opts;
-
-  BatchSimulator ref(lanes, opts);
-  const auto reference = ref.transient(spec);
-  for (const auto& r : reference) ASSERT_TRUE(r.ok) << r.error;
-
-  // Solve numbering inside a batch: one DC solve per lane (0..2), then one
-  // index per alive lane per timestep in lane order.  Index 7 is lane 1 at
-  // the second timestep.
-  const std::uint64_t lane1_step2 = 3 + 3 + 1;
-
-  // Recovery off: the faulted lane is retired alone; the others finish with
-  // bit-identical traces.
-  {
-    const FaultPlan fp = one_site(lane1_step2, lane1_step2 + 1, FaultPlan::Kind::NonConverge);
-    ScopedFaults guard(&fp);
-    BatchSimulator batch(lanes, opts);
-    const auto results = batch.transient(spec);
-    EXPECT_TRUE(results[0].ok);
-    EXPECT_FALSE(results[1].ok);
-    EXPECT_TRUE(results[2].ok);
-    EXPECT_EQ(results[1].failure.stage, FailureStage::TransientNewton);
-    EXPECT_DOUBLE_EQ(results[1].failure.time, 2e-12);
-    EXPECT_EQ(results[0].trace("out"), reference[0].trace("out"));
-    EXPECT_EQ(results[2].trace("out"), reference[2].trace("out"));
-  }
-
-  // Recovery on: only the failing lane escalates (scalar substep rescue);
-  // untouched lanes stay bit-identical, the rescued one lands within the
-  // substeps' tolerance.
-  const SpiceCounters before = spice_counters();
-  const FaultPlan fp = one_site(lane1_step2, lane1_step2 + 1, FaultPlan::Kind::NonConverge);
-  ScopedFaults guard(&fp);
-  SimulatorOptions armed = opts;
-  armed.recovery.enabled = true;
-  BatchSimulator batch(lanes, armed);
-  const auto results = batch.transient(spec);
-  for (const auto& r : results) ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(spice_counters().recovered_transient, before.recovered_transient + 1);
-  EXPECT_EQ(results[0].trace("out"), reference[0].trace("out"));
-  EXPECT_EQ(results[2].trace("out"), reference[2].trace("out"));
-  const auto& rescued = results[1].trace("out");
-  const auto& lane1_ref = reference[1].trace("out");
-  ASSERT_EQ(rescued.size(), lane1_ref.size());
-  for (std::size_t i = 0; i < rescued.size(); ++i) {
-    EXPECT_NEAR(rescued[i], lane1_ref[i], 5e-2) << "sample " << i;
-  }
 }
 
 TEST(Recovery, EscalationLevelsShapeTheDefaultOptions) {
@@ -379,7 +280,6 @@ TEST(Recovery, EscalationLevelsShapeTheDefaultOptions) {
 /// Restore every process-wide simulator switch the engine tests touch.
 void reset_simulator_defaults() {
   set_adaptive_timestep_default(false);
-  set_newton_bypass_default(false);
   set_recovery_default(false);
   set_deadline_default(0);
   set_recovery_escalation(0);
