@@ -41,9 +41,6 @@ BenchOptions options_from_env() {
     }
     opt.mos_model = s;
   }
-  if (const char* s = std::getenv("GLOVA_BENCH_SPICE_NOISE")) {
-    opt.spice_noise = s[0] != '\0' && s[0] != '0';
-  }
   if (const char* s = std::getenv("GLOVA_BENCH_CORNERS")) {
     if (std::string_view(s) != "all" && std::string_view(s) != "cold_lv") {
       fprintf(stderr, "GLOVA_BENCH_CORNERS: unknown corner_filter '%s' (all, cold_lv)\n", s);
@@ -73,7 +70,6 @@ CellStats run_cell(Method method, circuits::Testcase testcase, core::VerifMethod
   sweep.base.use_mu_sigma = options.use_mu_sigma;
   sweep.base.use_reordering = options.use_reordering;
   sweep.base.engine.mos_model = options.mos_model;
-  sweep.base.engine.spice_noise = options.spice_noise;
   sweep.base.corner_filter = options.corner_filter;
   sweep.seeds.reserve(options.seeds);
   for (std::uint64_t seed = 1; seed <= options.seeds; ++seed) sweep.seeds.push_back(seed);

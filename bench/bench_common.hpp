@@ -10,8 +10,6 @@
 //                       engine (see circuits::available_backends)
 //   GLOVA_BENCH_MOS_MODEL (default level1) SPICE MOSFET channel model
 //                       (RunSpec engine.mos_model: level1 or ekv)
-//   GLOVA_BENCH_SPICE_NOISE (default 0) simulated AC/noise pass in place of
-//                       the analytic budget (RunSpec engine.spice_noise)
 //   GLOVA_BENCH_CORNERS (default all) corner_filter: "all" or "cold_lv"
 //                       (only the coldest low-voltage corner)
 #pragma once
@@ -62,9 +60,6 @@ struct BenchOptions {
   /// SPICE MOSFET channel model (GLOVA_BENCH_MOS_MODEL), forwarded to
   /// RunSpec engine.mos_model.
   std::string mos_model = "level1";
-  /// Simulated AC/noise pass (GLOVA_BENCH_SPICE_NOISE), forwarded to
-  /// RunSpec engine.spice_noise.
-  bool spice_noise = false;
   /// PVT corner-set restriction (GLOVA_BENCH_CORNERS), forwarded to
   /// RunSpec corner_filter.
   std::string corner_filter = "all";

@@ -245,7 +245,7 @@ BENCHMARK(BM_AgentUpdate);
 
 // One forward and one backward with parameter gradients of a batch of n
 // samples through a critic member ({14, 64, 64, 64, 1}); n = 1 is the
-// single-sample cost of bound(), propose() and the engine surrogate.
+// single-sample cost of bound() and propose().
 static void BM_MlpBatch(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));
   Rng rng(7);

@@ -6,8 +6,6 @@
 // cells (w/o mu-sigma and w/o SR under C) are printed as n/a: under
 // corner-only verification there is nothing for those components to save.
 // Paper values from Kim et al., DAC 2025, Table III.
-#include <cmath>
-#include <cstdint>
 #include <cstdio>
 
 #include "bench_common.hpp"
@@ -82,46 +80,5 @@ int main() {
   }
   printf("\nExpected shape: every ablation raises simulations; w/o EC raises iterations most;\n"
          "w/o mu-sigma and w/o SR blow up the verification-phase simulation count.\n");
-
-  // Speculative-evaluation axis (docs/architecture.md#speculative-evaluation):
-  // the surrogate is not a paper ablation, so it gets its own section — same
-  // cell run with engine.surrogate off and on, reporting the executed-
-  // simulation savings the funnel bought and the result drift it cost.
-  // Behavioral SAL keeps the cell fast enough to run per seed.
-  printf("\nSpeculative evaluation — surrogate pre-ranking (SAL behavioral, C-MC_L)\n");
-  printf("%-5s | %-10s %-10s %-8s | %-10s %-10s %-8s | %s\n", "seed", "exec(off)", "exec(on)",
-         "saved%", "worst(off)", "worst(on)", "drift%", "band");
-  const double kDriftBandPct = 5.0;  // documented tolerance band
-  double worst_drift = 0.0;
-  for (std::uint64_t seed = 1; seed <= options.seeds; ++seed) {
-    core::RunSpec spec;
-    spec.testcase = circuits::Testcase::Sal;
-    spec.backend = circuits::Backend::Behavioral;
-    spec.method = core::VerifMethod::C_MCL;
-    spec.seed = seed;
-    spec.max_iterations = options.max_iterations;
-
-    core::RunSpec on = spec;
-    on.engine.surrogate = true;
-
-    const core::GlovaResult off_result = core::make_optimizer(spec)->run();
-    const core::GlovaResult on_result = core::make_optimizer(on)->run();
-
-    const double exec_off = static_cast<double>(off_result.engine_stats.executed);
-    const double exec_on = static_cast<double>(on_result.engine_stats.executed);
-    const double saved_pct = exec_off > 0.0 ? 100.0 * (exec_off - exec_on) / exec_off : 0.0;
-    const double worst_off =
-        off_result.trace.empty() ? 0.0 : off_result.trace.back().reward_worst;
-    const double worst_on = on_result.trace.empty() ? 0.0 : on_result.trace.back().reward_worst;
-    const double denom = std::abs(worst_off) > 1e-12 ? std::abs(worst_off) : 1e-12;
-    const double drift_pct = 100.0 * std::abs(worst_on - worst_off) / denom;
-    if (drift_pct > worst_drift) worst_drift = drift_pct;
-    printf("%-5llu | %-10.6g %-10.6g %-8.3g | %-10.6g %-10.6g %-8.3g | %s\n",
-           static_cast<unsigned long long>(seed), exec_off, exec_on, saved_pct, worst_off,
-           worst_on, drift_pct, drift_pct <= kDriftBandPct ? "PASS" : "WARN");
-  }
-  printf("Drift band: worst final-design reward within %.3g%% of the surrogate-off run\n"
-         "(worst observed %.3g%%; WARN = speculation cost exceeded the documented band).\n",
-         kDriftBandPct, worst_drift);
   return 0;
 }

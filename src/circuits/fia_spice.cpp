@@ -26,7 +26,6 @@
 
 #include "circuits/parasitics.hpp"
 #include "common/units.hpp"
-#include "spice/ac.hpp"
 #include "spice/measure.hpp"
 #include "spice/warm_start.hpp"
 
@@ -58,8 +57,7 @@ FloatingInverterAmplifierSpice::FloatingInverterAmplifierSpice() = default;
 
 spice::Circuit FloatingInverterAmplifierSpice::build_netlist(std::span<const double> x,
                                                              const pdk::PvtCorner& corner,
-                                                             std::span<const double> h,
-                                                             bool amplify_phase_dc) const {
+                                                             std::span<const double> h) const {
   if (x.size() != FiaSizing::kCount) throw std::invalid_argument("FIA spice: bad sizing vector");
   if (!h.empty() && h.size() != 2 * kFiaDeviceCount) {
     throw std::invalid_argument("FIA spice: bad mismatch vector");
@@ -84,30 +82,15 @@ spice::Circuit FloatingInverterAmplifierSpice::build_netlist(std::span<const dou
 
   ckt.add_vsource("VDD", vdd_n, gnd, spice::Waveform::dc(vdd));
   const double vcm = cond.vcm_frac * vdd;
-  if (amplify_phase_dc) {
-    // Noise testbench: the floating reservoir has no DC path, so pin its
-    // rails to ideal sources (the freshly-precharged state), hold every
-    // switch and clamp off, and drive both inputs at the common mode.  The
-    // DC solve then lands on the amplifying operating point the small-signal
-    // pass linearizes around.
-    ckt.add_vsource("VPC", pc, gnd, spice::Waveform::dc(vdd));
-    ckt.add_vsource("VRSTN", rstn, gnd, spice::Waveform::dc(0.0));
-    ckt.add_vsource("VREST", res_top, gnd, spice::Waveform::dc(vdd));
-    ckt.add_vsource("VRESB", res_bot, gnd, spice::Waveform::dc(0.0));
-    ckt.add_vsource("VCMO", vcm_o, gnd, spice::Waveform::dc(0.5 * vdd));
-    ckt.add_vsource("VINP", inp, gnd, spice::Waveform::dc(vcm));
-    ckt.add_vsource("VINN", inn, gnd, spice::Waveform::dc(vcm));
-  } else {
-    // Controls: pc rises (top switch off) while rstn falls (bottom switch and
-    // output clamps off) at the hold -> amplify transition.
-    ckt.add_vsource("VPC", pc, gnd,
-                    spice::Waveform::pulse(0.0, vdd, kHold, kEdge, kEdge, 1.0, 0.0));
-    ckt.add_vsource("VRSTN", rstn, gnd,
-                    spice::Waveform::pulse(vdd + kBoost, 0.0, kHold, kEdge, kEdge, 1.0, 0.0));
-    ckt.add_vsource("VCMO", vcm_o, gnd, spice::Waveform::dc(0.5 * vdd));
-    ckt.add_vsource("VINP", inp, gnd, spice::Waveform::dc(vcm + 0.5 * cond.v_probe));
-    ckt.add_vsource("VINN", inn, gnd, spice::Waveform::dc(vcm - 0.5 * cond.v_probe));
-  }
+  // Controls: pc rises (top switch off) while rstn falls (bottom switch and
+  // output clamps off) at the hold -> amplify transition.
+  ckt.add_vsource("VPC", pc, gnd,
+                  spice::Waveform::pulse(0.0, vdd, kHold, kEdge, kEdge, 1.0, 0.0));
+  ckt.add_vsource("VRSTN", rstn, gnd,
+                  spice::Waveform::pulse(vdd + kBoost, 0.0, kHold, kEdge, kEdge, 1.0, 0.0));
+  ckt.add_vsource("VCMO", vcm_o, gnd, spice::Waveform::dc(0.5 * vdd));
+  ckt.add_vsource("VINP", inp, gnd, spice::Waveform::dc(vcm + 0.5 * cond.v_probe));
+  ckt.add_vsource("VINN", inn, gnd, spice::Waveform::dc(vcm - 0.5 * cond.v_probe));
 
   // Device instance order matches FloatingInverterAmplifier::devices():
   //   0 invn_a, 1 invn_b, 2 invp_a, 3 invp_b.
@@ -231,38 +214,9 @@ std::vector<double> FloatingInverterAmplifierSpice::metrics_from_transient(
   }
 
   // Noise: the analytic thermal/offset budget of this mismatch draw, with
-  // the latch-offset term attenuated by the measured gain.  With the
-  // engine's spice_noise knob on, the stationary thermal+flicker term comes
-  // from the simulated amplify-phase AC pass instead
-  // (docs/architecture.md#ac-noise); the offset and latch-referral terms
-  // keep the analytic decomposition either way.
-  FiaAnalysis budget = drawn;
-  if (spice::noise_analysis_default()) {
-    if (const std::optional<double> simulated = simulated_input_noise(x, corner, h)) {
-      budget.vn2_thermal = *simulated * *simulated;
-    }
-  }
-  const double noise = budget.noise_given_gain(gain, cond.latch_sigma);
+  // the latch-offset term attenuated by the measured gain.
+  const double noise = drawn.noise_given_gain(gain, cond.latch_sigma);
   return {energy, noise};
-}
-
-std::optional<double> FloatingInverterAmplifierSpice::simulated_input_noise(
-    std::span<const double> x, const pdk::PvtCorner& corner, std::span<const double> h) const {
-  const spice::Circuit ckt = build_netlist(x, corner, h, /*amplify_phase_dc=*/true);
-  spice::Simulator sim(ckt, spice::default_simulator_options());
-  const spice::OpResult op = sim.operating_point();
-  if (!op.converged) return std::nullopt;
-  spice::AcNoiseSpec spec;
-  spec.input = "VINP";
-  spec.output_pos = "out_a";
-  spec.output_neg = "out_b";
-  spec.f_start = 1e6;
-  spec.f_stop = 100e9;
-  spec.temp_k = corner.temp_k();
-  const spice::NoiseResult nr =
-      spice::noise_analysis(ckt, op, spec, spice::default_simulator_options());
-  if (!nr.ok || nr.gain_ref < 1e-3 || !std::isfinite(nr.input_noise_vrms)) return std::nullopt;
-  return nr.input_noise_vrms;
 }
 
 }  // namespace glova::circuits

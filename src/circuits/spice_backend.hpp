@@ -14,16 +14,12 @@
 //   * DramOcsaSubholeSpice — open-bitline charge sharing from a cell cap
 //     through a boosted access device into a cross-coupled sense amplifier
 //     with per-SA-share subhole drivers; one transient per data polarity.
-// Thermal noise defaults to the analytic budget (mirroring how dynamic
-// comparator noise is usually budgeted by hand).  When the engine's
-// `spice_noise` knob is on, the SAL and FIA backends instead linearize the
-// amplify-phase netlist at its DC operating point and integrate the
-// simulated thermal + flicker output noise through spice::noise_analysis()
-// (docs/architecture.md#ac-noise), falling back to the analytic budget only
-// when the small-signal pass fails.
+// Thermal noise is the analytic budget (mirroring how dynamic comparator
+// noise is usually budgeted by hand); a latch's noise is a time-domain
+// quantity, which a stationary small-signal pass around one operating point
+// does not measure.
 #pragma once
 
-#include <optional>
 #include <utility>
 
 #include "circuits/dram_ocsa.hpp"
@@ -59,14 +55,10 @@ class StrongArmLatchSpice final : public Testbench {
 
   [[nodiscard]] const Testbench* degraded_fallback() const override { return &behavioral_; }
 
-  /// Build the SAL netlist for inspection (Fig. 4 reproduction).  With
-  /// `amplify_phase_dc` the clock is held DC-high: the latch then has a
-  /// (metastable, symmetric) amplify-phase operating point the small-signal
-  /// noise pass can linearize around.
+  /// Build the SAL netlist for inspection (Fig. 4 reproduction).
   [[nodiscard]] spice::Circuit build_netlist(std::span<const double> x,
                                              const pdk::PvtCorner& corner,
-                                             std::span<const double> h,
-                                             bool amplify_phase_dc = false) const;
+                                             std::span<const double> h) const;
 
  private:
   /// Metric extraction from a converged transient.
@@ -74,12 +66,6 @@ class StrongArmLatchSpice final : public Testbench {
                                                            std::span<const double> x,
                                                            const pdk::PvtCorner& corner,
                                                            std::span<const double> h) const;
-
-  /// Simulated input-referred noise from the amplify-phase AC pass; empty
-  /// when the operating point or the linear solve does not cooperate.
-  [[nodiscard]] std::optional<double> simulated_input_noise(std::span<const double> x,
-                                                            const pdk::PvtCorner& corner,
-                                                            std::span<const double> h) const;
 
   std::string name_ = "StrongARM latch (SPICE)";
   StrongArmLatch behavioral_;  // reuses specs, layout, and noise budget
@@ -107,13 +93,9 @@ class FloatingInverterAmplifierSpice final : public Testbench {
   [[nodiscard]] const Testbench* degraded_fallback() const override { return &behavioral_; }
 
   /// Build the FIA netlist for inspection (reservoir, switches, inverters).
-  /// With `amplify_phase_dc` the floating reservoir is replaced by ideal
-  /// rails (switches on, clamps off): the amplify-phase small-signal pass
-  /// needs a DC path the floating cap cannot provide.
   [[nodiscard]] spice::Circuit build_netlist(std::span<const double> x,
                                              const pdk::PvtCorner& corner,
-                                             std::span<const double> h,
-                                             bool amplify_phase_dc = false) const;
+                                             std::span<const double> h) const;
 
  private:
   /// Metric extraction from a converged transient.
@@ -122,12 +104,6 @@ class FloatingInverterAmplifierSpice final : public Testbench {
                                                            const pdk::PvtCorner& corner,
                                                            std::span<const double> h,
                                                            double t_stop) const;
-
-  /// Simulated input-referred noise from the amplify-phase AC pass; empty
-  /// when the operating point or the linear solve does not cooperate.
-  [[nodiscard]] std::optional<double> simulated_input_noise(std::span<const double> x,
-                                                            const pdk::PvtCorner& corner,
-                                                            std::span<const double> h) const;
 
   std::string name_ = "Floating inverter amplifier (SPICE)";
   FloatingInverterAmplifier behavioral_;  // specs, layout, noise decomposition

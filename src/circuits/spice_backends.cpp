@@ -5,7 +5,6 @@
 
 #include "circuits/parasitics.hpp"
 #include "common/units.hpp"
-#include "spice/ac.hpp"
 #include "spice/measure.hpp"
 #include "spice/warm_start.hpp"
 
@@ -37,8 +36,7 @@ StrongArmLatchSpice::StrongArmLatchSpice() = default;
 
 spice::Circuit StrongArmLatchSpice::build_netlist(std::span<const double> x,
                                                   const pdk::PvtCorner& corner,
-                                                  std::span<const double> h,
-                                                  bool amplify_phase_dc) const {
+                                                  std::span<const double> h) const {
   if (x.size() != SalSizing::kCount) throw std::invalid_argument("SAL spice: bad sizing vector");
   if (!h.empty() && h.size() != 22) throw std::invalid_argument("SAL spice: bad mismatch vector");
   const double vdd = corner.vdd;
@@ -60,20 +58,11 @@ spice::Circuit StrongArmLatchSpice::build_netlist(std::span<const double> x,
   ckt.add_vsource("VDD", vdd_n, gnd, spice::Waveform::dc(vdd));
   const double vin = behavioral_.conditions().v_input_diff;
   const double vcm = behavioral_.conditions().input_cm_frac * vdd;
-  if (amplify_phase_dc) {
-    // Noise testbench: hold the clock DC-high and drive both inputs at the
-    // common mode, so the DC solve lands on the symmetric (metastable)
-    // amplify-phase operating point rather than a latched rail state.
-    ckt.add_vsource("VCLK", clk, gnd, spice::Waveform::dc(vdd));
-    ckt.add_vsource("VINP", inp, gnd, spice::Waveform::dc(vcm));
-    ckt.add_vsource("VINN", inn, gnd, spice::Waveform::dc(vcm));
-  } else {
-    ckt.add_vsource("VCLK", clk, gnd,
-                    spice::Waveform::pulse(0.0, vdd, kClkRise, kEdge, kEdge, kClkFall - kClkRise,
-                                           0.0));
-    ckt.add_vsource("VINP", inp, gnd, spice::Waveform::dc(vcm + 0.5 * vin));
-    ckt.add_vsource("VINN", inn, gnd, spice::Waveform::dc(vcm - 0.5 * vin));
-  }
+  ckt.add_vsource("VCLK", clk, gnd,
+                  spice::Waveform::pulse(0.0, vdd, kClkRise, kEdge, kEdge, kClkFall - kClkRise,
+                                         0.0));
+  ckt.add_vsource("VINP", inp, gnd, spice::Waveform::dc(vcm + 0.5 * vin));
+  ckt.add_vsource("VINN", inn, gnd, spice::Waveform::dc(vcm - 0.5 * vin));
 
   // Device instance order matches StrongArmLatch::devices():
   //   0 tail, 1-2 input pair, 3-4 cross NMOS, 5-6 cross PMOS,
@@ -212,39 +201,10 @@ std::vector<double> StrongArmLatchSpice::metrics_from_transient(
   const double e_cycle = spice::supply_energy(t, res.trace("I(VDD)"), vdd, 0.0, kTStop);
   const double power = std::max(0.0, e_cycle) * behavioral_.conditions().clock_hz;
 
-  // Noise: analytic kT/C budget from the behavioral model by default; the
-  // engine's spice_noise knob swaps in the simulated amplify-phase AC pass
-  // (docs/architecture.md#ac-noise), keeping the analytic budget as the
-  // fallback when the small-signal solve fails.
-  double noise = behavioral_.evaluate(x, corner, h)[3];
-  if (spice::noise_analysis_default()) {
-    if (const std::optional<double> simulated = simulated_input_noise(x, corner, h)) {
-      noise = *simulated;
-    }
-  }
+  // Noise: the analytic kT/C budget from the behavioral model.
+  const double noise = behavioral_.evaluate(x, corner, h)[3];
 
   return {power, set_delay, reset_delay, noise};
-}
-
-std::optional<double> StrongArmLatchSpice::simulated_input_noise(
-    std::span<const double> x, const pdk::PvtCorner& corner, std::span<const double> h) const {
-  const spice::Circuit ckt = build_netlist(x, corner, h, /*amplify_phase_dc=*/true);
-  spice::Simulator sim(ckt, spice::default_simulator_options());
-  const spice::OpResult op = sim.operating_point();
-  if (!op.converged) return std::nullopt;
-  spice::AcNoiseSpec spec;
-  spec.input = "VINP";
-  spec.output_pos = "out_a";
-  spec.output_neg = "out_b";
-  // Band: well below the amplify-phase bandwidth up to far past it, so the
-  // integrated output noise covers the full equivalent noise bandwidth.
-  spec.f_start = 1e6;
-  spec.f_stop = 100e9;
-  spec.temp_k = corner.temp_k();
-  const spice::NoiseResult nr =
-      spice::noise_analysis(ckt, op, spec, spice::default_simulator_options());
-  if (!nr.ok || nr.gain_ref < 1e-3 || !std::isfinite(nr.input_noise_vrms)) return std::nullopt;
-  return nr.input_noise_vrms;
 }
 
 }  // namespace glova::circuits

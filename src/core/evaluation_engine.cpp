@@ -4,9 +4,7 @@
 #include <cctype>
 #include <chrono>
 #include <cmath>
-#include <limits>
 #include <memory>
-#include <numeric>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -15,7 +13,6 @@
 #include "common/log.hpp"
 #include "common/state_io.hpp"
 #include "core/persistent_cache.hpp"
-#include "core/surrogate.hpp"
 #include "spice/counters.hpp"
 #include "spice/simulator.hpp"
 #include "spice/warm_start.hpp"
@@ -45,9 +42,6 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
   if (config_.max_eval_retries < 0) {
     throw std::invalid_argument("EvaluationEngine: max_eval_retries must be >= 0");
   }
-  if (config_.surrogate_keep <= 0.0 || config_.surrogate_keep > 1.0) {
-    throw std::invalid_argument("EvaluationEngine: surrogate_keep must be in (0, 1]");
-  }
   for (const char c : config_.cache_path) {
     // The RunSpec grammar is space-separated; a path that cannot round-trip
     // through it is rejected up front rather than corrupting a checkpoint.
@@ -60,7 +54,6 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
   }
   spice::set_mos_model_default(config_.mos_model == "ekv" ? spice::MosModel::kEkv
                                                           : spice::MosModel::kLevel1);
-  spice::set_noise_analysis_default(config_.spice_noise);
   spice::set_dc_warm_start_enabled(config_.dc_warm_start);
   spice::set_adaptive_timestep_default(config_.adaptive_timestep);
   spice::set_recovery_default(config_.recovery);
@@ -186,16 +179,6 @@ void EvaluationEngine::load_persistent_cache() {
       index_.emplace(lru_.back().first, std::prev(lru_.end()));
     }
   }
-  if (config_.surrogate && !file->surrogate_state.empty()) {
-    SurrogateConfig cfg;
-    cfg.keep = config_.surrogate_keep;
-    cfg.warmup = config_.surrogate_warmup;
-    auto model = std::make_unique<SurrogateModel>(cfg);
-    std::istringstream ss(file->surrogate_state);
-    model->load(ss);
-    const std::lock_guard<std::mutex> lock(surrogate_mutex_);
-    surrogate_ = std::move(model);
-  }
 }
 
 void EvaluationEngine::flush_persistent_cache() {
@@ -206,14 +189,6 @@ void EvaluationEngine::flush_persistent_cache() {
     const std::lock_guard<std::mutex> lock(cache_mutex_);
     file.entries.reserve(lru_.size());
     for (const auto& [key, metrics] : lru_) file.entries.push_back({key, metrics});
-  }
-  if (config_.surrogate) {
-    const std::lock_guard<std::mutex> lock(surrogate_mutex_);
-    if (surrogate_ && surrogate_->built()) {
-      std::ostringstream ss;
-      surrogate_->save(ss);
-      file.surrogate_state = ss.str();
-    }
   }
   flush_memo_cache_file(config_.cache_path, file);
 }
@@ -256,114 +231,6 @@ void EvaluationEngine::cache_insert(CacheKey key, const std::vector<double>& met
   }
 }
 
-std::vector<double> EvaluationEngine::surrogate_input(std::span<const double> x_phys,
-                                                      const pdk::PvtCorner& corner,
-                                                      std::span<const double> h) {
-  if (!surrogate_h_dim_set_) {
-    // Fix the padded mismatch dimension once, from the full (global + local)
-    // layout — every draw the engine will see fits it, shorter draws (local
-    // only, nominal) are zero-padded.  Deterministic: the layout dimension
-    // is the testbench's device count, independent of x.
-    surrogate_h_dim_ = std::max(h.size(), testbench_->mismatch_layout(x_phys, true).dimension());
-    surrogate_h_dim_set_ = true;
-  }
-  if (h.size() > surrogate_h_dim_) return {};  // incompatible sample
-  std::vector<double> input;
-  input.reserve(3 + x_phys.size() + surrogate_h_dim_);
-  input.push_back(static_cast<double>(corner.process) * 2.0 +
-                  (corner.process_predefined ? 1.0 : 0.0));
-  input.push_back(corner.vdd);
-  input.push_back(corner.temp_c);
-  input.insert(input.end(), x_phys.begin(), x_phys.end());
-  input.insert(input.end(), h.begin(), h.end());
-  input.resize(3 + x_phys.size() + surrogate_h_dim_, 0.0);
-  return input;
-}
-
-void EvaluationEngine::observe_surrogate(std::span<const double> x_phys,
-                                         const pdk::PvtCorner& corner,
-                                         std::span<const double> h,
-                                         const std::vector<double>& metrics) {
-  const std::vector<double> input = surrogate_input(x_phys, corner, h);
-  if (input.empty() || metrics.empty()) return;
-  if (!surrogate_) {
-    SurrogateConfig cfg;
-    cfg.keep = config_.surrogate_keep;
-    cfg.warmup = config_.surrogate_warmup;
-    surrogate_ = std::make_unique<SurrogateModel>(cfg);
-  }
-  if (surrogate_->built() && (input.size() != surrogate_->input_dim() ||
-                              metrics.size() != surrogate_->output_dim())) {
-    return;  // geometry drifted (custom testbench quirk): skip, never throw
-  }
-  surrogate_->observe(input, metrics);
-}
-
-void EvaluationEngine::train_surrogate(std::span<const double> x_phys,
-                                       const pdk::PvtCorner& corner,
-                                       const std::vector<std::vector<double>>& hs,
-                                       const std::vector<std::size_t>& executed_indices,
-                                       const std::vector<std::vector<double>>& results) {
-  if (!config_.surrogate) return;
-  const std::lock_guard<std::mutex> lock(surrogate_mutex_);
-  for (const std::size_t i : executed_indices) {
-    observe_surrogate(x_phys, corner, hs[i], results[i]);
-  }
-}
-
-void EvaluationEngine::prune_with_surrogate(std::span<const double> x_phys,
-                                            const pdk::PvtCorner& corner,
-                                            const std::vector<std::vector<double>>& hs,
-                                            std::vector<std::size_t>& miss_indices,
-                                            std::vector<CacheKey>& miss_keys,
-                                            std::vector<std::vector<double>>& results) {
-  if (miss_indices.size() < 2) return;
-  const std::lock_guard<std::mutex> lock(surrogate_mutex_);
-  if (!surrogate_ || !surrogate_->ready()) return;
-  const std::size_t n = miss_indices.size();
-  const std::size_t keep = std::max<std::size_t>(
-      1, static_cast<std::size_t>(std::ceil(config_.surrogate_keep * static_cast<double>(n))));
-  if (keep >= n) return;
-  std::vector<std::vector<double>> predictions(n);
-  std::vector<double> scores(n);
-  for (std::size_t mi = 0; mi < n; ++mi) {
-    const std::vector<double> input = surrogate_input(x_phys, corner, hs[miss_indices[mi]]);
-    if (input.size() != surrogate_->input_dim()) return;  // incompatible batch: no pruning
-    predictions[mi] = surrogate_->predict(input);
-    const double score = surrogate_->extremity(predictions[mi]);
-    // A non-finite prediction is exactly a candidate the model cannot vouch
-    // for: rank it maximally extreme so SPICE confirms it.
-    scores[mi] = std::isfinite(score) ? score : std::numeric_limits<double>::infinity();
-  }
-  std::vector<std::size_t> order(n);
-  std::iota(order.begin(), order.end(), std::size_t{0});
-  // Highest predicted extremity survives to simulation; stable sort keeps
-  // ties in submission order so the pruning decision is deterministic.
-  std::stable_sort(order.begin(), order.end(),
-                   [&scores](std::size_t a, std::size_t b) { return scores[a] > scores[b]; });
-  std::vector<char> survives(n, 0);
-  for (std::size_t k = 0; k < keep; ++k) survives[order[k]] = 1;
-  std::vector<std::size_t> kept_indices;
-  std::vector<CacheKey> kept_keys;
-  kept_indices.reserve(keep);
-  kept_keys.reserve(miss_keys.empty() ? 0 : keep);
-  for (std::size_t mi = 0; mi < n; ++mi) {
-    if (survives[mi]) {
-      kept_indices.push_back(miss_indices[mi]);
-      if (!miss_keys.empty()) kept_keys.push_back(std::move(miss_keys[mi]));
-    } else {
-      // Answered speculatively: the prediction is the result, but it is
-      // never cached and never counted executed — the memo cache stays a
-      // record of simulation truth only.
-      results[miss_indices[mi]] = std::move(predictions[mi]);
-      surrogate_prunes_.fetch_add(1);
-    }
-  }
-  surrogate_confirms_.fetch_add(kept_indices.size());
-  miss_indices = std::move(kept_indices);
-  miss_keys = std::move(kept_keys);
-}
-
 std::size_t EvaluationEngine::effective_parallelism() const {
   const std::size_t pool = global_thread_pool().size();
   if (config_.parallelism == 0) return pool;
@@ -400,11 +267,6 @@ std::vector<std::vector<double>> EvaluationEngine::evaluate_batch(
   }
   if (miss_indices.empty()) return results;
 
-  if (config_.surrogate) {
-    prune_with_surrogate(x_phys, corner, hs, miss_indices, miss_keys, results);
-    if (miss_indices.empty()) return results;
-  }
-
   const auto run_one = [&](std::size_t mi) {
     const std::size_t i = miss_indices[mi];
     results[i] = evaluate_with_slot(x_phys, corner, hs[i]);
@@ -420,9 +282,6 @@ std::vector<std::vector<double>> EvaluationEngine::evaluate_batch(
   } else {
     for (std::size_t mi = 0; mi < miss_indices.size(); ++mi) run_one(mi);
   }
-  // Train on the confirmed misses in index order — deterministic regardless
-  // of which worker thread finished first.
-  train_surrogate(x_phys, corner, hs, miss_indices, results);
   return results;
 }
 
@@ -443,10 +302,6 @@ std::vector<double> EvaluationEngine::evaluate_one(std::span<const double> x_phy
   metrics = evaluate_with_slot(x_phys, corner, h);
   executed_.fetch_add(1);
   if (caching) cache_insert(std::move(key), metrics);
-  if (config_.surrogate) {
-    const std::lock_guard<std::mutex> slock(surrogate_mutex_);
-    observe_surrogate(x_phys, corner, h, metrics);
-  }
   return metrics;
 }
 
@@ -518,12 +373,6 @@ EngineStats EvaluationEngine::stats() const {
   s.deadline_aborts = delta(sc.deadline_aborts, spice_base_[4]);
   s.retries = retries_.load();
   s.degraded_evals = degraded_evals_.load();
-  s.surrogate_prunes = surrogate_prunes_.load();
-  s.surrogate_confirms = surrogate_confirms_.load();
-  {
-    const std::lock_guard<std::mutex> lock(surrogate_mutex_);
-    s.surrogate_train_steps = surrogate_ ? surrogate_->train_steps() : 0;
-  }
   // Counters carried across a process restart via load_state().
   s.dc_warm_hits += carried_.dc_warm_hits;
   s.dc_warm_misses += carried_.dc_warm_misses;
@@ -542,8 +391,6 @@ void EvaluationEngine::reset_count() {
   cache_hits_.store(0);
   retries_.store(0);
   degraded_evals_.store(0);
-  surrogate_prunes_.store(0);
-  surrogate_confirms_.store(0);
   carried_ = EngineStats{};
   snapshot_warm_baseline();
 }
@@ -560,11 +407,7 @@ void EvaluationEngine::clear_cache() {
 }
 
 void EvaluationEngine::save_state(std::ostream& os) const {
-  // v1 when the surrogate is off — byte-identical to every earlier release,
-  // so surrogate-free checkpoints keep their pinned golden bytes.  v2 adds
-  // the surrogate funnel counters and (when built) the model state.
-  const bool v2 = config_.surrogate;
-  os << "engine-state " << (v2 ? 2 : 1) << '\n';
+  os << "engine-state 1\n";
   os << "counters " << requested_.load() << ' ' << executed_.load() << ' ' << cache_hits_.load()
      << ' ' << retries_.load() << ' ' << degraded_evals_.load() << '\n';
   // Fold the live process-wide deltas into the carried totals so a restore in
@@ -575,17 +418,6 @@ void EvaluationEngine::save_state(std::ostream& os) const {
   os << "carried " << s.dc_warm_hits << ' ' << s.dc_warm_misses << ' ' << s.dc_warm_stores
      << " 0 0 0 0 " << s.steps_accepted << ' ' << s.steps_rejected << ' ' << s.recovered_dc
      << ' ' << s.recovered_transient << ' ' << s.deadline_aborts << '\n';
-  if (v2) {
-    os << "surrogate-counters " << surrogate_prunes_.load() << ' ' << surrogate_confirms_.load()
-       << '\n';
-    const std::lock_guard<std::mutex> slock(surrogate_mutex_);
-    if (surrogate_ && surrogate_->built()) {
-      os << "surrogate-model 1\n";
-      surrogate_->save(os);
-    } else {
-      os << "surrogate-model 0\n";
-    }
-  }
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   os << "cache " << lru_.size() << '\n';
   // Front (most recent) first; load() rebuilds in the same order.
@@ -600,9 +432,15 @@ void EvaluationEngine::save_state(std::ostream& os) const {
 void EvaluationEngine::load_state(std::istream& is) {
   const std::uint64_t version =
       state::parse_u64(state::expect_line(is, "engine-state"), "engine-state version");
-  if (version != 1 && version != 2) {
+  if (version == 2) {
+    // Only the retired surrogate=1 mode wrote v2, and such a spec no longer
+    // loads either.
+    state::bad("engine-state 2 was written by the removed surrogate mode "
+               "(see docs/run_spec.md#retired-keys)");
+  }
+  if (version != 1) {
     state::bad("unsupported engine-state version " + std::to_string(version) +
-               " (this build reads 1 and 2)");
+               " (this build reads 1)");
   }
   {
     std::istringstream line(state::expect_line(is, "counters"));
@@ -626,28 +464,6 @@ void EvaluationEngine::load_state(std::istream& is) {
       state::bad("malformed engine carried counters");
     }
     carried_ = c;
-  }
-  if (version >= 2) {
-    std::istringstream line(state::expect_line(is, "surrogate-counters"));
-    std::uint64_t prunes = 0, confirms = 0;
-    if (!(line >> prunes >> confirms)) state::bad("malformed surrogate counters");
-    surrogate_prunes_.store(prunes);
-    surrogate_confirms_.store(confirms);
-    const std::string flag = state::expect_line(is, "surrogate-model");
-    if (flag == "1") {
-      SurrogateConfig cfg;
-      cfg.keep = config_.surrogate_keep;
-      cfg.warmup = config_.surrogate_warmup;
-      auto model = std::make_unique<SurrogateModel>(cfg);
-      model->load(is);
-      const std::lock_guard<std::mutex> slock(surrogate_mutex_);
-      surrogate_ = std::move(model);
-    } else if (flag == "0") {
-      const std::lock_guard<std::mutex> slock(surrogate_mutex_);
-      surrogate_.reset();
-    } else {
-      state::bad("malformed surrogate-model flag '" + flag + "'");
-    }
   }
   const std::size_t n = state::parse_u64(state::expect_line(is, "cache"), "engine cache size");
   if (n > config_.cache_capacity) {

@@ -36,8 +36,6 @@
 
 namespace glova::core {
 
-class SurrogateModel;
-
 struct SimulationCost {
   /// Modeled cost of one SPICE simulation in arbitrary time units; the
   /// per-iteration optimizer overhead is a fraction of this.  Only ratios
@@ -100,12 +98,6 @@ struct EngineConfig {
   /// keeps channels conductive at cold low-voltage corners the Level-1
   /// model cuts off at.  Any other value is rejected at construction.
   std::string mos_model = "level1";
-  /// Replace the analytic noise budget of SPICE testbenches with the
-  /// simulated small-signal AC/noise pass on the converged DC operating
-  /// point (process-wide spice::set_noise_analysis_default; see
-  /// docs/architecture.md#ac-noise).  Off by default — behavioral
-  /// testbenches and every pinned baseline are unaffected.
-  bool spice_noise = false;
   /// Path of the persistent cross-session memo-cache file (see
   /// core/persistent_cache.hpp).  Non-empty: the engine loads matching
   /// entries into its LRU at construction and merges the LRU back to disk on
@@ -116,25 +108,12 @@ struct EngineConfig {
   /// Must not contain whitespace (the RunSpec grammar is space-separated).
   /// Empty (default) = no persistence.
   std::string cache_path;
-  /// Surrogate pre-ranking (speculative evaluation): train a small MLP on
-  /// every executed observation and, once warmed up, confirm only the
-  /// predicted-extreme `surrogate_keep` fraction of each candidate batch by
-  /// real simulation — the benign middle is answered from the model (counted
-  /// as surrogate_prunes, never cached, never counted executed).  Strictly
-  /// opt-in: off (default), every result is bit-identical to previous
-  /// releases.  See docs/architecture.md#speculative-evaluation.
-  bool surrogate = false;
-  /// Fraction of each pre-ranked batch SPICE confirms; in (0, 1].
-  double surrogate_keep = 0.5;
-  /// Executed observations the surrogate trains on before it may prune.
-  std::size_t surrogate_warmup = 64;
 
   friend bool operator==(const EngineConfig&, const EngineConfig&) = default;
 };
 
-/// Counter snapshot.  requested == cache_hits + executed + surrogate_prunes
-/// at any quiescent point (the last term is zero unless the opt-in surrogate
-/// mode is on); requested is what simulation_count() reports.  The dc_warm_*
+/// Counter snapshot.  requested == cache_hits + executed at any quiescent
+/// point; requested is what simulation_count() reports.  The dc_warm_*
 /// counters report SPICE warm-start activity (summed over every worker
 /// thread's cache) since this engine was constructed or reset_count() was
 /// last called, so the whole evaluation funnel reads from one snapshot;
@@ -163,14 +142,8 @@ struct EngineStats {
   /// (behavioral) fallback after exhausting their retries.
   std::uint64_t retries = 0;
   std::uint64_t degraded_evals = 0;
-  /// Speculative-evaluation funnel (all zero unless EngineConfig::surrogate):
-  /// batch candidates answered from the surrogate instead of simulation,
-  /// surrogate-ranked survivors confirmed by real simulation, and training
-  /// steps the model has taken over its lifetime (the model — and this count —
-  /// persists with the memo-cache file across sessions).
+  /// Always 0: the surrogate pre-ranker is gone, but e2ebench/glova_e2e.cpp reads it.
   std::uint64_t surrogate_prunes = 0;
-  std::uint64_t surrogate_confirms = 0;
-  std::uint64_t surrogate_train_steps = 0;
 };
 
 class EvaluationEngine {
@@ -229,10 +202,9 @@ class EvaluationEngine {
   /// The (testcase, backend, numerics-config) tag this engine stamps on (and
   /// requires of) its persistent cache file; see core/persistent_cache.hpp.
   [[nodiscard]] std::string persistent_cache_tag() const;
-  /// Merge the live LRU (and, in surrogate mode, the trained model) into the
-  /// EngineConfig::cache_path file through the atomic-rename path.  No-op
-  /// when no cache_path is configured.  Also runs in the destructor (where a
-  /// failure is logged, not thrown).
+  /// Merge the live LRU into the EngineConfig::cache_path file through the
+  /// atomic-rename path.  No-op when no cache_path is configured.  Also runs
+  /// in the destructor (where a failure is logged, not thrown).
   void flush_persistent_cache();
 
   /// Text-serialize the engine's counters and memoization cache (LRU order
@@ -241,10 +213,9 @@ class EvaluationEngine {
   /// are folded into a carried snapshot, so stats() of a restored engine in a
   /// fresh process continues from the saved totals.  Configuration is NOT
   /// serialized — `load_state` expects an engine constructed with the same
-  /// EngineConfig and testbench.  With the surrogate off the frame is the
-  /// byte-identical v1 of previous releases; surrogate mode writes v2, which
-  /// adds the speculative-evaluation counters and model.  load_state reads
-  /// both.
+  /// EngineConfig and testbench.  The frame is `engine-state 1`;
+  /// load_state rejects the `engine-state 2` frame that only the retired
+  /// surrogate mode wrote.
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 
@@ -281,35 +252,8 @@ class EvaluationEngine {
                                                        const pdk::PvtCorner& corner,
                                                        std::span<const double> h,
                                                        const std::vector<double>& penalty);
-  /// Load EngineConfig::cache_path into the LRU (and the persisted surrogate
-  /// model, when surrogate mode is on) at construction.
+  /// Load EngineConfig::cache_path into the LRU at construction.
   void load_persistent_cache();
-  /// Surrogate feature vector: corner features + x + h zero-padded to the
-  /// full mismatch dimension (fixed lazily from the testbench layout).
-  /// Returns empty when the sample cannot fit the model's geometry.  Caller
-  /// holds surrogate_mutex_.
-  [[nodiscard]] std::vector<double> surrogate_input(std::span<const double> x_phys,
-                                                    const pdk::PvtCorner& corner,
-                                                    std::span<const double> h);
-  /// Train the model on one executed observation (no-op unless surrogate
-  /// mode is on; builds the model lazily).  Caller holds surrogate_mutex_.
-  void observe_surrogate(std::span<const double> x_phys, const pdk::PvtCorner& corner,
-                         std::span<const double> h, const std::vector<double>& metrics);
-  /// Train on every executed index of a finished batch, in index order (so
-  /// training order — and therefore the model — is deterministic).
-  void train_surrogate(std::span<const double> x_phys, const pdk::PvtCorner& corner,
-                       const std::vector<std::vector<double>>& hs,
-                       const std::vector<std::size_t>& executed_indices,
-                       const std::vector<std::vector<double>>& results);
-  /// Speculative pre-ranking: answer the predicted-benign middle of the miss
-  /// set from the model and shrink miss_indices/miss_keys to the
-  /// predicted-extreme survivors SPICE confirms.  Predictions are never
-  /// inserted into the memo cache.
-  void prune_with_surrogate(std::span<const double> x_phys, const pdk::PvtCorner& corner,
-                            const std::vector<std::vector<double>>& hs,
-                            std::vector<std::size_t>& miss_indices,
-                            std::vector<CacheKey>& miss_keys,
-                            std::vector<std::vector<double>>& results);
 
   circuits::TestbenchPtr testbench_;
   EngineConfig config_;
@@ -322,8 +266,6 @@ class EvaluationEngine {
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> degraded_evals_{0};
-  std::atomic<std::uint64_t> surrogate_prunes_{0};
-  std::atomic<std::uint64_t> surrogate_confirms_{0};
   /// Process-wide spice warm-start counters at construction / last reset;
   /// stats() reports deltas against these.
   std::uint64_t warm_base_hits_ = 0;
@@ -341,16 +283,6 @@ class EvaluationEngine {
   /// LRU: most recent at the front.  The map points into the list.
   std::list<std::pair<CacheKey, std::vector<double>>> lru_;
   std::unordered_map<CacheKey, decltype(lru_)::iterator, CacheKeyHash> index_;
-
-  /// Surrogate state (model, normalization, padded mismatch dimension), all
-  /// guarded by surrogate_mutex_.  Training happens after a batch completes,
-  /// on the submitting thread in index order, so the model evolves
-  /// deterministically for the step-driven single-submitter usage every
-  /// optimizer follows.
-  mutable std::mutex surrogate_mutex_;
-  std::unique_ptr<SurrogateModel> surrogate_;
-  std::size_t surrogate_h_dim_ = 0;
-  bool surrogate_h_dim_set_ = false;
 
   /// submit()-queued work still in flight; drained by the destructor.
   std::mutex pending_mutex_;

@@ -70,8 +70,8 @@ std::string memo_cache_tag(const std::string& testbench_name, const EngineConfig
   std::string tag = testbench_name;
   tag += "|q=" + format_double_roundtrip(engine.cache_quantum);
   tag += engine.dc_warm_start ? "|warm=1" : "|warm=0";
-  // "batched" and "bypass" name retired knobs that were always 0 here; the
-  // literal keeps memo files written before their removal valid.
+  // "batched", "bypass" and "noise" name retired knobs; spelling them as 0
+  // keeps memo files written with their defaults before their removal valid.
   tag += "|batched=0";
   tag += engine.adaptive_timestep ? "|adaptive=1" : "|adaptive=0";
   tag += "|bypass=0";
@@ -80,7 +80,7 @@ std::string memo_cache_tag(const std::string& testbench_name, const EngineConfig
   tag += "|deadline=" + std::to_string(engine.eval_deadline_steps);
   tag += engine.degrade_to_behavioral ? "|degrade=1" : "|degrade=0";
   tag += "|mos=" + engine.mos_model;
-  tag += engine.spice_noise ? "|noise=1" : "|noise=0";
+  tag += "|noise=0";
   return tag;
 }
 
@@ -113,12 +113,8 @@ void save_memo_cache(std::ostream& os, const MemoCacheFile& file) {
     os << '\n';
     state::write_doubles(os, "val", e.metrics);
   }
-  std::string surrogate = file.surrogate_state;
-  if (!surrogate.empty() && surrogate.back() != '\n') surrogate += '\n';
-  std::size_t lines = 0;
-  for (const char c : surrogate) lines += c == '\n' ? 1 : 0;
-  os << "surrogate-lines " << lines << '\n';
-  os << surrogate;
+  // The block of the retired surrogate model: always empty now.
+  os << "surrogate-lines 0\n";
   os << "end\n";
   if (!os) bad_cache("write failed");
 }
@@ -176,11 +172,10 @@ MemoCacheFile load_memo_cache(std::istream& is, const std::string& expected_tag)
   const std::uint64_t lines =
       parse_count(expect_cache_line(is, "surrogate-lines"), "surrogate line count");
   if (lines > state::kMaxCount) bad_cache("implausible surrogate line count");
+  // Files written in the retired surrogate mode carry its model here: skip it.
   for (std::uint64_t i = 0; i < lines; ++i) {
     std::string line;
     if (!std::getline(is, line)) bad_cache("truncated surrogate state");
-    file.surrogate_state += line;
-    file.surrogate_state += '\n';
   }
   (void)expect_cache_line(is, "end");
   return file;
@@ -215,7 +210,6 @@ std::size_t flush_memo_cache_file(const std::string& path, const MemoCacheFile& 
   const std::lock_guard<std::mutex> lock(file_mutex());
   MemoCacheFile merged;
   merged.tag = fresh.tag;
-  merged.surrogate_state = fresh.surrogate_state;
   std::unordered_set<std::vector<std::int64_t>, KeyHash> seen;
   seen.reserve(fresh.entries.size());
   for (const MemoCacheEntry& e : fresh.entries) {
@@ -227,7 +221,6 @@ std::size_t flush_memo_cache_file(const std::string& path, const MemoCacheFile& 
     for (const MemoCacheEntry& e : disk->entries) {
       if (seen.insert(e.key).second) merged.entries.push_back(e);
     }
-    if (merged.surrogate_state.empty()) merged.surrogate_state = disk->surrogate_state;
   }
   if (merged.entries.size() > kMaxMemoCacheEntries) {
     merged.entries.resize(kMaxMemoCacheEntries);

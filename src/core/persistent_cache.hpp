@@ -16,8 +16,8 @@
 //   entries N
 //   key K k0 ... kK-1          (N times: quantized engine cache key)
 //   val M v0 ... vM-1          (metrics, doubles via max_digits10)
-//   surrogate-lines L          (serialized core::SurrogateModel; 0 = none)
-//   <L raw lines>
+//   surrogate-lines 0          (L > 0 and L raw lines in files written by
+//                               the retired surrogate mode; skipped on load)
 //   end
 //
 // Malformed input — wrong magic, unsupported version, a tag belonging to a
@@ -49,9 +49,6 @@ struct MemoCacheEntry {
 struct MemoCacheFile {
   std::string tag;                      ///< memo_cache_tag() of the writer
   std::vector<MemoCacheEntry> entries;  ///< most recently used first
-  /// Serialized core::SurrogateModel state riding along with the
-  /// observations it was trained on; empty = no model persisted.
-  std::string surrogate_state;
 
   friend bool operator==(const MemoCacheFile&, const MemoCacheFile&) = default;
 };

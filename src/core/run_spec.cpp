@@ -89,9 +89,6 @@ void validate_scalars(const RunSpec& spec) {
   if (spec.budget.max_wall_seconds < 0.0) {
     bad_spec("budget.max_wall_seconds must be non-negative");
   }
-  if (spec.engine.surrogate_keep <= 0.0 || spec.engine.surrogate_keep > 1.0) {
-    bad_spec("engine.surrogate_keep must be in (0, 1]");
-  }
   for (const char c : spec.engine.cache_path) {
     if (std::isspace(static_cast<unsigned char>(c))) {
       bad_spec("engine.cache_path must not contain whitespace");
@@ -128,11 +125,9 @@ const std::vector<std::string_view>& run_spec_keys() {
       "min_parallel_batch", "cache_capacity",
       "cache_quantum",   "dc_warm_start",
       "adaptive_timestep", "recovery",
-      "mos_model",       "spice_noise",
-      "max_eval_retries", "eval_deadline_steps",
-      "degrade_to_behavioral", "cache_path",
-      "surrogate",       "surrogate_keep",
-      "surrogate_warmup", "progress_log",
+      "mos_model",       "max_eval_retries",
+      "eval_deadline_steps", "degrade_to_behavioral",
+      "cache_path",      "progress_log",
   };
   return keys;
 }
@@ -169,14 +164,10 @@ std::string RunSpec::to_string() const {
   kv("adaptive_timestep", engine.adaptive_timestep ? "1" : "0");
   kv("recovery", engine.recovery ? "1" : "0");
   kv("mos_model", engine.mos_model);
-  kv("spice_noise", engine.spice_noise ? "1" : "0");
   kv("max_eval_retries", std::to_string(engine.max_eval_retries));
   kv("eval_deadline_steps", std::to_string(engine.eval_deadline_steps));
   kv("degrade_to_behavioral", engine.degrade_to_behavioral ? "1" : "0");
   kv("cache_path", engine.cache_path);  // empty value round-trips as "cache_path="
-  kv("surrogate", engine.surrogate ? "1" : "0");
-  kv("surrogate_keep", format_double(engine.surrogate_keep));
-  kv("surrogate_warmup", std::to_string(engine.surrogate_warmup));
   kv("progress_log", progress_log ? "1" : "0");
   return out;
 }
@@ -254,10 +245,11 @@ RunSpec RunSpec::from_string(std::string_view text) {
       spec.engine.dc_warm_start = parse_bool(key, value);
     } else if (key == "adaptive_timestep") {
       spec.engine.adaptive_timestep = parse_bool(key, value);
-    } else if (key == "batched_draws" || key == "newton_bypass") {
+    } else if (key == "batched_draws" || key == "newton_bypass" || key == "spice_noise" ||
+               key == "surrogate") {
       // Retired keys: every spec written before their removal carries them
       // at 0, so 0 still loads (and re-saves without them); 1 asks for a
-      // solver path that no longer exists.
+      // code path that no longer exists.
       if (parse_bool(key, value)) {
         throw std::invalid_argument("RunSpec: " + std::string(key) +
                                     " was removed; only 0 is accepted "
@@ -270,8 +262,6 @@ RunSpec RunSpec::from_string(std::string_view text) {
         bad_spec("mos_model must be 'level1' or 'ekv', got '" + std::string(value) + "'");
       }
       spec.engine.mos_model = std::string(value);
-    } else if (key == "spice_noise") {
-      spec.engine.spice_noise = parse_bool(key, value);
     } else if (key == "max_eval_retries") {
       spec.engine.max_eval_retries = static_cast<int>(parse_u64(key, value));
     } else if (key == "eval_deadline_steps") {
@@ -280,12 +270,12 @@ RunSpec RunSpec::from_string(std::string_view text) {
       spec.engine.degrade_to_behavioral = parse_bool(key, value);
     } else if (key == "cache_path") {
       spec.engine.cache_path = std::string(value);
-    } else if (key == "surrogate") {
-      spec.engine.surrogate = parse_bool(key, value);
     } else if (key == "surrogate_keep") {
-      spec.engine.surrogate_keep = parse_double(key, value);
+      // Tuning of the retired surrogate: still type-checked, then ignored
+      // (it only acted under surrogate=1, which no longer loads).
+      (void)parse_double(key, value);
     } else if (key == "surrogate_warmup") {
-      spec.engine.surrogate_warmup = static_cast<std::size_t>(parse_u64(key, value));
+      (void)parse_u64(key, value);
     } else if (key == "progress_log") {
       spec.progress_log = parse_bool(key, value);
     } else {

@@ -36,8 +36,6 @@ MosParams mos_params(bool is_pmos, const PvtCorner& corner, double length, doubl
   p.kp = std::max(1e-6, p.kp);
   p.lambda = tech.lambda0 * tech.l_min / std::max(length, tech.l_min);
   p.temp_k = corner.temp_k();
-  p.kf = is_pmos ? tech.kf_p : tech.kf_n;
-  p.gamma_n = tech.gamma_noise;
   return p;
 }
 

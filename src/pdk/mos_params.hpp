@@ -18,10 +18,7 @@ struct MosParams {
   double kp = 350e-6;    ///< transconductance parameter u*Cox [A/V^2]
   double lambda = 0.10;  ///< channel-length modulation [1/V]
   bool is_pmos = false;
-  double temp_k = 300.0;   ///< device temperature [K]; sets the EKV subthreshold slope
-  double kf = 1.0e-26;     ///< flicker coefficient in S_id(f) = kf * |Id|^af / f [A^2/Hz units]
-  double af = 1.0;         ///< flicker current exponent
-  double gamma_n = 0.7;    ///< thermal channel-noise excess factor (S_id = 4 k T gamma gm)
+  double temp_k = 300.0;  ///< device temperature [K]; sets the EKV subthreshold slope
 };
 
 /// EKV subthreshold slope factor n (bulk, typical): v_char = 2 n vt.
@@ -37,9 +34,6 @@ struct TechnologyNominal {
   double l_min = 30e-9;      ///< [m]
   double vth_tc = -0.8e-3;   ///< Vth temperature coefficient [V/K]
   double mobility_exp = 1.5; ///< mobility ~ (T/T0)^-exp
-  double kf_n = 1.0e-26;     ///< NMOS flicker coefficient (S_id = kf |Id|^af / f)
-  double kf_p = 0.5e-26;     ///< PMOS flicker coefficient (buried channel: quieter)
-  double gamma_noise = 0.7;  ///< thermal channel-noise excess factor
 };
 
 [[nodiscard]] const TechnologyNominal& technology_28nm();

@@ -21,7 +21,6 @@ std::atomic<bool> g_adaptive_timestep_default{false};
 std::atomic<bool> g_recovery_default{false};
 std::atomic<std::uint64_t> g_deadline_default{0};
 std::atomic<unsigned char> g_mos_model_default{static_cast<unsigned char>(MosModel::kLevel1)};
-std::atomic<bool> g_noise_analysis_default{false};
 thread_local int t_recovery_escalation = 0;
 thread_local const FaultPlan* t_fault_plan = nullptr;
 }  // namespace
@@ -45,10 +44,6 @@ MosModel mos_model_default() {
 }
 void set_mos_model_default(MosModel model) {
   g_mos_model_default.store(static_cast<unsigned char>(model), std::memory_order_relaxed);
-}
-bool noise_analysis_default() { return g_noise_analysis_default.load(std::memory_order_relaxed); }
-void set_noise_analysis_default(bool enabled) {
-  g_noise_analysis_default.store(enabled, std::memory_order_relaxed);
 }
 int recovery_escalation() { return t_recovery_escalation; }
 void set_recovery_escalation(int level) { t_recovery_escalation = level; }

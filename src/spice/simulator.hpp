@@ -223,8 +223,6 @@ void set_recovery_default(bool enabled);
 void set_deadline_default(std::uint64_t max_newton_iterations);
 [[nodiscard]] MosModel mos_model_default();
 void set_mos_model_default(MosModel model);
-[[nodiscard]] bool noise_analysis_default();
-void set_noise_analysis_default(bool enabled);
 
 /// Thread-local recovery escalation level, applied on top of the process
 /// defaults by default_simulator_options().  core::EvaluationEngine raises

@@ -27,9 +27,8 @@
 //   * the FIA noise metric divides the latch-offset term by the measured
 //     gain, amplifying any gain disagreement (ratio up to ~62 at the cold
 //     corner under nominal mismatch);
-//   * SAL noise reuses the analytic budget on both backends (the simulated
-//     AC/noise pass is opt-in via spice_noise), so its ratio is pinned at
-//     exactly 1 and its band is tight.
+//   * SAL noise reuses the analytic budget on both backends, so its ratio
+//     is pinned at exactly 1 and its band is tight.
 //
 // Recorded ratio ranges (spice / behavioral, over the shared grid in
 // backend_parity_grid.hpp, nominal + drawn mismatch, 2026 toolchain) and

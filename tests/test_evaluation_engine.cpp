@@ -394,5 +394,34 @@ TEST(EvaluationEngine, StateFrameWithRetiredCountersReSavesByteIdentically) {
   spice::set_adaptive_timestep_default(false);  // the engine set it process-wide
 }
 
+// An `engine-state 2` frame, which only the retired surrogate=1 mode wrote
+// (SAL behavioral, one cached draw, no model built yet).  It must fail with
+// a pointer to the retired-keys docs instead of loading half a session.
+TEST(EvaluationEngine, SurrogateStateFrameFailsWithADocsPointer) {
+  const std::string frame =
+      "engine-state 2\n"
+      "counters 1 1 0 0 0\n"
+      "carried 0 0 0 0 0 0 0 0 0 0 0 0\n"
+      "surrogate-counters 0 0\n"
+      "surrogate-model 0\n"
+      "cache 1\n"
+      "key 19 1 900000000000000 26999999999999996 14 16540000000 16540000000 16540000000 "
+      "16540000000 16540000000 16540000000 180000000 180000000 180000000 180000000 "
+      "180000000 180000000 2752 2752 0\n"
+      "val 4 0.00040532783151035772 1.5801978999547426e-09 2.0674653238861908e-09 "
+      "4.3373456954211326e-05\n";
+  EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::Sal));
+  std::istringstream in(frame);
+  try {
+    engine.load_state(in);
+    FAIL() << "an engine-state 2 frame must be rejected";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("docs/run_spec.md#retired-keys"), std::string::npos)
+        << e.what();
+  }
+  EXPECT_EQ(engine.cache_size(), 0u);
+  EXPECT_EQ(engine.stats().requested, 0u);
+}
+
 }  // namespace
 }  // namespace glova::core

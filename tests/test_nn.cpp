@@ -85,7 +85,7 @@ TEST(Mlp, BadInputSizeThrows) {
 
 /// Property sweep: analytic gradients match finite differences across
 /// architectures and activation choices.  The last three cases are the
-/// critic, actor and engine-surrogate shapes.
+/// critic and actor shapes and a {9, 64, 64, 4} regressor.
 struct GradCase {
   std::vector<std::size_t> sizes;
   Activation hidden;

@@ -349,7 +349,9 @@ TEST(RunSpec, SpecWrittenWithTheRetiredKeysStillLoads) {
   EXPECT_TRUE(spec.engine.adaptive_timestep);
 
   std::string expected = saved;
-  for (const std::string token : {" batched_draws=0", " newton_bypass=0"}) {
+  for (const std::string token :
+       {" batched_draws=0", " newton_bypass=0", " spice_noise=0", " surrogate=0",
+        " surrogate_keep=0.5", " surrogate_warmup=64"}) {
     expected.erase(expected.find(token), token.size());
   }
   const std::string resaved = spec.to_string();
@@ -358,7 +360,8 @@ TEST(RunSpec, SpecWrittenWithTheRetiredKeysStillLoads) {
 }
 
 TEST(RunSpec, RetiredKeysRejectOneWithADocsPointer) {
-  for (const char* text : {"batched_draws=1", "newton_bypass=1"}) {
+  for (const char* text :
+       {"batched_draws=1", "newton_bypass=1", "spice_noise=1", "surrogate=1"}) {
     try {
       (void)core::RunSpec::from_string(text);
       FAIL() << "expected std::invalid_argument for " << text;
@@ -368,6 +371,12 @@ TEST(RunSpec, RetiredKeysRejectOneWithADocsPointer) {
     }
   }
   EXPECT_EQ(core::RunSpec::from_string("batched_draws=0 newton_bypass=off"), core::RunSpec{});
+  EXPECT_EQ(core::RunSpec::from_string("spice_noise=0 surrogate=off"), core::RunSpec{});
+  // The surrogate's tuning keys only acted under surrogate=1: any well-typed
+  // value loads and is ignored, a malformed one is still an error.
+  EXPECT_EQ(core::RunSpec::from_string("surrogate_keep=0.9 surrogate_warmup=8"), core::RunSpec{});
+  EXPECT_THROW((void)core::RunSpec::from_string("surrogate_keep=half"), std::invalid_argument);
+  EXPECT_THROW((void)core::RunSpec::from_string("surrogate_warmup=-1"), std::invalid_argument);
 }
 
 TEST(RunSpec, FromStringRejectsGarbage) {

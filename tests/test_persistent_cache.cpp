@@ -1,15 +1,14 @@
-// Tests for the persistent memo cache and surrogate-guided speculative
-// evaluation (docs/architecture.md#speculative-evaluation): the glova-memo
-// file format (save -> load -> save byte fixed point, actionable rejection of
-// truncated/garbage/version-mismatched/foreign-tag files), the engine's
-// preload/flush round trip, warm-cache campaign determinism (a second run
+// Tests for the persistent memo cache (docs/architecture.md#persistent-memo-cache):
+// the glova-memo file format (save -> load -> save byte fixed point,
+// actionable rejection of truncated/garbage/version-mismatched/foreign-tag
+// files), the engine's preload/flush round trip, files written with the
+// retired surrogate block, and warm-cache campaign determinism (a second run
 // over a shared cache directory executes zero simulations and reproduces
-// results byte-identically), and the surrogate funnel counters.
+// results byte-identically).
 #include <gtest/gtest.h>
 
 #include <filesystem>
 #include <fstream>
-#include <memory>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -38,7 +37,6 @@ core::MemoCacheFile sample_file() {
   file.entries.push_back({{1, -2, 3}, {0.5, -1.25}});
   file.entries.push_back({{4, 5}, {3.0}});
   file.entries.push_back({{}, {1e-300, 2e17}});
-  file.surrogate_state = "opaque line one\nopaque line two\n";
   return file;
 }
 
@@ -270,6 +268,42 @@ TEST(PersistentCache, TagMismatchAtEngineConstructionThrows) {
       std::runtime_error);
 }
 
+// A memo file as the retired surrogate mode wrote it: a non-empty
+// `surrogate-lines` block (two opaque lines) follows the entries.  The
+// loader skips the block, the entry still answers its point, and the flush
+// at teardown writes the file back with the block empty.
+TEST(PersistentCache, MemoFileWithASurrogateBlockLoadsAndReflushesWithoutIt) {
+  const std::string entries =
+      "glova-memo v1\n"
+      "tag StrongARM latch|q=1.0000000000000001e-15|warm=1|batched=0|adaptive=0|bypass=0"
+      "|recovery=0|retries=0|deadline=0|degrade=0|mos=level1|noise=0\n"
+      "entries 1\n"
+      "key 19 1 900000000000000 26999999999999996 14 16540000000 16540000000 16540000000 "
+      "16540000000 16540000000 16540000000 180000000 180000000 180000000 180000000 "
+      "180000000 180000000 2752 2752 0\n"
+      "val 4 0.00040532783151035772 1.5801978999547426e-09 2.0674653238861908e-09 "
+      "4.3373456954211326e-05\n";
+  const std::string dir = fresh_dir("glova_memo_surrogate_block");
+  core::EngineConfig cfg;
+  cfg.cache_path = dir + "/sal.memo";
+  std::ofstream(cfg.cache_path)
+      << entries << "surrogate-lines 2\nopaque line one\nopaque line two\nend\n";
+
+  const auto tb = circuits::make_testbench(circuits::Testcase::Sal);
+  {
+    core::EvaluationEngine engine(tb, cfg);
+    ASSERT_EQ(engine.cache_size(), 1u);
+    const auto x = midpoint_design(*tb);
+    EXPECT_EQ(engine.evaluate_one(x, pdk::typical_corner(), {}),
+              tb->evaluate(x, pdk::typical_corner(), {}));
+    EXPECT_EQ(engine.stats().executed, 0u);
+  }  // destructor flushes
+  std::ifstream in(cfg.cache_path);
+  std::stringstream flushed;
+  flushed << in.rdbuf();
+  EXPECT_EQ(flushed.str(), entries + "surrogate-lines 0\nend\n");
+}
+
 /// One small campaign cell (SAL behavioral, corner verification).
 core::SweepSpec small_sweep(const std::string&) {
   core::SweepSpec sweep;
@@ -316,121 +350,6 @@ TEST(PersistentCache, WarmCampaignRerunExecutesZeroAndIsBitIdentical) {
   a.n_cache_hits = b.n_cache_hits = 0;
   a.engine_stats = b.engine_stats = core::EngineStats{};
   EXPECT_EQ(canonical(a), canonical(b));
-}
-
-/// Cheap 3-mismatch testbench for surrogate funnel tests.
-class PlaneBench final : public circuits::Testbench {
- public:
-  PlaneBench() {
-    sizing_.names = {"x0"};
-    sizing_.lower = {0.0};
-    sizing_.upper = {1.0};
-    performance_.metrics = {
-        circuits::MetricSpec{"m", "u", 1.0, 1.0, circuits::Sense::MinimizeBelow}};
-  }
-  [[nodiscard]] const std::string& name() const override { return name_; }
-  [[nodiscard]] const circuits::SizingSpec& sizing() const override { return sizing_; }
-  [[nodiscard]] const circuits::PerformanceSpec& performance() const override {
-    return performance_;
-  }
-  [[nodiscard]] pdk::MismatchLayout mismatch_layout(std::span<const double>,
-                                                    bool) const override {
-    pdk::MismatchLayout layout;
-    layout.names = {"h0", "h1", "h2"};
-    layout.local_sigma = {1.0, 1.0, 1.0};
-    layout.global_sigma = {0.0, 0.0, 0.0};
-    return layout;
-  }
-  [[nodiscard]] std::vector<double> evaluate(std::span<const double> x, const pdk::PvtCorner&,
-                                             std::span<const double> h) const override {
-    double sum = x.empty() ? 0.0 : x[0];
-    for (std::size_t j = 0; j < h.size(); ++j) sum += (static_cast<double>(j) + 1.0) * h[j];
-    return {sum};
-  }
-
- private:
-  std::string name_ = "plane-bench";
-  circuits::SizingSpec sizing_;
-  circuits::PerformanceSpec performance_;
-};
-
-std::vector<std::vector<double>> random_draws(Rng& rng, int count) {
-  std::vector<std::vector<double>> hs;
-  for (int i = 0; i < count; ++i) {
-    hs.push_back({rng.normal(), rng.normal(), rng.normal()});
-  }
-  return hs;
-}
-
-TEST(Surrogate, FunnelCountersObeyTheExtendedInvariant) {
-  core::EngineConfig cfg;
-  cfg.surrogate = true;
-  cfg.surrogate_warmup = 8;
-  cfg.surrogate_keep = 0.5;
-  cfg.parallelism = 1;
-  core::EvaluationEngine engine(std::make_shared<PlaneBench>(), cfg);
-  const std::vector<double> x = {0.5};
-  Rng rng(17);
-
-  // Warmup batch trains the model; the second batch gets pre-ranked and the
-  // unremarkable half answered speculatively.
-  (void)engine.evaluate_batch(x, pdk::typical_corner(), random_draws(rng, 16));
-  core::EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.surrogate_prunes, 0u);  // not ready during warmup
-  EXPECT_EQ(stats.executed, 16u);
-  EXPECT_GT(stats.surrogate_train_steps, 0u);
-
-  (void)engine.evaluate_batch(x, pdk::typical_corner(), random_draws(rng, 16));
-  stats = engine.stats();
-  EXPECT_EQ(stats.surrogate_prunes, 8u);  // keep=0.5 of 16 misses
-  EXPECT_EQ(stats.surrogate_confirms, 8u);
-  EXPECT_EQ(stats.requested, stats.cache_hits + stats.executed + stats.surrogate_prunes);
-  EXPECT_EQ(stats.executed, 24u);
-}
-
-TEST(Surrogate, DisabledModeKeepsTheLegacyStateFrame) {
-  const auto tb = circuits::make_testbench(circuits::Testcase::Sal);
-  core::EvaluationEngine off(tb);
-  (void)off.evaluate_one(midpoint_design(*tb), pdk::typical_corner(), {});
-  std::ostringstream state_off;
-  off.save_state(state_off);
-  EXPECT_EQ(state_off.str().rfind("engine-state 1\n", 0), 0u)
-      << "surrogate-off engines must keep the v1 frame byte-identical";
-
-  core::EngineConfig cfg;
-  cfg.surrogate = true;
-  core::EvaluationEngine on(std::make_shared<PlaneBench>(), cfg);
-  std::ostringstream state_on;
-  on.save_state(state_on);
-  EXPECT_EQ(state_on.str().rfind("engine-state 2\n", 0), 0u);
-
-  // v2 round trip: counters and (once built) the model survive.
-  core::EvaluationEngine reload(std::make_shared<PlaneBench>(), cfg);
-  std::istringstream in(state_on.str());
-  reload.load_state(in);
-  std::ostringstream resaved;
-  reload.save_state(resaved);
-  EXPECT_EQ(resaved.str(), state_on.str());
-}
-
-TEST(Surrogate, ModelStateRidesInTheMemoCacheFile) {
-  const std::string dir = fresh_dir("glova_memo_surrogate");
-  core::EngineConfig cfg;
-  cfg.cache_path = dir + "/plane.memo";
-  cfg.surrogate = true;
-  cfg.surrogate_warmup = 8;
-  cfg.parallelism = 1;
-  Rng rng(29);
-  const std::vector<double> x = {0.5};
-  {
-    core::EvaluationEngine engine(std::make_shared<PlaneBench>(), cfg);
-    (void)engine.evaluate_batch(x, pdk::typical_corner(), random_draws(rng, 12));
-    EXPECT_GT(engine.stats().surrogate_train_steps, 0u);
-  }
-  core::EvaluationEngine warm(std::make_shared<PlaneBench>(), cfg);
-  EXPECT_GT(warm.stats().surrogate_train_steps, 0u)
-      << "the trained model must be restored from the cache file";
-  EXPECT_EQ(warm.cache_size(), 12u);
 }
 
 }  // namespace

@@ -1,7 +1,8 @@
 // Pinned-seed regression table (ROADMAP ask): fixed-seed GlovaOptimizer runs
 // must request exactly the recorded number of simulations, with the recorded
-// cache behavior, and the SPICE StrongARM testbench must reproduce the
-// recorded circuit metrics.  This is the guard rail for every evaluation-
+// cache behavior, the SPICE testbenches must reproduce the recorded circuit
+// metrics, and one EKV cold-corner SPICE session per testcase must verify
+// with the recorded counts.  This is the guard rail for every evaluation-
 // stack change: a refactor that alters optimizer control flow, cache keys,
 // or solver results shows up here before it ships.
 //
@@ -19,6 +20,8 @@
 #include "circuits/spice_backend.hpp"
 #include "common/log.hpp"
 #include "core/optimizer.hpp"
+#include "core/run_spec.hpp"
+#include "spice/simulator.hpp"
 #include "spice/warm_start.hpp"
 
 namespace glova {
@@ -141,6 +144,55 @@ TEST(PinnedSeedRegression, SpiceMetricsMatchRecordedBaselines) {
       EXPECT_NEAR(m[i], row.metrics[i], std::abs(row.metrics[i]) * 1e-6)
           << circuits::to_string(row.testcase) << " metric " << i;
     }
+  }
+}
+
+// One GLOVA session per SPICE testcase at the coldest low-voltage corner
+// (SS, 0.8 V, -40 C) under the EKV channel model: method C, seed 1, a
+// 120-iteration cap, one simulation in flight.  Every session must verify
+// with exactly the recorded iteration and requested-simulation counts.
+struct ColdCornerRun {
+  circuits::Testcase testcase;
+  std::size_t rl_iterations;
+  std::uint64_t n_simulations;
+};
+
+constexpr ColdCornerRun kColdCornerRuns[] = {
+    {circuits::Testcase::Sal, 21, 46},
+    {circuits::Testcase::Fia, 8, 27},
+    {circuits::Testcase::DramOcsa, 1, 24},
+};
+
+/// The engine constructor writes its knobs into process-wide SPICE switches;
+/// put the defaults back on exit so later tests do not run under ekv.
+struct SpiceDefaultsGuard {
+  ~SpiceDefaultsGuard() {
+    spice::set_mos_model_default(spice::MosModel::kLevel1);
+    spice::set_dc_warm_start_enabled(true);
+    spice::set_adaptive_timestep_default(false);
+    spice::set_recovery_default(false);
+    spice::set_deadline_default(0);
+  }
+};
+
+TEST(PinnedSeedRegression, EkvColdCornerSessionsVerify) {
+  set_log_level(LogLevel::Warn);
+  const SpiceDefaultsGuard restore;
+  for (const ColdCornerRun& run : kColdCornerRuns) {
+    core::RunSpec spec;
+    spec.testcase = run.testcase;
+    spec.backend = circuits::Backend::Spice;
+    spec.method = core::VerifMethod::C;
+    spec.seed = 1;
+    spec.max_iterations = 120;
+    spec.corner_filter = "cold_lv";
+    spec.engine.mos_model = "ekv";
+    spec.engine.parallelism = 1;
+    const core::GlovaResult res = core::make_optimizer(spec)->run();
+    const char* label = circuits::to_string(run.testcase);
+    EXPECT_EQ(res.termination, "verified") << label;
+    EXPECT_EQ(res.rl_iterations, run.rl_iterations) << label;
+    EXPECT_EQ(res.n_simulations, run.n_simulations) << label;
   }
 }
 

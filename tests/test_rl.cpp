@@ -92,8 +92,9 @@ void hash_agent_session(std::size_t p, Fnv1a& h) {
   h.add(state.str());
 }
 
-/// The engine surrogate's shape: a {9, 64, 64, 4} regressor trained one Adam
-/// step per sample, with inference forwards and input gradients in between.
+/// A {9, 64, 64, 4} regressor (the shape of the since-removed engine
+/// surrogate) trained one Adam step per sample, with inference forwards and
+/// input gradients in between.  Part of the recorded digest, so it stays.
 void hash_surrogate_loop(Fnv1a& h) {
   Rng rng(0x5A77);
   nn::Mlp net({9, 64, 64, 4}, nn::Activation::Tanh, nn::Activation::Identity, rng);

@@ -6,6 +6,7 @@
 #include <cmath>
 
 #include "common/rng.hpp"
+#include "common/units.hpp"
 #include "pdk/mos_params.hpp"
 #include "spice/circuit.hpp"
 #include "spice/lu.hpp"
@@ -223,6 +224,47 @@ TEST(Op, PassGateAtEqualBiasKeepsChannelConductance) {
   const OpResult op = sim.operating_point();
   ASSERT_TRUE(op.converged);
   EXPECT_NEAR(op.node_voltages[d], 0.45, 1e-6);
+}
+
+// Deep in strong inversion the softplus terms are linear to within
+// exp(-z), so the EKV interpolation collapses onto the square law.  Points
+// are chosen with every half-charge argument above ~8 characteristic
+// voltages, which puts the analytic disagreement below 0.1%.
+TEST(MosModels, EkvMatchesLevel1InStrongInversion) {
+  const pdk::MosParams p = pdk::mos_params(false, pdk::typical_corner(), 100e-9);
+  const double w_over_l = 10.0;
+  struct Point {
+    double vgs, vds;
+  };
+  const Point points[] = {
+      {p.vth + 0.6, 1.0},   // saturation
+      {p.vth + 0.8, 0.2},   // triode
+      {p.vth + 0.7, 0.05},  // deep triode (pass-gate-like)
+  };
+  for (const auto& pt : points) {
+    const NmosEval l1 = nmos_channel(MosModel::kLevel1, p, w_over_l, pt.vgs, pt.vds);
+    const NmosEval ekv = nmos_channel(MosModel::kEkv, p, w_over_l, pt.vgs, pt.vds);
+    EXPECT_NEAR(ekv.id, l1.id, 1e-3 * std::abs(l1.id)) << "vgs " << pt.vgs << " vds " << pt.vds;
+    EXPECT_NEAR(ekv.gm, l1.gm, 1e-3 * std::abs(l1.gm)) << "vgs " << pt.vgs << " vds " << pt.vds;
+    EXPECT_NEAR(ekv.gds, l1.gds, 1e-3 * std::abs(l1.gds))
+        << "vgs " << pt.vgs << " vds " << pt.vds;
+  }
+}
+
+// Below threshold Level-1 is dead while EKV conducts with the subthreshold
+// slope gm = Id / (n vt) — the property the cold low-voltage corner needs.
+TEST(MosModels, EkvConductsInWeakInversion) {
+  const pdk::MosParams p = pdk::mos_params(false, pdk::typical_corner(), 100e-9);
+  const double w_over_l = 10.0;
+  const double vgs = p.vth - 0.2;  // ~3 v_char below threshold: sig/sp within 3% of 1
+  const NmosEval l1 = nmos_channel(MosModel::kLevel1, p, w_over_l, vgs, 0.5);
+  const NmosEval ekv = nmos_channel(MosModel::kEkv, p, w_over_l, vgs, 0.5);
+  EXPECT_EQ(l1.id, 0.0);
+  EXPECT_GT(ekv.id, 0.0);
+  EXPECT_GT(ekv.gm, 0.0);
+  EXPECT_GT(ekv.gds, 0.0);  // the reverse half-charge keeps gds alive
+  const double n_vt = pdk::kEkvSlopeFactor * units::thermal_voltage(p.temp_k);
+  EXPECT_NEAR(ekv.gm, ekv.id / n_vt, 0.05 * ekv.gm);
 }
 
 TEST(Transient, RcDischargeMatchesAnalytic) {
