@@ -56,7 +56,10 @@ static void BM_SpiceSalTransient(benchmark::State& state) {
   // The SPICE run path under every SAL evaluation: netlist build, DC op,
   // transient, measurement extraction.  Warm start disabled so the number
   // is a clean cold-evaluation cost.  Arg 0 = fixed 3000-step grid, arg 1 =
-  // LTE-adaptive timestep controller.
+  // LTE-adaptive timestep controller (the default); both on the default
+  // channel model.
+  const bool was_warm = spice::dc_warm_start_enabled();
+  const bool was_adaptive = spice::adaptive_timestep_default();
   spice::set_dc_warm_start_enabled(false);
   spice::set_adaptive_timestep_default(state.range(0) != 0);
   circuits::StrongArmLatchSpice sal;
@@ -66,18 +69,19 @@ static void BM_SpiceSalTransient(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(sal.evaluate(x, pdk::typical_corner(), {}));
   }
-  spice::set_adaptive_timestep_default(false);
-  spice::set_dc_warm_start_enabled(true);
+  spice::set_adaptive_timestep_default(was_adaptive);
+  spice::set_dc_warm_start_enabled(was_warm);
 }
 BENCHMARK(BM_SpiceSalTransient)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 static void BM_SpiceDrawGroup(benchmark::State& state) {
   // 16 mismatch draws of one SAL (design, corner) cell, the inner loop of a
   // verification batch: sequential per-draw evaluate() with DC warm starts,
-  // on the fixed grid (arg 0) and the LTE-adaptive grid (arg 1).  The warm-
-  // start cache is cleared before each group, so the first draw solves cold
-  // and seeds the other 15.
+  // on the fixed grid (arg 0) and the LTE-adaptive grid (arg 1, the
+  // default).  The warm-start cache is cleared before each group, so the
+  // first draw solves cold and seeds the other 15.
   constexpr std::size_t kDraws = 16;
+  const bool was_adaptive = spice::adaptive_timestep_default();
   spice::set_adaptive_timestep_default(state.range(0) != 0);
   circuits::StrongArmLatchSpice sal;
   const auto& sz = sal.sizing();
@@ -94,7 +98,7 @@ static void BM_SpiceDrawGroup(benchmark::State& state) {
       benchmark::DoNotOptimize(sal.evaluate(x, pdk::typical_corner(), h));
     }
   }
-  spice::set_adaptive_timestep_default(false);
+  spice::set_adaptive_timestep_default(was_adaptive);
   state.counters["draws_per_s"] = benchmark::Counter(
       static_cast<double>(kDraws) * state.iterations(), benchmark::Counter::kIsRate);
 }

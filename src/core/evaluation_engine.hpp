@@ -66,9 +66,11 @@ struct EngineConfig {
   /// construction; behavioral testbenches are unaffected.
   bool dc_warm_start = true;
   /// LTE-adaptive timestep control in the SPICE transient (process-wide
-  /// spice::set_adaptive_timestep_default, like dc_warm_start).  Changes
-  /// metric values within the controller's truncation-error tolerance.
-  bool adaptive_timestep = false;
+  /// spice::set_adaptive_timestep_default, like dc_warm_start).  On by
+  /// default; metric values stay within the controller's truncation-error
+  /// tolerance of the fixed uniform grid, which `false` still selects (specs
+  /// written before this default carry `adaptive_timestep=0`).
+  bool adaptive_timestep = true;
   /// Convergence-recovery ladder in the SPICE engine (process-wide
   /// spice::set_recovery_default): gmin stepping for hard DC points, substep
   /// cutting and restart-from-DC for transient Newton failures.  Off by
@@ -92,12 +94,13 @@ struct EngineConfig {
   bool degrade_to_behavioral = false;
   /// MOSFET channel model for every SPICE simulation this engine drives
   /// (process-wide spice::set_mos_model_default, like dc_warm_start).
-  /// "level1" (default): the historical square law with hard sub-Vth cutoff
-  /// — bit-identical to previous releases.  "ekv": the continuous
-  /// weak/strong-inversion model (docs/architecture.md#mos-models), which
-  /// keeps channels conductive at cold low-voltage corners the Level-1
-  /// model cuts off at.  Any other value is rejected at construction.
-  std::string mos_model = "level1";
+  /// "ekv" (default): the continuous weak/strong-inversion model
+  /// (docs/architecture.md#mos-models), which keeps channels conductive
+  /// below threshold and at the cold low-voltage corners.  "level1": the
+  /// historical square law with hard sub-Vth cutoff, kept for specs written
+  /// before this default (they carry `mos_model=level1`).  Any other value
+  /// is rejected at construction.
+  std::string mos_model = "ekv";
   /// Path of the persistent cross-session memo-cache file (see
   /// core/persistent_cache.hpp).  Non-empty: the engine loads matching
   /// entries into its LRU at construction and merges the LRU back to disk on

@@ -37,14 +37,29 @@ std::optional<double> first_crossing(std::span<const double> times, std::span<co
 double integrate(std::span<const double> times, std::span<const double> values, double t0,
                  double t1) {
   check_sizes(times, values);
+  // One walk over the trace, interpolating only where a window end falls
+  // inside an interval.  At a sample the trapezoid takes the value value_at()
+  // returns there (the first of equal times, the last sample at the trace's
+  // end), so the sum is bit-identical to calling value_at() at both ends of
+  // every clipped interval.
+  const auto lerp = [&](std::size_t hi, double t) {
+    const std::size_t lo = hi - 1;
+    const double frac = (t - times[lo]) / (times[hi] - times[lo]);
+    return values[lo] + frac * (values[hi] - values[lo]);
+  };
   double sum = 0.0;
+  std::size_t first = 0;  // first index whose time equals times[i - 1]
   for (std::size_t i = 1; i < times.size(); ++i) {
     const double a = std::max(times[i - 1], t0);
     const double b = std::min(times[i], t1);
-    if (b <= a) continue;
-    const double va = value_at(times, values, a);
-    const double vb = value_at(times, values, b);
-    sum += 0.5 * (va + vb) * (b - a);
+    if (b > a) {
+      const double va = a == times[i - 1] ? values[first] : lerp(i, a);
+      const double vb = b != times[i]             ? lerp(i, b)
+                        : times[i] == times.back() ? values.back()
+                                                   : values[i];
+      sum += 0.5 * (va + vb) * (b - a);
+    }
+    if (times[i] != times[i - 1]) first = i;
   }
   return sum;
 }

@@ -17,10 +17,11 @@ namespace glova::spice {
 // Process-wide option switches
 
 namespace {
-std::atomic<bool> g_adaptive_timestep_default{false};
-std::atomic<bool> g_recovery_default{false};
-std::atomic<std::uint64_t> g_deadline_default{0};
-std::atomic<unsigned char> g_mos_model_default{static_cast<unsigned char>(MosModel::kLevel1)};
+constexpr SimulatorOptions kDefaults{};
+std::atomic<bool> g_adaptive_timestep_default{kDefaults.adaptive_timestep};
+std::atomic<bool> g_recovery_default{kDefaults.recovery.enabled};
+std::atomic<std::uint64_t> g_deadline_default{kDefaults.deadline_newton_iterations};
+std::atomic<unsigned char> g_mos_model_default{static_cast<unsigned char>(kDefaults.mos_model)};
 thread_local int t_recovery_escalation = 0;
 thread_local const FaultPlan* t_fault_plan = nullptr;
 }  // namespace

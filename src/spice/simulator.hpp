@@ -176,10 +176,10 @@ struct SimulatorOptions {
   /// the backward-Euler startup steps, third for trapezoidal).  Steps are
   /// forced to land on waveform breakpoints, and the step size resets to
   /// spec.dt after each breakpoint (the integration order drops across a
-  /// slope discontinuity, so history from before it is not trusted).
-  /// Disabled, the transient marches the fixed uniform grid bit-identically
-  /// to previous releases.
-  bool adaptive_timestep = false;
+  /// slope discontinuity, so history from before it is not trusted).  On by
+  /// default; disabled, the transient marches the fixed uniform grid
+  /// bit-identically to previous releases.
+  bool adaptive_timestep = true;
   double lte_reltol = 2e-3;     ///< LTE tolerance relative to the node swing
   double lte_abstol = 1e-4;     ///< [V] LTE absolute tolerance floor
   double lte_safety = 0.9;      ///< target a little inside the tolerance
@@ -188,12 +188,12 @@ struct SimulatorOptions {
   double dt_min_factor = 1e-3;  ///< dt never drops below spec.dt * this
   double dt_max_factor = 16.0;  ///< dt never grows above spec.dt * this
 
-  /// MOSFET channel model.  kLevel1 (default) is the historical square law
-  /// with hard sub-Vth cutoff — every pinned baseline was recorded against
-  /// it.  kEkv switches every channel evaluation (StampPlan companion pass,
-  /// KCL branch-current recovery, failure residuals) to the continuous
-  /// weak/strong-inversion interpolation in mos_model.hpp.
-  MosModel mos_model = MosModel::kLevel1;
+  /// MOSFET channel model for every channel evaluation (StampPlan companion
+  /// pass, KCL branch-current recovery, failure residuals).  kEkv (default)
+  /// is the continuous weak/strong-inversion interpolation in mos_model.hpp;
+  /// kLevel1 is the historical square law with hard sub-Vth cutoff, which
+  /// the fixed-grid pins and specs written before this default still use.
+  MosModel mos_model = MosModel::kEkv;
 
   /// Convergence-recovery ladder (see RecoveryPolicy); off by default.
   RecoveryPolicy recovery;
@@ -214,7 +214,8 @@ struct SimulatorOptions {
 /// Process-wide default switches for the options testbench backends build
 /// their simulators with (the same pattern as set_dc_warm_start_enabled):
 /// core::EvaluationEngine applies its EngineConfig here, and benchmarks /
-/// tests toggle them directly.  Both default to off.
+/// tests toggle them directly.  Each starts at its SimulatorOptions default:
+/// the adaptive timestep and the EKV model on, recovery and the deadline off.
 [[nodiscard]] bool adaptive_timestep_default();
 void set_adaptive_timestep_default(bool enabled);
 [[nodiscard]] bool recovery_default();

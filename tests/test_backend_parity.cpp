@@ -11,7 +11,7 @@
 //
 // The suite runs each testcase under BOTH channel models (Level-1 and EKV,
 // see mos_model.hpp): separate band rows per model, with the process-wide
-// default switched through an RAII guard.  The ekv rows additionally
+// default switched under an RAII guard that restores it.  The ekv rows additionally
 // include the cold low-voltage corner (SS / 0.8 V / -40 C) that the hard
 // Level-1 cutoff cannot evaluate at all — converging there without source
 // stepping crutches is an explicit acceptance criterion of ISSUE 10.
@@ -66,26 +66,12 @@
 #include <cmath>
 
 #include "backend_parity_grid.hpp"
+#include "scoped_spice_defaults.hpp"
 #include "circuits/registry.hpp"
 #include "spice/simulator.hpp"
 
 namespace glova {
 namespace {
-
-/// Swaps the process-wide channel-model default for the duration of one
-/// test, restoring the previous value even on assertion failure.
-class ScopedMosModel {
- public:
-  explicit ScopedMosModel(spice::MosModel model) : prev_(spice::mos_model_default()) {
-    spice::set_mos_model_default(model);
-  }
-  ~ScopedMosModel() { spice::set_mos_model_default(prev_); }
-  ScopedMosModel(const ScopedMosModel&) = delete;
-  ScopedMosModel& operator=(const ScopedMosModel&) = delete;
-
- private:
-  spice::MosModel prev_;
-};
 
 struct MetricBand {
   const char* metric;
@@ -102,8 +88,8 @@ struct ParityBands {
 
 // The design/corner grid and draw recipe live in backend_parity_grid.hpp
 // (shared with tools/probe_parity.cpp, which regenerates the ratio table).
-// Rows 0-2 assert the Level-1 default; rows 3-5 re-run the same grid under
-// ekv, with the cold low-voltage corner appended.
+// Rows 0-2 assert Level-1; rows 3-5 re-run the same grid under ekv (the
+// default), with the cold low-voltage corner appended.
 const ParityBands kBands[] = {
     {circuits::Testcase::Sal,
      spice::MosModel::kLevel1,
@@ -177,7 +163,8 @@ class BackendParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(BackendParity, NominalMetricsAgreeWithinBands) {
   const ParityBands& bands = kBands[GetParam()];
-  const ScopedMosModel guard(bands.model);
+  const test_support::ScopedSpiceDefaults restore;
+  spice::set_mos_model_default(bands.model);
   const auto beh = circuits::make_testbench(bands.tc, circuits::Backend::Behavioral);
   const auto spc = circuits::make_testbench(bands.tc, circuits::Backend::Spice);
   const auto designs = parity_grid::designs_x01(bands.tc);
@@ -193,7 +180,8 @@ TEST_P(BackendParity, NominalMetricsAgreeWithinBands) {
 
 TEST_P(BackendParity, LocalMismatchDrawsAgreeWithinBands) {
   const ParityBands& bands = kBands[GetParam()];
-  const ScopedMosModel guard(bands.model);
+  const test_support::ScopedSpiceDefaults restore;
+  spice::set_mos_model_default(bands.model);
   const auto beh = circuits::make_testbench(bands.tc, circuits::Backend::Behavioral);
   const auto spc = circuits::make_testbench(bands.tc, circuits::Backend::Spice);
   const auto designs = parity_grid::designs_x01(bands.tc);

@@ -12,10 +12,10 @@
 #include <sstream>
 #include <thread>
 
+#include "scoped_spice_defaults.hpp"
 #include "circuits/registry.hpp"
 #include "core/evaluation_engine.hpp"
 #include "pdk/variation.hpp"
-#include "spice/simulator.hpp"
 
 namespace glova::core {
 namespace {
@@ -345,6 +345,7 @@ TEST(EvaluationEngine, SequentialParallelismNeverUsesThePool) {
 // warm-start and timestep counters; loading and re-saving must reproduce the
 // frame byte for byte, and the surviving counters must land in their fields.
 TEST(EvaluationEngine, StateFrameWithRetiredCountersReSavesByteIdentically) {
+  const test_support::ScopedSpiceDefaults restore;  // the engine sets them process-wide
   const std::string frame =
       "engine-state 1\n"
       "counters 3 3 0 0 0\n"
@@ -391,7 +392,6 @@ TEST(EvaluationEngine, StateFrameWithRetiredCountersReSavesByteIdentically) {
   EXPECT_EQ(stats.steps_accepted, 707u);
   EXPECT_EQ(stats.steps_rejected, 34u);
   EXPECT_EQ(engine.cache_size(), 3u);
-  spice::set_adaptive_timestep_default(false);  // the engine set it process-wide
 }
 
 // An `engine-state 2` frame, which only the retired surrogate=1 mode wrote

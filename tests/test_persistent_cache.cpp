@@ -13,6 +13,7 @@
 #include <stdexcept>
 #include <string>
 
+#include "scoped_spice_defaults.hpp"
 #include "circuits/registry.hpp"
 #include "core/campaign.hpp"
 #include "core/evaluation_engine.hpp"
@@ -38,6 +39,16 @@ core::MemoCacheFile sample_file() {
   file.entries.push_back({{4, 5}, {3.0}});
   file.entries.push_back({{}, {1e-300, 2e17}});
   return file;
+}
+
+/// The config that wrote the memo files below: the release before the
+/// adaptive-timestep and EKV defaults, whose tag spells `adaptive=0` and
+/// `mos=level1`.
+core::EngineConfig pre_default_config() {
+  core::EngineConfig cfg;
+  cfg.adaptive_timestep = false;
+  cfg.mos_model = "level1";
+  return cfg;
 }
 
 TEST(MemoCacheFormat, SaveLoadSaveIsAByteFixedPoint) {
@@ -191,15 +202,18 @@ TEST(PersistentCache, EngineFlushesOnDestructionAndPreloadsOnConstruction) {
 }
 
 // The tag still spells the retired batch/bypass knobs as literal 0s, so memo
-// files written before their removal (whose tag this is for the default
-// config) keep loading instead of being rejected as foreign.
+// files written before their removal keep loading through an engine with
+// the config that wrote them instead of being rejected as foreign.  A
+// default engine (adaptive timestep, EKV) rejects such a file: a Level-1
+// memo never answers an EKV query.
 TEST(PersistentCache, DefaultTagIsPinnedAndOlderMemoFilesStillLoad) {
+  const test_support::ScopedSpiceDefaults restore;
   EXPECT_EQ(core::memo_cache_tag("X", core::EngineConfig{}),
-            "X|q=1.0000000000000001e-15|warm=1|batched=0|adaptive=0|bypass=0|recovery=0"
-            "|retries=0|deadline=0|degrade=0|mos=level1|noise=0");
+            "X|q=1.0000000000000001e-15|warm=1|batched=0|adaptive=1|bypass=0|recovery=0"
+            "|retries=0|deadline=0|degrade=0|mos=ekv|noise=0");
 
   const std::string dir = fresh_dir("glova_memo_older_release");
-  core::EngineConfig cfg;
+  core::EngineConfig cfg = pre_default_config();
   cfg.cache_path = dir + "/sal.memo";
   {
     std::ofstream os(cfg.cache_path);
@@ -216,6 +230,14 @@ TEST(PersistentCache, DefaultTagIsPinnedAndOlderMemoFilesStillLoad) {
           "end\n";
   }
   const auto tb = circuits::make_testbench(circuits::Testcase::Sal);
+  core::EngineConfig default_cfg;
+  default_cfg.cache_path = cfg.cache_path;
+  try {
+    core::EvaluationEngine rejected(tb, default_cfg);
+    ADD_FAILURE() << "a default engine loaded a level1 memo file";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("tag mismatch"), std::string::npos) << e.what();
+  }
   core::EvaluationEngine engine(tb, cfg);  // a tag mismatch would throw here
   ASSERT_EQ(engine.cache_size(), 1u);
   const auto x = midpoint_design(*tb);
@@ -283,8 +305,9 @@ TEST(PersistentCache, MemoFileWithASurrogateBlockLoadsAndReflushesWithoutIt) {
       "180000000 180000000 2752 2752 0\n"
       "val 4 0.00040532783151035772 1.5801978999547426e-09 2.0674653238861908e-09 "
       "4.3373456954211326e-05\n";
+  const test_support::ScopedSpiceDefaults restore;
   const std::string dir = fresh_dir("glova_memo_surrogate_block");
-  core::EngineConfig cfg;
+  core::EngineConfig cfg = pre_default_config();
   cfg.cache_path = dir + "/sal.memo";
   std::ofstream(cfg.cache_path)
       << entries << "surrogate-lines 2\nopaque line one\nopaque line two\nend\n";

@@ -1,10 +1,13 @@
 // Pinned-seed regression table (ROADMAP ask): fixed-seed GlovaOptimizer runs
 // must request exactly the recorded number of simulations, with the recorded
 // cache behavior, the SPICE testbenches must reproduce the recorded circuit
-// metrics, and one EKV cold-corner SPICE session per testcase must verify
-// with the recorded counts.  This is the guard rail for every evaluation-
-// stack change: a refactor that alters optimizer control flow, cache keys,
-// or solver results shows up here before it ships.
+// metrics (on the default LTE-adaptive grid with the EKV model, and on the
+// fixed grid with Level-1 that older specs still select), one SPICE session
+// per testcase must verify with the recorded counts on default knobs and at
+// the EKV cold corner, and a spec written before those defaults must keep
+// its recorded outcome.  This is the guard rail for every evaluation-stack
+// change: a refactor that alters optimizer control flow, cache keys, or
+// solver results shows up here before it ships.
 //
 // Re-recording (only when an intentional behavior change is made): build,
 // then run this binary with --gtest_also_run_disabled_tests removed and
@@ -14,11 +17,15 @@
 
 #include <cstdint>
 #include <iterator>
+#include <sstream>
+#include <string>
 #include <vector>
 
+#include "scoped_spice_defaults.hpp"
 #include "circuits/registry.hpp"
 #include "circuits/spice_backend.hpp"
 #include "common/log.hpp"
+#include "core/campaign.hpp"
 #include "core/optimizer.hpp"
 #include "core/run_spec.hpp"
 #include "spice/simulator.hpp"
@@ -72,9 +79,12 @@ TEST(PinnedSeedRegression, SimulationCountsMatchReferenceTable) {
   }
 }
 
-// SPICE metrics at fixed sizing points, one row per testcase netlist.  The
+// SPICE metrics at fixed sizing points, one row per testcase netlist, in
+// two tables: kSpiceBaselines on the fixed uniform grid with the Level-1
+// model (the path every spec written before the adaptive/EKV defaults still
+// selects), kDefaultSpiceBaselines on the default options.  The fixed-grid
 // SAL row was recorded on git main before the stamp-plan/warm-start
-// rewrite; the FIA and OCSA+SH rows were recorded when their netlists
+// rewrite; its FIA and OCSA+SH rows were recorded when their netlists
 // landed (ISSUE 5).  The compiled-plan assembler, the fused LU kernel, the
 // pinned-source absorption, and the netlist construction itself must
 // reproduce them to within Newton's voltage tolerance (measured deviation:
@@ -84,7 +94,8 @@ TEST(PinnedSeedRegression, SimulationCountsMatchReferenceTable) {
 // Re-recording (only for an intentional solver/netlist change): run this
 // binary, copy the "actual" values from the failing EXPECT_NEAR output —
 // or print them at max_digits10 with a one-off probe against
-// circuits::make_testbench(tc, Backend::Spice) — into kSpiceBaselines, and
+// circuits::make_testbench(tc, Backend::Spice), with the process-wide SPICE
+// switches set as the test below sets them — into the matching table, and
 // note the change in bench/BENCH_spice.json's context.note.
 struct SpiceBaseline {
   circuits::Testcase testcase;
@@ -92,9 +103,15 @@ struct SpiceBaseline {
   std::vector<double> metrics;
 };
 
-const SpiceBaseline kSpiceBaselines[] = {
+const std::vector<double> kSalPoint = {0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2,
+                                       0.0, 0.0, 0.0, 0.0, 0.0, 0.05, 0.01};
+const std::vector<double> kFiaPoint = {0.05, 0.25, 0.5, 0.3, 0.003, 0.001};
+const std::vector<double> kOcsaPoint = {1.0, 1.0, 1.0, 0.0, 0.0, 0.3,
+                                        1.0, 1.0, 1.0, 0.0, 1.0, 1.0};
+
+const std::vector<SpiceBaseline> kSpiceBaselines = {
     {circuits::Testcase::Sal,
-     {0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2, 0.0, 0.0, 0.0, 0.0, 0.0, 0.05, 0.01},
+     kSalPoint,
      {
          // Re-recorded when SalConditions::input_cm_frac returned to the
          // paper's mid-rail testbench (the 0.7*vdd bias was a Level-1
@@ -105,7 +122,7 @@ const SpiceBaseline kSpiceBaselines[] = {
          9.12987598746986783e-05,  // input noise [V]
      }},
     {circuits::Testcase::Fia,
-     {0.05, 0.25, 0.5, 0.3, 0.003, 0.001},
+     kFiaPoint,
      {
          4.80820605355794003e-14,  // energy per conversion [J]
          // Noise re-recorded with the behavioral gm estimate moved to the
@@ -114,7 +131,7 @@ const SpiceBaseline kSpiceBaselines[] = {
          8.04802882424353610e-04,  // input-referred noise [V]
      }},
     {circuits::Testcase::DramOcsa,
-     {1.0, 1.0, 1.0, 0.0, 0.0, 0.3, 1.0, 1.0, 1.0, 0.0, 1.0, 1.0},
+     kOcsaPoint,
      {
          1.13709493220082503e-01,  // dVD0 [V]
          1.42651524570952482e-01,  // dVD1 [V]
@@ -122,23 +139,45 @@ const SpiceBaseline kSpiceBaselines[] = {
      }},
 };
 
-TEST(PinnedSeedRegression, SpiceMetricsMatchRecordedBaselines) {
-  // Evaluate everything first and restore the global warm-start switch
-  // before any assertion can return early, so a failing row cannot leave
-  // warm start disabled for the rest of the binary.
-  const bool was_enabled = spice::dc_warm_start_enabled();
+// Recorded when the LTE-adaptive timestep and the EKV model became the
+// SimulatorOptions / EngineConfig defaults.
+const std::vector<SpiceBaseline> kDefaultSpiceBaselines = {
+    {circuits::Testcase::Sal,
+     kSalPoint,
+     {
+         1.24584533669704082e-05,  // power [W]
+         4.77590948467940939e-10,  // set delay [s]
+         1.11941900734056323e-10,  // reset delay [s]
+         9.12987598746986783e-05,  // input noise [V]
+     }},
+    {circuits::Testcase::Fia,
+     kFiaPoint,
+     {
+         5.12901692928281621e-14,  // energy per conversion [J]
+         1.20291276188200409e-03,  // input-referred noise [V]
+     }},
+    {circuits::Testcase::DramOcsa,
+     kOcsaPoint,
+     {
+         1.28391952279183624e-01,  // dVD0 [V]
+         1.31514614706298660e-01,  // dVD1 [V]
+         1.13703198788420537e-14,  // energy per bit [J]
+     }},
+};
+
+/// Evaluates every row at the typical corner with warm start off and the
+/// given timestep mode and channel model, then checks the recorded metrics.
+/// The guard restores the process-wide switches even when a row fails.
+void expect_spice_baselines(const std::vector<SpiceBaseline>& table, bool adaptive_timestep,
+                            spice::MosModel model) {
+  const test_support::ScopedSpiceDefaults restore;
   spice::set_dc_warm_start_enabled(false);
-  std::vector<std::vector<double>> measured;
-  for (const SpiceBaseline& row : kSpiceBaselines) {
+  spice::set_adaptive_timestep_default(adaptive_timestep);
+  spice::set_mos_model_default(model);
+  for (const SpiceBaseline& row : table) {
     const auto tb = circuits::make_testbench(row.testcase, circuits::Backend::Spice);
     const auto x = tb->sizing().denormalize(row.x01);
-    measured.push_back(tb->evaluate(x, pdk::typical_corner(), {}));
-  }
-  spice::set_dc_warm_start_enabled(was_enabled);
-
-  for (std::size_t ri = 0; ri < std::size(kSpiceBaselines); ++ri) {
-    const SpiceBaseline& row = kSpiceBaselines[ri];
-    const auto& m = measured[ri];
+    const auto m = tb->evaluate(x, pdk::typical_corner(), {});
     ASSERT_EQ(m.size(), row.metrics.size()) << circuits::to_string(row.testcase);
     for (std::size_t i = 0; i < m.size(); ++i) {
       EXPECT_NEAR(m[i], row.metrics[i], std::abs(row.metrics[i]) * 1e-6)
@@ -147,52 +186,136 @@ TEST(PinnedSeedRegression, SpiceMetricsMatchRecordedBaselines) {
   }
 }
 
-// One GLOVA session per SPICE testcase at the coldest low-voltage corner
-// (SS, 0.8 V, -40 C) under the EKV channel model: method C, seed 1, a
-// 120-iteration cap, one simulation in flight.  Every session must verify
-// with exactly the recorded iteration and requested-simulation counts.
-struct ColdCornerRun {
+TEST(PinnedSeedRegression, SpiceMetricsMatchRecordedBaselines) {
+  expect_spice_baselines(kSpiceBaselines, /*adaptive_timestep=*/false, spice::MosModel::kLevel1);
+}
+
+TEST(PinnedSeedRegression, DefaultSpiceMetricsMatchRecordedBaselines) {
+  const spice::SimulatorOptions defaults;
+  expect_spice_baselines(kDefaultSpiceBaselines, defaults.adaptive_timestep, defaults.mos_model);
+}
+
+/// The GLOVA session every SPICE outcome row below runs: method C, seed 1,
+/// a 120-iteration cap, one simulation in flight, default knobs otherwise.
+core::RunSpec spice_session(circuits::Testcase testcase) {
+  core::RunSpec spec;
+  spec.testcase = testcase;
+  spec.backend = circuits::Backend::Spice;
+  spec.method = core::VerifMethod::C;
+  spec.seed = 1;
+  spec.max_iterations = 120;
+  spec.engine.parallelism = 1;
+  return spec;
+}
+
+struct SessionOutcome {
   circuits::Testcase testcase;
+  const char* termination;
   std::size_t rl_iterations;
   std::uint64_t n_simulations;
 };
 
-constexpr ColdCornerRun kColdCornerRuns[] = {
-    {circuits::Testcase::Sal, 21, 46},
-    {circuits::Testcase::Fia, 8, 27},
-    {circuits::Testcase::DramOcsa, 1, 24},
+void expect_outcome(const core::GlovaResult& res, const SessionOutcome& expected) {
+  const char* label = circuits::to_string(expected.testcase);
+  EXPECT_EQ(res.termination, expected.termination) << label;
+  EXPECT_EQ(res.rl_iterations, expected.rl_iterations) << label;
+  EXPECT_EQ(res.n_simulations, expected.n_simulations) << label;
+}
+
+// Default knobs (adaptive timestep, EKV): every SPICE testcase verifies.
+constexpr SessionOutcome kDefaultSpiceSessions[] = {
+    {circuits::Testcase::Sal, "verified", 21, 104},
+    {circuits::Testcase::Fia, "verified", 9, 86},
+    {circuits::Testcase::DramOcsa, "verified", 1, 82},
 };
 
-/// The engine constructor writes its knobs into process-wide SPICE switches;
-/// put the defaults back on exit so later tests do not run under ekv.
-struct SpiceDefaultsGuard {
-  ~SpiceDefaultsGuard() {
-    spice::set_mos_model_default(spice::MosModel::kLevel1);
-    spice::set_dc_warm_start_enabled(true);
-    spice::set_adaptive_timestep_default(false);
-    spice::set_recovery_default(false);
-    spice::set_deadline_default(0);
+TEST(PinnedSeedRegression, DefaultSpiceSessionsVerify) {
+  set_log_level(LogLevel::Warn);
+  const test_support::ScopedSpiceDefaults restore;
+  for (const SessionOutcome& run : kDefaultSpiceSessions) {
+    expect_outcome(core::make_optimizer(spice_session(run.testcase))->run(), run);
   }
+}
+
+// The canonical spec text the release before the adaptive/EKV defaults wrote
+// for spice_session(Sal): checkpoints and glova-serve spools carry it
+// verbatim, so it spells out the fixed grid and the Level-1 model.
+constexpr const char* kPreDefaultSalSpec =
+    "testcase=SAL backend=spice algorithm=glova method=C corner_filter=all seed=1 "
+    "max_iterations=120 n_opt_samples=3 use_ensemble_critic=1 use_mu_sigma=1 use_reordering=1 "
+    "max_simulations=0 budget_iterations=0 max_wall_seconds=0 cost_per_simulation=1 "
+    "cost_per_rl_iteration=2 parallelism=1 min_parallel_batch=8 cache_capacity=4096 "
+    "cache_quantum=1.0000000000000001e-15 dc_warm_start=1 adaptive_timestep=0 recovery=0 "
+    "mos_model=level1 max_eval_retries=0 eval_deadline_steps=0 degrade_to_behavioral=0 "
+    "cache_path= progress_log=0";
+
+// The outcomes that release recorded for that spec, per testcase.
+constexpr SessionOutcome kPreDefaultSpiceSessions[] = {
+    {circuits::Testcase::Sal, "iteration-cap", 120, 174},
+    {circuits::Testcase::Fia, "iteration-cap", 120, 176},
+    {circuits::Testcase::DramOcsa, "verified", 1, 82},
+};
+
+TEST(PinnedSeedRegression, SpecWrittenBeforeTheAdaptiveEkvDefaultsKeepsItsNumerics) {
+  set_log_level(LogLevel::Warn);
+  const test_support::ScopedSpiceDefaults restore;
+  const core::RunSpec sal = core::RunSpec::from_string(kPreDefaultSalSpec);
+  EXPECT_EQ(sal.to_string(), kPreDefaultSalSpec);
+  EXPECT_FALSE(sal.engine.adaptive_timestep);
+  EXPECT_EQ(sal.engine.mos_model, "level1");
+
+  // The same text with the testcase swapped: the outcome each row recorded.
+  std::vector<core::RunSpec> specs;
+  for (const SessionOutcome& run : kPreDefaultSpiceSessions) {
+    core::RunSpec spec = sal;
+    spec.testcase = run.testcase;
+    specs.push_back(spec);
+  }
+  core::Campaign straight(specs);
+  const core::CampaignResult& table = straight.run();
+  ASSERT_EQ(table.entries.size(), std::size(kPreDefaultSpiceSessions));
+  for (std::size_t i = 0; i < table.entries.size(); ++i) {
+    expect_outcome(table.entries[i].result, kPreDefaultSpiceSessions[i]);
+  }
+
+  // A checkpoint saved mid-run resumes to the same table, byte for byte.
+  const auto canonical = [](const core::CampaignResult& result) {
+    std::ostringstream os;
+    for (core::CampaignEntry entry : result.entries) {
+      entry.result.wall_seconds = 0.0;
+      os << entry.spec.to_string() << '\n';
+      core::write_glova_result(os, entry.result);
+    }
+    return os.str();
+  };
+  core::Campaign interrupted(specs);
+  std::stringstream checkpoint;
+  for (int turn = 0; turn < 60 && interrupted.step(); ++turn) {}
+  ASSERT_FALSE(interrupted.done()) << "the campaign finished before the checkpoint";
+  interrupted.save(checkpoint);
+  core::Campaign resumed = core::Campaign::load(checkpoint);
+  EXPECT_EQ(canonical(resumed.run()), canonical(table));
+}
+
+// One GLOVA session per SPICE testcase at the coldest low-voltage corner
+// (SS, 0.8 V, -40 C) under the EKV channel model.  Every session must verify
+// with exactly the recorded iteration and requested-simulation counts.
+constexpr SessionOutcome kColdCornerRuns[] = {
+    {circuits::Testcase::Sal, "verified", 21, 46},
+    {circuits::Testcase::Fia, "verified", 8, 27},
+    {circuits::Testcase::DramOcsa, "verified", 1, 24},
 };
 
 TEST(PinnedSeedRegression, EkvColdCornerSessionsVerify) {
   set_log_level(LogLevel::Warn);
-  const SpiceDefaultsGuard restore;
-  for (const ColdCornerRun& run : kColdCornerRuns) {
-    core::RunSpec spec;
-    spec.testcase = run.testcase;
-    spec.backend = circuits::Backend::Spice;
-    spec.method = core::VerifMethod::C;
-    spec.seed = 1;
-    spec.max_iterations = 120;
+  // The engine constructor writes its knobs into the process-wide SPICE
+  // switches; the guard puts the values found here back on exit.
+  const test_support::ScopedSpiceDefaults restore;
+  for (const SessionOutcome& run : kColdCornerRuns) {
+    core::RunSpec spec = spice_session(run.testcase);
     spec.corner_filter = "cold_lv";
     spec.engine.mos_model = "ekv";
-    spec.engine.parallelism = 1;
-    const core::GlovaResult res = core::make_optimizer(spec)->run();
-    const char* label = circuits::to_string(run.testcase);
-    EXPECT_EQ(res.termination, "verified") << label;
-    EXPECT_EQ(res.rl_iterations, run.rl_iterations) << label;
-    EXPECT_EQ(res.n_simulations, run.n_simulations) << label;
+    expect_outcome(core::make_optimizer(spec)->run(), run);
   }
 }
 

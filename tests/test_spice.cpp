@@ -3,7 +3,11 @@
 // parser, and waveform measurements.
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <span>
+#include <utility>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -329,13 +333,16 @@ TEST(Transient, EnergyConservationInRcCharge) {
 }
 
 TEST(Transient, FinalStepLandsExactlyOnTStop) {
-  // t_stop is NOT an integer multiple of dt: the final partial step must
-  // land exactly on t_stop with strictly positive dt everywhere.
+  // t_stop is NOT an integer multiple of dt: the final partial step of the
+  // fixed uniform grid must land exactly on t_stop with strictly positive dt
+  // everywhere.
   Circuit ckt;
   const auto out = ckt.node("out");
   ckt.add_resistor("R1", out, Circuit::ground(), 1e3);
   ckt.add_capacitor("C1", out, Circuit::ground(), 1e-12, 1.0);
-  Simulator sim(ckt);
+  SimulatorOptions fixed_grid;
+  fixed_grid.adaptive_timestep = false;
+  Simulator sim(ckt, fixed_grid);
   TransientSpec spec;
   spec.t_stop = 1e-9;
   spec.dt = 3e-13;
@@ -580,6 +587,60 @@ TEST(Measure, CrossingAndIntegral) {
   EXPECT_DOUBLE_EQ(integrate(t, v, 0.5, 1.5), 0.75);
   EXPECT_DOUBLE_EQ(min_in_window(t, v, 0.5, 2.5), 0.0);
   EXPECT_DOUBLE_EQ(max_in_window(t, v, 0.0, 1.2), 1.0);
+}
+
+/// The trapezoid as integrate() computed it before its one-pass walk: both
+/// ends of every clipped interval through value_at().
+double integrate_by_value_at(std::span<const double> t, std::span<const double> v, double t0,
+                             double t1) {
+  double sum = 0.0;
+  for (std::size_t i = 1; i < t.size(); ++i) {
+    const double a = std::max(t[i - 1], t0);
+    const double b = std::min(t[i], t1);
+    if (b <= a) continue;
+    sum += 0.5 * (value_at(t, v, a) + value_at(t, v, b)) * (b - a);
+  }
+  return sum;
+}
+
+void expect_same_integral_bits(const std::vector<double>& t, const std::vector<double>& v,
+                               double t0, double t1) {
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(integrate(t, v, t0, t1)),
+            std::bit_cast<std::uint64_t>(integrate_by_value_at(t, v, t0, t1)))
+      << "window [" << t0 << ", " << t1 << "] over " << t.size() << " samples";
+}
+
+TEST(Measure, IntegrateMatchesTheValueAtTrapezoidBitForBit) {
+  // Duplicate time points at the front, inside, and at the back; windows on
+  // samples, between them, reversed, and outside the trace.
+  const std::vector<double> t = {0.0, 0.0, 1.0, 1.0, 2.5, 3.0, 3.0};
+  const std::vector<double> v = {0.3, -0.7, 1.1, 0.2, -0.4, 0.9, -1.3};
+  for (const auto& [t0, t1] : std::vector<std::pair<double, double>>{
+           {0.0, 3.0}, {1.0, 3.0}, {1.0, 2.5}, {-1.0, 5.0}, {0.4, 2.7}, {1.0, 1.0},
+           {2.7, 0.4}, {3.0, 5.0}, {-2.0, -1.0}, {-2.0, 0.0}, {0.0, 0.0}, {2.5, 2.6}}) {
+    expect_same_integral_bits(t, v, t0, t1);
+  }
+
+  Rng rng(17);
+  for (int trial = 0; trial < 2000; ++trial) {
+    const std::size_t n = 1 + rng.index(12);
+    std::vector<double> times(n);
+    std::vector<double> values(n);
+    double now = rng.uniform(-1.0, 1.0);
+    for (std::size_t i = 0; i < n; ++i) {
+      if (i > 0 && rng.uniform() >= 0.25) now += rng.uniform(1e-3, 1.0);  // else a duplicate
+      times[i] = now;
+      values[i] = rng.normal();
+    }
+    const auto window_end = [&] {
+      const double r = rng.uniform();
+      if (r < 0.4) return times[rng.index(n)];
+      if (r < 0.8) return rng.uniform(times.front(), times.back() + 1e-9);
+      return r < 0.9 ? times.front() - rng.uniform(0.1, 2.0) : times.back() + rng.uniform(0.1, 2.0);
+    };
+    const double t0 = window_end();
+    expect_same_integral_bits(times, values, t0, window_end());
+  }
 }
 
 TEST(Parser, NumbersWithSuffixes) {

@@ -1,7 +1,8 @@
 // LTE-adaptive timestep tests: controller bookkeeping (accepted/rejected
 // counters, dt trace) on a stiff clocked circuit, agreement with the fixed
-// reference grid (on that circuit and on every SPICE testbench's metrics),
-// and the process-wide step counters the evaluation engine surfaces.
+// reference grid (on that circuit and on every SPICE testbench's metrics
+// under both channel models), and the process-wide step counters the
+// evaluation engine surfaces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -9,6 +10,7 @@
 #include <numeric>
 
 #include "backend_parity_grid.hpp"
+#include "scoped_spice_defaults.hpp"
 #include "circuits/registry.hpp"
 #include "pdk/corner.hpp"
 #include "pdk/mos_params.hpp"
@@ -58,9 +60,16 @@ TransientSpec chain_spec() {
   return spec;
 }
 
+/// The fixed uniform grid the controller is checked against.
+SimulatorOptions fixed_grid() {
+  SimulatorOptions options;
+  options.adaptive_timestep = false;
+  return options;
+}
+
 TEST(AdaptiveTimestep, FixedGridStepBookkeeping) {
   const Circuit ckt = stiff_chain();
-  Simulator sim(ckt);
+  Simulator sim(ckt, fixed_grid());
   const TransientResult res = sim.transient(chain_spec());
   ASSERT_TRUE(res.ok) << res.error;
 
@@ -77,7 +86,7 @@ TEST(AdaptiveTimestep, FixedGridStepBookkeeping) {
 
 TEST(AdaptiveTimestep, StiffRampControllerAdaptsAndMatchesFixedGrid) {
   const Circuit ckt = stiff_chain();
-  Simulator fixed_sim(ckt);
+  Simulator fixed_sim(ckt, fixed_grid());
   const TransientResult fixed = fixed_sim.transient(chain_spec());
   ASSERT_TRUE(fixed.ok) << fixed.error;
 
@@ -129,8 +138,13 @@ class AdaptiveTestbenchMetrics : public ::testing::TestWithParam<int> {};
 // fixed grid, over two parity-grid designs, every parity corner, and a
 // nominal draw plus two local-mismatch draws.  The band is ~4x the worst
 // deviation observed across the parity grid (see docs/architecture.md).
+// Params 0-2 run the testcases under Level-1, 3-5 under EKV.
 TEST_P(AdaptiveTestbenchMetrics, StayWithinToleranceBandOfTheFixedGrid) {
-  const circuits::Testcase tc = circuits::all_testcases()[GetParam()];
+  const circuits::Testcase tc = circuits::all_testcases()[GetParam() % 3];
+  const MosModel model = GetParam() < 3 ? MosModel::kLevel1 : MosModel::kEkv;
+  const char* model_name = model == MosModel::kEkv ? "ekv" : "level1";
+  const test_support::ScopedSpiceDefaults restore;
+  set_mos_model_default(model);
   const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
   const auto designs = parity_grid::designs_x01(tc);
   const auto corners = parity_grid::corners();
@@ -148,19 +162,18 @@ TEST_P(AdaptiveTestbenchMetrics, StayWithinToleranceBandOfTheFixedGrid) {
         set_adaptive_timestep_default(true);
         thread_local_dc_cache().clear();
         const auto adaptive = tb->evaluate(x, corners[c], hs[i]);
-        set_adaptive_timestep_default(false);
         ASSERT_EQ(adaptive.size(), fixed.size());
         for (std::size_t mi = 0; mi < fixed.size(); ++mi) {
           EXPECT_NEAR(adaptive[mi], fixed[mi], 0.03 * std::abs(fixed[mi]) + 1e-12)
-              << circuits::to_string(tc) << " design " << d << " corner " << c << " draw " << i
-              << " metric " << mi;
+              << circuits::to_string(tc) << " " << model_name << " design " << d << " corner "
+              << c << " draw " << i << " metric " << mi;
         }
       }
     }
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(AllTestcases, AdaptiveTestbenchMetrics, ::testing::Range(0, 3));
+INSTANTIATE_TEST_SUITE_P(AllTestcases, AdaptiveTestbenchMetrics, ::testing::Range(0, 6));
 
 }  // namespace
 }  // namespace glova::spice

@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "backend_parity_grid.hpp"
+#include "scoped_spice_defaults.hpp"
 #include "circuits/registry.hpp"
 #include "circuits/testbench.hpp"
 #include "core/evaluation_engine.hpp"
@@ -46,6 +47,14 @@ TransientSpec rc_spec() {
   return spec;
 }
 
+/// The fixed uniform grid: the solve numbering below (one fault-plan index
+/// per timestep, solve 3 at t = 3 ps) is pinned on it.
+SimulatorOptions fixed_grid() {
+  SimulatorOptions options;
+  options.adaptive_timestep = false;
+  return options;
+}
+
 FaultPlan one_site(std::uint64_t begin, std::uint64_t end, FaultPlan::Kind kind,
                    int extra = 50) {
   FaultPlan plan;
@@ -70,12 +79,13 @@ TEST(FaultPlan, MatchesHalfOpenSiteRanges) {
 }
 
 // Pins the solve numbering the rest of this file relies on: a converging
-// scalar run consumes one index for the cold DC solve and one per timestep.
+// scalar run on the fixed grid consumes one index for the cold DC solve and
+// one per timestep.
 TEST(FaultPlan, EmptyPlanCountsEverySolve) {
   const Circuit ckt = rc_circuit();
   FaultPlan probe;  // no sites: pure dry-run counter
   ScopedFaults guard(&probe);
-  Simulator sim(ckt, SimulatorOptions{});
+  Simulator sim(ckt, fixed_grid());
   const TransientResult res = sim.transient(rc_spec());
   ASSERT_TRUE(res.ok) << res.error;
   EXPECT_EQ(probe.cursor, 1u + res.steps_accepted);
@@ -165,7 +175,7 @@ TEST(Recovery, StepCuttingRescuesAFaultedTransientStep) {
   const Circuit ckt = rc_circuit();
   const TransientSpec spec = rc_spec();
 
-  Simulator ref_sim(ckt, SimulatorOptions{});
+  Simulator ref_sim(ckt, fixed_grid());
   const TransientResult ref = ref_sim.transient(spec);
   ASSERT_TRUE(ref.ok);
 
@@ -174,7 +184,7 @@ TEST(Recovery, StepCuttingRescuesAFaultedTransientStep) {
   {
     const FaultPlan fp = one_site(3, 4, FaultPlan::Kind::NonConverge);
     ScopedFaults guard(&fp);
-    Simulator sim(ckt, SimulatorOptions{});
+    Simulator sim(ckt, fixed_grid());
     const TransientResult res = sim.transient(spec);
     EXPECT_FALSE(res.ok);
     EXPECT_EQ(res.failure.stage, FailureStage::TransientNewton);
@@ -185,7 +195,7 @@ TEST(Recovery, StepCuttingRescuesAFaultedTransientStep) {
   const SpiceCounters before = spice_counters();
   const FaultPlan fp = one_site(3, 4, FaultPlan::Kind::NonConverge);
   ScopedFaults guard(&fp);
-  SimulatorOptions armed;
+  SimulatorOptions armed = fixed_grid();
   armed.recovery.enabled = true;
   Simulator sim(ckt, armed);
   const TransientResult res = sim.transient(spec);
@@ -208,7 +218,7 @@ TEST(Recovery, DcRestartRescuesWhenStepCutsAreExhausted) {
   const SpiceCounters before = spice_counters();
   const FaultPlan fp = one_site(3, 4, FaultPlan::Kind::NonConverge);
   ScopedFaults guard(&fp);
-  SimulatorOptions armed;
+  SimulatorOptions armed = fixed_grid();
   armed.recovery.enabled = true;
   armed.recovery.max_step_cuts = 0;  // skip straight to the restart rung
   armed.recovery.dc_restart_attempts = 1;
@@ -226,14 +236,14 @@ TEST(Recovery, NanStampAndSingularMatrixFaultsAreRescued) {
     {
       const FaultPlan fp = one_site(3, 4, kind);
       ScopedFaults guard(&fp);
-      Simulator sim(ckt, SimulatorOptions{});
+      Simulator sim(ckt, fixed_grid());
       const TransientResult res = sim.transient(rc_spec());
       EXPECT_FALSE(res.ok);
       EXPECT_EQ(res.failure.stage, FailureStage::TransientNewton);
     }
     const FaultPlan fp = one_site(3, 4, kind);
     ScopedFaults guard(&fp);
-    SimulatorOptions armed;
+    SimulatorOptions armed = fixed_grid();
     armed.recovery.enabled = true;
     Simulator sim(ckt, armed);
     const TransientResult res = sim.transient(rc_spec());
@@ -260,6 +270,7 @@ TEST(Recovery, DeadlineAbortsDeterministically) {
 }
 
 TEST(Recovery, EscalationLevelsShapeTheDefaultOptions) {
+  const test_support::ScopedSpiceDefaults restore;
   set_recovery_default(false);
   set_recovery_escalation(0);
   EXPECT_FALSE(default_simulator_options().recovery.enabled);
@@ -270,21 +281,11 @@ TEST(Recovery, EscalationLevelsShapeTheDefaultOptions) {
   EXPECT_TRUE(o.recovery.enabled);
   EXPECT_GT(o.recovery.max_gmin_rungs, RecoveryPolicy{}.max_gmin_rungs);
   EXPECT_GT(o.recovery.max_step_cuts, RecoveryPolicy{}.max_step_cuts);
-  set_recovery_escalation(0);
 }
 
 // ---------------------------------------------------------------------------
 // The engine-level funnel: structured errors out of the backends, escalated
 // retries, degradation quarantine, and the EngineStats taxonomy.
-
-/// Restore every process-wide simulator switch the engine tests touch.
-void reset_simulator_defaults() {
-  set_adaptive_timestep_default(false);
-  set_recovery_default(false);
-  set_deadline_default(0);
-  set_recovery_escalation(0);
-  set_dc_warm_start_enabled(true);
-}
 
 struct SalFixture {
   circuits::TestbenchPtr tb;
@@ -299,7 +300,7 @@ struct SalFixture {
 };
 
 TEST(EngineFunnel, BackendsRaiseStructuredErrorsWithPenaltyMetrics) {
-  reset_simulator_defaults();
+  const test_support::ScopedSpiceDefaults restore;
   SalFixture fx;
   thread_local_dc_cache().clear();
   const FaultPlan all = one_site(0, kAll, FaultPlan::Kind::NonConverge);
@@ -316,7 +317,7 @@ TEST(EngineFunnel, BackendsRaiseStructuredErrorsWithPenaltyMetrics) {
 }
 
 TEST(EngineFunnel, PenaltyPathIsTheDefaultAndNeverThrows) {
-  reset_simulator_defaults();
+  const test_support::ScopedSpiceDefaults restore;
   SalFixture fx;
   core::EngineConfig config;
   config.cache_capacity = 0;
@@ -329,11 +330,10 @@ TEST(EngineFunnel, PenaltyPathIsTheDefaultAndNeverThrows) {
   const core::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.retries, 0u);
   EXPECT_EQ(stats.degraded_evals, 0u);
-  reset_simulator_defaults();
 }
 
 TEST(EngineFunnel, EscalatedRetryRecoversATransientFault) {
-  reset_simulator_defaults();
+  const test_support::ScopedSpiceDefaults restore;
   SalFixture fx;
 
   // Reference metrics and the per-evaluation solve budget F: a clean run's
@@ -376,11 +376,10 @@ TEST(EngineFunnel, EscalatedRetryRecoversATransientFault) {
   EXPECT_EQ(stats.requested, 1u);
   // The escalation level never leaks to neighboring evaluations.
   EXPECT_EQ(recovery_escalation(), 0);
-  reset_simulator_defaults();
 }
 
 TEST(EngineFunnel, DegradationQuarantinesToTheBehavioralSibling) {
-  reset_simulator_defaults();
+  const test_support::ScopedSpiceDefaults restore;
   SalFixture fx;
   ASSERT_NE(fx.tb->degraded_fallback(), nullptr);
 
@@ -399,11 +398,10 @@ TEST(EngineFunnel, DegradationQuarantinesToTheBehavioralSibling) {
   EXPECT_EQ(metrics, expected);
   const core::EngineStats stats = engine.stats();
   EXPECT_EQ(stats.degraded_evals, 1u);
-  reset_simulator_defaults();
 }
 
 TEST(EngineFunnel, StatsSurfaceTheRecoveryCounters) {
-  reset_simulator_defaults();
+  const test_support::ScopedSpiceDefaults restore;
   SalFixture fx;
   core::EvaluationEngine engine(fx.tb, core::EngineConfig{});
   // Process-wide recovery counters noted after engine construction surface
@@ -412,7 +410,7 @@ TEST(EngineFunnel, StatsSurfaceTheRecoveryCounters) {
   const Circuit ckt = rc_circuit();
   const FaultPlan fp = one_site(3, 4, FaultPlan::Kind::NonConverge);
   ScopedFaults guard(&fp);
-  SimulatorOptions armed;
+  SimulatorOptions armed = fixed_grid();
   armed.recovery.enabled = true;
   Simulator sim(ckt, armed);
   const TransientResult res = sim.transient(rc_spec());
@@ -421,7 +419,6 @@ TEST(EngineFunnel, StatsSurfaceTheRecoveryCounters) {
   EXPECT_EQ(stats.recovered_transient, 1u);
   EXPECT_EQ(stats.deadline_aborts, 0u);
   EXPECT_EQ(stats.retries, 0u);
-  reset_simulator_defaults();
 }
 
 }  // namespace
