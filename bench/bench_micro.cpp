@@ -58,10 +58,10 @@ static void BM_SpiceSalTransient(benchmark::State& state) {
   // is a clean cold-evaluation cost.  Arg 0 = fixed 3000-step grid, arg 1 =
   // LTE-adaptive timestep controller (the default); both on the default
   // channel model.
-  const bool was_warm = spice::dc_warm_start_enabled();
-  const bool was_adaptive = spice::adaptive_timestep_default();
-  spice::set_dc_warm_start_enabled(false);
-  spice::set_adaptive_timestep_default(state.range(0) != 0);
+  spice::EvaluationContext context;
+  context.dc_warm_start = false;
+  context.options.adaptive_timestep = state.range(0) != 0;
+  const spice::ScopedContext scope(context);
   circuits::StrongArmLatchSpice sal;
   const auto& sz = sal.sizing();
   std::vector<double> x01 = {0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2, 0, 0, 0, 0, 0, 0.05, 0.01};
@@ -69,8 +69,6 @@ static void BM_SpiceSalTransient(benchmark::State& state) {
   for (auto _ : state) {
     benchmark::DoNotOptimize(sal.evaluate(x, pdk::typical_corner(), {}));
   }
-  spice::set_adaptive_timestep_default(was_adaptive);
-  spice::set_dc_warm_start_enabled(was_warm);
 }
 BENCHMARK(BM_SpiceSalTransient)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
@@ -81,8 +79,9 @@ static void BM_SpiceDrawGroup(benchmark::State& state) {
   // default).  The warm-start cache is cleared before each group, so the
   // first draw solves cold and seeds the other 15.
   constexpr std::size_t kDraws = 16;
-  const bool was_adaptive = spice::adaptive_timestep_default();
-  spice::set_adaptive_timestep_default(state.range(0) != 0);
+  spice::EvaluationContext context;
+  context.options.adaptive_timestep = state.range(0) != 0;
+  const spice::ScopedContext scope(context);
   circuits::StrongArmLatchSpice sal;
   const auto& sz = sal.sizing();
   std::vector<double> x01 = {0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2, 0, 0, 0, 0, 0, 0.05, 0.01};
@@ -98,7 +97,6 @@ static void BM_SpiceDrawGroup(benchmark::State& state) {
       benchmark::DoNotOptimize(sal.evaluate(x, pdk::typical_corner(), h));
     }
   }
-  spice::set_adaptive_timestep_default(was_adaptive);
   state.counters["draws_per_s"] = benchmark::Counter(
       static_cast<double>(kDraws) * state.iterations(), benchmark::Counter::kIsRate);
 }

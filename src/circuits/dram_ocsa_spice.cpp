@@ -263,20 +263,8 @@ std::vector<double> DramOcsaSubholeSpice::evaluate(std::span<const double> x,
   double energy_sum = 0.0;
   for (const bool data_one : {false, true}) {
     const spice::Circuit ckt = build_netlist(x, corner, h, data_one);
-    spice::Simulator sim(ckt, spice::default_simulator_options());
-    const spice::TransientSpec spec = dram_transient_spec();
-
-    const bool warm = spice::dc_warm_start_enabled();
-    const spice::OpResult* seed = nullptr;
-    spice::DcWarmStartCache::Key key;
-    if (warm) {
-      key = spice::make_dc_key(kDramWarmStartTag[data_one ? 1 : 0], x, corner);
-      seed = spice::thread_local_dc_cache().lookup(key);
-    }
-    const spice::TransientResult res = sim.transient(spec, seed);
-    if (warm && res.ok && (seed == nullptr || !res.dc_op.warm_started)) {
-      spice::thread_local_dc_cache().store(key, res.dc_op);
-    }
+    const spice::TransientResult res = spice::warm_started_transient(
+        ckt, dram_transient_spec(), kDramWarmStartTag[data_one ? 1 : 0], x, corner);
     if (!res.ok) {
       // A non-convergent design fails every constraint: vanishing sensing
       // margins and an enormous energy; the structured report lets the

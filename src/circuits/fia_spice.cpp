@@ -148,20 +148,9 @@ std::vector<double> FloatingInverterAmplifierSpice::evaluate(std::span<const dou
   const FiaAnalysis nominal = behavioral_.analyze(x, corner, {});
 
   const spice::Circuit ckt = build_netlist(x, corner, h);
-  spice::Simulator sim(ckt, spice::default_simulator_options());
   const spice::TransientSpec spec = fia_transient_spec(nominal.t_int);
-
-  const bool warm = spice::dc_warm_start_enabled();
-  const spice::OpResult* seed = nullptr;
-  spice::DcWarmStartCache::Key key;
-  if (warm) {
-    key = spice::make_dc_key(kFiaWarmStartTag, x, corner);
-    seed = spice::thread_local_dc_cache().lookup(key);
-  }
-  const spice::TransientResult res = sim.transient(spec, seed);
-  if (warm && res.ok && (seed == nullptr || !res.dc_op.warm_started)) {
-    spice::thread_local_dc_cache().store(key, res.dc_op);
-  }
+  const spice::TransientResult res =
+      spice::warm_started_transient(ckt, spec, kFiaWarmStartTag, x, corner);
   if (!res.ok) {
     // A non-convergent design fails every constraint so the optimizer
     // steers away (both metrics are MinimizeBelow); the structured report

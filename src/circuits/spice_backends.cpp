@@ -108,7 +108,6 @@ std::vector<double> StrongArmLatchSpice::evaluate(std::span<const double> x,
   // Each pool worker keeps one workspace (the Simulator default): the Newton
   // loop's matrix, RHS, and factorization buffers survive across the
   // thousands of evaluate() calls an optimization run makes on that thread.
-  spice::Simulator sim(ckt, spice::default_simulator_options());
   spice::TransientSpec spec;
   spec.t_stop = kTStop;
   spec.dt = kDt;
@@ -117,21 +116,8 @@ std::vector<double> StrongArmLatchSpice::evaluate(std::span<const double> x,
   // draw's converged operating point as the Newton seed.  The seed only
   // shortens the Newton trajectory (with a cold fallback on failure), so
   // metrics agree with cold evaluation to within the solver's vtol.
-  const bool warm = spice::dc_warm_start_enabled();
-  const spice::OpResult* seed = nullptr;
-  spice::DcWarmStartCache::Key key;
-  if (warm) {
-    key = spice::make_dc_key(kSalWarmStartTag, x, corner);
-    seed = spice::thread_local_dc_cache().lookup(key);
-  }
-  const spice::TransientResult res = sim.transient(spec, seed);
-  // Store on a cache miss, and also refresh whenever a cached seed went
-  // unused (the warm attempt failed and the cold fallback converged) so a
-  // stale entry cannot keep charging the failed-warm-attempt tax to every
-  // later draw of this design.
-  if (warm && res.ok && (seed == nullptr || !res.dc_op.warm_started)) {
-    spice::thread_local_dc_cache().store(key, res.dc_op);
-  }
+  const spice::TransientResult res =
+      spice::warm_started_transient(ckt, spec, kSalWarmStartTag, x, corner);
   if (!res.ok) {
     // A non-convergent design is a broken design: the penalty metrics fail
     // every constraint so the optimizer steers away, and the structured

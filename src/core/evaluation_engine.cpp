@@ -13,9 +13,6 @@
 #include "common/log.hpp"
 #include "common/state_io.hpp"
 #include "core/persistent_cache.hpp"
-#include "spice/counters.hpp"
-#include "spice/simulator.hpp"
-#include "spice/warm_start.hpp"
 
 namespace glova::core {
 
@@ -33,12 +30,6 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
     slots_ = std::make_unique<std::counting_semaphore<>>(
         static_cast<std::ptrdiff_t>(config_.parallelism));
   }
-  // The warm-start switch is process-wide (the caches are per worker
-  // thread); the most recently constructed engine's config wins, which
-  // matches the one-engine-per-run usage everywhere in the codebase.  The
-  // adaptive-timestep switch follows the same pattern: it configures
-  // spice::default_simulator_options() for every simulation this engine (or
-  // anything sharing the process) runs from here on.
   if (config_.max_eval_retries < 0) {
     throw std::invalid_argument("EvaluationEngine: max_eval_retries must be >= 0");
   }
@@ -52,39 +43,42 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
   if (config_.mos_model != "level1" && config_.mos_model != "ekv") {
     throw std::invalid_argument("EvaluationEngine: mos_model must be 'level1' or 'ekv'");
   }
-  spice::set_mos_model_default(config_.mos_model == "ekv" ? spice::MosModel::kEkv
-                                                          : spice::MosModel::kLevel1);
-  spice::set_dc_warm_start_enabled(config_.dc_warm_start);
-  spice::set_adaptive_timestep_default(config_.adaptive_timestep);
-  spice::set_recovery_default(config_.recovery);
-  spice::set_deadline_default(config_.eval_deadline_steps);
-  snapshot_warm_baseline();
+  context_.options.mos_model =
+      config_.mos_model == "ekv" ? spice::MosModel::kEkv : spice::MosModel::kLevel1;
+  context_.options.adaptive_timestep = config_.adaptive_timestep;
+  context_.options.recovery.enabled = config_.recovery;
+  context_.options.deadline_newton_iterations = config_.eval_deadline_steps;
+  context_.dc_warm_start = config_.dc_warm_start;
+  context_.counters = &spice_counters_;
   load_persistent_cache();
 }
 
-std::vector<double> EvaluationEngine::recover_or_degrade(std::span<const double> x_phys,
-                                                         const pdk::PvtCorner& corner,
-                                                         std::span<const double> h,
-                                                         const std::vector<double>& penalty) {
-  // Escalated retries: each attempt raises the thread-local recovery level,
-  // so the failing evaluation re-runs with the ladder enabled (level 1) and
-  // then taller/deeper (level >= 2).  The level is always restored to 0 —
-  // neighbouring evaluations on this thread must not inherit it.
+std::vector<double> EvaluationEngine::evaluate_guarded(std::span<const double> x_phys,
+                                                       const pdk::PvtCorner& corner,
+                                                       std::span<const double> h) {
+  const spice::ScopedContext scope(context_);
+  std::vector<double> penalty;
+  try {
+    return testbench_->evaluate(x_phys, corner, h);
+  } catch (const circuits::EvaluationError& e) {
+    // With no retries and no degradation this resolves to the backend's
+    // legacy penalty metrics — bit-identical to the pre-funnel behavior.
+    penalty = e.penalty_metrics();
+  }
+  // Escalated retries: each attempt runs under a copy of the context whose
+  // recovery ladder is enabled (level 1) and then taller/deeper (level >= 2);
+  // the copy is installed for that attempt only.
   for (int attempt = 1; attempt <= config_.max_eval_retries; ++attempt) {
     retries_.fetch_add(1);
-    spice::set_recovery_escalation(attempt);
+    spice::EvaluationContext retry = context_;
+    retry.options.recovery = spice::escalated(context_.options.recovery, attempt);
+    const spice::ScopedContext retry_scope(retry);
     try {
-      std::vector<double> metrics = testbench_->evaluate(x_phys, corner, h);
-      spice::set_recovery_escalation(0);
-      return metrics;
+      return testbench_->evaluate(x_phys, corner, h);
     } catch (const circuits::EvaluationError&) {
       // Next attempt escalates further.
-    } catch (...) {
-      spice::set_recovery_escalation(0);
-      throw;
     }
   }
-  spice::set_recovery_escalation(0);
   if (config_.degrade_to_behavioral) {
     if (const circuits::Testbench* fallback = testbench_->degraded_fallback()) {
       degraded_evals_.fetch_add(1);
@@ -92,18 +86,6 @@ std::vector<double> EvaluationEngine::recover_or_degrade(std::span<const double>
     }
   }
   return penalty;
-}
-
-std::vector<double> EvaluationEngine::evaluate_guarded(std::span<const double> x_phys,
-                                                       const pdk::PvtCorner& corner,
-                                                       std::span<const double> h) {
-  try {
-    return testbench_->evaluate(x_phys, corner, h);
-  } catch (const circuits::EvaluationError& e) {
-    // With no retries and no degradation this resolves to the backend's
-    // legacy penalty metrics — bit-identical to the pre-funnel behavior.
-    return recover_or_degrade(x_phys, corner, h, e.penalty_metrics());
-  }
 }
 
 std::vector<double> EvaluationEngine::evaluate_with_slot(std::span<const double> x_phys,
@@ -121,17 +103,15 @@ std::vector<double> EvaluationEngine::evaluate_with_slot(std::span<const double>
   }
 }
 
-void EvaluationEngine::snapshot_warm_baseline() {
-  const spice::WarmStartStats warm = spice::warm_start_stats();
-  warm_base_hits_ = warm.hits;
-  warm_base_misses_ = warm.misses;
-  warm_base_stores_ = warm.stores;
-  const spice::SpiceCounters sc = spice::spice_counters();
-  spice_base_[0] = sc.steps_accepted;
-  spice_base_[1] = sc.steps_rejected;
-  spice_base_[2] = sc.recovered_dc;
-  spice_base_[3] = sc.recovered_transient;
-  spice_base_[4] = sc.deadline_aborts;
+void EvaluationEngine::store_spice_counters(const EngineStats& s) {
+  spice_counters_.dc_warm_hits.store(s.dc_warm_hits);
+  spice_counters_.dc_warm_misses.store(s.dc_warm_misses);
+  spice_counters_.dc_warm_stores.store(s.dc_warm_stores);
+  spice_counters_.steps_accepted.store(s.steps_accepted);
+  spice_counters_.steps_rejected.store(s.steps_rejected);
+  spice_counters_.recovered_dc.store(s.recovered_dc);
+  spice_counters_.recovered_transient.store(s.recovered_transient);
+  spice_counters_.deadline_aborts.store(s.deadline_aborts);
 }
 
 EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, std::size_t parallelism)
@@ -356,32 +336,16 @@ EngineStats EvaluationEngine::stats() const {
   s.requested = requested_.load();
   s.executed = executed_.load();
   s.cache_hits = cache_hits_.load();
-  const spice::WarmStartStats warm = spice::warm_start_stats();
-  // Saturating delta: a concurrent reset_warm_start_stats() elsewhere must
-  // not wrap the reported counts.
-  s.dc_warm_hits = warm.hits >= warm_base_hits_ ? warm.hits - warm_base_hits_ : 0;
-  s.dc_warm_misses = warm.misses >= warm_base_misses_ ? warm.misses - warm_base_misses_ : 0;
-  s.dc_warm_stores = warm.stores >= warm_base_stores_ ? warm.stores - warm_base_stores_ : 0;
-  const spice::SpiceCounters sc = spice::spice_counters();
-  const auto delta = [](std::uint64_t now, std::uint64_t base) {
-    return now >= base ? now - base : 0;
-  };
-  s.steps_accepted = delta(sc.steps_accepted, spice_base_[0]);
-  s.steps_rejected = delta(sc.steps_rejected, spice_base_[1]);
-  s.recovered_dc = delta(sc.recovered_dc, spice_base_[2]);
-  s.recovered_transient = delta(sc.recovered_transient, spice_base_[3]);
-  s.deadline_aborts = delta(sc.deadline_aborts, spice_base_[4]);
+  s.dc_warm_hits = spice_counters_.dc_warm_hits.load();
+  s.dc_warm_misses = spice_counters_.dc_warm_misses.load();
+  s.dc_warm_stores = spice_counters_.dc_warm_stores.load();
+  s.steps_accepted = spice_counters_.steps_accepted.load();
+  s.steps_rejected = spice_counters_.steps_rejected.load();
+  s.recovered_dc = spice_counters_.recovered_dc.load();
+  s.recovered_transient = spice_counters_.recovered_transient.load();
+  s.deadline_aborts = spice_counters_.deadline_aborts.load();
   s.retries = retries_.load();
   s.degraded_evals = degraded_evals_.load();
-  // Counters carried across a process restart via load_state().
-  s.dc_warm_hits += carried_.dc_warm_hits;
-  s.dc_warm_misses += carried_.dc_warm_misses;
-  s.dc_warm_stores += carried_.dc_warm_stores;
-  s.steps_accepted += carried_.steps_accepted;
-  s.steps_rejected += carried_.steps_rejected;
-  s.recovered_dc += carried_.recovered_dc;
-  s.recovered_transient += carried_.recovered_transient;
-  s.deadline_aborts += carried_.deadline_aborts;
   return s;
 }
 
@@ -391,8 +355,7 @@ void EvaluationEngine::reset_count() {
   cache_hits_.store(0);
   retries_.store(0);
   degraded_evals_.store(0);
-  carried_ = EngineStats{};
-  snapshot_warm_baseline();
+  store_spice_counters(EngineStats{});
 }
 
 std::size_t EvaluationEngine::cache_size() const {
@@ -410,10 +373,9 @@ void EvaluationEngine::save_state(std::ostream& os) const {
   os << "engine-state 1\n";
   os << "counters " << requested_.load() << ' ' << executed_.load() << ' ' << cache_hits_.load()
      << ' ' << retries_.load() << ' ' << degraded_evals_.load() << '\n';
-  // Fold the live process-wide deltas into the carried totals so a restore in
-  // a fresh process (whose deltas restart at zero) continues the same counts.
-  // The four zeros hold the places of the retired batch/bypass counters, so
-  // the frame layout stays the one earlier releases read and write.
+  // The engine's own SPICE totals, which load_state() puts back.  The four
+  // zeros hold the places of the retired batch/bypass counters, so the frame
+  // layout stays the one earlier releases read and write.
   const EngineStats s = stats();
   os << "carried " << s.dc_warm_hits << ' ' << s.dc_warm_misses << ' ' << s.dc_warm_stores
      << " 0 0 0 0 " << s.steps_accepted << ' ' << s.steps_rejected << ' ' << s.recovered_dc
@@ -463,7 +425,7 @@ void EvaluationEngine::load_state(std::istream& is) {
           c.recovered_dc >> c.recovered_transient >> c.deadline_aborts)) {
       state::bad("malformed engine carried counters");
     }
-    carried_ = c;
+    store_spice_counters(c);
   }
   const std::size_t n = state::parse_u64(state::expect_line(is, "cache"), "engine cache size");
   if (n > config_.cache_capacity) {
@@ -490,8 +452,6 @@ void EvaluationEngine::load_state(std::istream& is) {
   const std::lock_guard<std::mutex> lock(cache_mutex_);
   lru_ = std::move(lru);
   index_ = std::move(index);
-  // Deltas restart from this instant; everything before is in carried_.
-  snapshot_warm_baseline();
 }
 
 }  // namespace glova::core

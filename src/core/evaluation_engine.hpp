@@ -13,7 +13,12 @@
 //     by simulation_count()) from *actually run* ones,
 //   * a modeled runtime (each SPICE run is far more expensive than the
 //     optimizer bookkeeping around it); only ratios matter — Table II
-//     reports *normalized* runtime.
+//     reports *normalized* runtime,
+//   * one numerics context (spice::EvaluationContext), built from the
+//     EngineConfig and installed around every Testbench::evaluate call, so
+//     each engine simulates with its own model, grid, recovery and deadline
+//     and counts its own SPICE activity, whatever other engines share the
+//     process or its threads.
 #pragma once
 
 #include <atomic>
@@ -33,6 +38,8 @@
 #include "circuits/testbench.hpp"
 #include "common/thread_pool.hpp"
 #include "pdk/corner.hpp"
+#include "spice/counters.hpp"
+#include "spice/simulator.hpp"
 
 namespace glova::core {
 
@@ -61,30 +68,30 @@ struct EngineConfig {
   /// distinct mismatch draws never alias.
   double cache_quantum = 1e-15;
   /// Enable the SPICE-level DC warm-start cache (converged operating points
-  /// reused as Newton seeds across mismatch draws of one design).  Applied
-  /// to the process-wide spice::set_dc_warm_start_enabled switch at engine
-  /// construction; behavioral testbenches are unaffected.
+  /// reused as Newton seeds across mismatch draws of one design), through
+  /// this engine's EvaluationContext::dc_warm_start.  Behavioral testbenches
+  /// are unaffected.
   bool dc_warm_start = true;
-  /// LTE-adaptive timestep control in the SPICE transient (process-wide
-  /// spice::set_adaptive_timestep_default, like dc_warm_start).  On by
-  /// default; metric values stay within the controller's truncation-error
-  /// tolerance of the fixed uniform grid, which `false` still selects (specs
-  /// written before this default carry `adaptive_timestep=0`).
+  /// LTE-adaptive timestep control in the SPICE transient (this engine's
+  /// SimulatorOptions::adaptive_timestep).  On by default; metric values
+  /// stay within the controller's truncation-error tolerance of the fixed
+  /// uniform grid, which `false` still selects (specs written before this
+  /// default carry `adaptive_timestep=0`).
   bool adaptive_timestep = true;
-  /// Convergence-recovery ladder in the SPICE engine (process-wide
-  /// spice::set_recovery_default): gmin stepping for hard DC points, substep
-  /// cutting and restart-from-DC for transient Newton failures.  Off by
-  /// default — with every recovery knob off, solves are bit-identical to
+  /// Convergence-recovery ladder in the SPICE engine (this engine's
+  /// SimulatorOptions::recovery.enabled): gmin stepping for hard DC points,
+  /// substep cutting and restart-from-DC for transient Newton failures.  Off
+  /// by default — with every recovery knob off, solves are bit-identical to
   /// previous releases.
   bool recovery = false;
-  /// Re-run a failed evaluation up to this many times with the recovery
-  /// ladder escalated each attempt (spice::set_recovery_escalation) before
-  /// giving up.  0 = no retries: a failed evaluation keeps the backend's
-  /// legacy penalty metrics.
+  /// Re-run a failed evaluation up to this many times, each attempt under a
+  /// copy of the context whose recovery policy is spice::escalated() one
+  /// level further, before giving up.  0 = no retries: a failed evaluation
+  /// keeps the backend's legacy penalty metrics.
   int max_eval_retries = 0;
-  /// Cooperative per-evaluation deadline in Newton iterations (process-wide
-  /// spice::set_deadline_default).  A run that exhausts it aborts
-  /// deterministically with FailureStage::Deadline.  0 = no deadline.
+  /// Cooperative per-evaluation deadline in Newton iterations (this engine's
+  /// SimulatorOptions::deadline_newton_iterations).  A run that exhausts it
+  /// aborts deterministically with FailureStage::Deadline.  0 = no deadline.
   std::uint64_t eval_deadline_steps = 0;
   /// Graceful degradation: when an evaluation still fails after every retry,
   /// quarantine it to the testbench's degraded_fallback() (the behavioral
@@ -93,7 +100,7 @@ struct EngineConfig {
   /// simulated.
   bool degrade_to_behavioral = false;
   /// MOSFET channel model for every SPICE simulation this engine drives
-  /// (process-wide spice::set_mos_model_default, like dc_warm_start).
+  /// (this engine's SimulatorOptions::mos_model).
   /// "ekv" (default): the continuous weak/strong-inversion model
   /// (docs/architecture.md#mos-models), which keeps channels conductive
   /// below threshold and at the cold low-voltage corners.  "level1": the
@@ -116,12 +123,11 @@ struct EngineConfig {
 };
 
 /// Counter snapshot.  requested == cache_hits + executed at any quiescent
-/// point; requested is what simulation_count() reports.  The dc_warm_*
-/// counters report SPICE warm-start activity (summed over every worker
-/// thread's cache) since this engine was constructed or reset_count() was
-/// last called, so the whole evaluation funnel reads from one snapshot;
-/// concurrent activity from *other* engines in the same process is still
-/// included, matching the one-engine-per-run usage everywhere here.
+/// point; requested is what simulation_count() reports.  The SPICE counters
+/// (dc_warm_*, steps_*, recovered_*, deadline_aborts) count this engine's
+/// own evaluations only, on whichever worker threads they ran, since it was
+/// constructed or reset_count() was last called (plus the totals a
+/// load_state() restored).  Other engines in the process never show up here.
 struct EngineStats {
   std::uint64_t requested = 0;
   std::uint64_t executed = 0;
@@ -129,14 +135,13 @@ struct EngineStats {
   std::uint64_t dc_warm_hits = 0;
   std::uint64_t dc_warm_misses = 0;
   std::uint64_t dc_warm_stores = 0;
-  /// Simulator-level activity (same delta-vs-snapshot convention as the
-  /// dc_warm_* counters): the adaptive timestep controller's
+  /// Simulator-level activity: the adaptive timestep controller's
   /// accepted/rejected step totals.
   std::uint64_t steps_accepted = 0;
   std::uint64_t steps_rejected = 0;
   /// Convergence-recovery funnel: DC points and transient steps the
   /// simulator's recovery ladder rescued, and runs its cooperative deadline
-  /// aborted (same delta-vs-snapshot convention as above).
+  /// aborted.
   std::uint64_t recovered_dc = 0;
   std::uint64_t recovered_transient = 0;
   std::uint64_t deadline_aborts = 0;
@@ -194,7 +199,7 @@ class EvaluationEngine {
   [[nodiscard]] std::uint64_t simulation_count() const { return requested_.load(); }
   /// Full counter snapshot (requested/executed/cache-hit + dc_warm_*).
   [[nodiscard]] EngineStats stats() const;
-  /// Zero every counter and re-baseline the process-wide warm-start deltas.
+  /// Zero every counter.
   void reset_count();
 
   /// Current number of memoized evaluations (<= EngineConfig::cache_capacity).
@@ -212,9 +217,9 @@ class EvaluationEngine {
 
   /// Text-serialize the engine's counters and memoization cache (LRU order
   /// preserved) so a restored engine answers the same requests with the same
-  /// hit/miss pattern.  The process-wide SPICE counter deltas accrued so far
-  /// are folded into a carried snapshot, so stats() of a restored engine in a
-  /// fresh process continues from the saved totals.  Configuration is NOT
+  /// hit/miss pattern.  The engine's own SPICE counter totals go on the
+  /// `carried` line, and load_state() puts them back into its counter block,
+  /// so stats() of a restored engine continues from them.  Configuration is NOT
   /// serialized — `load_state` expects an engine constructed with the same
   /// EngineConfig and testbench.  The frame is `engine-state 1`;
   /// load_state rejects the `engine-state 2` frame that only the retired
@@ -242,21 +247,17 @@ class EvaluationEngine {
   [[nodiscard]] std::vector<double> evaluate_with_slot(std::span<const double> x_phys,
                                                        const pdk::PvtCorner& corner,
                                                        std::span<const double> h);
-  /// testbench().evaluate with the failure funnel applied: an
-  /// EvaluationError is retried with the recovery ladder escalated, then
+  /// testbench().evaluate under context_, with the failure funnel applied:
+  /// an EvaluationError is retried with the recovery ladder escalated, then
   /// degraded to the behavioral fallback, then resolved to the backend's
   /// penalty metrics — so callers above the funnel never see the exception.
   [[nodiscard]] std::vector<double> evaluate_guarded(std::span<const double> x_phys,
                                                      const pdk::PvtCorner& corner,
                                                      std::span<const double> h);
-  /// The retry / degrade tail of the funnel.  `penalty` is returned when
-  /// everything fails.
-  [[nodiscard]] std::vector<double> recover_or_degrade(std::span<const double> x_phys,
-                                                       const pdk::PvtCorner& corner,
-                                                       std::span<const double> h,
-                                                       const std::vector<double>& penalty);
   /// Load EngineConfig::cache_path into the LRU at construction.
   void load_persistent_cache();
+  /// Store the SPICE fields of `s` into spice_counters_.
+  void store_spice_counters(const EngineStats& s);
 
   circuits::TestbenchPtr testbench_;
   EngineConfig config_;
@@ -269,18 +270,12 @@ class EvaluationEngine {
   std::atomic<std::uint64_t> cache_hits_{0};
   std::atomic<std::uint64_t> retries_{0};
   std::atomic<std::uint64_t> degraded_evals_{0};
-  /// Process-wide spice warm-start counters at construction / last reset;
-  /// stats() reports deltas against these.
-  std::uint64_t warm_base_hits_ = 0;
-  std::uint64_t warm_base_misses_ = 0;
-  std::uint64_t warm_base_stores_ = 0;
-  /// Process-wide simulator counters (adaptive/recovery) at the same
-  /// baseline instant.
-  std::uint64_t spice_base_[5] = {0, 0, 0, 0, 0};
-  void snapshot_warm_baseline();
-  /// Counter totals carried over from a previous process via load_state();
-  /// stats() adds these to the live deltas.  All-zero outside resumes.
-  EngineStats carried_;
+  /// This engine's SPICE activity: every simulation and DC-cache lookup run
+  /// under context_ adds to it.
+  spice::SpiceCounterBlock spice_counters_;
+  /// The numerics every evaluation runs with (options from config_, a
+  /// pointer to spice_counters_), installed by evaluate_guarded().
+  spice::EvaluationContext context_;
 
   mutable std::mutex cache_mutex_;
   /// LRU: most recent at the front.  The map points into the list.

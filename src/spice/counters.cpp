@@ -1,46 +1,38 @@
 #include "spice/counters.hpp"
 
-#include <atomic>
+#include "spice/simulator.hpp"
+#include "spice/warm_start.hpp"
 
 namespace glova::spice {
 
 namespace {
-std::atomic<std::uint64_t> g_steps_accepted{0};
-std::atomic<std::uint64_t> g_steps_rejected{0};
-std::atomic<std::uint64_t> g_recovered_dc{0};
-std::atomic<std::uint64_t> g_recovered_transient{0};
-std::atomic<std::uint64_t> g_deadline_aborts{0};
+SpiceCounterBlock g_totals;
 }  // namespace
+
+void note(SpiceCounter counter, std::uint64_t n) {
+  if (n == 0) return;
+  (g_totals.*counter).fetch_add(n, std::memory_order_relaxed);
+  if (SpiceCounterBlock* own = current_context().counters) {
+    (own->*counter).fetch_add(n, std::memory_order_relaxed);
+  }
+}
 
 SpiceCounters spice_counters() {
   SpiceCounters c;
-  c.steps_accepted = g_steps_accepted.load(std::memory_order_relaxed);
-  c.steps_rejected = g_steps_rejected.load(std::memory_order_relaxed);
-  c.recovered_dc = g_recovered_dc.load(std::memory_order_relaxed);
-  c.recovered_transient = g_recovered_transient.load(std::memory_order_relaxed);
-  c.deadline_aborts = g_deadline_aborts.load(std::memory_order_relaxed);
+  c.steps_accepted = g_totals.steps_accepted.load(std::memory_order_relaxed);
+  c.steps_rejected = g_totals.steps_rejected.load(std::memory_order_relaxed);
+  c.recovered_dc = g_totals.recovered_dc.load(std::memory_order_relaxed);
+  c.recovered_transient = g_totals.recovered_transient.load(std::memory_order_relaxed);
+  c.deadline_aborts = g_totals.deadline_aborts.load(std::memory_order_relaxed);
   return c;
 }
 
-void reset_spice_counters() {
-  g_steps_accepted.store(0, std::memory_order_relaxed);
-  g_steps_rejected.store(0, std::memory_order_relaxed);
-  g_recovered_dc.store(0, std::memory_order_relaxed);
-  g_recovered_transient.store(0, std::memory_order_relaxed);
-  g_deadline_aborts.store(0, std::memory_order_relaxed);
+WarmStartStats warm_start_stats() {
+  WarmStartStats s;
+  s.hits = g_totals.dc_warm_hits.load(std::memory_order_relaxed);
+  s.misses = g_totals.dc_warm_misses.load(std::memory_order_relaxed);
+  s.stores = g_totals.dc_warm_stores.load(std::memory_order_relaxed);
+  return s;
 }
-
-void note_lte_steps(std::uint64_t accepted, std::uint64_t rejected) {
-  if (accepted != 0) g_steps_accepted.fetch_add(accepted, std::memory_order_relaxed);
-  if (rejected != 0) g_steps_rejected.fetch_add(rejected, std::memory_order_relaxed);
-}
-
-void note_recovered_dc() { g_recovered_dc.fetch_add(1, std::memory_order_relaxed); }
-
-void note_recovered_transient() {
-  g_recovered_transient.fetch_add(1, std::memory_order_relaxed);
-}
-
-void note_deadline_abort() { g_deadline_aborts.fetch_add(1, std::memory_order_relaxed); }
 
 }  // namespace glova::spice

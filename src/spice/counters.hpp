@@ -1,9 +1,10 @@
-// Process-wide simulator counters (relaxed atomics, summed over every
-// thread), mirroring the warm-start statistics pattern: the simulator notes
-// events here and core::EvaluationEngine surfaces them through EngineStats
-// as deltas against a construction-time snapshot.
+// SPICE event counters.  Every simulation and DC warm-start cache lookup
+// adds its events to the counter block of the EvaluationContext installed on
+// the calling thread (core::EvaluationEngine installs its own, read back as
+// its EngineStats), and to one process-wide block.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
 
 namespace glova::spice {
@@ -26,12 +27,28 @@ struct SpiceCounters {
   std::uint64_t deadline_aborts = 0;
 };
 
-[[nodiscard]] SpiceCounters spice_counters();
-void reset_spice_counters();
+/// Relaxed-atomic event counts of one owner: an engine, or the process.
+struct SpiceCounterBlock {
+  std::atomic<std::uint64_t> steps_accepted{0};
+  std::atomic<std::uint64_t> steps_rejected{0};
+  std::atomic<std::uint64_t> recovered_dc{0};
+  std::atomic<std::uint64_t> recovered_transient{0};
+  std::atomic<std::uint64_t> deadline_aborts{0};
+  std::atomic<std::uint64_t> dc_warm_hits{0};
+  std::atomic<std::uint64_t> dc_warm_misses{0};
+  std::atomic<std::uint64_t> dc_warm_stores{0};
+};
 
-void note_lte_steps(std::uint64_t accepted, std::uint64_t rejected);
-void note_recovered_dc();
-void note_recovered_transient();
-void note_deadline_abort();
+/// One field of a SpiceCounterBlock, e.g. &SpiceCounterBlock::recovered_dc.
+using SpiceCounter = std::atomic<std::uint64_t> SpiceCounterBlock::*;
+
+/// Add `n` events to `counter` in the process totals and in the installed
+/// context's block (if it has one).
+void note(SpiceCounter counter, std::uint64_t n = 1);
+
+/// The process totals of the simulator events, summed over every thread and
+/// engine (warm_start_stats() reads the cache events).  They stay because
+/// e2ebench/glova_e2e.cpp reads them per pass; an engine reads its own block.
+[[nodiscard]] SpiceCounters spice_counters();
 
 }  // namespace glova::spice

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <array>
-#include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <limits>
@@ -14,58 +13,31 @@
 namespace glova::spice {
 
 // ---------------------------------------------------------------------------
-// Process-wide option switches
+// Evaluation context
 
 namespace {
-constexpr SimulatorOptions kDefaults{};
-std::atomic<bool> g_adaptive_timestep_default{kDefaults.adaptive_timestep};
-std::atomic<bool> g_recovery_default{kDefaults.recovery.enabled};
-std::atomic<std::uint64_t> g_deadline_default{kDefaults.deadline_newton_iterations};
-std::atomic<unsigned char> g_mos_model_default{static_cast<unsigned char>(kDefaults.mos_model)};
-thread_local int t_recovery_escalation = 0;
+constexpr EvaluationContext kDefaultContext{};
+thread_local const EvaluationContext* t_context = &kDefaultContext;
 thread_local const FaultPlan* t_fault_plan = nullptr;
 }  // namespace
 
-bool adaptive_timestep_default() {
-  return g_adaptive_timestep_default.load(std::memory_order_relaxed);
-}
-void set_adaptive_timestep_default(bool enabled) {
-  g_adaptive_timestep_default.store(enabled, std::memory_order_relaxed);
-}
-bool recovery_default() { return g_recovery_default.load(std::memory_order_relaxed); }
-void set_recovery_default(bool enabled) {
-  g_recovery_default.store(enabled, std::memory_order_relaxed);
-}
-std::uint64_t deadline_default() { return g_deadline_default.load(std::memory_order_relaxed); }
-void set_deadline_default(std::uint64_t max_newton_iterations) {
-  g_deadline_default.store(max_newton_iterations, std::memory_order_relaxed);
-}
-MosModel mos_model_default() {
-  return static_cast<MosModel>(g_mos_model_default.load(std::memory_order_relaxed));
-}
-void set_mos_model_default(MosModel model) {
-  g_mos_model_default.store(static_cast<unsigned char>(model), std::memory_order_relaxed);
-}
-int recovery_escalation() { return t_recovery_escalation; }
-void set_recovery_escalation(int level) { t_recovery_escalation = level; }
+const EvaluationContext& current_context() { return *t_context; }
 
-SimulatorOptions default_simulator_options() {
-  SimulatorOptions options;
-  options.mos_model = mos_model_default();
-  options.adaptive_timestep = adaptive_timestep_default();
-  options.recovery.enabled = recovery_default();
-  options.deadline_newton_iterations = deadline_default();
-  // Escalated retries (core::EvaluationEngine) harden the ladder beyond the
-  // process defaults; level 0 leaves the options untouched.
-  const int level = recovery_escalation();
-  if (level >= 1) options.recovery.enabled = true;
+ScopedContext::ScopedContext(const EvaluationContext& context) : previous_(t_context) {
+  t_context = &context;
+}
+
+ScopedContext::~ScopedContext() { t_context = previous_; }
+
+RecoveryPolicy escalated(RecoveryPolicy policy, int level) {
+  if (level >= 1) policy.enabled = true;
   if (level >= 2) {
-    options.recovery.gmin_start = 1e-2;
-    options.recovery.max_gmin_rungs = 16;
-    options.recovery.max_step_cuts = 5;
-    options.recovery.dc_restart_attempts = 2;
+    policy.gmin_start = 1e-2;
+    policy.max_gmin_rungs = 16;
+    policy.max_step_cuts = 5;
+    policy.dc_restart_attempts = 2;
   }
-  return options;
+  return policy;
 }
 
 // ---------------------------------------------------------------------------
@@ -163,6 +135,12 @@ void note_worst_residual(const Circuit& circuit, StampPlan& plan, std::span<cons
   }
   report.final_residual = worst_abs;
   report.worst_node = row_label(circuit, plan, worst);
+}
+
+/// Count a finished (or abandoned) transient's timestep-controller steps.
+void note_lte_steps(const TransientResult& result) {
+  note(&SpiceCounterBlock::steps_accepted, result.steps_accepted);
+  note(&SpiceCounterBlock::steps_rejected, result.steps_rejected);
 }
 
 }  // namespace
@@ -840,7 +818,7 @@ OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
       if (newton_solve_plan(plan, options, ws, in, x, iterations)) {
         if (extra == 0.0) {
           ok = true;
-          note_recovered_dc();
+          note(&SpiceCounterBlock::recovered_dc);
           break;
         }
         const double next = extra * anneal;
@@ -871,7 +849,7 @@ OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
     failure->time = time;
     failure->attempts = recovery_attempts;
     note_worst_residual(circuit, plan, x, *failure);
-    if (deadline_hit) note_deadline_abort();
+    if (deadline_hit) note(&SpiceCounterBlock::deadline_aborts);
   }
   return result;
 }
@@ -928,7 +906,7 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
     if (deadline_exceeded(options_, static_cast<std::uint64_t>(result.dc_iterations))) {
       result.failure.stage = FailureStage::Deadline;
       result.failure.time = 0.0;
-      note_deadline_abort();
+      note(&SpiceCounterBlock::deadline_aborts);
       result.error = result.failure.to_string();
       return result;
     }
@@ -1114,13 +1092,13 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
         note_worst_residual(circuit_, plan_, x, report);
         if (!deadline_hit && options_.recovery.enabled) {
           rescued = rescue_transient_step(t_prev, t, report.attempts, deadline_hit);
-          if (rescued) note_recovered_transient();
+          if (rescued) note(&SpiceCounterBlock::recovered_transient);
         }
       }
       if (!solved && !rescued) {
         report.stage = deadline_hit ? FailureStage::Deadline : FailureStage::TransientNewton;
         report.time = t;
-        if (deadline_hit) note_deadline_abort();
+        if (deadline_hit) note(&SpiceCounterBlock::deadline_aborts);
         result.failure = std::move(report);
         result.error = result.failure.to_string();
         return result;
@@ -1128,7 +1106,7 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
       if (solved && deadline_hit) {
         result.failure.stage = FailureStage::Deadline;
         result.failure.time = t;
-        note_deadline_abort();
+        note(&SpiceCounterBlock::deadline_aborts);
         result.error = result.failure.to_string();
         return result;
       }
@@ -1271,11 +1249,11 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
     const bool solved = newton_solve(in, x_trial, step_iterations);
     result.newton_iterations += static_cast<std::uint64_t>(step_iterations);
     if (deadline_exceeded(options_, spent())) {
-      note_lte_steps(result.steps_accepted, result.steps_rejected);
+      note_lte_steps(result);
       result.failure.stage = FailureStage::Deadline;
       result.failure.time = t_next;
       if (!solved) note_worst_residual(circuit_, plan_, x_trial, result.failure);
-      note_deadline_abort();
+      note(&SpiceCounterBlock::deadline_aborts);
       result.error = result.failure.to_string();
       return result;
     }
@@ -1311,14 +1289,14 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
             }
             std::fill(cap_current.begin(), cap_current.end(), 0.0);
             rescued = true;
-            note_recovered_transient();
+            note(&SpiceCounterBlock::recovered_transient);
             break;
           }
         }
         if (!rescued) {
-          note_lte_steps(result.steps_accepted, result.steps_rejected);
+          note_lte_steps(result);
           report.stage = deadline_hit ? FailureStage::Deadline : FailureStage::Timestep;
-          if (deadline_hit) note_deadline_abort();
+          if (deadline_hit) note(&SpiceCounterBlock::deadline_aborts);
           result.failure = std::move(report);
           result.error = result.failure.to_string();
           return result;
@@ -1375,7 +1353,7 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
     }
   }
 
-  note_lte_steps(result.steps_accepted, result.steps_rejected);
+  note_lte_steps(result);
   result.ok = true;
   return result;
 }

@@ -211,37 +211,52 @@ struct SimulatorOptions {
          spent >= options.deadline_newton_iterations;
 }
 
-/// Process-wide default switches for the options testbench backends build
-/// their simulators with (the same pattern as set_dc_warm_start_enabled):
-/// core::EvaluationEngine applies its EngineConfig here, and benchmarks /
-/// tests toggle them directly.  Each starts at its SimulatorOptions default:
-/// the adaptive timestep and the EKV model on, recovery and the deadline off.
-[[nodiscard]] bool adaptive_timestep_default();
-void set_adaptive_timestep_default(bool enabled);
-[[nodiscard]] bool recovery_default();
-void set_recovery_default(bool enabled);
-[[nodiscard]] std::uint64_t deadline_default();
-void set_deadline_default(std::uint64_t max_newton_iterations);
-[[nodiscard]] MosModel mos_model_default();
-void set_mos_model_default(MosModel model);
+struct SpiceCounterBlock;  // spice/counters.hpp
 
-/// Thread-local recovery escalation level, applied on top of the process
-/// defaults by default_simulator_options().  core::EvaluationEngine raises
-/// it while re-running a failed evaluation (level 1: recovery on; level >= 2:
-/// a taller gmin ladder, deeper step cuts, and an extra DC restart) and
-/// resets it to 0 afterwards.
-[[nodiscard]] int recovery_escalation();
-void set_recovery_escalation(int level);
+/// The numerics one evaluation runs with: the options a testbench backend
+/// builds its Simulator from, whether its DC solve is seeded from the
+/// thread's warm-start cache, and the counter block its simulations and
+/// cache lookups add to.  core::EvaluationEngine builds one from its
+/// EngineConfig and installs it around every Testbench::evaluate call, so
+/// engines in one process never run on each other's settings or counts.
+struct EvaluationContext {
+  SimulatorOptions options;
+  bool dc_warm_start = true;
+  /// Null: the events count only into the process totals.
+  SpiceCounterBlock* counters = nullptr;
+};
 
-/// SimulatorOptions with the process-wide switches applied — what testbench
-/// backends pass to their Simulator.
-[[nodiscard]] SimulatorOptions default_simulator_options();
+/// The context installed on the calling thread.  Outside every
+/// ScopedContext it is the default one: SimulatorOptions{}, warm start on,
+/// no counter block.
+[[nodiscard]] const EvaluationContext& current_context();
+
+/// Installs `context` on the calling thread for the scope's lifetime and
+/// restores the previous one on exit.  The context must outlive the scope.
+class ScopedContext {
+ public:
+  explicit ScopedContext(const EvaluationContext& context);
+  ~ScopedContext();
+  ScopedContext(const ScopedContext&) = delete;
+  ScopedContext& operator=(const ScopedContext&) = delete;
+
+ private:
+  const EvaluationContext* previous_;
+};
+
+/// `policy` hardened for the engine's `level`-th retry of a failed
+/// evaluation: level 0 leaves it unchanged, level 1 turns the ladder on,
+/// level >= 2 also takes a taller gmin ladder, deeper step cuts and an
+/// extra DC restart.
+[[nodiscard]] RecoveryPolicy escalated(RecoveryPolicy policy, int level);
 
 /// Deterministic fault injection for tests and benches (off by default).
-/// A plan is installed thread-locally; while one is installed, every Newton
-/// solve on that thread consumes one solve index (DC attempts,
-/// source-stepping and gmin rungs, and timestep solves all count), and a
-/// site whose half-open [begin, end) range covers the index forces the
+/// A plan is installed thread-locally, not in the EvaluationContext: it is a
+/// test-only seam around bare simulations and engine calls alike, and an
+/// engine field for it would add a test knob to EngineConfig.  While one is
+/// installed, every Newton solve on that thread consumes one solve index (DC
+/// attempts, source-stepping and gmin rungs, and timestep solves all count),
+/// and a site whose half-open [begin, end) range covers the index forces the
 /// chosen failure mode on that solve.
 struct FaultPlan {
   enum class Kind : std::uint8_t {

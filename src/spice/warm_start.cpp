@@ -1,37 +1,9 @@
 #include "spice/warm_start.hpp"
 
-#include <atomic>
-
 #include "common/key_hash.hpp"
+#include "spice/counters.hpp"
 
 namespace glova::spice {
-
-namespace {
-
-std::atomic<std::uint64_t> g_hits{0};
-std::atomic<std::uint64_t> g_misses{0};
-std::atomic<std::uint64_t> g_stores{0};
-std::atomic<bool> g_enabled{true};
-
-}  // namespace
-
-WarmStartStats warm_start_stats() {
-  WarmStartStats s;
-  s.hits = g_hits.load();
-  s.misses = g_misses.load();
-  s.stores = g_stores.load();
-  return s;
-}
-
-void reset_warm_start_stats() {
-  g_hits.store(0);
-  g_misses.store(0);
-  g_stores.store(0);
-}
-
-bool dc_warm_start_enabled() { return g_enabled.load(); }
-
-void set_dc_warm_start_enabled(bool enabled) { g_enabled.store(enabled); }
 
 std::size_t DcWarmStartCache::KeyHash::operator()(const Key& key) const noexcept {
   return key_fnv1a(key);
@@ -43,11 +15,11 @@ DcWarmStartCache::DcWarmStartCache(std::size_t capacity)
 const OpResult* DcWarmStartCache::lookup(const Key& key) {
   const auto it = index_.find(key);
   if (it == index_.end()) {
-    g_misses.fetch_add(1, std::memory_order_relaxed);
+    note(&SpiceCounterBlock::dc_warm_misses);
     return nullptr;
   }
   lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  g_hits.fetch_add(1, std::memory_order_relaxed);
+  note(&SpiceCounterBlock::dc_warm_hits);
   return &it->second->second;
 }
 
@@ -61,7 +33,7 @@ void DcWarmStartCache::store(const Key& key, const OpResult& op) {
   }
   lru_.emplace_front(key, op);
   index_.emplace(lru_.front().first, lru_.begin());
-  g_stores.fetch_add(1, std::memory_order_relaxed);
+  note(&SpiceCounterBlock::dc_warm_stores);
   if (lru_.size() > capacity_) {
     index_.erase(lru_.back().first);
     lru_.pop_back();
@@ -78,11 +50,13 @@ DcWarmStartCache& thread_local_dc_cache() {
   return cache;
 }
 
-DcWarmStartCache::Key make_dc_key(std::uint64_t testbench_tag, std::span<const double> x_phys,
-                                  const pdk::PvtCorner& corner, double quantum) {
+DcWarmStartCache::Key make_dc_key(std::uint64_t testbench_tag, MosModel model,
+                                  std::span<const double> x_phys, const pdk::PvtCorner& corner,
+                                  double quantum) {
   DcWarmStartCache::Key key;
-  key.reserve(5 + x_phys.size());
+  key.reserve(6 + x_phys.size());
   key.push_back(static_cast<std::int64_t>(testbench_tag));
+  key.push_back(static_cast<std::int64_t>(model));
   key.push_back(static_cast<std::int64_t>(corner.process) * 2 +
                 (corner.process_predefined ? 1 : 0));
   key.push_back(quantize_for_key(corner.vdd, quantum));
@@ -90,6 +64,22 @@ DcWarmStartCache::Key make_dc_key(std::uint64_t testbench_tag, std::span<const d
   key.push_back(static_cast<std::int64_t>(x_phys.size()));
   for (const double v : x_phys) key.push_back(quantize_for_key(v, quantum));
   return key;
+}
+
+TransientResult warm_started_transient(const Circuit& circuit, const TransientSpec& spec,
+                                       std::uint64_t testbench_tag,
+                                       std::span<const double> x_phys,
+                                       const pdk::PvtCorner& corner) {
+  const EvaluationContext& context = current_context();
+  Simulator sim(circuit, context.options);
+  if (!context.dc_warm_start) return sim.transient(spec);
+  DcWarmStartCache& cache = thread_local_dc_cache();
+  const DcWarmStartCache::Key key =
+      make_dc_key(testbench_tag, context.options.mos_model, x_phys, corner);
+  const OpResult* seed = cache.lookup(key);
+  TransientResult res = sim.transient(spec, seed);
+  if (res.ok && (seed == nullptr || !res.dc_op.warm_started)) cache.store(key, res.dc_op);
+  return res;
 }
 
 }  // namespace glova::spice

@@ -1,6 +1,6 @@
 // DC warm-start cache: converged operating points keyed by a quantized
-// (design, corner) identity, reused as Newton seeds across mismatch draws of
-// the same design.
+// (testbench, channel model, design, corner) identity, reused as Newton
+// seeds across mismatch draws of the same design.
 //
 // Mismatch shifts device parameters by millivolts around the nominal design,
 // so the nominal DC solution is an excellent Newton seed: warm-started
@@ -12,9 +12,12 @@
 //
 // The cache is thread-local (one per worker, adjacent to the thread's
 // SimulatorWorkspace): lookups are lock-free and each evaluation thread
-// warms its own cache after the first draw of a design.  Hit/miss/store
-// counters are process-wide atomics so the evaluation engine can surface
-// them next to its memoization statistics.
+// warms its own cache after the first draw of a design.  Every engine whose
+// evaluations run on a thread shares that thread's cache, which is why the
+// channel model is part of the key: a level1 operating point never seeds an
+// EKV solve.  Hit/miss/store events count into the installed
+// EvaluationContext's counter block and the process totals
+// (spice/counters.hpp).
 #pragma once
 
 #include <cstdint>
@@ -36,13 +39,9 @@ struct WarmStartStats {
   std::uint64_t stores = 0;
 };
 
+/// The process totals; they stay because e2ebench/glova_e2e.cpp reads them
+/// per pass.  Defined in counters.cpp, beside the simulator totals.
 [[nodiscard]] WarmStartStats warm_start_stats();
-void reset_warm_start_stats();
-
-/// Global enable switch (default on).  Tests that need bit-identical repeat
-/// evaluations disable it; the evaluation engine applies its config here.
-[[nodiscard]] bool dc_warm_start_enabled();
-void set_dc_warm_start_enabled(bool enabled);
 
 /// Small LRU cache of converged DC operating points.  Keys are flat integer
 /// vectors (see make_dc_key); equality is exact.
@@ -53,8 +52,8 @@ class DcWarmStartCache {
   explicit DcWarmStartCache(std::size_t capacity = 64);
 
   /// Returns the cached operating point, or nullptr on a miss.  The pointer
-  /// stays valid until the next store() or clear() on this cache.  Counts
-  /// into the process-wide hit/miss statistics.
+  /// stays valid until the next store() or clear() on this cache.  Counts a
+  /// hit or a miss (see note() in spice/counters.hpp).
   [[nodiscard]] const OpResult* lookup(const Key& key);
 
   /// Insert (or refresh) an entry; evicts least-recently-used on overflow.
@@ -82,14 +81,27 @@ class DcWarmStartCache {
 [[nodiscard]] DcWarmStartCache& thread_local_dc_cache();
 
 /// Build a cache key from a testbench tag (distinguishes circuit topologies
-/// that share a design-vector shape), the physical design vector, and the
-/// PVT corner.  Mismatch draws are deliberately NOT part of the key: all
-/// draws of one (design, corner) share the nominal seed.  Coordinates are
-/// quantized like the evaluation-engine memo keys so round-trip noise never
-/// splits entries.
-[[nodiscard]] DcWarmStartCache::Key make_dc_key(std::uint64_t testbench_tag,
+/// that share a design-vector shape), the channel model, the physical design
+/// vector, and the PVT corner.  Mismatch draws are deliberately NOT part of
+/// the key: all draws of one (design, corner) share the nominal seed.
+/// Coordinates are quantized like the evaluation-engine memo keys so
+/// round-trip noise never splits entries.
+[[nodiscard]] DcWarmStartCache::Key make_dc_key(std::uint64_t testbench_tag, MosModel model,
                                                 std::span<const double> x_phys,
                                                 const pdk::PvtCorner& corner,
                                                 double quantum = 1e-15);
+
+/// One transient of `circuit` under the installed EvaluationContext: the
+/// Simulator takes the context's options, and when the context enables warm
+/// start the DC solve is seeded from the calling thread's cache under
+/// make_dc_key(testbench_tag, model, x_phys, corner).  The converged point
+/// is stored on a miss, and also whenever a cached seed went unused (the
+/// warm attempt failed and the cold fallback converged), so a stale entry
+/// cannot keep charging the failed-warm-attempt tax to every later draw.
+[[nodiscard]] TransientResult warm_started_transient(const Circuit& circuit,
+                                                     const TransientSpec& spec,
+                                                     std::uint64_t testbench_tag,
+                                                     std::span<const double> x_phys,
+                                                     const pdk::PvtCorner& corner);
 
 }  // namespace glova::spice

@@ -66,7 +66,6 @@
 #include <cmath>
 
 #include "backend_parity_grid.hpp"
-#include "scoped_spice_defaults.hpp"
 #include "circuits/registry.hpp"
 #include "spice/simulator.hpp"
 
@@ -163,8 +162,9 @@ class BackendParity : public ::testing::TestWithParam<int> {};
 
 TEST_P(BackendParity, NominalMetricsAgreeWithinBands) {
   const ParityBands& bands = kBands[GetParam()];
-  const test_support::ScopedSpiceDefaults restore;
-  spice::set_mos_model_default(bands.model);
+  spice::EvaluationContext context;
+  context.options.mos_model = bands.model;
+  const spice::ScopedContext scope(context);
   const auto beh = circuits::make_testbench(bands.tc, circuits::Backend::Behavioral);
   const auto spc = circuits::make_testbench(bands.tc, circuits::Backend::Spice);
   const auto designs = parity_grid::designs_x01(bands.tc);
@@ -180,8 +180,9 @@ TEST_P(BackendParity, NominalMetricsAgreeWithinBands) {
 
 TEST_P(BackendParity, LocalMismatchDrawsAgreeWithinBands) {
   const ParityBands& bands = kBands[GetParam()];
-  const test_support::ScopedSpiceDefaults restore;
-  spice::set_mos_model_default(bands.model);
+  spice::EvaluationContext context;
+  context.options.mos_model = bands.model;
+  const spice::ScopedContext scope(context);
   const auto beh = circuits::make_testbench(bands.tc, circuits::Backend::Behavioral);
   const auto spc = circuits::make_testbench(bands.tc, circuits::Backend::Spice);
   const auto designs = parity_grid::designs_x01(bands.tc);

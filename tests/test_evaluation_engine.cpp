@@ -12,7 +12,6 @@
 #include <sstream>
 #include <thread>
 
-#include "scoped_spice_defaults.hpp"
 #include "circuits/registry.hpp"
 #include "core/evaluation_engine.hpp"
 #include "pdk/variation.hpp"
@@ -339,13 +338,70 @@ TEST(EvaluationEngine, SequentialParallelismNeverUsesThePool) {
   EXPECT_EQ(probe->max_in_flight(), 1);
 }
 
+/// The SPICE fields of an EngineStats, for whole-block comparison.
+std::array<std::uint64_t, 8> spice_fields(const EngineStats& s) {
+  return {s.dc_warm_hits,   s.dc_warm_misses, s.dc_warm_stores,      s.steps_accepted,
+          s.steps_rejected, s.recovered_dc,   s.recovered_transient, s.deadline_aborts};
+}
+
+// Two engines with different numerics, interleaved batch by batch on the
+// shared pool, each reproduce a solo engine's metrics and SPICE counts bit
+// for bit: neither runs on the other's model or grid, nor counts the other's
+// simulations.  Warm start is off because a warm seed depends on which pool
+// worker ran which draw before, which is only reproducible to vtol.
+TEST(EvaluationEngine, InterleavedEnginesWithDifferentNumericsMatchTheirSoloRuns) {
+  const auto tb = circuits::make_testbench(circuits::Testcase::Sal, circuits::Backend::Spice);
+  EngineConfig level1_fixed;
+  level1_fixed.parallelism = 0;  // batches fan out on the pool
+  level1_fixed.dc_warm_start = false;
+  level1_fixed.adaptive_timestep = false;
+  level1_fixed.mos_model = "level1";
+  EngineConfig ekv_adaptive = level1_fixed;
+  ekv_adaptive.adaptive_timestep = true;
+  ekv_adaptive.mos_model = "ekv";
+
+  const auto x = midpoint_design(*tb);
+  Rng rng(5);
+  const auto hs =
+      pdk::sample_mismatch_set(tb->mismatch_layout(x, false), 16, rng, pdk::GlobalMode::Zero);
+  const auto all_corners = pdk::full_corner_set();
+  const std::array<pdk::PvtCorner, 2> corners = {all_corners.front(), all_corners.back()};
+
+  using Batches = std::vector<std::vector<std::vector<double>>>;
+  const auto solo = [&](const EngineConfig& config, EngineStats& stats) {
+    EvaluationEngine engine(tb, config);
+    Batches out;
+    for (const auto& corner : corners) out.push_back(engine.evaluate_batch(x, corner, hs));
+    stats = engine.stats();
+    return out;
+  };
+  EngineStats alone_a_stats;
+  EngineStats alone_b_stats;
+  const Batches alone_a = solo(level1_fixed, alone_a_stats);
+  const Batches alone_b = solo(ekv_adaptive, alone_b_stats);
+  ASSERT_NE(alone_a, alone_b) << "the two numerics must differ for this test to bite";
+  EXPECT_GT(alone_b_stats.steps_accepted, 0u);
+
+  EvaluationEngine a(tb, level1_fixed);
+  EvaluationEngine b(tb, ekv_adaptive);
+  Batches mixed_a;
+  Batches mixed_b;
+  for (const auto& corner : corners) {
+    mixed_a.push_back(a.evaluate_batch(x, corner, hs));
+    mixed_b.push_back(b.evaluate_batch(x, corner, hs));
+  }
+  EXPECT_EQ(mixed_a, alone_a);
+  EXPECT_EQ(mixed_b, alone_b);
+  EXPECT_EQ(spice_fields(a.stats()), spice_fields(alone_a_stats));
+  EXPECT_EQ(spice_fields(b.stats()), spice_fields(alone_b_stats));
+}
+
 // An engine-state frame written before the lockstep batch path and the Newton
 // bypass were retired (SAL on SPICE, adaptive_timestep=1, three draws).  Its
 // carried line holds the four retired batch/bypass counters at 0 between the
 // warm-start and timestep counters; loading and re-saving must reproduce the
 // frame byte for byte, and the surviving counters must land in their fields.
 TEST(EvaluationEngine, StateFrameWithRetiredCountersReSavesByteIdentically) {
-  const test_support::ScopedSpiceDefaults restore;  // the engine sets them process-wide
   const std::string frame =
       "engine-state 1\n"
       "counters 3 3 0 0 0\n"

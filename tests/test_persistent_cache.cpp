@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "scoped_spice_defaults.hpp"
 #include "circuits/registry.hpp"
 #include "core/campaign.hpp"
 #include "core/evaluation_engine.hpp"
@@ -207,7 +206,6 @@ TEST(PersistentCache, EngineFlushesOnDestructionAndPreloadsOnConstruction) {
 // default engine (adaptive timestep, EKV) rejects such a file: a Level-1
 // memo never answers an EKV query.
 TEST(PersistentCache, DefaultTagIsPinnedAndOlderMemoFilesStillLoad) {
-  const test_support::ScopedSpiceDefaults restore;
   EXPECT_EQ(core::memo_cache_tag("X", core::EngineConfig{}),
             "X|q=1.0000000000000001e-15|warm=1|batched=0|adaptive=1|bypass=0|recovery=0"
             "|retries=0|deadline=0|degrade=0|mos=ekv|noise=0");
@@ -305,7 +303,6 @@ TEST(PersistentCache, MemoFileWithASurrogateBlockLoadsAndReflushesWithoutIt) {
       "180000000 180000000 2752 2752 0\n"
       "val 4 0.00040532783151035772 1.5801978999547426e-09 2.0674653238861908e-09 "
       "4.3373456954211326e-05\n";
-  const test_support::ScopedSpiceDefaults restore;
   const std::string dir = fresh_dir("glova_memo_surrogate_block");
   core::EngineConfig cfg = pre_default_config();
   cfg.cache_path = dir + "/sal.memo";

@@ -21,7 +21,6 @@
 #include <string>
 #include <vector>
 
-#include "scoped_spice_defaults.hpp"
 #include "circuits/registry.hpp"
 #include "circuits/spice_backend.hpp"
 #include "common/log.hpp"
@@ -29,7 +28,6 @@
 #include "core/optimizer.hpp"
 #include "core/run_spec.hpp"
 #include "spice/simulator.hpp"
-#include "spice/warm_start.hpp"
 
 namespace glova {
 namespace {
@@ -94,9 +92,9 @@ TEST(PinnedSeedRegression, SimulationCountsMatchReferenceTable) {
 // Re-recording (only for an intentional solver/netlist change): run this
 // binary, copy the "actual" values from the failing EXPECT_NEAR output —
 // or print them at max_digits10 with a one-off probe against
-// circuits::make_testbench(tc, Backend::Spice), with the process-wide SPICE
-// switches set as the test below sets them — into the matching table, and
-// note the change in bench/BENCH_spice.json's context.note.
+// circuits::make_testbench(tc, Backend::Spice), under the context the test
+// below installs — into the matching table, and note the change in
+// bench/BENCH_spice.json's context.note.
 struct SpiceBaseline {
   circuits::Testcase testcase;
   std::vector<double> x01;
@@ -167,13 +165,13 @@ const std::vector<SpiceBaseline> kDefaultSpiceBaselines = {
 
 /// Evaluates every row at the typical corner with warm start off and the
 /// given timestep mode and channel model, then checks the recorded metrics.
-/// The guard restores the process-wide switches even when a row fails.
 void expect_spice_baselines(const std::vector<SpiceBaseline>& table, bool adaptive_timestep,
                             spice::MosModel model) {
-  const test_support::ScopedSpiceDefaults restore;
-  spice::set_dc_warm_start_enabled(false);
-  spice::set_adaptive_timestep_default(adaptive_timestep);
-  spice::set_mos_model_default(model);
+  spice::EvaluationContext context;
+  context.dc_warm_start = false;
+  context.options.adaptive_timestep = adaptive_timestep;
+  context.options.mos_model = model;
+  const spice::ScopedContext scope(context);
   for (const SpiceBaseline& row : table) {
     const auto tb = circuits::make_testbench(row.testcase, circuits::Backend::Spice);
     const auto x = tb->sizing().denormalize(row.x01);
@@ -222,6 +220,16 @@ void expect_outcome(const core::GlovaResult& res, const SessionOutcome& expected
   EXPECT_EQ(res.n_simulations, expected.n_simulations) << label;
 }
 
+/// One campaign entry as canonical text: its spec line and its result, with
+/// wall time (the one timing-dependent field) zeroed.
+std::string canonical(core::CampaignEntry entry) {
+  entry.result.wall_seconds = 0.0;
+  std::ostringstream os;
+  os << entry.spec.to_string() << '\n';
+  core::write_glova_result(os, entry.result);
+  return os.str();
+}
+
 // Default knobs (adaptive timestep, EKV): every SPICE testcase verifies.
 constexpr SessionOutcome kDefaultSpiceSessions[] = {
     {circuits::Testcase::Sal, "verified", 21, 104},
@@ -231,7 +239,6 @@ constexpr SessionOutcome kDefaultSpiceSessions[] = {
 
 TEST(PinnedSeedRegression, DefaultSpiceSessionsVerify) {
   set_log_level(LogLevel::Warn);
-  const test_support::ScopedSpiceDefaults restore;
   for (const SessionOutcome& run : kDefaultSpiceSessions) {
     expect_outcome(core::make_optimizer(spice_session(run.testcase))->run(), run);
   }
@@ -258,7 +265,6 @@ constexpr SessionOutcome kPreDefaultSpiceSessions[] = {
 
 TEST(PinnedSeedRegression, SpecWrittenBeforeTheAdaptiveEkvDefaultsKeepsItsNumerics) {
   set_log_level(LogLevel::Warn);
-  const test_support::ScopedSpiceDefaults restore;
   const core::RunSpec sal = core::RunSpec::from_string(kPreDefaultSalSpec);
   EXPECT_EQ(sal.to_string(), kPreDefaultSalSpec);
   EXPECT_FALSE(sal.engine.adaptive_timestep);
@@ -279,14 +285,10 @@ TEST(PinnedSeedRegression, SpecWrittenBeforeTheAdaptiveEkvDefaultsKeepsItsNumeri
   }
 
   // A checkpoint saved mid-run resumes to the same table, byte for byte.
-  const auto canonical = [](const core::CampaignResult& result) {
-    std::ostringstream os;
-    for (core::CampaignEntry entry : result.entries) {
-      entry.result.wall_seconds = 0.0;
-      os << entry.spec.to_string() << '\n';
-      core::write_glova_result(os, entry.result);
-    }
-    return os.str();
+  const auto canonical_table = [](const core::CampaignResult& result) {
+    std::string text;
+    for (const core::CampaignEntry& entry : result.entries) text += canonical(entry);
+    return text;
   };
   core::Campaign interrupted(specs);
   std::stringstream checkpoint;
@@ -294,7 +296,37 @@ TEST(PinnedSeedRegression, SpecWrittenBeforeTheAdaptiveEkvDefaultsKeepsItsNumeri
   ASSERT_FALSE(interrupted.done()) << "the campaign finished before the checkpoint";
   interrupted.save(checkpoint);
   core::Campaign resumed = core::Campaign::load(checkpoint);
-  EXPECT_EQ(canonical(resumed.run()), canonical(table));
+  EXPECT_EQ(canonical_table(resumed.run()), canonical_table(table));
+}
+
+// A campaign steps its sessions turn by turn on one thread.  A session on
+// the default numerics and one on the pre-default spec must each keep the
+// result it gets alone, in either order: neither runs on the other's model
+// or grid, seeds its DC solves from the other's operating points, or counts
+// the other's SPICE activity.
+TEST(PinnedSeedRegression, MixedNumericsCampaignKeepsEachSessionsSoloResult) {
+  set_log_level(LogLevel::Warn);
+  const core::RunSpec current = spice_session(circuits::Testcase::Sal);
+  const core::RunSpec pre_default = core::RunSpec::from_string(kPreDefaultSalSpec);
+  const auto solo = [](const core::RunSpec& spec) {
+    core::Campaign alone(std::vector<core::RunSpec>{spec});
+    return canonical(alone.run().entries.at(0));
+  };
+  const std::string current_alone = solo(current);
+  const std::string pre_default_alone = solo(pre_default);
+
+  for (const bool current_first : {true, false}) {
+    core::Campaign mixed(current_first ? std::vector<core::RunSpec>{current, pre_default}
+                                       : std::vector<core::RunSpec>{pre_default, current});
+    const core::CampaignResult& table = mixed.run();
+    ASSERT_EQ(table.entries.size(), 2u);
+    const core::CampaignEntry& c = table.entries[current_first ? 0 : 1];
+    const core::CampaignEntry& p = table.entries[current_first ? 1 : 0];
+    expect_outcome(c.result, {circuits::Testcase::Sal, "verified", 21, 104});
+    expect_outcome(p.result, {circuits::Testcase::Sal, "iteration-cap", 120, 174});
+    EXPECT_EQ(canonical(c), current_alone) << "current_first=" << current_first;
+    EXPECT_EQ(canonical(p), pre_default_alone) << "current_first=" << current_first;
+  }
 }
 
 // One GLOVA session per SPICE testcase at the coldest low-voltage corner
@@ -308,9 +340,6 @@ constexpr SessionOutcome kColdCornerRuns[] = {
 
 TEST(PinnedSeedRegression, EkvColdCornerSessionsVerify) {
   set_log_level(LogLevel::Warn);
-  // The engine constructor writes its knobs into the process-wide SPICE
-  // switches; the guard puts the values found here back on exit.
-  const test_support::ScopedSpiceDefaults restore;
   for (const SessionOutcome& run : kColdCornerRuns) {
     core::RunSpec spec = spice_session(run.testcase);
     spec.corner_filter = "cold_lv";

@@ -14,6 +14,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include <arpa/inet.h>
@@ -319,6 +320,46 @@ TEST(Server, SubmitRunsToDoneWithTheCanonicalResult) {
   const auto rows = client.read_payload();
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_EQ(rows[0].rfind("JOB job-000001 alice Done", 0), 0u) << rows[0];
+
+  server.stop(true);
+  std::filesystem::remove_all(spool);
+}
+
+// Two tenants whose specs name different numerics share a two-worker daemon
+// that steps one quantum at a time, so their jobs interleave on both worker
+// threads.  Each RESULT is still the canonical text of its sweep run alone:
+// neither job runs on the other's model or grid, seeds its DC solves from
+// the other's operating points, or counts the other's SPICE activity.
+TEST(Server, TenantsWithDifferentNumericsGetTheirSoloResults) {
+  set_log_level(LogLevel::Warn);
+  const std::string spool = fresh_dir("glova_serve_numerics");
+  serve::ServerConfig config;
+  config.spool_dir = spool;
+  config.workers = 2;
+  config.steps_per_quantum = 1;
+  serve::Server server(std::move(config));
+  server.start();
+  ASSERT_NE(server.port(), 0);
+
+  const std::string bob_spec =
+      "testcase=SAL backend=spice method=C seed=1 max_iterations=120 parallelism=1";
+  const std::string alice_spec = bob_spec + " adaptive_timestep=0 mos_model=level1";
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  const std::string alice = client.request("SUBMIT alice " + alice_spec);
+  const std::string bob = client.request("SUBMIT bob " + bob_spec);
+  ASSERT_EQ(alice.rfind("OK ", 0), 0u) << alice;
+  ASSERT_EQ(bob.rfind("OK ", 0), 0u) << bob;
+
+  for (const auto& [id, spec] : {std::pair{alice.substr(3), alice_spec},
+                                 std::pair{bob.substr(3), bob_spec}}) {
+    const std::string status = wait_terminal(client, id);
+    ASSERT_NE(status.find(" Done "), std::string::npos) << status;
+    core::Campaign alone(core::SweepSpec::from_string(spec));
+    EXPECT_EQ(strip_trailing_newlines(result_text(client, id)),
+              strip_trailing_newlines(serve::format_campaign_result(alone.run())))
+        << spec;
+  }
 
   server.stop(true);
   std::filesystem::remove_all(spool);

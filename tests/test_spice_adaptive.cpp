@@ -1,8 +1,8 @@
 // LTE-adaptive timestep tests: controller bookkeeping (accepted/rejected
 // counters, dt trace) on a stiff clocked circuit, agreement with the fixed
 // reference grid (on that circuit and on every SPICE testbench's metrics
-// under both channel models), and the process-wide step counters the
-// evaluation engine surfaces.
+// under both channel models), and the step counters an installed context's
+// counter block (an engine's EngineStats) and the process totals see.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -10,7 +10,6 @@
 #include <numeric>
 
 #include "backend_parity_grid.hpp"
-#include "scoped_spice_defaults.hpp"
 #include "circuits/registry.hpp"
 #include "pdk/corner.hpp"
 #include "pdk/mos_params.hpp"
@@ -122,14 +121,22 @@ TEST(AdaptiveTimestep, ProcessCountersMirrorResultCounters) {
   const Circuit ckt = stiff_chain();
   SimulatorOptions opt;
   opt.adaptive_timestep = true;
-  reset_spice_counters();
-  Simulator sim(ckt, opt);
-  const TransientResult res = sim.transient(chain_spec());
+  SpiceCounterBlock counts;
+  EvaluationContext context;
+  context.counters = &counts;
+  const SpiceCounters before = spice_counters();
+  TransientResult res;
+  {
+    const ScopedContext scope(context);
+    Simulator sim(ckt, opt);
+    res = sim.transient(chain_spec());
+  }
   ASSERT_TRUE(res.ok) << res.error;
+  EXPECT_EQ(counts.steps_accepted, res.steps_accepted);
+  EXPECT_EQ(counts.steps_rejected, res.steps_rejected);
   const SpiceCounters c = spice_counters();
-  EXPECT_EQ(c.steps_accepted, res.steps_accepted);
-  EXPECT_EQ(c.steps_rejected, res.steps_rejected);
-  reset_spice_counters();
+  EXPECT_EQ(c.steps_accepted - before.steps_accepted, res.steps_accepted);
+  EXPECT_EQ(c.steps_rejected - before.steps_rejected, res.steps_rejected);
 }
 
 class AdaptiveTestbenchMetrics : public ::testing::TestWithParam<int> {};
@@ -143,8 +150,11 @@ TEST_P(AdaptiveTestbenchMetrics, StayWithinToleranceBandOfTheFixedGrid) {
   const circuits::Testcase tc = circuits::all_testcases()[GetParam() % 3];
   const MosModel model = GetParam() < 3 ? MosModel::kLevel1 : MosModel::kEkv;
   const char* model_name = model == MosModel::kEkv ? "ekv" : "level1";
-  const test_support::ScopedSpiceDefaults restore;
-  set_mos_model_default(model);
+  EvaluationContext fixed_grid;
+  fixed_grid.options.mos_model = model;
+  fixed_grid.options.adaptive_timestep = false;
+  EvaluationContext adaptive_grid = fixed_grid;
+  adaptive_grid.options.adaptive_timestep = true;
   const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
   const auto designs = parity_grid::designs_x01(tc);
   const auto corners = parity_grid::corners();
@@ -156,12 +166,16 @@ TEST_P(AdaptiveTestbenchMetrics, StayWithinToleranceBandOfTheFixedGrid) {
     hs.insert(hs.begin(), std::vector<double>{});
     for (std::size_t c = 0; c < corners.size(); ++c) {
       for (std::size_t i = 0; i < hs.size(); ++i) {
-        set_adaptive_timestep_default(false);
         thread_local_dc_cache().clear();
-        const auto fixed = tb->evaluate(x, corners[c], hs[i]);
-        set_adaptive_timestep_default(true);
+        const auto fixed = [&] {
+          const ScopedContext scope(fixed_grid);
+          return tb->evaluate(x, corners[c], hs[i]);
+        }();
         thread_local_dc_cache().clear();
-        const auto adaptive = tb->evaluate(x, corners[c], hs[i]);
+        const auto adaptive = [&] {
+          const ScopedContext scope(adaptive_grid);
+          return tb->evaluate(x, corners[c], hs[i]);
+        }();
         ASSERT_EQ(adaptive.size(), fixed.size());
         for (std::size_t mi = 0; mi < fixed.size(); ++mi) {
           EXPECT_NEAR(adaptive[mi], fixed[mi], 0.03 * std::abs(fixed[mi]) + 1e-12)

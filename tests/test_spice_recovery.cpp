@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "backend_parity_grid.hpp"
-#include "scoped_spice_defaults.hpp"
 #include "circuits/registry.hpp"
 #include "circuits/testbench.hpp"
 #include "core/evaluation_engine.hpp"
@@ -270,17 +269,13 @@ TEST(Recovery, DeadlineAbortsDeterministically) {
 }
 
 TEST(Recovery, EscalationLevelsShapeTheDefaultOptions) {
-  const test_support::ScopedSpiceDefaults restore;
-  set_recovery_default(false);
-  set_recovery_escalation(0);
-  EXPECT_FALSE(default_simulator_options().recovery.enabled);
-  set_recovery_escalation(1);
-  EXPECT_TRUE(default_simulator_options().recovery.enabled);
-  set_recovery_escalation(2);
-  const SimulatorOptions o = default_simulator_options();
-  EXPECT_TRUE(o.recovery.enabled);
-  EXPECT_GT(o.recovery.max_gmin_rungs, RecoveryPolicy{}.max_gmin_rungs);
-  EXPECT_GT(o.recovery.max_step_cuts, RecoveryPolicy{}.max_step_cuts);
+  const RecoveryPolicy off;
+  EXPECT_FALSE(escalated(off, 0).enabled);
+  EXPECT_TRUE(escalated(off, 1).enabled);
+  const RecoveryPolicy o = escalated(off, 2);
+  EXPECT_TRUE(o.enabled);
+  EXPECT_GT(o.max_gmin_rungs, RecoveryPolicy{}.max_gmin_rungs);
+  EXPECT_GT(o.max_step_cuts, RecoveryPolicy{}.max_step_cuts);
 }
 
 // ---------------------------------------------------------------------------
@@ -300,7 +295,6 @@ struct SalFixture {
 };
 
 TEST(EngineFunnel, BackendsRaiseStructuredErrorsWithPenaltyMetrics) {
-  const test_support::ScopedSpiceDefaults restore;
   SalFixture fx;
   thread_local_dc_cache().clear();
   const FaultPlan all = one_site(0, kAll, FaultPlan::Kind::NonConverge);
@@ -317,7 +311,6 @@ TEST(EngineFunnel, BackendsRaiseStructuredErrorsWithPenaltyMetrics) {
 }
 
 TEST(EngineFunnel, PenaltyPathIsTheDefaultAndNeverThrows) {
-  const test_support::ScopedSpiceDefaults restore;
   SalFixture fx;
   core::EngineConfig config;
   config.cache_capacity = 0;
@@ -333,7 +326,6 @@ TEST(EngineFunnel, PenaltyPathIsTheDefaultAndNeverThrows) {
 }
 
 TEST(EngineFunnel, EscalatedRetryRecoversATransientFault) {
-  const test_support::ScopedSpiceDefaults restore;
   SalFixture fx;
 
   // Reference metrics and the per-evaluation solve budget F: a clean run's
@@ -374,12 +366,13 @@ TEST(EngineFunnel, EscalatedRetryRecoversATransientFault) {
   EXPECT_EQ(stats.retries, 1u);
   EXPECT_EQ(stats.degraded_evals, 0u);
   EXPECT_EQ(stats.requested, 1u);
-  // The escalation level never leaks to neighboring evaluations.
-  EXPECT_EQ(recovery_escalation(), 0);
+  // Neither the escalated copy nor the engine's context outlives the call:
+  // neighboring evaluations on this thread see the default context.
+  EXPECT_EQ(current_context().options.recovery, RecoveryPolicy{});
+  EXPECT_EQ(current_context().counters, nullptr);
 }
 
 TEST(EngineFunnel, DegradationQuarantinesToTheBehavioralSibling) {
-  const test_support::ScopedSpiceDefaults restore;
   SalFixture fx;
   ASSERT_NE(fx.tb->degraded_fallback(), nullptr);
 
@@ -401,24 +394,53 @@ TEST(EngineFunnel, DegradationQuarantinesToTheBehavioralSibling) {
 }
 
 TEST(EngineFunnel, StatsSurfaceTheRecoveryCounters) {
-  const test_support::ScopedSpiceDefaults restore;
   SalFixture fx;
-  core::EvaluationEngine engine(fx.tb, core::EngineConfig{});
-  // Process-wide recovery counters noted after engine construction surface
-  // in EngineStats as deltas against the construction snapshot (the same
-  // convention as the dc_warm_* counters).
-  const Circuit ckt = rc_circuit();
-  const FaultPlan fp = one_site(3, 4, FaultPlan::Kind::NonConverge);
-  ScopedFaults guard(&fp);
-  SimulatorOptions armed = fixed_grid();
-  armed.recovery.enabled = true;
-  Simulator sim(ckt, armed);
-  const TransientResult res = sim.transient(rc_spec());
-  ASSERT_TRUE(res.ok) << res.error;
-  const core::EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.recovered_transient, 1u);
-  EXPECT_EQ(stats.deadline_aborts, 0u);
-  EXPECT_EQ(stats.retries, 0u);
+  core::EngineConfig config;
+  config.cache_capacity = 0;
+  config.dc_warm_start = false;      // every evaluation numbers its solves alike
+  config.adaptive_timestep = false;  // a failed step is cut, not shrunk
+  config.recovery = true;
+  core::EvaluationEngine engine(fx.tb, config);
+
+  // A clean evaluation numbers the solves; the middle one is a timestep.
+  FaultPlan probe;
+  {
+    ScopedFaults guard(&probe);
+    (void)engine.evaluate_one(fx.x, fx.corner, {});
+  }
+  ASSERT_GT(probe.cursor, 2u);
+  const std::uint64_t mid = probe.cursor / 2;
+  {
+    const FaultPlan fp = one_site(mid, mid + 1, FaultPlan::Kind::NonConverge);
+    ScopedFaults guard(&fp);
+    (void)engine.evaluate_one(fx.x, fx.corner, {});
+  }
+  const core::EngineStats rescued = engine.stats();
+  EXPECT_EQ(rescued.recovered_transient, 1u);
+  EXPECT_EQ(rescued.recovered_dc, 0u);
+  EXPECT_EQ(rescued.deadline_aborts, 0u);
+  EXPECT_EQ(rescued.retries, 0u);
+
+  // A bare faulted simulation beside the engine counts into the process
+  // totals only, never into the engine's stats.
+  const SpiceCounters before = spice_counters();
+  {
+    const Circuit ckt = rc_circuit();
+    const FaultPlan fp = one_site(3, 4, FaultPlan::Kind::NonConverge);
+    ScopedFaults guard(&fp);
+    SimulatorOptions armed = fixed_grid();
+    armed.recovery.enabled = true;
+    Simulator sim(ckt, armed);
+    const TransientResult res = sim.transient(rc_spec());
+    ASSERT_TRUE(res.ok) << res.error;
+  }
+  EXPECT_EQ(spice_counters().recovered_transient, before.recovered_transient + 1);
+  const core::EngineStats after = engine.stats();
+  EXPECT_EQ(after.recovered_transient, rescued.recovered_transient);
+  EXPECT_EQ(after.recovered_dc, rescued.recovered_dc);
+  EXPECT_EQ(after.deadline_aborts, rescued.deadline_aborts);
+  EXPECT_EQ(after.steps_accepted, rescued.steps_accepted);
+  EXPECT_EQ(after.steps_rejected, rescued.steps_rejected);
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include "core/evaluation_engine.hpp"
 #include "pdk/variation.hpp"
 #include "spice/circuit.hpp"
+#include "spice/counters.hpp"
 #include "spice/simulator.hpp"
 #include "spice/warm_start.hpp"
 
@@ -30,6 +31,17 @@ std::vector<double> sal_sizing() {
 
 Circuit sal_netlist(std::span<const double> h = {}) {
   return sal_testbench().build_netlist(sal_sizing(), pdk::typical_corner(), h);
+}
+
+/// Every draw of `hs` at the typical corner, evaluated under `context`.
+std::vector<std::vector<double>> evaluate_under(const EvaluationContext& context,
+                                                const circuits::Testbench& tb,
+                                                std::span<const double> x,
+                                                const std::vector<std::vector<double>>& hs) {
+  const ScopedContext scope(context);
+  std::vector<std::vector<double>> out;
+  for (const auto& h : hs) out.push_back(tb.evaluate(x, pdk::typical_corner(), h));
+  return out;
 }
 
 TEST(DcWarmStart, WarmStartedOpTakesStrictlyFewerIterations) {
@@ -118,7 +130,10 @@ TEST(DcWarmStart, BogusWarmStartFallsBackToColdPath) {
 }
 
 TEST(DcWarmStart, CacheLruEvictionAndStats) {
-  reset_warm_start_stats();
+  SpiceCounterBlock counts;
+  EvaluationContext context;
+  context.counters = &counts;
+  const ScopedContext scope(context);
   DcWarmStartCache cache(2);
   OpResult op;
   op.converged = true;
@@ -140,10 +155,9 @@ TEST(DcWarmStart, CacheLruEvictionAndStats) {
   cache.store(key(9), unconverged);  // not worth caching
   EXPECT_EQ(cache.lookup(key(9)), nullptr);
 
-  const WarmStartStats stats = warm_start_stats();
-  EXPECT_EQ(stats.stores, 3u);
-  EXPECT_GE(stats.hits, 3u);
-  EXPECT_GE(stats.misses, 3u);
+  EXPECT_EQ(counts.dc_warm_stores, 3u);
+  EXPECT_GE(counts.dc_warm_hits, 3u);
+  EXPECT_GE(counts.dc_warm_misses, 3u);
 
   cache.clear();
   EXPECT_EQ(cache.size(), 0u);
@@ -153,13 +167,15 @@ TEST(DcWarmStart, KeyDistinguishesDesignCornerAndTag) {
   const std::vector<double> x1 = {1e-6, 2e-6};
   std::vector<double> x2 = x1;
   x2[1] += 1e-9;
-  const auto k1 = make_dc_key(1, x1, pdk::typical_corner());
-  EXPECT_EQ(k1, make_dc_key(1, x1, pdk::typical_corner()));
-  EXPECT_NE(k1, make_dc_key(2, x1, pdk::typical_corner()));
-  EXPECT_NE(k1, make_dc_key(1, x2, pdk::typical_corner()));
+  const MosModel ekv = MosModel::kEkv;
+  const auto k1 = make_dc_key(1, ekv, x1, pdk::typical_corner());
+  EXPECT_EQ(k1, make_dc_key(1, ekv, x1, pdk::typical_corner()));
+  EXPECT_NE(k1, make_dc_key(2, ekv, x1, pdk::typical_corner()));
+  EXPECT_NE(k1, make_dc_key(1, MosModel::kLevel1, x1, pdk::typical_corner()));
+  EXPECT_NE(k1, make_dc_key(1, ekv, x2, pdk::typical_corner()));
   pdk::PvtCorner hot = pdk::typical_corner();
   hot.temp_c += 50.0;
-  EXPECT_NE(k1, make_dc_key(1, x1, hot));
+  EXPECT_NE(k1, make_dc_key(1, ekv, x1, hot));
 }
 
 TEST(DcWarmStart, SalEvaluateWarmMatchesColdWithinTolerance) {
@@ -169,21 +185,19 @@ TEST(DcWarmStart, SalEvaluateWarmMatchesColdWithinTolerance) {
   const auto layout = sal.mismatch_layout(x, true);
   const auto hs = pdk::sample_mismatch_set(layout, 3, rng, pdk::GlobalMode::PerSample);
 
-  set_dc_warm_start_enabled(false);
-  std::vector<std::vector<double>> cold;
-  for (const auto& h : hs) cold.push_back(sal.evaluate(x, pdk::typical_corner(), h));
+  EvaluationContext cold_context;
+  cold_context.dc_warm_start = false;
+  const auto cold = evaluate_under(cold_context, sal, x, hs);
 
   thread_local_dc_cache().clear();
-  reset_warm_start_stats();
-  set_dc_warm_start_enabled(true);
-  std::vector<std::vector<double>> warm;
-  for (const auto& h : hs) warm.push_back(sal.evaluate(x, pdk::typical_corner(), h));
-  set_dc_warm_start_enabled(true);  // leave the default in place
+  SpiceCounterBlock counts;
+  EvaluationContext warm_context;
+  warm_context.counters = &counts;
+  const auto warm = evaluate_under(warm_context, sal, x, hs);
 
-  const WarmStartStats stats = warm_start_stats();
-  EXPECT_EQ(stats.misses, 1u);  // first draw seeds the cache
-  EXPECT_EQ(stats.stores, 1u);
-  EXPECT_EQ(stats.hits, 2u);    // subsequent draws of the same design hit
+  EXPECT_EQ(counts.dc_warm_misses, 1u);  // first draw seeds the cache
+  EXPECT_EQ(counts.dc_warm_stores, 1u);
+  EXPECT_EQ(counts.dc_warm_hits, 2u);    // subsequent draws of the same design hit
 
   for (std::size_t i = 0; i < hs.size(); ++i) {
     ASSERT_EQ(warm[i].size(), cold[i].size());
@@ -212,23 +226,22 @@ TEST_P(NewBackendWarmStart, HitCountersRiseAndWarmMatchesCold) {
   const auto layout = tb->mismatch_layout(x, false);
   const auto hs = pdk::sample_mismatch_set(layout, 3, rng, pdk::GlobalMode::Zero);
 
-  set_dc_warm_start_enabled(false);
-  std::vector<std::vector<double>> cold;
-  for (const auto& h : hs) cold.push_back(tb->evaluate(x, pdk::typical_corner(), h));
+  EvaluationContext cold_context;
+  cold_context.dc_warm_start = false;
+  const auto cold = evaluate_under(cold_context, *tb, x, hs);
 
   thread_local_dc_cache().clear();
-  reset_warm_start_stats();
-  set_dc_warm_start_enabled(true);
-  std::vector<std::vector<double>> warm;
-  for (const auto& h : hs) warm.push_back(tb->evaluate(x, pdk::typical_corner(), h));
+  SpiceCounterBlock counts;
+  EvaluationContext warm_context;
+  warm_context.counters = &counts;
+  const auto warm = evaluate_under(warm_context, *tb, x, hs);
 
   // The DRAM testbench runs one transient per data polarity (two cache
   // entries per design); the FIA runs one.
   const std::uint64_t solves_per_eval = tc == circuits::Testcase::DramOcsa ? 2u : 1u;
-  const WarmStartStats stats = warm_start_stats();
-  EXPECT_EQ(stats.misses, solves_per_eval);          // first draw seeds the cache
-  EXPECT_EQ(stats.stores, solves_per_eval);
-  EXPECT_EQ(stats.hits, 2u * solves_per_eval);       // later draws hit
+  EXPECT_EQ(counts.dc_warm_misses, solves_per_eval);     // first draw seeds the cache
+  EXPECT_EQ(counts.dc_warm_stores, solves_per_eval);
+  EXPECT_EQ(counts.dc_warm_hits, 2u * solves_per_eval);  // later draws hit
 
   for (std::size_t i = 0; i < hs.size(); ++i) {
     ASSERT_EQ(warm[i].size(), cold[i].size());
@@ -246,25 +259,29 @@ TEST(DcWarmStart, PolaritiesAndTestbenchesDoNotShareSeeds) {
   // the three testbenches share design-vector shapes at equal dimensions —
   // the cache keys must keep all of them apart.  Evaluating each backend
   // once from a cold cache must only ever miss (no cross-testbench or
-  // cross-polarity hits).
+  // cross-polarity hits), and so must a second pass under the other channel
+  // model: a level1 operating point never seeds an EKV solve.
   thread_local_dc_cache().clear();
-  reset_warm_start_stats();
-  set_dc_warm_start_enabled(true);
-  for (const auto tc : circuits::all_testcases()) {
-    const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
-    std::vector<double> x01(tb->sizing().dimension(), 0.45);
-    const auto x = tb->sizing().denormalize(x01);
-    (void)tb->evaluate(x, pdk::typical_corner(), {});
+  SpiceCounterBlock counts;
+  EvaluationContext context;
+  context.counters = &counts;
+  for (const MosModel model : {MosModel::kLevel1, MosModel::kEkv}) {
+    context.options.mos_model = model;
+    const ScopedContext scope(context);
+    for (const auto tc : circuits::all_testcases()) {
+      const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
+      std::vector<double> x01(tb->sizing().dimension(), 0.45);
+      const auto x = tb->sizing().denormalize(x01);
+      (void)tb->evaluate(x, pdk::typical_corner(), {});
+    }
   }
-  const WarmStartStats stats = warm_start_stats();
-  EXPECT_EQ(stats.hits, 0u);
-  EXPECT_EQ(stats.misses, 4u);  // SAL + FIA + DRAM data0 + DRAM data1
-  EXPECT_EQ(stats.stores, 4u);
+  EXPECT_EQ(counts.dc_warm_hits, 0u);
+  EXPECT_EQ(counts.dc_warm_misses, 8u);  // (SAL + FIA + DRAM data0 + DRAM data1) x 2 models
+  EXPECT_EQ(counts.dc_warm_stores, 8u);
 }
 
 TEST(DcWarmStart, EngineSurfacesWarmStartCounters) {
   thread_local_dc_cache().clear();
-  reset_warm_start_stats();
 
   core::EngineConfig cfg;
   cfg.parallelism = 1;

@@ -25,7 +25,9 @@ int main(int argc, char** argv) {
     if (std::strcmp(argv[i], "h") == 0) with_h = true;
     if (std::strcmp(argv[i], "ekv") == 0) ekv = true;
   }
-  spice::set_mos_model_default(ekv ? spice::MosModel::kEkv : spice::MosModel::kLevel1);
+  spice::EvaluationContext context;
+  context.options.mos_model = ekv ? spice::MosModel::kEkv : spice::MosModel::kLevel1;
+  const spice::ScopedContext scope(context);
   for (const auto tc : circuits::all_testcases()) {
     const auto beh = circuits::make_testbench(tc, circuits::Backend::Behavioral);
     const auto spc = circuits::make_testbench(tc, circuits::Backend::Spice);
