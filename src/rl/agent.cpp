@@ -40,11 +40,14 @@ double RiskSensitiveAgent::update(const WorstCaseReplayBuffer& buffer) {
   if (buffer.empty()) return 0.0;
   ++updates_;
 
-  // --- critic: each base model trains on its own batch (Sec. IV-B) ---
-  for (std::size_t i = 0; i < critic_.ensemble_size(); ++i) {
-    buffer.sample(config_.batch_size, rng_, batch_);
-    critic_.train_base(i, batch_, grad_);
+  // --- critic: each base model trains on its own batch (Sec. IV-B).  The
+  // batches are drawn in member order before the members train
+  // concurrently; training never touches rng_ ---
+  member_batches_.resize(critic_.ensemble_size());
+  for (std::vector<const Experience*>& batch : member_batches_) {
+    buffer.sample(config_.batch_size, rng_, batch);
   }
+  critic_.train(member_batches_);
 
   // --- actor: minimize MSE(0.2, Q(A(x)) + bias) through the frozen critic,
   // the whole batch at once: actor forward, critic bounds of the actions,

@@ -77,11 +77,12 @@ class RiskSensitiveAgent {
   EnsembleCritic critic_;
   double noise_;
   std::size_t updates_ = 0;
-  // Scratch, sized on first use.  grad_ serves the critic members' steps
-  // and then the actor's.
+  // Scratch, sized on first use.  grad_ is the actor's parameter gradient;
+  // the critic borrows its members' training scratch (EnsembleCritic::train).
   nn::Mlp::Workspace actor_ws_;
   nn::Mlp::Scratch actor_scratch_;
-  std::vector<const Experience*> batch_;
+  std::vector<std::vector<const Experience*>> member_batches_;  ///< one per critic member
+  std::vector<const Experience*> batch_;  ///< the actor's
   std::vector<double> grad_;
   std::vector<double> batch_x_;  ///< the actor batch, lane-major
   std::vector<EnsembleCritic::Bound> bounds_;

@@ -2,13 +2,84 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
+#include <mutex>
 #include <ostream>
 #include <stdexcept>
 
 #include "common/state_io.hpp"
+#include "common/thread_pool.hpp"
 #include "nn/loss.hpp"
 
 namespace glova::rl {
+
+namespace {
+
+/// One member's scratch for train() and input_gradient().
+struct MemberScratch {
+  std::vector<double> grad;  ///< parameter gradient
+  nn::Mlp::Scratch mlp;      ///< backward()'s buffers
+  std::vector<double> x;     ///< the member's training batch, lane-major
+  std::vector<double> dl;    ///< dL/d(member output) per sample
+  std::vector<double> dx;    ///< the member's input gradient
+  double loss = 0.0;         ///< the member's batch loss
+};
+
+/// One call's scratch: a slot per member.
+struct ScratchSet {
+  std::vector<MemberScratch> members;
+  std::unique_ptr<ScratchSet> next;  ///< the shelf's link
+};
+
+/// Process-wide free list of scratch sets.  A call borrows one set for its
+/// fan-out and puts it back, so scratch memory follows the critics training
+/// at the same moment, not the critics alive (a campaign keeps every
+/// session's agent).  Once a set exists, borrowing allocates nothing.
+class ScratchShelf {
+ public:
+  std::unique_ptr<ScratchSet> take() {
+    {
+      const std::lock_guard<std::mutex> lock(mutex_);
+      if (head_) {
+        std::unique_ptr<ScratchSet> set = std::move(head_);
+        head_ = std::move(set->next);
+        return set;
+      }
+    }
+    return std::make_unique<ScratchSet>();
+  }
+  void put_back(std::unique_ptr<ScratchSet> set) {
+    const std::lock_guard<std::mutex> lock(mutex_);
+    set->next = std::move(head_);
+    head_ = std::move(set);
+  }
+
+ private:
+  std::mutex mutex_;
+  std::unique_ptr<ScratchSet> head_;  ///< guarded by mutex_
+};
+
+/// A scratch set borrowed for the scope, with a slot per member.
+class BorrowedScratch {
+ public:
+  explicit BorrowedScratch(std::size_t members) : set_(shelf().take()) {
+    if (set_->members.size() < members) set_->members.resize(members);
+  }
+  ~BorrowedScratch() { shelf().put_back(std::move(set_)); }
+  BorrowedScratch(const BorrowedScratch&) = delete;
+  BorrowedScratch& operator=(const BorrowedScratch&) = delete;
+
+  MemberScratch& operator[](std::size_t i) { return set_->members[i]; }
+
+ private:
+  static ScratchShelf& shelf() {
+    static ScratchShelf instance;
+    return instance;
+  }
+  std::unique_ptr<ScratchSet> set_;
+};
+
+}  // namespace
 
 EnsembleCritic::EnsembleCritic(std::size_t input_dim, const CriticConfig& config, Rng& rng)
     : config_(config) {
@@ -34,10 +105,10 @@ void EnsembleCritic::bound(std::span<const double> x, std::span<Bound> out) {
   }
   const std::size_t e = models_.size();
   outs_.resize(e * n);
-  for (std::size_t i = 0; i < e; ++i) {
+  global_thread_pool().fork_join(e, [&](std::size_t i) {
     const std::span<const double> q = models_[i].forward(x, member_ws_[i]);
     std::copy(q.begin(), q.end(), outs_.begin() + static_cast<std::ptrdiff_t>(i * n));
-  }
+  });
   last_.resize(n);
   for (std::size_t s = 0; s < n; ++s) {
     double mean = 0.0;
@@ -63,26 +134,36 @@ EnsembleCritic::Bound EnsembleCritic::bound(std::span<const double> x) {
   return b;
 }
 
-double EnsembleCritic::train_base(std::size_t i, std::span<const Experience* const> batch,
-                                  std::vector<double>& grad) {
-  if (i >= models_.size()) throw std::out_of_range("EnsembleCritic::train_base");
-  if (batch.empty()) throw std::invalid_argument("EnsembleCritic::train_base: empty batch");
-  nn::Mlp& model = models_[i];
-  gather_designs(batch, input_dim(), train_x_);
-  last_.clear();
-  const std::span<const double> q = model.forward(train_x_, member_ws_[i]);
-  const std::size_t n = batch.size();
-  member_dl_.resize(n);
-  double loss = 0.0;
-  const double scale = 1.0 / static_cast<double>(n);
-  for (std::size_t s = 0; s < n; ++s) {
-    const double pred = q[s] + config_.bias;
-    loss += nn::mse(pred, batch[s]->reward) * scale;
-    member_dl_[s] = nn::mse_grad_scalar(pred, batch[s]->reward) * scale;
+double EnsembleCritic::train(std::span<const std::vector<const Experience*>> batches) {
+  const std::size_t e = models_.size();
+  if (batches.size() != e) throw std::invalid_argument("EnsembleCritic::train: one batch per member");
+  for (const std::vector<const Experience*>& batch : batches) {
+    if (batch.empty()) throw std::invalid_argument("EnsembleCritic::train: empty batch");
   }
-  grad.assign(model.parameter_count(), 0.0);
-  model.backward(member_ws_[i], scratch_, member_dl_, grad, {});
-  optimizers_[i].step(model.parameters(), grad);
+  last_.clear();
+  BorrowedScratch scratch(e);
+  global_thread_pool().fork_join(e, [&](std::size_t i) {
+    const std::vector<const Experience*>& batch = batches[i];
+    MemberScratch& m = scratch[i];
+    nn::Mlp& model = models_[i];
+    gather_designs(batch, input_dim(), m.x);
+    const std::span<const double> q = model.forward(m.x, member_ws_[i]);
+    const std::size_t n = batch.size();
+    m.dl.resize(n);
+    double loss = 0.0;
+    const double scale = 1.0 / static_cast<double>(n);
+    for (std::size_t s = 0; s < n; ++s) {
+      const double pred = q[s] + config_.bias;
+      loss += nn::mse(pred, batch[s]->reward) * scale;
+      m.dl[s] = nn::mse_grad_scalar(pred, batch[s]->reward) * scale;
+    }
+    m.loss = loss;
+    m.grad.assign(model.parameter_count(), 0.0);
+    model.backward(member_ws_[i], m.mlp, m.dl, m.grad, {});
+    optimizers_[i].step(model.parameters(), m.grad);
+  });
+  double loss = 0.0;
+  for (std::size_t i = 0; i < e; ++i) loss += scratch[i].loss;
   return loss;
 }
 
@@ -98,20 +179,24 @@ void EnsembleCritic::input_gradient(std::span<const double> dLdq, std::span<doub
   // Q = mean_i Q_i + beta1 * sigma.  dQ/dQ_i = 1/E + beta1 * (Q_i - mean) /
   // ((E-1) * sigma); for sigma -> 0 only the mean term survives.
   const std::size_t e = models_.size();
-  member_dx_.resize(dx.size());
-  member_dl_.resize(n);
-  std::fill(dx.begin(), dx.end(), 0.0);
-  for (std::size_t i = 0; i < e; ++i) {
+  BorrowedScratch scratch(e);
+  global_thread_pool().fork_join(e, [&](std::size_t i) {
+    MemberScratch& m = scratch[i];
+    m.dl.resize(n);
     for (std::size_t s = 0; s < n; ++s) {
       double weight = 1.0 / static_cast<double>(e);
       if (e > 1 && last_[s].std > 1e-12) {
         weight += config_.beta1 * (outs_[i * n + s] - last_[s].mean) /
                   (static_cast<double>(e - 1) * last_[s].std);
       }
-      member_dl_[s] = dLdq[s] * weight;
+      m.dl[s] = dLdq[s] * weight;
     }
-    models_[i].backward(member_ws_[i], scratch_, member_dl_, {}, member_dx_);
-    for (std::size_t d = 0; d < dx.size(); ++d) dx[d] += member_dx_[d];
+    m.dx.resize(dx.size());
+    models_[i].backward(member_ws_[i], m.mlp, m.dl, {}, m.dx);
+  });
+  std::fill(dx.begin(), dx.end(), 0.0);
+  for (std::size_t i = 0; i < e; ++i) {
+    for (std::size_t d = 0; d < dx.size(); ++d) dx[d] += scratch[i].dx[d];
   }
 }
 
@@ -133,6 +218,7 @@ void EnsembleCritic::load(std::istream& is) {
     state::bad("critic ensemble size mismatch: expected " + std::to_string(models_.size()) +
                ", got " + std::to_string(n));
   }
+  last_.clear();
   for (std::size_t i = 0; i < models_.size(); ++i) {
     models_[i].load(is);
     optimizers_[i].load(is);

@@ -41,25 +41,28 @@ class EnsembleCritic {
   };
   /// Bounds of n = out.size() designs, lane-major like nn::Mlp batches
   /// (x[j * n + s] is coordinate j of design s): every base model runs once
-  /// on the batch and keeps its activations, so input_gradient() can
-  /// backpropagate these bounds without a second pass.
+  /// on the batch, the members concurrently as in train(), and keeps its
+  /// activations, so input_gradient() can backpropagate these bounds
+  /// without a second pass.
   void bound(std::span<const double> x, std::span<Bound> out);
   /// The bound of one design (the batch n = 1).
   [[nodiscard]] Bound bound(std::span<const double> x);
 
-  /// One gradient step of base model `i` on the (x, r) pairs of `batch`:
-  /// L_Qi = MSE(r, Q_i(x) + bias), one forward and one backward over the
-  /// whole batch.  `grad` is the caller's scratch for the parameter gradient
-  /// (resized to fit), so a trainer can share one buffer across networks.
-  /// Training records into the member's bound() workspace, so it ends the
-  /// last bound(): input_gradient() needs a new one.  Returns the batch loss.
-  double train_base(std::size_t i, std::span<const Experience* const> batch,
-                    std::vector<double>& grad);
+  /// One gradient step of every base model i on its own replay batch
+  /// `batches[i]`: L_Qi = MSE(r, Q_i(x) + bias), one forward and one
+  /// backward over the whole batch.  The members train concurrently on the
+  /// process pool (ThreadPool::fork_join) with the bits of a serial loop:
+  /// each touches only its own network, optimizer and workspace.  Training
+  /// records into the members' bound() workspaces, so it ends the last
+  /// bound(): input_gradient() needs a new one.  Returns the member batch
+  /// losses summed in member order.
+  double train(std::span<const std::vector<const Experience*>> batches);
 
   /// dLdq[s] * dQ/dx of each bound the last bound() call computed, written
   /// to `dx` (input_dim() * n entries, lane-major); used to push gradients
-  /// into the actor.  Throws std::logic_error when no bound() of this batch
-  /// size came first.
+  /// into the actor.  The member backwards run concurrently; their dx are
+  /// summed in member order.  Throws std::logic_error when no bound() of
+  /// this batch size came first.
   void input_gradient(std::span<const double> dLdq, std::span<double> dx);
   /// The same for the batch n = 1.
   void input_gradient(double dLdq, std::span<double> dx);
@@ -69,7 +72,8 @@ class EnsembleCritic {
   [[nodiscard]] const CriticConfig& config() const { return config_; }
 
   /// Text-serialize every base model's parameters and optimizer moments
-  /// (architecture and config come from the constructor).
+  /// (architecture and config come from the constructor).  `load` ends the
+  /// last bound(), whose activations belong to the old weights.
   void save(std::ostream& os) const;
   void load(std::istream& is);
 
@@ -77,16 +81,13 @@ class EnsembleCritic {
   CriticConfig config_;
   std::vector<nn::Mlp> models_;
   std::vector<nn::Adam> optimizers_;
-  // Scratch, sized on first use to the batch.  bound() fills member_ws_ /
-  // outs_ / last_ for input_gradient(); train_base(i) records into
-  // member_ws_[i] and empties last_.
+  // Sized on first use to the batch.  bound() fills member_ws_ / outs_ /
+  // last_ for input_gradient(); train() records into member_ws_ and empties
+  // last_.  The per-member scratch of train() and input_gradient() is
+  // borrowed per call from a process-wide shelf (ensemble_critic.cpp).
   std::vector<nn::Mlp::Workspace> member_ws_;
-  nn::Mlp::Scratch scratch_;  ///< every member's backward()
   std::vector<double> outs_;  ///< member i's output for design s at [i * n + s]
   std::vector<Bound> last_;
-  std::vector<double> member_dx_;
-  std::vector<double> member_dl_;
-  std::vector<double> train_x_;
 };
 
 }  // namespace glova::rl

@@ -1,14 +1,20 @@
 // Tests for the common substrate: deterministic RNG, stream splitting,
-// thread pool, units.
+// thread pool (parallel_for and fork_join), units.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cmath>
+#include <cstdint>
+#include <functional>
 #include <set>
+#include <stdexcept>
+#include <thread>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
+#include "counting_new.hpp"
 
 namespace glova {
 namespace {
@@ -128,6 +134,93 @@ TEST(ThreadPool, ZeroAndOneTasks) {
   int calls = 0;
   pool.parallel_for(1, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 1);
+}
+
+TEST(ThreadPool, ForkJoinRunsEveryIndexOnce) {
+  ThreadPool pool(4);
+  for (const std::size_t n : {0u, 1u, 2u, 5u, 100u}) {
+    std::vector<std::atomic<int>> hits(n);
+    pool.fork_join(n, [&](std::size_t i) { hits[i].fetch_add(1); });
+    for (const auto& h : hits) EXPECT_EQ(h.load(), 1) << "n = " << n;
+  }
+}
+
+TEST(ThreadPool, ForkJoinRethrowsAfterEveryIndexRan) {
+  ThreadPool pool(4);
+  std::vector<std::atomic<int>> hits(20);
+  EXPECT_THROW(pool.fork_join(hits.size(),
+                              [&](std::size_t i) {
+                                hits[i].fetch_add(1);
+                                if (i % 7 == 3) throw std::runtime_error("boom");
+                              }),
+               std::runtime_error);
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  // The slot is free again.
+  std::atomic<int> calls{0};
+  pool.fork_join(8, [&](std::size_t) { calls.fetch_add(1); });
+  EXPECT_EQ(calls.load(), 8);
+}
+
+TEST(ThreadPool, ForkJoinRunsInlineOnAWorkerAndOnAOneWorkerPool) {
+  ThreadPool pool(4);
+  // Every worker runs a task that fans out: each fan-out stays on its own
+  // worker, so none waits for a worker that is busy waiting itself.
+  std::vector<std::atomic<int>> hits(4 * 6);
+  std::atomic<int> moved{0};
+  pool.parallel_for(4, [&](std::size_t t) {
+    const std::thread::id me = std::this_thread::get_id();
+    pool.fork_join(6, [&](std::size_t i) {
+      hits[t * 6 + i].fetch_add(1);
+      if (std::this_thread::get_id() != me) moved.fetch_add(1);
+    });
+  });
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  EXPECT_EQ(moved.load(), 0);
+  // A one-worker pool (a one-CPU host) never fans out.
+  ThreadPool single(1);
+  const std::thread::id caller = std::this_thread::get_id();
+  single.fork_join(6, [&](std::size_t) {
+    if (std::this_thread::get_id() != caller) moved.fetch_add(1);
+  });
+  EXPECT_EQ(moved.load(), 0);
+}
+
+TEST(ThreadPool, ConcurrentForkJoinsBothComplete) {
+  ThreadPool pool(4);
+  constexpr std::size_t kN = 64;
+  constexpr int kReps = 300;
+  const auto run = [&pool](std::vector<std::uint64_t>& out, std::uint64_t salt) {
+    for (int rep = 0; rep < kReps; ++rep) {
+      pool.fork_join(out.size(), [&](std::size_t i) { out[i] += splitmix64(i + salt); });
+    }
+  };
+  std::vector<std::uint64_t> a(kN, 0);
+  std::vector<std::uint64_t> b(kN, 0);
+  std::thread ta(run, std::ref(a), 1000);
+  std::thread tb(run, std::ref(b), 2000);
+  ta.join();
+  tb.join();
+  for (std::size_t i = 0; i < kN; ++i) {
+    EXPECT_EQ(a[i], kReps * splitmix64(i + 1000)) << i;
+    EXPECT_EQ(b[i], kReps * splitmix64(i + 2000)) << i;
+  }
+}
+
+TEST(ThreadPool, WarmForkJoinAllocatesNothing) {
+  ThreadPool pool(4);
+  std::vector<double> out(16);
+  const auto body = [&](std::size_t i) { out[i] += std::sqrt(static_cast<double>(i)); };
+  pool.fork_join(out.size(), body);
+  g_alloc_count.store(0);
+  g_alloc_counting.store(true);
+  for (int rep = 0; rep < 100; ++rep) pool.fork_join(out.size(), body);
+  g_alloc_counting.store(false);
+  EXPECT_EQ(g_alloc_count.load(), 0u);
+  // The counter counts: parallel_for's queued tasks allocate.
+  g_alloc_counting.store(true);
+  pool.parallel_for(out.size(), body);
+  g_alloc_counting.store(false);
+  EXPECT_GT(g_alloc_count.load(), 0u);
 }
 
 TEST(Units, Conversions) {

@@ -238,14 +238,11 @@ TEST(EnsembleCritic, TrainingReducesLoss) {
   }
   std::vector<const Experience*> batch;
   for (const Experience& e : data) batch.push_back(&e);
-  std::vector<double> grad;
+  const std::vector<std::vector<const Experience*>> batches(critic.ensemble_size(), batch);
   double first = 0.0;
   double last = 0.0;
   for (int epoch = 0; epoch < 400; ++epoch) {
-    double loss = 0.0;
-    for (std::size_t i = 0; i < critic.ensemble_size(); ++i) {
-      loss += critic.train_base(i, batch, grad);
-    }
+    const double loss = critic.train(batches);
     if (epoch == 0) first = loss;
     last = loss;
   }
@@ -274,6 +271,30 @@ TEST(EnsembleCritic, InputGradientMatchesFiniteDifference) {
         dLdq * (critic.bound(xp).risk_adjusted - critic.bound(xm).risk_adjusted) / (2 * eps);
     EXPECT_NEAR(grad[d], fd, 1e-5) << "dim " << d;
   }
+}
+
+TEST(EnsembleCritic, LoadEndsTheLastBound) {
+  CriticConfig cfg;
+  cfg.hidden = 16;
+  Rng rng_a(11);
+  EnsembleCritic a(3, cfg, rng_a);
+  Rng rng_b(12);
+  EnsembleCritic b(3, cfg, rng_b);
+  const std::vector<double> x = {0.3, 0.6, 0.2};
+  (void)b.bound(x);
+  std::stringstream state;
+  a.save(state);
+  b.load(state);
+  // b's recorded activations belong to its old weights.
+  std::vector<double> dx(x.size());
+  EXPECT_THROW(b.input_gradient(1.0, dx), std::logic_error);
+  // A fresh bound() gives a's gradient.
+  (void)a.bound(x);
+  (void)b.bound(x);
+  std::vector<double> dx_a(x.size());
+  a.input_gradient(1.0, dx_a);
+  b.input_gradient(1.0, dx);
+  EXPECT_EQ(dx, dx_a);
 }
 
 TEST(Agent, ProposalsStayInUnitBox) {
