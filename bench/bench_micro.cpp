@@ -3,6 +3,8 @@
 // network updates, and the reordering math.
 #include <benchmark/benchmark.h>
 
+#include <filesystem>
+
 #include "circuits/registry.hpp"
 #include "circuits/spice_backend.hpp"
 #include "common/log.hpp"
@@ -168,7 +170,7 @@ BENCHMARK(BM_LuSolve)->Arg(16)->Arg(64);
 
 static void BM_EngineBatch(benchmark::State& state) {
   // The evaluation funnel under every table: one design, one corner, a batch
-  // of fresh mismatch draws through the caching engine.
+  // of fresh mismatch draws through a default engine, which keeps no memo.
   core::EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::DramOcsa));
   const auto& sz = engine.testbench().sizing();
   std::vector<double> x01(sz.dimension(), 0.5);
@@ -186,14 +188,24 @@ static void BM_EngineBatch(benchmark::State& state) {
 BENCHMARK(BM_EngineBatch)->Arg(3)->Arg(32)->Arg(100);
 
 static void BM_EngineCacheHit(benchmark::State& state) {
-  core::EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::DramOcsa));
-  const auto& sz = engine.testbench().sizing();
-  std::vector<double> x01(sz.dimension(), 0.5);
-  const auto x = sz.denormalize(x01);
-  (void)engine.evaluate_one(x, pdk::typical_corner(), {});  // prime
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(engine.evaluate_one(x, pdk::typical_corner(), {}));
-  }
+  // A hit in the persistent memo, which only an engine with a cache_path
+  // keeps.  The file is removed before and after, so every run starts cold.
+  const std::filesystem::path path =
+      std::filesystem::temp_directory_path() / "glova_bench_memo_hit.memo";
+  std::filesystem::remove(path);
+  {
+    core::EngineConfig cfg;
+    cfg.cache_path = path.string();
+    core::EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::DramOcsa), cfg);
+    const auto& sz = engine.testbench().sizing();
+    std::vector<double> x01(sz.dimension(), 0.5);
+    const auto x = sz.denormalize(x01);
+    (void)engine.evaluate_one(x, pdk::typical_corner(), {});  // prime
+    for (auto _ : state) {
+      benchmark::DoNotOptimize(engine.evaluate_one(x, pdk::typical_corner(), {}));
+    }
+  }  // the destructor flushes the memo to the file
+  std::filesystem::remove(path);
 }
 BENCHMARK(BM_EngineCacheHit);
 

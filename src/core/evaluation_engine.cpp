@@ -9,16 +9,11 @@
 #include <sstream>
 #include <stdexcept>
 
-#include "common/key_hash.hpp"
 #include "common/log.hpp"
 #include "common/state_io.hpp"
 #include "core/persistent_cache.hpp"
 
 namespace glova::core {
-
-std::size_t EvaluationEngine::CacheKeyHash::operator()(const CacheKey& key) const noexcept {
-  return key_fnv1a(key);
-}
 
 EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfig config)
     : testbench_(std::move(testbench)), config_(config) {
@@ -50,7 +45,12 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
   context_.options.deadline_newton_iterations = config_.eval_deadline_steps;
   context_.dc_warm_start = config_.dc_warm_start;
   context_.counters = &spice_counters_;
-  load_persistent_cache();
+  if (!config_.cache_path.empty() && config_.cache_capacity != 0) {
+    memo_ = std::make_unique<MemoCache>(config_.cache_capacity, config_.cache_quantum);
+    const auto file =
+        load_memo_cache_file(config_.cache_path, memo_cache_tag(testbench_->name(), config_));
+    if (file) memo_->assign(file->entries);  // absent on the first run against this path
+  }
 }
 
 std::vector<double> EvaluationEngine::evaluate_guarded(std::span<const double> x_phys,
@@ -130,85 +130,17 @@ EvaluationEngine::~EvaluationEngine() {
   for (std::future<void>& f : pending) {
     if (f.valid()) f.wait();
   }
-  if (!config_.cache_path.empty()) {
-    try {
-      flush_persistent_cache();
-    } catch (const std::exception& e) {
-      log_warn("EvaluationEngine: persistent cache flush failed: ", e.what());
-    }
-  }
-}
-
-std::string EvaluationEngine::persistent_cache_tag() const {
-  return memo_cache_tag(testbench_->name(), config_);
-}
-
-void EvaluationEngine::load_persistent_cache() {
-  if (config_.cache_path.empty() || config_.cache_capacity == 0) return;
-  const std::optional<MemoCacheFile> file =
-      load_memo_cache_file(config_.cache_path, persistent_cache_tag());
-  if (!file) return;  // first run against this path
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    // Entries are stored most recent first; preserve that recency in the LRU
-    // and stop at capacity (the file may hold more than one engine's worth).
-    for (const MemoCacheEntry& e : file->entries) {
-      if (lru_.size() >= config_.cache_capacity) break;
-      if (index_.find(e.key) != index_.end()) continue;
-      lru_.emplace_back(e.key, e.metrics);
-      index_.emplace(lru_.back().first, std::prev(lru_.end()));
-    }
+  try {
+    flush_persistent_cache();
+  } catch (const std::exception& e) {
+    log_warn("EvaluationEngine: persistent cache flush failed: ", e.what());
   }
 }
 
 void EvaluationEngine::flush_persistent_cache() {
-  if (config_.cache_path.empty() || config_.cache_capacity == 0) return;
-  MemoCacheFile file;
-  file.tag = persistent_cache_tag();
-  {
-    const std::lock_guard<std::mutex> lock(cache_mutex_);
-    file.entries.reserve(lru_.size());
-    for (const auto& [key, metrics] : lru_) file.entries.push_back({key, metrics});
-  }
-  flush_memo_cache_file(config_.cache_path, file);
-}
-
-EvaluationEngine::CacheKey EvaluationEngine::make_key(std::span<const double> x_phys,
-                                                      const pdk::PvtCorner& corner,
-                                                      std::span<const double> h) const {
-  CacheKey key;
-  key.reserve(4 + x_phys.size() + 1 + h.size());
-  key.push_back(static_cast<std::int64_t>(corner.process) * 2 +
-                (corner.process_predefined ? 1 : 0));
-  key.push_back(quantize_for_key(corner.vdd, config_.cache_quantum));
-  key.push_back(quantize_for_key(corner.temp_c, config_.cache_quantum));
-  key.push_back(static_cast<std::int64_t>(x_phys.size()));
-  for (const double v : x_phys) key.push_back(quantize_for_key(v, config_.cache_quantum));
-  key.push_back(static_cast<std::int64_t>(h.size()));
-  for (const double v : h) key.push_back(quantize_for_key(v, config_.cache_quantum));
-  return key;
-}
-
-bool EvaluationEngine::cache_lookup(const CacheKey& key, std::vector<double>& out) {
-  if (config_.cache_capacity == 0) return false;
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return false;
-  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
-  out = it->second->second;
-  return true;
-}
-
-void EvaluationEngine::cache_insert(CacheKey key, const std::vector<double>& metrics) {
-  if (config_.cache_capacity == 0) return;
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  if (index_.find(key) != index_.end()) return;  // concurrent duplicate compute
-  lru_.emplace_front(std::move(key), metrics);
-  index_.emplace(lru_.front().first, lru_.begin());
-  if (lru_.size() > config_.cache_capacity) {
-    index_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
+  if (!memo_) return;
+  flush_memo_cache_file(config_.cache_path,
+                        {memo_cache_tag(testbench_->name(), config_), memo_->entries()});
 }
 
 std::size_t EvaluationEngine::effective_parallelism() const {
@@ -223,27 +155,18 @@ std::vector<std::vector<double>> EvaluationEngine::evaluate_batch(
   std::vector<std::vector<double>> results(hs.size());
   requested_.fetch_add(hs.size());
 
-  // Resolve cache hits up front; only misses go to the simulator.  Identical
+  // Resolve memo hits up front; only misses go to the simulator.  Identical
   // conditions inside one batch are still evaluated once each requested time
   // until the first insert lands — correctness is unaffected, and in practice
   // duplicate keys within a batch are repeated nominal-mismatch draws.
-  const bool caching = config_.cache_capacity != 0;
   std::vector<std::size_t> miss_indices;
-  std::vector<CacheKey> miss_keys;
   miss_indices.reserve(hs.size());
-  if (caching) {
-    miss_keys.reserve(hs.size());
-    for (std::size_t i = 0; i < hs.size(); ++i) {
-      CacheKey key = make_key(x_phys, corner, hs[i]);
-      if (cache_lookup(key, results[i])) {
-        cache_hits_.fetch_add(1);
-      } else {
-        miss_indices.push_back(i);
-        miss_keys.push_back(std::move(key));
-      }
+  for (std::size_t i = 0; i < hs.size(); ++i) {
+    if (memo_ && memo_->lookup(x_phys, corner, hs[i], results[i])) {
+      cache_hits_.fetch_add(1);
+    } else {
+      miss_indices.push_back(i);
     }
-  } else {
-    for (std::size_t i = 0; i < hs.size(); ++i) miss_indices.push_back(i);
   }
   if (miss_indices.empty()) return results;
 
@@ -253,7 +176,7 @@ std::vector<std::vector<double>> EvaluationEngine::evaluate_batch(
     // Counted after the run so a throwing evaluation keeps the invariant
     // requested == cache_hits + executed (+ failures, which propagate).
     executed_.fetch_add(1);
-    if (caching) cache_insert(std::move(miss_keys[mi]), results[i]);
+    if (memo_) memo_->insert(x_phys, corner, hs[i], results[i]);
   };
 
   const std::size_t parallelism = effective_parallelism();
@@ -269,19 +192,14 @@ std::vector<double> EvaluationEngine::evaluate_one(std::span<const double> x_phy
                                                    const pdk::PvtCorner& corner,
                                                    std::span<const double> h) {
   requested_.fetch_add(1);
-  const bool caching = config_.cache_capacity != 0;
-  CacheKey key;
   std::vector<double> metrics;
-  if (caching) {
-    key = make_key(x_phys, corner, h);
-    if (cache_lookup(key, metrics)) {
-      cache_hits_.fetch_add(1);
-      return metrics;
-    }
+  if (memo_ && memo_->lookup(x_phys, corner, h, metrics)) {
+    cache_hits_.fetch_add(1);
+    return metrics;
   }
   metrics = evaluate_with_slot(x_phys, corner, h);
   executed_.fetch_add(1);
-  if (caching) cache_insert(std::move(key), metrics);
+  if (memo_) memo_->insert(x_phys, corner, h, metrics);
   return metrics;
 }
 
@@ -289,17 +207,12 @@ std::future<std::vector<double>> EvaluationEngine::submit(std::span<const double
                                                           const pdk::PvtCorner& corner,
                                                           std::span<const double> h) {
   requested_.fetch_add(1);
-  const bool caching = config_.cache_capacity != 0;
-  CacheKey key;
   std::vector<double> metrics;
-  if (caching) {
-    key = make_key(x_phys, corner, h);
-    if (cache_lookup(key, metrics)) {
-      cache_hits_.fetch_add(1);
-      std::promise<std::vector<double>> ready;
-      ready.set_value(std::move(metrics));
-      return ready.get_future();
-    }
+  if (memo_ && memo_->lookup(x_phys, corner, h, metrics)) {
+    cache_hits_.fetch_add(1);
+    std::promise<std::vector<double>> ready;
+    ready.set_value(std::move(metrics));
+    return ready.get_future();
   }
   // The task owns copies of its inputs: the caller's spans need not outlive
   // the future.
@@ -308,12 +221,11 @@ std::future<std::vector<double>> EvaluationEngine::submit(std::span<const double
   std::vector<double> x_copy(x_phys.begin(), x_phys.end());
   std::vector<double> h_copy(h.begin(), h.end());
   std::future<void> done = global_thread_pool().submit(
-      [this, state, caching, key = std::move(key), corner, x = std::move(x_copy),
-       hh = std::move(h_copy)] {
+      [this, state, corner, x = std::move(x_copy), hh = std::move(h_copy)] {
         try {
           std::vector<double> m = evaluate_with_slot(x, corner, hh);
           executed_.fetch_add(1);
-          if (caching) cache_insert(key, m);
+          if (memo_) memo_->insert(x, corner, hh, m);
           state->set_value(std::move(m));
         } catch (...) {
           state->set_exception(std::current_exception());
@@ -358,15 +270,10 @@ void EvaluationEngine::reset_count() {
   store_spice_counters(EngineStats{});
 }
 
-std::size_t EvaluationEngine::cache_size() const {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  return lru_.size();
-}
+std::size_t EvaluationEngine::cache_size() const { return memo_ ? memo_->size() : 0; }
 
 void EvaluationEngine::clear_cache() {
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  index_.clear();
-  lru_.clear();
+  if (memo_) memo_->assign({});
 }
 
 void EvaluationEngine::save_state(std::ostream& os) const {
@@ -380,15 +287,11 @@ void EvaluationEngine::save_state(std::ostream& os) const {
   os << "carried " << s.dc_warm_hits << ' ' << s.dc_warm_misses << ' ' << s.dc_warm_stores
      << " 0 0 0 0 " << s.steps_accepted << ' ' << s.steps_rejected << ' ' << s.recovered_dc
      << ' ' << s.recovered_transient << ' ' << s.deadline_aborts << '\n';
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  os << "cache " << lru_.size() << '\n';
-  // Front (most recent) first; load() rebuilds in the same order.
-  for (const auto& [key, metrics] : lru_) {
-    os << "key " << key.size();
-    for (const std::int64_t k : key) os << ' ' << k;
-    os << '\n';
-    state::write_doubles(os, "val", metrics);
-  }
+  // Most recent first; load_state() rebuilds in the same order.
+  const std::vector<MemoCacheEntry> entries =
+      memo_ ? memo_->entries() : std::vector<MemoCacheEntry>{};
+  os << "cache " << entries.size() << '\n';
+  write_memo_entries(os, entries);
 }
 
 void EvaluationEngine::load_state(std::istream& is) {
@@ -432,26 +335,9 @@ void EvaluationEngine::load_state(std::istream& is) {
     state::bad("engine cache state holds " + std::to_string(n) + " entries, capacity is " +
                std::to_string(config_.cache_capacity));
   }
-  decltype(lru_) lru;
-  decltype(index_) index;
-  for (std::size_t i = 0; i < n; ++i) {
-    std::istringstream line(state::expect_line(is, "key"));
-    std::size_t klen = 0;
-    if (!(line >> klen)) state::bad("malformed engine cache key");
-    if (klen > state::kMaxCount) state::bad("implausible engine cache key length");
-    CacheKey key(klen);
-    for (std::int64_t& k : key) {
-      if (!(line >> k)) state::bad("truncated engine cache key");
-    }
-    std::vector<double> metrics = state::read_doubles(is, "val");
-    lru.emplace_back(std::move(key), std::move(metrics));
-    if (!index.emplace(lru.back().first, std::prev(lru.end())).second) {
-      state::bad("duplicate engine cache key");
-    }
-  }
-  const std::lock_guard<std::mutex> lock(cache_mutex_);
-  lru_ = std::move(lru);
-  index_ = std::move(index);
+  const std::vector<MemoCacheEntry> entries = read_memo_entries(is, n);
+  // An engine without a memo drops the entries a memo engine wrote.
+  if (memo_ && memo_->assign(entries) != n) state::bad("duplicate engine cache key");
 }
 
 }  // namespace glova::core

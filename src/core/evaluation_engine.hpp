@@ -6,11 +6,13 @@
 //   * batched submission over the shared thread pool, honoring a real
 //     parallelism setting (the paper runs N' = 3 samples concurrently during
 //     optimization and "maximum available resources" during verification),
-//   * a bounded, thread-safe memoization cache keyed by (quantized design
-//     vector, corner, mismatch draw), so repeated evaluations of the same
-//     condition are answered without re-simulating.  Counters distinguish
-//     *requested* simulations (the paper's "# Simulation" column, returned
-//     by simulation_count()) from *actually run* ones,
+//   * on an engine with a persistent memo file (EngineConfig::cache_path)
+//     only, a bounded memo keyed by (quantized design vector, corner,
+//     mismatch draw), so points earlier sessions simulated are answered
+//     without re-simulating; every other engine simulates each request.
+//     Counters distinguish *requested* simulations (the paper's
+//     "# Simulation" column, returned by simulation_count()) from *actually
+//     run* ones,
 //   * a modeled runtime (each SPICE run is far more expensive than the
 //     optimizer bookkeeping around it); only ratios matter — Table II
 //     reports *normalized* runtime,
@@ -25,14 +27,11 @@
 #include <cstdint>
 #include <future>
 #include <iosfwd>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <semaphore>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "circuits/testbench.hpp"
@@ -42,6 +41,8 @@
 #include "spice/simulator.hpp"
 
 namespace glova::core {
+
+class MemoCache;
 
 struct SimulationCost {
   /// Modeled cost of one SPICE simulation in arbitrary time units; the
@@ -60,11 +61,11 @@ struct EngineConfig {
   /// Batches smaller than this run inline: behavioral evaluations are
   /// microseconds each, so fan-out only pays off from a few tasks up.
   std::size_t min_parallel_batch = 8;
-  /// Memoization cache capacity in entries (LRU eviction).  0 disables
-  /// caching entirely.
+  /// Capacity in entries (LRU eviction) of the memo, which only an engine
+  /// with a cache_path keeps.  0 disables it, file included.
   std::size_t cache_capacity = 4096;
   /// Quantization step applied to design/mismatch coordinates when forming
-  /// cache keys.  Coarse enough to absorb round-trip noise, fine enough that
+  /// memo keys.  Coarse enough to absorb round-trip noise, fine enough that
   /// distinct mismatch draws never alias.
   double cache_quantum = 1e-15;
   /// Enable the SPICE-level DC warm-start cache (converged operating points
@@ -109,14 +110,14 @@ struct EngineConfig {
   /// is rejected at construction.
   std::string mos_model = "ekv";
   /// Path of the persistent cross-session memo-cache file (see
-  /// core/persistent_cache.hpp).  Non-empty: the engine loads matching
-  /// entries into its LRU at construction and merges the LRU back to disk on
+  /// core/persistent_cache.hpp).  Non-empty: the engine keeps a memo, loads
+  /// matching entries into it at construction and merges it back to disk on
   /// destruction (or flush_persistent_cache()), so repeated points across
   /// sessions, campaigns, and glova-serve restarts are answered without
   /// re-simulating.  The file is tagged with the testbench name and every
   /// numerics-affecting knob; a foreign tag is rejected at construction.
   /// Must not contain whitespace (the RunSpec grammar is space-separated).
-  /// Empty (default) = no persistence.
+  /// Empty (default) = no memo: every request is simulated.
   std::string cache_path;
 
   friend bool operator==(const EngineConfig&, const EngineConfig&) = default;
@@ -160,7 +161,7 @@ class EvaluationEngine {
   /// Compatibility constructor: engine defaults with an explicit parallelism.
   EvaluationEngine(circuits::TestbenchPtr testbench, std::size_t parallelism);
   /// Blocks until every submit()-queued evaluation has finished: a queued
-  /// task touches the engine's counters and cache, so they must not outlive
+  /// task touches the engine's counters and memo, so they must not outlive
   /// the engine.
   ~EvaluationEngine();
 
@@ -171,17 +172,18 @@ class EvaluationEngine {
       std::span<const double> x_phys, const pdk::PvtCorner& corner,
       const std::vector<std::vector<double>>& hs);
 
-  /// Single evaluation (counted, cached).
+  /// Single evaluation (counted, memoized when the engine keeps a memo).
   [[nodiscard]] std::vector<double> evaluate_one(std::span<const double> x_phys,
                                                  const pdk::PvtCorner& corner,
                                                  std::span<const double> h);
 
-  /// Asynchronous single evaluation: a cache hit resolves immediately, a
-  /// miss is queued on the shared thread pool.  Counted like evaluate_one.
-  /// Individually submitted evaluations honor EngineConfig::parallelism:
-  /// every execution path (submit, evaluate_one, evaluate_batch) acquires a
-  /// slot from one shared counting semaphore, so the combined in-flight
-  /// simulation count of this engine never exceeds the cap.
+  /// Asynchronous single evaluation: a memo hit resolves immediately, any
+  /// other request is queued on the shared thread pool.  Counted like
+  /// evaluate_one.  Individually submitted evaluations honor
+  /// EngineConfig::parallelism: every execution path (submit, evaluate_one,
+  /// evaluate_batch) acquires a slot from one shared counting semaphore, so
+  /// the combined in-flight simulation count of this engine never exceeds
+  /// the cap.
   [[nodiscard]] std::future<std::vector<double>> submit(std::span<const double> x_phys,
                                                         const pdk::PvtCorner& corner,
                                                         std::span<const double> h);
@@ -193,7 +195,7 @@ class EvaluationEngine {
   /// The knobs this engine was constructed with.
   [[nodiscard]] const EngineConfig& config() const { return config_; }
 
-  /// Requested simulations — the paper's "# Simulation" semantics.  Cache
+  /// Requested simulations — the paper's "# Simulation" semantics.  Memo
   /// hits count: the caller asked for that simulation whether or not the
   /// engine had to run it.
   [[nodiscard]] std::uint64_t simulation_count() const { return requested_.load(); }
@@ -202,17 +204,14 @@ class EvaluationEngine {
   /// Zero every counter.
   void reset_count();
 
-  /// Current number of memoized evaluations (<= EngineConfig::cache_capacity).
+  /// Current number of memoized evaluations (0 without a memo).
   [[nodiscard]] std::size_t cache_size() const;
   /// Drop every memoized evaluation (counters are unaffected).
   void clear_cache();
 
-  /// The (testcase, backend, numerics-config) tag this engine stamps on (and
-  /// requires of) its persistent cache file; see core/persistent_cache.hpp.
-  [[nodiscard]] std::string persistent_cache_tag() const;
-  /// Merge the live LRU into the EngineConfig::cache_path file through the
-  /// atomic-rename path.  No-op when no cache_path is configured.  Also runs
-  /// in the destructor (where a failure is logged, not thrown).
+  /// Merge the memo into the EngineConfig::cache_path file through the
+  /// atomic-rename path.  No-op on an engine without a memo.  Also runs in
+  /// the destructor (where a failure is logged, not thrown).
   void flush_persistent_cache();
 
   /// Text-serialize the engine's counters and memoization cache (LRU order
@@ -221,25 +220,14 @@ class EvaluationEngine {
   /// `carried` line, and load_state() puts them back into its counter block,
   /// so stats() of a restored engine continues from them.  Configuration is NOT
   /// serialized — `load_state` expects an engine constructed with the same
-  /// EngineConfig and testbench.  The frame is `engine-state 1`;
+  /// EngineConfig and testbench.  The frame is `engine-state 1`; without a
+  /// memo its `cache` block is empty, and entries read there are dropped.
   /// load_state rejects the `engine-state 2` frame that only the retired
   /// surrogate mode wrote.
   void save_state(std::ostream& os) const;
   void load_state(std::istream& is);
 
  private:
-  /// Flat integer cache key: corner fields, then quantized x, a separator,
-  /// then quantized h.  Vector equality is exact key equality.
-  using CacheKey = std::vector<std::int64_t>;
-
-  struct CacheKeyHash {
-    std::size_t operator()(const CacheKey& key) const noexcept;
-  };
-
-  [[nodiscard]] CacheKey make_key(std::span<const double> x_phys, const pdk::PvtCorner& corner,
-                                  std::span<const double> h) const;
-  [[nodiscard]] bool cache_lookup(const CacheKey& key, std::vector<double>& out);
-  void cache_insert(CacheKey key, const std::vector<double>& metrics);
   [[nodiscard]] std::size_t effective_parallelism() const;
   /// Run one evaluation while holding a parallelism slot (no-op when the
   /// engine is uncapped).  Never held across anything that could block on
@@ -254,8 +242,6 @@ class EvaluationEngine {
   [[nodiscard]] std::vector<double> evaluate_guarded(std::span<const double> x_phys,
                                                      const pdk::PvtCorner& corner,
                                                      std::span<const double> h);
-  /// Load EngineConfig::cache_path into the LRU at construction.
-  void load_persistent_cache();
   /// Store the SPICE fields of `s` into spice_counters_.
   void store_spice_counters(const EngineStats& s);
 
@@ -277,10 +263,8 @@ class EvaluationEngine {
   /// pointer to spice_counters_), installed by evaluate_guarded().
   spice::EvaluationContext context_;
 
-  mutable std::mutex cache_mutex_;
-  /// LRU: most recent at the front.  The map points into the list.
-  std::list<std::pair<CacheKey, std::vector<double>>> lru_;
-  std::unordered_map<CacheKey, decltype(lru_)::iterator, CacheKeyHash> index_;
+  /// Null unless config_ has a cache_path and a nonzero cache_capacity.
+  std::unique_ptr<MemoCache> memo_;
 
   /// submit()-queued work still in flight; drained by the destructor.
   std::mutex pending_mutex_;

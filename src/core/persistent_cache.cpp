@@ -10,7 +10,6 @@
 #include <unordered_set>
 
 #include "common/fsio.hpp"
-#include "common/key_hash.hpp"
 #include "common/state_io.hpp"
 #include "common/text.hpp"
 
@@ -58,13 +57,69 @@ std::mutex& file_mutex() {
   return m;
 }
 
-struct KeyHash {
-  std::size_t operator()(const std::vector<std::int64_t>& key) const noexcept {
-    return key_fnv1a(key);
-  }
-};
-
 }  // namespace
+
+MemoCache::Key MemoCache::make_key(std::span<const double> x_phys, const pdk::PvtCorner& corner,
+                                   std::span<const double> h) const {
+  Key key;
+  key.reserve(4 + x_phys.size() + 1 + h.size());
+  key.push_back(static_cast<std::int64_t>(corner.process) * 2 +
+                (corner.process_predefined ? 1 : 0));
+  key.push_back(quantize_for_key(corner.vdd, quantum_));
+  key.push_back(quantize_for_key(corner.temp_c, quantum_));
+  key.push_back(static_cast<std::int64_t>(x_phys.size()));
+  for (const double v : x_phys) key.push_back(quantize_for_key(v, quantum_));
+  key.push_back(static_cast<std::int64_t>(h.size()));
+  for (const double v : h) key.push_back(quantize_for_key(v, quantum_));
+  return key;
+}
+
+bool MemoCache::lookup(std::span<const double> x_phys, const pdk::PvtCorner& corner,
+                       std::span<const double> h, std::vector<double>& out) {
+  const Key key = make_key(x_phys, corner, h);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  const auto it = index_.find(key);
+  if (it == index_.end()) return false;
+  lru_.splice(lru_.begin(), lru_, it->second);  // refresh recency
+  out = it->second->metrics;
+  return true;
+}
+
+void MemoCache::insert(std::span<const double> x_phys, const pdk::PvtCorner& corner,
+                       std::span<const double> h, const std::vector<double>& metrics) {
+  Key key = make_key(x_phys, corner, h);
+  const std::lock_guard<std::mutex> lock(mutex_);
+  if (index_.find(key) != index_.end()) return;
+  lru_.push_front({std::move(key), metrics});
+  index_.emplace(lru_.front().key, lru_.begin());
+  if (lru_.size() > capacity_) {
+    index_.erase(lru_.back().key);
+    lru_.pop_back();
+  }
+}
+
+std::size_t MemoCache::size() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return lru_.size();
+}
+
+std::vector<MemoCacheEntry> MemoCache::entries() const {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  return {lru_.begin(), lru_.end()};
+}
+
+std::size_t MemoCache::assign(const std::vector<MemoCacheEntry>& entries) {
+  const std::lock_guard<std::mutex> lock(mutex_);
+  index_.clear();
+  lru_.clear();
+  for (const MemoCacheEntry& e : entries) {
+    if (lru_.size() >= capacity_) break;
+    if (index_.find(e.key) != index_.end()) continue;
+    lru_.push_back(e);
+    index_.emplace(lru_.back().key, std::prev(lru_.end()));
+  }
+  return lru_.size();
+}
 
 std::string memo_cache_tag(const std::string& testbench_name, const EngineConfig& engine) {
   std::string tag = testbench_name;
@@ -103,16 +158,42 @@ std::string memo_cache_file_name(const std::string& testbench_name, const Engine
   return base + "-" + suffix + ".memo";
 }
 
-void save_memo_cache(std::ostream& os, const MemoCacheFile& file) {
-  os << "glova-memo v" << kMemoCacheFormatVersion << '\n';
-  os << "tag " << state::one_line(file.tag) << '\n';
-  os << "entries " << file.entries.size() << '\n';
-  for (const MemoCacheEntry& e : file.entries) {
+void write_memo_entries(std::ostream& os, std::span<const MemoCacheEntry> entries) {
+  for (const MemoCacheEntry& e : entries) {
     os << "key " << e.key.size();
     for (const std::int64_t k : e.key) os << ' ' << k;
     os << '\n';
     state::write_doubles(os, "val", e.metrics);
   }
+}
+
+std::vector<MemoCacheEntry> read_memo_entries(std::istream& is, std::uint64_t n) {
+  std::vector<MemoCacheEntry> entries;
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const auto at = [i] { return " in entry " + std::to_string(i); };
+    MemoCacheEntry& entry = entries.emplace_back();
+    std::istringstream line(state::expect_line(is, "key"));
+    std::size_t klen = 0;
+    if (!(line >> klen)) state::bad("malformed key length" + at());
+    if (klen > state::kMaxCount) state::bad("implausible key length" + at());
+    entry.key.resize(klen);
+    for (std::int64_t& k : entry.key) {
+      if (!(line >> k)) state::bad("truncated key" + at());
+    }
+    try {
+      entry.metrics = state::read_doubles(is, "val");
+    } catch (const std::exception& e) {
+      state::bad("bad metrics" + at() + ": " + e.what());
+    }
+  }
+  return entries;
+}
+
+void save_memo_cache(std::ostream& os, const MemoCacheFile& file) {
+  os << "glova-memo v" << kMemoCacheFormatVersion << '\n';
+  os << "tag " << state::one_line(file.tag) << '\n';
+  os << "entries " << file.entries.size() << '\n';
+  write_memo_entries(os, file.entries);
   // The block of the retired surrogate model: always empty now.
   os << "surrogate-lines 0\n";
   os << "end\n";
@@ -149,25 +230,10 @@ MemoCacheFile load_memo_cache(std::istream& is, const std::string& expected_tag)
     bad_cache("implausible entry count " + std::to_string(n) + " (cap is " +
               std::to_string(kMaxMemoCacheEntries) + ")");
   }
-  file.entries.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t i = 0; i < n; ++i) {
-    MemoCacheEntry entry;
-    std::istringstream line(expect_cache_line(is, "key"));
-    std::size_t klen = 0;
-    if (!(line >> klen)) bad_cache("malformed key length in entry " + std::to_string(i));
-    if (klen > state::kMaxCount) {
-      bad_cache("implausible key length in entry " + std::to_string(i));
-    }
-    entry.key.resize(klen);
-    for (std::int64_t& k : entry.key) {
-      if (!(line >> k)) bad_cache("truncated key in entry " + std::to_string(i));
-    }
-    try {
-      entry.metrics = state::read_doubles(is, "val");
-    } catch (const std::exception& e) {
-      bad_cache("bad metrics in entry " + std::to_string(i) + ": " + e.what());
-    }
-    file.entries.push_back(std::move(entry));
+  try {
+    file.entries = read_memo_entries(is, n);
+  } catch (const std::runtime_error& e) {
+    bad_cache(e.what());
   }
   const std::uint64_t lines =
       parse_count(expect_cache_line(is, "surrogate-lines"), "surrogate line count");
@@ -210,7 +276,7 @@ std::size_t flush_memo_cache_file(const std::string& path, const MemoCacheFile& 
   const std::lock_guard<std::mutex> lock(file_mutex());
   MemoCacheFile merged;
   merged.tag = fresh.tag;
-  std::unordered_set<std::vector<std::int64_t>, KeyHash> seen;
+  std::unordered_set<MemoCache::Key, MemoCache::KeyHash> seen;
   seen.reserve(fresh.entries.size());
   for (const MemoCacheEntry& e : fresh.entries) {
     if (seen.insert(e.key).second) merged.entries.push_back(e);

@@ -1,14 +1,14 @@
 // MOSFET channel linearizations shared by the Newton loop (simulator.cpp)
-// and the small-signal AC pass (ac.cpp).
+// and its KCL branch-current recovery.
 //
 // Two channel models live here behind the same linearization interface:
-//   - Level-1 square law (default): hard cutoff below Vth, the historical
-//     model every pinned baseline was recorded against.
-//   - EKV-style continuous model (`MosModel::kEkv`): forward-minus-reverse
-//     softplus interpolation with characteristic voltage 2*n*vt, so the
-//     channel conducts continuously from weak through strong inversion and
-//     gm/gds stay consistent analytic derivatives of Id.  See
-//     docs/architecture.md#mos-models.
+//   - Level-1 square law: hard cutoff below Vth, the historical model the
+//     fixed-grid pinned baselines were recorded against.
+//   - EKV-style continuous model (`MosModel::kEkv`, the default):
+//     forward-minus-reverse softplus interpolation with characteristic
+//     voltage 2*n*vt, so the channel conducts continuously from weak through
+//     strong inversion and gm/gds stay consistent analytic derivatives of
+//     Id.  See docs/architecture.md#mos-models.
 #pragma once
 
 #include <cmath>
@@ -177,7 +177,7 @@ inline MosLinearization mos_linearize(const pdk::MosParams& params, double w_ove
 }
 
 /// Drain-to-source current only (branch-current recovery at pinned nodes,
-/// residual-only evaluation in the Newton LU-bypass path).
+/// the KCL residual of a failed solve).
 inline double mos_current(MosModel model, const pdk::MosParams& params, double w_over_l,
                           double vg, double vd, double vs) {
   return mos_linearize(model, params, w_over_l, vg, vd, vs).i_ds;

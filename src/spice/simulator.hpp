@@ -1,5 +1,6 @@
 // MNA-based circuit simulation: Newton-Raphson operating point and
-// fixed-step transient analysis (backward-Euler startup, trapezoidal after).
+// transient analysis (backward-Euler startup, trapezoidal after) on an
+// LTE-adaptive timestep by default, or on a fixed uniform grid.
 //
 // Unknown ordering: voltages of the *free* nodes (ground and source-pinned
 // nodes eliminated), followed by one branch current per non-absorbed

@@ -1,5 +1,6 @@
-// Tests for the EvaluationEngine: memoization-cache correctness (hits return
-// identical metrics, distinct mismatch draws never alias), counter semantics
+// Tests for the EvaluationEngine: a default engine keeps no memo, memo
+// correctness on engines with a persistent memo file (hits return identical
+// metrics, distinct mismatch draws never alias), counter semantics
 // (requested == hits + executed == simulation_count()), LRU bounding, the
 // parallelism cap, and the future-based submission path.
 #include <gtest/gtest.h>
@@ -8,6 +9,7 @@
 #include <atomic>
 #include <chrono>
 #include <cmath>
+#include <filesystem>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -24,8 +26,37 @@ std::vector<double> midpoint_design(const circuits::Testbench& tb) {
   return tb.sizing().denormalize(x01);
 }
 
-TEST(EvaluationEngine, CacheHitReturnsIdenticalMetrics) {
+/// A config whose engine keeps a memo: only engines with a cache_path do.
+/// The file is per test and removed first, so the memo starts empty.
+EngineConfig memo_config(const std::string& name) {
+  EngineConfig cfg;
+  cfg.cache_path = ::testing::TempDir() + "glova_engine_" + name + ".memo";
+  std::filesystem::remove(cfg.cache_path);
+  return cfg;
+}
+
+TEST(EvaluationEngine, DefaultEngineDoesNotMemoize) {
+  // Without a cache_path every request reaches the testbench: a repeated
+  // point, a batch of repeated nominal draws and a repeated submit all run.
   EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::Sal));
+  const auto x = midpoint_design(engine.testbench());
+  const auto first = engine.evaluate_one(x, pdk::typical_corner(), {});
+  EXPECT_EQ(engine.evaluate_one(x, pdk::typical_corner(), {}), first);
+  const std::vector<std::vector<double>> nominal(5);
+  (void)engine.evaluate_batch(x, pdk::typical_corner(), nominal);
+  (void)engine.evaluate_batch(x, pdk::typical_corner(), nominal);
+  EXPECT_EQ(engine.submit(x, pdk::typical_corner(), {}).get(), first);
+
+  const EngineStats stats = engine.stats();
+  EXPECT_EQ(stats.requested, 13u);
+  EXPECT_EQ(stats.executed, stats.requested);
+  EXPECT_EQ(stats.cache_hits, 0u);
+  EXPECT_EQ(engine.cache_size(), 0u);
+}
+
+TEST(EvaluationEngine, CacheHitReturnsIdenticalMetrics) {
+  EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::Sal),
+                          memo_config("cache_hit"));
   const auto x = midpoint_design(engine.testbench());
   const auto layout = engine.testbench().mismatch_layout(x, false);
   Rng rng(7);
@@ -42,7 +73,8 @@ TEST(EvaluationEngine, CacheHitReturnsIdenticalMetrics) {
 }
 
 TEST(EvaluationEngine, DistinctMismatchDrawsDoNotShareCacheEntries) {
-  EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::Sal));
+  EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::Sal),
+                          memo_config("distinct_draws"));
   const auto x = midpoint_design(engine.testbench());
   const auto layout = engine.testbench().mismatch_layout(x, false);
   Rng rng(11);
@@ -66,7 +98,8 @@ TEST(EvaluationEngine, DistinctMismatchDrawsDoNotShareCacheEntries) {
 TEST(EvaluationEngine, CountersMatchSimulationCountSemantics) {
   // simulation_count() keeps the paper's "# Simulation" meaning: every
   // *requested* evaluation counts, whether the cache answered it or not.
-  EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::Sal));
+  EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::Sal),
+                          memo_config("counters"));
   const auto x = midpoint_design(engine.testbench());
 
   (void)engine.evaluate_one(x, pdk::typical_corner(), {});
@@ -86,7 +119,7 @@ TEST(EvaluationEngine, CountersMatchSimulationCountSemantics) {
 }
 
 TEST(EvaluationEngine, DisabledCacheAlwaysExecutes) {
-  EngineConfig cfg;
+  EngineConfig cfg = memo_config("disabled");
   cfg.cache_capacity = 0;
   EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::Fia), cfg);
   const auto x = midpoint_design(engine.testbench());
@@ -98,7 +131,7 @@ TEST(EvaluationEngine, DisabledCacheAlwaysExecutes) {
 }
 
 TEST(EvaluationEngine, LruEvictionKeepsCacheBounded) {
-  EngineConfig cfg;
+  EngineConfig cfg = memo_config("lru_eviction");
   cfg.cache_capacity = 2;
   EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::Sal), cfg);
   const auto x = midpoint_design(engine.testbench());
@@ -116,7 +149,8 @@ TEST(EvaluationEngine, LruEvictionKeepsCacheBounded) {
 }
 
 TEST(EvaluationEngine, SubmitResolvesLikeEvaluateOne) {
-  EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::DramOcsa));
+  EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::DramOcsa),
+                          memo_config("submit"));
   const auto x = midpoint_design(engine.testbench());
   auto fut = engine.submit(x, pdk::typical_corner(), {});
   const auto async_metrics = fut.get();
@@ -292,7 +326,7 @@ TEST(EvaluationEngine, MemoKeyQuantizationProperty) {
   // cached draw always hit.  parallelism=1 keeps intra-batch duplicate
   // resolution deterministic (inserts land in submission order).
   const double q = 1e-6;
-  EngineConfig cfg;
+  EngineConfig cfg = memo_config("key_quantization");
   cfg.cache_quantum = q;
   cfg.cache_capacity = 4096;
   cfg.parallelism = 1;
@@ -397,10 +431,12 @@ TEST(EvaluationEngine, InterleavedEnginesWithDifferentNumericsMatchTheirSoloRuns
 }
 
 // An engine-state frame written before the lockstep batch path and the Newton
-// bypass were retired (SAL on SPICE, adaptive_timestep=1, three draws).  Its
-// carried line holds the four retired batch/bypass counters at 0 between the
-// warm-start and timestep counters; loading and re-saving must reproduce the
-// frame byte for byte, and the surviving counters must land in their fields.
+// bypass were retired (SAL on SPICE, adaptive_timestep=1, three draws), by a
+// release whose default engine still kept a memo.  Its carried line holds the
+// four retired batch/bypass counters at 0 between the warm-start and timestep
+// counters.  An engine with a memo must re-save the frame byte for byte; a
+// default engine drops the three entries and re-saves with `cache 0`.  Both
+// must land the surviving counters in their fields.
 TEST(EvaluationEngine, StateFrameWithRetiredCountersReSavesByteIdentically) {
   const std::string frame =
       "engine-state 1\n"
@@ -430,24 +466,29 @@ TEST(EvaluationEngine, StateFrameWithRetiredCountersReSavesByteIdentically) {
       "180000000 180000000 2752 2752 0\n"
       "val 4 1.5299755014435429e-05 7.2751524044664771e-09 1.9999999999999999e-11 "
       "4.3373456954211326e-05\n";
-  EngineConfig config;
-  config.adaptive_timestep = true;
-  EvaluationEngine engine(
-      circuits::make_testbench(circuits::Testcase::Sal, circuits::Backend::Spice), config);
-  std::istringstream in(frame);
-  engine.load_state(in);
-  std::ostringstream out;
-  engine.save_state(out);
-  EXPECT_EQ(out.str(), frame);
+  const std::string without_entries = frame.substr(0, frame.find("cache 3\n")) + "cache 0\n";
+  const auto tb = circuits::make_testbench(circuits::Testcase::Sal, circuits::Backend::Spice);
+  for (const bool with_memo : {true, false}) {
+    EngineConfig config = with_memo ? memo_config("retired_counters") : EngineConfig{};
+    config.adaptive_timestep = true;
+    EvaluationEngine engine(tb, config);
+    std::istringstream in(frame);
+    engine.load_state(in);
+    std::ostringstream out;
+    engine.save_state(out);
+    EXPECT_EQ(out.str(), with_memo ? frame : without_entries);
 
-  const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.requested, 3u);
-  EXPECT_EQ(stats.dc_warm_hits, 2u);
-  EXPECT_EQ(stats.dc_warm_misses, 1u);
-  EXPECT_EQ(stats.dc_warm_stores, 1u);
-  EXPECT_EQ(stats.steps_accepted, 707u);
-  EXPECT_EQ(stats.steps_rejected, 34u);
-  EXPECT_EQ(engine.cache_size(), 3u);
+    const EngineStats stats = engine.stats();
+    EXPECT_EQ(stats.requested, 3u);
+    EXPECT_EQ(stats.executed, 3u);
+    EXPECT_EQ(stats.cache_hits, 0u);
+    EXPECT_EQ(stats.dc_warm_hits, 2u);
+    EXPECT_EQ(stats.dc_warm_misses, 1u);
+    EXPECT_EQ(stats.dc_warm_stores, 1u);
+    EXPECT_EQ(stats.steps_accepted, 707u);
+    EXPECT_EQ(stats.steps_rejected, 34u);
+    EXPECT_EQ(engine.cache_size(), with_memo ? 3u : 0u);
+  }
 }
 
 // An `engine-state 2` frame, which only the retired surrogate=1 mode wrote

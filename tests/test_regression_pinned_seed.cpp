@@ -46,15 +46,19 @@ struct PinnedRun {
 };
 
 // The paper's "# Simulation" column semantics: requested = executed + hits.
+// These sessions run on default engines, which keep no memo since the memo
+// moved behind cache_path: the SAL and FIA rows, which each repeated one
+// point, were re-recorded from one hit to one more executed simulation, with
+// n_simulations, iterations and termination unchanged.
 constexpr PinnedRun kPinnedRuns[] = {
-    {circuits::Testcase::Sal, core::VerifMethod::C, 1, 200, 100, 99, 1, 15, "verified"},
+    {circuits::Testcase::Sal, core::VerifMethod::C, 1, 200, 100, 100, 0, 15, "verified"},
     {circuits::Testcase::Sal, core::VerifMethod::C_MCGL, 7, 60, 6199, 6199, 0, 39, "verified"},
     // OCSA and FIA rows re-recorded when the behavioral gm estimates moved
     // from the 2*I/max(Vov, 1e-4) strong-inversion identity to the analytic
     // pdk::ekv_gm derivative (the optimizer sees different metric surfaces,
     // so its fixed-seed trajectory legitimately changes).
     {circuits::Testcase::DramOcsa, core::VerifMethod::C_MCL, 3, 60, 3151, 3151, 0, 2, "verified"},
-    {circuits::Testcase::Fia, core::VerifMethod::C, 5, 120, 96, 95, 1, 4, "verified"},
+    {circuits::Testcase::Fia, core::VerifMethod::C, 5, 120, 96, 96, 0, 4, "verified"},
 };
 
 TEST(PinnedSeedRegression, SimulationCountsMatchReferenceTable) {
