@@ -34,13 +34,6 @@ BenchOptions options_from_env() {
     }
     opt.backend = *backend;
   }
-  if (const char* s = std::getenv("GLOVA_BENCH_MOS_MODEL")) {
-    if (std::string_view(s) != "level1" && std::string_view(s) != "ekv") {
-      fprintf(stderr, "GLOVA_BENCH_MOS_MODEL: unknown model '%s' (level1, ekv)\n", s);
-      exit(2);
-    }
-    opt.mos_model = s;
-  }
   if (const char* s = std::getenv("GLOVA_BENCH_CORNERS")) {
     if (std::string_view(s) != "all" && std::string_view(s) != "cold_lv") {
       fprintf(stderr, "GLOVA_BENCH_CORNERS: unknown corner_filter '%s' (all, cold_lv)\n", s);
@@ -69,7 +62,6 @@ CellStats run_cell(Method method, circuits::Testcase testcase, core::VerifMethod
   sweep.base.use_ensemble_critic = options.use_ensemble_critic;
   sweep.base.use_mu_sigma = options.use_mu_sigma;
   sweep.base.use_reordering = options.use_reordering;
-  sweep.base.engine.mos_model = options.mos_model;
   sweep.base.corner_filter = options.corner_filter;
   sweep.seeds.reserve(options.seeds);
   for (std::uint64_t seed = 1; seed <= options.seeds; ++seed) sweep.seeds.push_back(seed);

@@ -8,8 +8,6 @@
 //   GLOVA_BENCH_BACKEND (default behavioral) evaluator backend; "spice"
 //                       runs every testcase transistor-level on the MNA
 //                       engine (see circuits::available_backends)
-//   GLOVA_BENCH_MOS_MODEL (default ekv) SPICE MOSFET channel model
-//                       (RunSpec engine.mos_model: ekv or level1)
 //   GLOVA_BENCH_CORNERS (default all) corner_filter: "all" or "cold_lv"
 //                       (only the coldest low-voltage corner)
 #pragma once
@@ -57,9 +55,6 @@ struct BenchOptions {
   /// Evaluator backend for every cell (GLOVA_BENCH_BACKEND).  Every
   /// testcase supports both backends.
   circuits::Backend backend = circuits::Backend::Behavioral;
-  /// SPICE MOSFET channel model (GLOVA_BENCH_MOS_MODEL), forwarded to
-  /// RunSpec engine.mos_model; defaults to the engine's own default.
-  std::string mos_model = core::EngineConfig{}.mos_model;
   /// PVT corner-set restriction (GLOVA_BENCH_CORNERS), forwarded to
   /// RunSpec corner_filter.
   std::string corner_filter = "all";

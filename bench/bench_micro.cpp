@@ -56,13 +56,11 @@ BENCHMARK(BM_MismatchSample)->Arg(3)->Arg(100)->Arg(1000);
 
 static void BM_SpiceSalTransient(benchmark::State& state) {
   // The SPICE run path under every SAL evaluation: netlist build, DC op,
-  // transient, measurement extraction.  Warm start disabled so the number
-  // is a clean cold-evaluation cost.  Arg 0 = fixed 3000-step grid, arg 1 =
-  // LTE-adaptive timestep controller (the default); both on the default
-  // channel model.
+  // LTE-adaptive transient, measurement extraction.  Warm start disabled so
+  // the number is a clean cold-evaluation cost.  The argument only keeps
+  // the row name recorded in bench/BENCH_spice.json.
   spice::EvaluationContext context;
   context.dc_warm_start = false;
-  context.options.adaptive_timestep = state.range(0) != 0;
   const spice::ScopedContext scope(context);
   circuits::StrongArmLatchSpice sal;
   const auto& sz = sal.sizing();
@@ -72,18 +70,15 @@ static void BM_SpiceSalTransient(benchmark::State& state) {
     benchmark::DoNotOptimize(sal.evaluate(x, pdk::typical_corner(), {}));
   }
 }
-BENCHMARK(BM_SpiceSalTransient)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SpiceSalTransient)->Arg(1)->Unit(benchmark::kMillisecond);
 
 static void BM_SpiceDrawGroup(benchmark::State& state) {
   // 16 mismatch draws of one SAL (design, corner) cell, the inner loop of a
-  // verification batch: sequential per-draw evaluate() with DC warm starts,
-  // on the fixed grid (arg 0) and the LTE-adaptive grid (arg 1, the
-  // default).  The warm-start cache is cleared before each group, so the
-  // first draw solves cold and seeds the other 15.
+  // verification batch: sequential per-draw evaluate() with DC warm starts.
+  // The warm-start cache is cleared before each group, so the first draw
+  // solves cold and seeds the other 15.  The argument only keeps the row
+  // name recorded in bench/BENCH_spice.json.
   constexpr std::size_t kDraws = 16;
-  spice::EvaluationContext context;
-  context.options.adaptive_timestep = state.range(0) != 0;
-  const spice::ScopedContext scope(context);
   circuits::StrongArmLatchSpice sal;
   const auto& sz = sal.sizing();
   std::vector<double> x01 = {0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2, 0, 0, 0, 0, 0, 0.05, 0.01};
@@ -102,7 +97,7 @@ static void BM_SpiceDrawGroup(benchmark::State& state) {
   state.counters["draws_per_s"] = benchmark::Counter(
       static_cast<double>(kDraws) * state.iterations(), benchmark::Counter::kIsRate);
 }
-BENCHMARK(BM_SpiceDrawGroup)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_SpiceDrawGroup)->Arg(1)->Unit(benchmark::kMillisecond);
 
 static void BM_SpiceAssemblyOnly(benchmark::State& state) {
   // One Newton iteration's assembly through the compiled stamp plan: memcpy

@@ -179,9 +179,10 @@ std::vector<double> FloatingInverterAmplifierSpice::metrics_from_transient(
   // Gain: differential output developed over the window / probe input — the
   // measurement is trusted as-is.  (An earlier revision swapped in the
   // analytic EKV gain whenever the reservoir failed to droop, papering over
-  // the Level-1 hard cutoff at cold low-voltage corners; with the engine's
-  // `mos_model=ekv` option the simulated inverter itself keeps conducting in
-  // sub-threshold, so the crutch is gone and a dead amp reports as dead.)
+  // a square-law model's hard cutoff at cold low-voltage corners; under the
+  // solver's EKV channel model the simulated inverter itself keeps
+  // conducting in sub-threshold, so the crutch is gone and a dead amp
+  // reports as dead.)
   const std::vector<double> diff = spice::difference(res.trace("out_a"), res.trace("out_b"));
   const double dv = spice::value_at(t, diff, kHold + t_int) - spice::value_at(t, diff, kHold);
   const double gain = std::max(0.05, std::abs(dv) / cond.v_probe);

@@ -38,10 +38,10 @@ struct SalConditions {
   /// Input common mode as a fraction of vdd (SPICE testbench only — the
   /// behavioral model is CM-agnostic).  Mid-rail, matching the paper's
   /// testbench.  (An earlier revision biased this to 0.7 so the input pair
-  /// stayed out of the Level-1 model's hard sub-Vth cutoff at cold
-  /// low-voltage corners; the `mos_model=ekv` option conducts continuously
-  /// through weak inversion, so the crutch default is gone.  The knob stays
-  /// for CM-sensitivity studies.)
+  /// stayed out of a square-law model's hard sub-Vth cutoff at cold
+  /// low-voltage corners; the solver's EKV channel model conducts
+  /// continuously through weak inversion, so the crutch default is gone.
+  /// The knob stays for CM-sensitivity studies.)
   double input_cm_frac = 0.5;
 };
 

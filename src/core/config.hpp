@@ -73,8 +73,8 @@ struct OperationalConfig {
   /// `corner_filter` (RunSpec `corner_filter`) restricts the method's
   /// predefined corner set: "all" keeps it, "cold_lv" keeps only the
   /// coldest low-voltage condition (minimum vdd, minimum temperature,
-  /// slow process if the set has one) — the corner the Level-1 hard
-  /// cutoff cannot evaluate and the EKV model exists for.
+  /// slow process if the set has one) — the corner a square-law model's
+  /// hard cutoff cannot evaluate and the EKV model exists for.
   static OperationalConfig for_method(VerifMethod method, std::size_t n_opt_samples = 3,
                                       std::string_view corner_filter = "all");
 };

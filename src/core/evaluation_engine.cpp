@@ -35,12 +35,6 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
       throw std::invalid_argument("EvaluationEngine: cache_path must not contain whitespace");
     }
   }
-  if (config_.mos_model != "level1" && config_.mos_model != "ekv") {
-    throw std::invalid_argument("EvaluationEngine: mos_model must be 'level1' or 'ekv'");
-  }
-  context_.options.mos_model =
-      config_.mos_model == "ekv" ? spice::MosModel::kEkv : spice::MosModel::kLevel1;
-  context_.options.adaptive_timestep = config_.adaptive_timestep;
   context_.options.recovery.enabled = config_.recovery;
   context_.options.deadline_newton_iterations = config_.eval_deadline_steps;
   context_.dc_warm_start = config_.dc_warm_start;

@@ -18,9 +18,9 @@
 //     reports *normalized* runtime,
 //   * one numerics context (spice::EvaluationContext), built from the
 //     EngineConfig and installed around every Testbench::evaluate call, so
-//     each engine simulates with its own model, grid, recovery and deadline
-//     and counts its own SPICE activity, whatever other engines share the
-//     process or its threads.
+//     each engine simulates with its own warm-start, recovery and deadline
+//     settings and counts its own SPICE activity, whatever other engines
+//     share the process or its threads.
 #pragma once
 
 #include <atomic>
@@ -73,16 +73,10 @@ struct EngineConfig {
   /// this engine's EvaluationContext::dc_warm_start.  Behavioral testbenches
   /// are unaffected.
   bool dc_warm_start = true;
-  /// LTE-adaptive timestep control in the SPICE transient (this engine's
-  /// SimulatorOptions::adaptive_timestep).  On by default; metric values
-  /// stay within the controller's truncation-error tolerance of the fixed
-  /// uniform grid, which `false` still selects (specs written before this
-  /// default carry `adaptive_timestep=0`).
-  bool adaptive_timestep = true;
   /// Convergence-recovery ladder in the SPICE engine (this engine's
   /// SimulatorOptions::recovery.enabled): gmin stepping for hard DC points,
-  /// substep cutting and restart-from-DC for transient Newton failures.  Off
-  /// by default — with every recovery knob off, solves are bit-identical to
+  /// restart-from-DC for a transient Newton failure at dt_min.  Off by
+  /// default — with every recovery knob off, solves are bit-identical to
   /// previous releases.
   bool recovery = false;
   /// Re-run a failed evaluation up to this many times, each attempt under a
@@ -100,15 +94,6 @@ struct EngineConfig {
   /// Off by default — opt-in because the fallback's metrics are modeled, not
   /// simulated.
   bool degrade_to_behavioral = false;
-  /// MOSFET channel model for every SPICE simulation this engine drives
-  /// (this engine's SimulatorOptions::mos_model).
-  /// "ekv" (default): the continuous weak/strong-inversion model
-  /// (docs/architecture.md#mos-models), which keeps channels conductive
-  /// below threshold and at the cold low-voltage corners.  "level1": the
-  /// historical square law with hard sub-Vth cutoff, kept for specs written
-  /// before this default (they carry `mos_model=level1`).  Any other value
-  /// is rejected at construction.
-  std::string mos_model = "ekv";
   /// Path of the persistent cross-session memo-cache file (see
   /// core/persistent_cache.hpp).  Non-empty: the engine keeps a memo, loads
   /// matching entries into it at construction and merges it back to disk on

@@ -125,16 +125,17 @@ std::string memo_cache_tag(const std::string& testbench_name, const EngineConfig
   std::string tag = testbench_name;
   tag += "|q=" + format_double_roundtrip(engine.cache_quantum);
   tag += engine.dc_warm_start ? "|warm=1" : "|warm=0";
-  // "batched", "bypass" and "noise" name retired knobs; spelling them as 0
-  // keeps memo files written with their defaults before their removal valid.
+  // "batched", "adaptive", "bypass", "mos" and "noise" name retired knobs;
+  // spelling each as the value default engines wrote keeps their memo files
+  // (and the --cache-dir file names hashed from this tag) valid.
   tag += "|batched=0";
-  tag += engine.adaptive_timestep ? "|adaptive=1" : "|adaptive=0";
+  tag += "|adaptive=1";
   tag += "|bypass=0";
   tag += engine.recovery ? "|recovery=1" : "|recovery=0";
   tag += "|retries=" + std::to_string(engine.max_eval_retries);
   tag += "|deadline=" + std::to_string(engine.eval_deadline_steps);
   tag += engine.degrade_to_behavioral ? "|degrade=1" : "|degrade=0";
-  tag += "|mos=" + engine.mos_model;
+  tag += "|mos=ekv";
   tag += "|noise=0";
   return tag;
 }

@@ -41,6 +41,13 @@ double parse_double(std::string_view key, std::string_view value) {
   return out;
 }
 
+/// A retired key carrying a value that selected a removed code path.
+[[noreturn]] void retired_value(std::string_view key, std::string_view accepted) {
+  throw std::invalid_argument("RunSpec: " + std::string(key) + " was removed; only " +
+                              std::string(accepted) +
+                              " is accepted (see docs/run_spec.md#retired-keys)");
+}
+
 bool parse_bool(std::string_view key, std::string_view value) {
   const std::string v = to_lower(value);
   if (v == "1" || v == "true" || v == "yes" || v == "on") return true;
@@ -124,8 +131,7 @@ const std::vector<std::string_view>& run_spec_keys() {
       "cost_per_rl_iteration", "parallelism",
       "min_parallel_batch", "cache_capacity",
       "cache_quantum",   "dc_warm_start",
-      "adaptive_timestep", "recovery",
-      "mos_model",       "max_eval_retries",
+      "recovery",        "max_eval_retries",
       "eval_deadline_steps", "degrade_to_behavioral",
       "cache_path",      "progress_log",
   };
@@ -161,9 +167,7 @@ std::string RunSpec::to_string() const {
   kv("cache_capacity", std::to_string(engine.cache_capacity));
   kv("cache_quantum", format_double(engine.cache_quantum));
   kv("dc_warm_start", engine.dc_warm_start ? "1" : "0");
-  kv("adaptive_timestep", engine.adaptive_timestep ? "1" : "0");
   kv("recovery", engine.recovery ? "1" : "0");
-  kv("mos_model", engine.mos_model);
   kv("max_eval_retries", std::to_string(engine.max_eval_retries));
   kv("eval_deadline_steps", std::to_string(engine.eval_deadline_steps));
   kv("degrade_to_behavioral", engine.degrade_to_behavioral ? "1" : "0");
@@ -243,25 +247,24 @@ RunSpec RunSpec::from_string(std::string_view text) {
       spec.engine.cache_quantum = parse_double(key, value);
     } else if (key == "dc_warm_start") {
       spec.engine.dc_warm_start = parse_bool(key, value);
-    } else if (key == "adaptive_timestep") {
-      spec.engine.adaptive_timestep = parse_bool(key, value);
     } else if (key == "batched_draws" || key == "newton_bypass" || key == "spice_noise" ||
                key == "surrogate") {
       // Retired keys: every spec written before their removal carries them
       // at 0, so 0 still loads (and re-saves without them); 1 asks for a
       // code path that no longer exists.
-      if (parse_bool(key, value)) {
-        throw std::invalid_argument("RunSpec: " + std::string(key) +
-                                    " was removed; only 0 is accepted "
-                                    "(see docs/run_spec.md#retired-keys)");
-      }
+      if (parse_bool(key, value)) retired_value(key, "0");
+    } else if (key == "adaptive_timestep") {
+      // Retired the other way round: every spec written since the adaptive
+      // grid became the default carries 1, which still loads; 0 asks for
+      // the fixed grid, and silently re-running it on the adaptive one
+      // would change the numerics of a resumed session.
+      if (!parse_bool(key, value)) retired_value(key, "1");
+    } else if (key == "mos_model") {
+      // Same for the channel model: `ekv` loads, `level1` is gone.
+      if (value == "level1") retired_value(key, "'ekv'");
+      if (value != "ekv") bad_spec("unknown mos_model '" + std::string(value) + "'");
     } else if (key == "recovery") {
       spec.engine.recovery = parse_bool(key, value);
-    } else if (key == "mos_model") {
-      if (value != "level1" && value != "ekv") {
-        bad_spec("mos_model must be 'level1' or 'ekv', got '" + std::string(value) + "'");
-      }
-      spec.engine.mos_model = std::string(value);
     } else if (key == "max_eval_retries") {
       spec.engine.max_eval_retries = static_cast<int>(parse_u64(key, value));
     } else if (key == "eval_deadline_steps") {

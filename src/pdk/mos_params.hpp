@@ -1,7 +1,7 @@
 // Device-parameter model for an advanced 28 nm bulk CMOS process.
 //
-// These parameters drive both the SPICE Level-1 MOSFET model and the
-// behavioral circuit evaluators.  The chain is:
+// These parameters drive both the SPICE MOSFET channel model (EKV,
+// spice/mos_model.hpp) and the behavioral circuit evaluators.  The chain is:
 //   nominal 28 nm values  ->  process-corner shift (CornerFactors)
 //   ->  temperature dependence (mobility ~ T^-1.5, Vth ~ -0.8 mV/K)
 //   ->  per-device mismatch (delta_vth [V], delta_beta [relative]).

@@ -5,7 +5,7 @@
 //   resistor (R), capacitor (C), independent voltage source (V, with DC /
 //   PULSE / PWL / SIN waveforms), independent current source (I),
 //   voltage-controlled voltage source (E), voltage-controlled current
-//   source (G), and a Level-1 MOSFET (M) parameterized by the pdk.
+//   source (G), and a MOSFET (M) parameterized by the pdk.
 #pragma once
 
 #include <cstddef>
@@ -60,7 +60,7 @@ struct Vccs {
   double transconductance = 0.0;  ///< [S]
 };
 
-/// Level-1 MOSFET instance.  Electrical parameters come from the pdk so PVT
+/// MOSFET instance.  Electrical parameters come from the pdk so PVT
 /// corners and mismatch shift every instance consistently.
 struct Mosfet {
   std::string name;

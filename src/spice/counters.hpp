@@ -16,11 +16,11 @@ struct SpiceCounters {
   std::uint64_t bypass_solves = 0;
   std::uint64_t bypass_refactors = 0;
   /// LTE-adaptive timestep controller: accepted steps and rejected (redone)
-  /// steps.
+  /// steps, whether the LTE estimate or a failed Newton solve rejected them.
   std::uint64_t steps_accepted = 0;
   std::uint64_t steps_rejected = 0;
   /// Convergence-recovery ladder: DC operating points rescued by gmin
-  /// stepping and transient steps rescued by substep cutting / DC restart.
+  /// stepping and transient steps rescued by the restart-from-DC rung.
   std::uint64_t recovered_dc = 0;
   std::uint64_t recovered_transient = 0;
   /// Runs aborted by the cooperative Newton-iteration deadline.

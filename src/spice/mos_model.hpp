@@ -1,14 +1,13 @@
 // MOSFET channel linearizations shared by the Newton loop (simulator.cpp)
 // and its KCL branch-current recovery.
 //
-// Two channel models live here behind the same linearization interface:
-//   - Level-1 square law: hard cutoff below Vth, the historical model the
-//     fixed-grid pinned baselines were recorded against.
-//   - EKV-style continuous model (`MosModel::kEkv`, the default):
-//     forward-minus-reverse softplus interpolation with characteristic
-//     voltage 2*n*vt, so the channel conducts continuously from weak through
-//     strong inversion and gm/gds stay consistent analytic derivatives of
-//     Id.  See docs/architecture.md#mos-models.
+// The solver has one channel model: the EKV-style continuous model,
+// forward-minus-reverse softplus interpolation with characteristic voltage
+// 2*n*vt, so the channel conducts continuously from weak through strong
+// inversion and gm/gds stay consistent analytic derivatives of Id.  The
+// square law beside it is the strong-inversion reference the model tests
+// compare against; the solver never evaluates it.  See
+// docs/architecture.md#mos-models.
 #pragma once
 
 #include <cmath>
@@ -17,12 +16,6 @@
 #include "pdk/mos_params.hpp"
 
 namespace glova::spice {
-
-/// Channel model selector (SimulatorOptions::mos_model, RunSpec `mos_model`).
-enum class MosModel : unsigned char {
-  kLevel1 = 0,  ///< square law with hard sub-Vth cutoff
-  kEkv = 1,     ///< continuous weak/strong-inversion interpolation
-};
 
 /// Linearized MOSFET: drain-to-source current and its partial derivatives
 /// with respect to the gate, drain and source node voltages.
@@ -33,14 +26,16 @@ struct MosLinearization {
   double d_vs = 0.0;
 };
 
-/// Square-law evaluation for an NMOS-oriented channel (vds >= 0 assumed by
-/// the caller): returns current and (gm, gds).
+/// One NMOS-oriented channel evaluation (vds >= 0 assumed by the caller):
+/// current and (gm, gds).
 struct NmosEval {
   double id = 0.0;
   double gm = 0.0;
   double gds = 0.0;
 };
 
+/// Square law with a hard sub-Vth cutoff: the strong-inversion reference
+/// for nmos_ekv in the model tests.
 inline NmosEval nmos_square_law(const pdk::MosParams& p, double w_over_l, double vgs, double vds) {
   NmosEval e;
   const double vov = vgs - p.vth;
@@ -116,28 +111,19 @@ inline NmosEval nmos_ekv(const pdk::MosParams& p, double w_over_l, double vgs, d
   return e;
 }
 
-/// Channel evaluation dispatch.  Level-1 keeps the exact historical
-/// expressions; the branch is on a plan-constant enum so the kernel TUs
-/// hoist it out of the device loop.
-inline NmosEval nmos_channel(MosModel model, const pdk::MosParams& p, double w_over_l,
-                             double vgs, double vds) {
-  if (model == MosModel::kEkv) return nmos_ekv(p, w_over_l, vgs, vds);
-  return nmos_square_law(p, w_over_l, vgs, vds);
-}
-
 /// NMOS including source/drain swap for vds < 0 (the channel is symmetric).
-inline MosLinearization nmos_linearize(MosModel model, const pdk::MosParams& p, double w_over_l,
-                                       double vg, double vd, double vs) {
+inline MosLinearization nmos_linearize(const pdk::MosParams& p, double w_over_l, double vg,
+                                       double vd, double vs) {
   MosLinearization lin;
   if (vd >= vs) {
-    const NmosEval e = nmos_channel(model, p, w_over_l, vg - vs, vd - vs);
+    const NmosEval e = nmos_ekv(p, w_over_l, vg - vs, vd - vs);
     lin.i_ds = e.id;
     lin.d_vg = e.gm;
     lin.d_vd = e.gds;
     lin.d_vs = -(e.gm + e.gds);
   } else {
     // Swapped: physical source terminal acts as the channel drain.
-    const NmosEval e = nmos_channel(model, p, w_over_l, vg - vd, vs - vd);
+    const NmosEval e = nmos_ekv(p, w_over_l, vg - vd, vs - vd);
     lin.i_ds = -e.id;
     lin.d_vg = -e.gm;
     lin.d_vs = -e.gds;
@@ -146,22 +132,16 @@ inline MosLinearization nmos_linearize(MosModel model, const pdk::MosParams& p, 
   return lin;
 }
 
-/// Level-1 convenience overload (historical call signature).
-inline MosLinearization nmos_linearize(const pdk::MosParams& p, double w_over_l, double vg,
-                                       double vd, double vs) {
-  return nmos_linearize(MosModel::kLevel1, p, w_over_l, vg, vd, vs);
-}
-
 /// Full linearization covering both polarities.  PMOS devices are evaluated
 /// as NMOS on mirrored voltages; the mirror flips the current sign while the
 /// chain rule cancels the sign on the derivatives.  w_over_l is passed in so
 /// the plan can hoist the division out of the Newton loop.
-inline MosLinearization mos_linearize(MosModel model, const pdk::MosParams& params,
-                                      double w_over_l, double vg, double vd, double vs) {
+inline MosLinearization mos_linearize(const pdk::MosParams& params, double w_over_l, double vg,
+                                      double vd, double vs) {
   if (!params.is_pmos) {
-    return nmos_linearize(model, params, w_over_l, vg, vd, vs);
+    return nmos_linearize(params, w_over_l, vg, vd, vs);
   }
-  const MosLinearization mirrored = nmos_linearize(model, params, w_over_l, -vg, -vd, -vs);
+  const MosLinearization mirrored = nmos_linearize(params, w_over_l, -vg, -vd, -vs);
   MosLinearization lin;
   lin.i_ds = -mirrored.i_ds;
   lin.d_vg = mirrored.d_vg;
@@ -170,23 +150,11 @@ inline MosLinearization mos_linearize(MosModel model, const pdk::MosParams& para
   return lin;
 }
 
-/// Level-1 convenience overload (historical call signature).
-inline MosLinearization mos_linearize(const pdk::MosParams& params, double w_over_l, double vg,
-                                      double vd, double vs) {
-  return mos_linearize(MosModel::kLevel1, params, w_over_l, vg, vd, vs);
-}
-
 /// Drain-to-source current only (branch-current recovery at pinned nodes,
 /// the KCL residual of a failed solve).
-inline double mos_current(MosModel model, const pdk::MosParams& params, double w_over_l,
-                          double vg, double vd, double vs) {
-  return mos_linearize(model, params, w_over_l, vg, vd, vs).i_ds;
-}
-
-/// Level-1 convenience overload (historical call signature).
 inline double mos_current(const pdk::MosParams& params, double w_over_l, double vg, double vd,
                           double vs) {
-  return mos_current(MosModel::kLevel1, params, w_over_l, vg, vd, vs);
+  return mos_linearize(params, w_over_l, vg, vd, vs).i_ds;
 }
 
 }  // namespace glova::spice

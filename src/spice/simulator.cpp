@@ -34,7 +34,6 @@ RecoveryPolicy escalated(RecoveryPolicy policy, int level) {
   if (level >= 2) {
     policy.gmin_start = 1e-2;
     policy.max_gmin_rungs = 16;
-    policy.max_step_cuts = 5;
     policy.dc_restart_attempts = 2;
   }
   return policy;
@@ -48,7 +47,6 @@ const char* to_string(FailureStage stage) {
     case FailureStage::None: return "none";
     case FailureStage::Setup: return "setup";
     case FailureStage::DcOperatingPoint: return "dc-operating-point";
-    case FailureStage::TransientNewton: return "transient-newton";
     case FailureStage::Timestep: return "timestep";
     case FailureStage::Deadline: return "deadline";
   }
@@ -62,9 +60,6 @@ std::string FailureReport::to_string() const {
   switch (stage) {
     case FailureStage::DcOperatingPoint:
       std::snprintf(head, sizeof head, "transient: DC operating point failed to converge");
-      break;
-    case FailureStage::TransientNewton:
-      std::snprintf(head, sizeof head, "transient: Newton failed at t = %.6g s", time);
       break;
     case FailureStage::Timestep:
       std::snprintf(head, sizeof head,
@@ -213,7 +208,6 @@ void StampPlan::append_conductance(NodeId a, NodeId b, double cond) {
 }
 
 StampPlan::StampPlan(const Circuit& circuit, const SimulatorOptions& options) {
-  mos_model_ = options.mos_model;
   n_nodes_ = circuit.node_count();
   const std::vector<VoltageSource>& vsrcs = circuit.vsources();
   const std::size_t n_vsrc = vsrcs.size();
@@ -557,7 +551,7 @@ void StampPlan::stamp(std::span<const double> x, DenseMatrix& g, std::span<doubl
     const double vg = x[ms.xg];
     const double vd = x[ms.xd];
     const double vs = x[ms.xs];
-    const MosLinearization lin = mos_linearize(mos_model_, *ms.params, ms.w_over_l, vg, vd, vs);
+    const MosLinearization lin = mos_linearize(*ms.params, ms.w_over_l, vg, vd, vs);
     // i(vg, vd, vs) ~ i0 + d_vg*(Vg - vg) + d_vd*(Vd - vd) + d_vs*(Vs - vs);
     // only unknown-terminal slopes stay on the left-hand side.
     const double i_eq = lin.i_ds - ms.mg * (lin.d_vg * vg) - ms.md * (lin.d_vd * vd) -
@@ -589,7 +583,7 @@ void StampPlan::residual(std::span<const double> x, std::span<double> r) const {
   // Nonlinear part: each channel current leaves the drain node and enters
   // the source node (gates draw no current).
   for (const MosStamp& ms : mosfets_) {
-    const double i = mos_current(mos_model_, *ms.params, ms.w_over_l, x[ms.xg], x[ms.xd], x[ms.xs]);
+    const double i = mos_current(*ms.params, ms.w_over_l, x[ms.xg], x[ms.xd], x[ms.xs]);
     rd[ms.rhs_d] += i;
     rd[ms.rhs_s] -= i;
   }
@@ -611,8 +605,7 @@ void StampPlan::vsource_currents(std::span<const double> x, std::span<const doub
           if (!cap_current.empty()) sum += t.coeff * cap_current[t.index];
           break;
         case RecoveryTerm::Kind::MosChannel:
-          sum += t.coeff * mos_current(mos_model_, *t.params, t.w_over_l, x[t.xg], x[t.xd],
-                                       x[t.xs]);
+          sum += t.coeff * mos_current(*t.params, t.w_over_l, x[t.xg], x[t.xd], x[t.xs]);
           break;
         case RecoveryTerm::Kind::SourceCurrent:
           sum += t.coeff * t.waveform->value(time) * source_scale;
@@ -954,27 +947,20 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
   std::vector<double> x_prev = x;
 
   // Update per-capacitor branch currents for the trapezoidal companion.
-  // `cap` is the target state vector: the main loops pass cap_current, the
-  // recovery substeps a scratch copy committed only on success.
   const std::vector<Capacitor>& caps = circuit_.capacitors();
-  const auto update_caps_into = [&](std::vector<double>& cap, const std::vector<double>& x_now,
-                                    const std::vector<double>& x_was, double dt,
-                                    bool trapezoidal) {
+  const auto update_cap_currents = [&](const std::vector<double>& x_now,
+                                       const std::vector<double>& x_was, double dt,
+                                       bool trapezoidal) {
     for (std::size_t ci = 0; ci < n_caps; ++ci) {
       const Capacitor& c = caps[ci];
       const double v_now = voltage_of(x_now, c.a) - voltage_of(x_now, c.b);
       const double v_was = voltage_of(x_was, c.a) - voltage_of(x_was, c.b);
       if (trapezoidal) {
-        cap[ci] = 2.0 * c.farads / dt * (v_now - v_was) - cap[ci];
+        cap_current[ci] = 2.0 * c.farads / dt * (v_now - v_was) - cap_current[ci];
       } else {
-        cap[ci] = c.farads / dt * (v_now - v_was);
+        cap_current[ci] = c.farads / dt * (v_now - v_was);
       }
     }
-  };
-  const auto update_cap_currents = [&](const std::vector<double>& x_now,
-                                       const std::vector<double>& x_was, double dt,
-                                       bool trapezoidal) {
-    update_caps_into(cap_current, x_now, x_was, dt, trapezoidal);
   };
 
   // Newton iterations spent so far this run (the cooperative deadline is on
@@ -982,148 +968,6 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
   const auto spent = [&]() {
     return static_cast<std::uint64_t>(result.dc_iterations) + result.newton_iterations;
   };
-
-  // Recovery rung 2 (fixed grid): cut the failing [t_prev, t] step into 2^k
-  // backward-Euler substeps from the last accepted point, deeper on repeated
-  // failure; recording stays at the original grid point so the trace shape
-  // is unchanged.  Rung 3: bounded restart from a pseudo-DC point with the
-  // sources frozen at t (capacitors open, so their currents restart at 0).
-  // On success `x` holds the solution at t and cap_current the matching
-  // companion state.
-  const auto rescue_transient_step = [&](double t_prev, double t, int& attempts,
-                                         bool& deadline_hit) -> bool {
-    const RecoveryPolicy& rp = options_.recovery;
-    std::vector<double> x_sub(x.size());
-    std::vector<double> x_sub_prev(x.size());
-    std::vector<double> cap_sub(n_caps);
-    for (int cut = 1; cut <= rp.max_step_cuts; ++cut) {
-      ++attempts;
-      const int k = 1 << cut;
-      x_sub = x_prev;
-      x_sub_prev = x_prev;
-      cap_sub = cap_current;
-      bool sub_ok = true;
-      double t_a = t_prev;
-      for (int j = 1; j <= k; ++j) {
-        const double t_b = j == k ? t : t_prev + (t - t_prev) * j / k;
-        AssemblyInputs sub;
-        sub.mode = AnalysisMode::Transient;
-        sub.time = t_b;
-        sub.dt = t_b - t_a;
-        sub.trapezoidal = false;
-        sub.x_prev = x_sub_prev;
-        sub.cap_current_prev = cap_sub;
-        int sub_iterations = 0;
-        const bool solved = newton_solve(sub, x_sub, sub_iterations);
-        result.newton_iterations += static_cast<std::uint64_t>(sub_iterations);
-        if (deadline_exceeded(options_, spent())) {
-          deadline_hit = true;
-          return false;
-        }
-        if (!solved) {
-          sub_ok = false;
-          break;
-        }
-        update_caps_into(cap_sub, x_sub, x_sub_prev, sub.dt, false);
-        x_sub_prev = x_sub;
-        t_a = t_b;
-      }
-      if (sub_ok) {
-        x = x_sub;
-        cap_current = cap_sub;
-        return true;
-      }
-    }
-    for (int restart = 0; restart < rp.dc_restart_attempts; ++restart) {
-      ++attempts;
-      OpResult op =
-          operating_point_plan(circuit_, plan_, options_, *workspace_, nullptr, nullptr, t);
-      result.newton_iterations += static_cast<std::uint64_t>(op.iterations);
-      if (deadline_exceeded(options_, spent())) {
-        deadline_hit = true;
-        return false;
-      }
-      if (!op.converged) continue;
-      std::fill(x.begin(), x.end(), 0.0);
-      for (NodeId nd = 1; nd < n_nodes_; ++nd) x[plan_.x_slot(nd)] = op.node_voltages[nd];
-      for (std::size_t si = 0; si < n_vsrc_; ++si) {
-        const std::size_t slot = plan_.vsource_branch_slot(si);
-        if (slot != StampPlan::kNoSlot) x[slot] = op.vsource_currents[si];
-      }
-      std::fill(cap_current.begin(), cap_current.end(), 0.0);
-      return true;
-    }
-    return false;
-  };
-
-  if (!options_.adaptive_timestep) {
-    const auto n_steps = static_cast<std::size_t>(std::ceil(spec.t_stop / spec.dt));
-
-    for (std::size_t step = 1; step <= n_steps; ++step) {
-      // Uniform grid, with the final (possibly partial) step landing exactly
-      // on t_stop.  dt is measured against the previously recorded time, so
-      // it is positive by construction of n_steps; the guard only fires if
-      // rounding made the second-to-last grid point collide with t_stop.
-      const double t_prev = result.times.back();
-      double t = static_cast<double>(step) * spec.dt;
-      if (step == n_steps || t > spec.t_stop) t = spec.t_stop;
-      const double dt = t - t_prev;
-      if (dt <= 0.0) break;
-
-      AssemblyInputs in;
-      in.mode = AnalysisMode::Transient;
-      in.time = t;
-      in.dt = dt;
-      // Backward-Euler startup damps the artificial transient from imperfect
-      // initial conditions; trapezoidal afterwards for accuracy.
-      in.trapezoidal = step > 2;
-      in.x_prev = x_prev;
-      in.cap_current_prev = cap_current;
-
-      int step_iterations = 0;
-      bool solved = newton_solve(in, x, step_iterations);
-      result.newton_iterations += static_cast<std::uint64_t>(step_iterations);
-      bool deadline_hit = deadline_exceeded(options_, spent());
-      bool rescued = false;
-      FailureReport report;
-      if (!solved) {
-        // Capture the worst-residual row of the failed iterate now, while
-        // the plan still holds this solve's assembly.
-        note_worst_residual(circuit_, plan_, x, report);
-        if (!deadline_hit && options_.recovery.enabled) {
-          rescued = rescue_transient_step(t_prev, t, report.attempts, deadline_hit);
-          if (rescued) note(&SpiceCounterBlock::recovered_transient);
-        }
-      }
-      if (!solved && !rescued) {
-        report.stage = deadline_hit ? FailureStage::Deadline : FailureStage::TransientNewton;
-        report.time = t;
-        if (deadline_hit) note(&SpiceCounterBlock::deadline_aborts);
-        result.failure = std::move(report);
-        result.error = result.failure.to_string();
-        return result;
-      }
-      if (solved && deadline_hit) {
-        result.failure.stage = FailureStage::Deadline;
-        result.failure.time = t;
-        note(&SpiceCounterBlock::deadline_aborts);
-        result.error = result.failure.to_string();
-        return result;
-      }
-
-      // A rescued step's companion state was advanced by its substeps (or
-      // reset by the DC restart); only the plain path integrates over dt.
-      if (!rescued) update_cap_currents(x, x_prev, dt, in.trapezoidal);
-
-      record_point(t, x, /*recover_currents=*/true);
-      ++result.steps_accepted;
-      result.dt_trace.push_back(dt);
-      x_prev = x;
-    }
-
-    result.ok = true;
-    return result;
-  }
 
   // --- LTE-adaptive time stepping ---
   //
@@ -1232,8 +1076,9 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
     double t_next = t_cur + dt;
     if (t_next > bp - dt_min) t_next = bp;  // land exactly, leave no sliver
     const double dt_eff = t_next - t_cur;
-    // Backward-Euler startup after t=0 and after every breakpoint, matching
-    // the fixed-grid path's two-step BE damping of companion transients.
+    // Two backward-Euler startup steps after t=0 and after every breakpoint
+    // damp the artificial transient from imperfect initial conditions;
+    // trapezoidal afterwards for accuracy.
     const bool trap = since_reset >= 2;
 
     AssemblyInputs in;

@@ -1,6 +1,6 @@
 // MNA-based circuit simulation: Newton-Raphson operating point and
 // transient analysis (backward-Euler startup, trapezoidal after) on an
-// LTE-adaptive timestep by default, or on a fixed uniform grid.
+// LTE-adaptive timestep, with the EKV channel model (mos_model.hpp).
 //
 // Unknown ordering: voltages of the *free* nodes (ground and source-pinned
 // nodes eliminated), followed by one branch current per non-absorbed
@@ -36,7 +36,6 @@
 
 #include "spice/circuit.hpp"
 #include "spice/lu.hpp"
-#include "spice/mos_model.hpp"
 
 namespace glova::spice {
 
@@ -75,8 +74,7 @@ enum class FailureStage : std::uint8_t {
   None = 0,
   Setup,             ///< malformed spec (non-positive dt / t_stop, unknown node)
   DcOperatingPoint,  ///< initial DC solve failed every recovery rung
-  TransientNewton,   ///< a timestep's Newton solve failed every recovery rung
-  Timestep,          ///< adaptive controller hit dt_min and could not recover
+  Timestep,          ///< a timestep's Newton solve failed at dt_min, unrecovered
   Deadline,          ///< cooperative Newton-iteration deadline exceeded
 };
 [[nodiscard]] const char* to_string(FailureStage stage);
@@ -113,9 +111,8 @@ struct TransientResult {
   /// Newton iterations summed over all timesteps (excluding the DC solve).
   std::uint64_t newton_iterations = 0;
   /// Timestep-controller observability: accepted steps (== times.size() - 1
-  /// on success), rejected-and-redone steps, and the dt of every accepted
-  /// step in order.  Fixed-grid runs fill these too (uniform dt trace,
-  /// steps_rejected == 0), so callers can diff the two modes directly.
+  /// on success), rejected-and-redone steps (LTE or Newton failure), and
+  /// the dt of every accepted step in order.
   std::uint64_t steps_accepted = 0;
   std::uint64_t steps_rejected = 0;
   std::vector<double> dt_trace;
@@ -140,18 +137,15 @@ struct TransientResult {
 ///      every unknown node, started large and annealed geometrically toward
 ///      zero; a failed rung retreats one level and descends more gently.
 ///      The point only counts once a solve at extra gmin == 0 converges.
-///   2. Transient Newton failure: cut the failing step into 2^k
-///      backward-Euler substeps from the last accepted point (deeper on
-///      repeated failure), recording only at the original grid point so the
-///      trace shape is unchanged.
-///   3. Bounded restart-from-DC: re-solve a (pseudo-)DC point with sources
-///      frozen at the failing time and continue from it.
+///   2. Transient Newton failure at dt_min (the timestep controller shrinks
+///      dt on every failed solve first, recovery or not): bounded
+///      restart-from-DC — re-solve a (pseudo-)DC point with sources frozen
+///      at the failing time and continue from it.
 struct RecoveryPolicy {
   bool enabled = false;
   double gmin_start = 1e-3;   ///< [S] top of the gmin-stepping ladder
   double gmin_anneal = 0.01;  ///< geometric anneal factor per rung (toward 0)
   int max_gmin_rungs = 10;    ///< bound on ladder solves (including retreats)
-  int max_step_cuts = 3;      ///< deepest substep split is 2^max_step_cuts
   int dc_restart_attempts = 1;///< restart-from-DC rungs per transient failure
 
   friend bool operator==(const RecoveryPolicy&, const RecoveryPolicy&) = default;
@@ -171,16 +165,13 @@ struct SimulatorOptions {
   bool pin_grounded_sources = true;
 
   /// --- LTE-adaptive timestep control (transient only) -------------------
-  /// When enabled, TransientSpec::dt becomes the *initial* step and the
-  /// controller grows/shrinks dt from a local-truncation-error estimate
-  /// (divided differences over the accepted history: second difference for
-  /// the backward-Euler startup steps, third for trapezoidal).  Steps are
-  /// forced to land on waveform breakpoints, and the step size resets to
-  /// spec.dt after each breakpoint (the integration order drops across a
-  /// slope discontinuity, so history from before it is not trusted).  On by
-  /// default; disabled, the transient marches the fixed uniform grid
-  /// bit-identically to previous releases.
-  bool adaptive_timestep = true;
+  /// TransientSpec::dt is the *initial* step; the controller grows/shrinks
+  /// dt from a local-truncation-error estimate (divided differences over
+  /// the accepted history: second difference for the backward-Euler
+  /// startup steps, third for trapezoidal).  Steps are forced to land on
+  /// waveform breakpoints, and the step size resets to spec.dt after each
+  /// breakpoint (the integration order drops across a slope discontinuity,
+  /// so history from before it is not trusted).
   double lte_reltol = 2e-3;     ///< LTE tolerance relative to the node swing
   double lte_abstol = 1e-4;     ///< [V] LTE absolute tolerance floor
   double lte_safety = 0.9;      ///< target a little inside the tolerance
@@ -188,13 +179,6 @@ struct SimulatorOptions {
   double dt_shrink_limit = 0.1; ///< min dt shrink per rejected step
   double dt_min_factor = 1e-3;  ///< dt never drops below spec.dt * this
   double dt_max_factor = 16.0;  ///< dt never grows above spec.dt * this
-
-  /// MOSFET channel model for every channel evaluation (StampPlan companion
-  /// pass, KCL branch-current recovery, failure residuals).  kEkv (default)
-  /// is the continuous weak/strong-inversion interpolation in mos_model.hpp;
-  /// kLevel1 is the historical square law with hard sub-Vth cutoff, which
-  /// the fixed-grid pins and specs written before this default still use.
-  MosModel mos_model = MosModel::kEkv;
 
   /// Convergence-recovery ladder (see RecoveryPolicy); off by default.
   RecoveryPolicy recovery;
@@ -247,8 +231,7 @@ class ScopedContext {
 
 /// `policy` hardened for the engine's `level`-th retry of a failed
 /// evaluation: level 0 leaves it unchanged, level 1 turns the ladder on,
-/// level >= 2 also takes a taller gmin ladder, deeper step cuts and an
-/// extra DC restart.
+/// level >= 2 also takes a taller gmin ladder and an extra DC restart.
 [[nodiscard]] RecoveryPolicy escalated(RecoveryPolicy policy, int level);
 
 /// Deterministic fault injection for tests and benches (off by default).
@@ -472,7 +455,6 @@ class StampPlan {
   void append_conductance(NodeId a, NodeId b, double cond);
   void build_recovery(const Circuit& circuit, const SimulatorOptions& options);
 
-  MosModel mos_model_ = MosModel::kLevel1;
   std::size_t n_ = 0;         ///< solved unknowns
   std::size_t nu_ = 0;        ///< unknown node voltages (first in the ordering)
   std::size_t n_nodes_ = 0;   ///< including ground

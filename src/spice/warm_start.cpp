@@ -50,13 +50,11 @@ DcWarmStartCache& thread_local_dc_cache() {
   return cache;
 }
 
-DcWarmStartCache::Key make_dc_key(std::uint64_t testbench_tag, MosModel model,
-                                  std::span<const double> x_phys, const pdk::PvtCorner& corner,
-                                  double quantum) {
+DcWarmStartCache::Key make_dc_key(std::uint64_t testbench_tag, std::span<const double> x_phys,
+                                  const pdk::PvtCorner& corner, double quantum) {
   DcWarmStartCache::Key key;
-  key.reserve(6 + x_phys.size());
+  key.reserve(5 + x_phys.size());
   key.push_back(static_cast<std::int64_t>(testbench_tag));
-  key.push_back(static_cast<std::int64_t>(model));
   key.push_back(static_cast<std::int64_t>(corner.process) * 2 +
                 (corner.process_predefined ? 1 : 0));
   key.push_back(quantize_for_key(corner.vdd, quantum));
@@ -74,8 +72,7 @@ TransientResult warm_started_transient(const Circuit& circuit, const TransientSp
   Simulator sim(circuit, context.options);
   if (!context.dc_warm_start) return sim.transient(spec);
   DcWarmStartCache& cache = thread_local_dc_cache();
-  const DcWarmStartCache::Key key =
-      make_dc_key(testbench_tag, context.options.mos_model, x_phys, corner);
+  const DcWarmStartCache::Key key = make_dc_key(testbench_tag, x_phys, corner);
   const OpResult* seed = cache.lookup(key);
   TransientResult res = sim.transient(spec, seed);
   if (res.ok && (seed == nullptr || !res.dc_op.warm_started)) cache.store(key, res.dc_op);

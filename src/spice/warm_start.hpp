@@ -1,6 +1,6 @@
 // DC warm-start cache: converged operating points keyed by a quantized
-// (testbench, channel model, design, corner) identity, reused as Newton
-// seeds across mismatch draws of the same design.
+// (testbench, design, corner) identity, reused as Newton seeds across
+// mismatch draws of the same design.
 //
 // Mismatch shifts device parameters by millivolts around the nominal design,
 // so the nominal DC solution is an excellent Newton seed: warm-started
@@ -13,11 +13,11 @@
 // The cache is thread-local (one per worker, adjacent to the thread's
 // SimulatorWorkspace): lookups are lock-free and each evaluation thread
 // warms its own cache after the first draw of a design.  Every engine whose
-// evaluations run on a thread shares that thread's cache, which is why the
-// channel model is part of the key: a level1 operating point never seeds an
-// EKV solve.  Hit/miss/store events count into the installed
-// EvaluationContext's counter block and the process totals
-// (spice/counters.hpp).
+// evaluations run on a thread shares that thread's cache; they all solve the
+// same channel model, so a seed stored by one is a valid seed for another,
+// and an engine with warm start off neither reads nor stores it.
+// Hit/miss/store events count into the installed EvaluationContext's counter
+// block and the process totals (spice/counters.hpp).
 #pragma once
 
 #include <cstdint>
@@ -81,12 +81,12 @@ class DcWarmStartCache {
 [[nodiscard]] DcWarmStartCache& thread_local_dc_cache();
 
 /// Build a cache key from a testbench tag (distinguishes circuit topologies
-/// that share a design-vector shape), the channel model, the physical design
-/// vector, and the PVT corner.  Mismatch draws are deliberately NOT part of
-/// the key: all draws of one (design, corner) share the nominal seed.
-/// Coordinates are quantized like the evaluation-engine memo keys so
-/// round-trip noise never splits entries.
-[[nodiscard]] DcWarmStartCache::Key make_dc_key(std::uint64_t testbench_tag, MosModel model,
+/// that share a design-vector shape), the physical design vector, and the
+/// PVT corner.  Mismatch draws are deliberately NOT part of the key: all
+/// draws of one (design, corner) share the nominal seed.  Coordinates are
+/// quantized like the evaluation-engine memo keys so round-trip noise never
+/// splits entries.
+[[nodiscard]] DcWarmStartCache::Key make_dc_key(std::uint64_t testbench_tag,
                                                 std::span<const double> x_phys,
                                                 const pdk::PvtCorner& corner,
                                                 double quantum = 1e-15);
@@ -94,7 +94,7 @@ class DcWarmStartCache {
 /// One transient of `circuit` under the installed EvaluationContext: the
 /// Simulator takes the context's options, and when the context enables warm
 /// start the DC solve is seeded from the calling thread's cache under
-/// make_dc_key(testbench_tag, model, x_phys, corner).  The converged point
+/// make_dc_key(testbench_tag, x_phys, corner).  The converged point
 /// is stored on a miss, and also whenever a cached seed went unused (the
 /// warm attempt failed and the cold fallback converged), so a stale entry
 /// cannot keep charging the failed-warm-attempt tax to every later draw.

@@ -60,9 +60,9 @@ inline std::vector<pdk::PvtCorner> corners() {
 
 /// The coldest low-voltage corner: slow process, minimum vdd, -40C.  Vth
 /// rises ~54 mV over typical here, so mid-rail gate drives sit *below*
-/// threshold — the Level-1 hard cutoff cannot evaluate this corner, while
-/// the EKV model conducts through weak inversion.  Only the ekv parity rows
-/// include it.
+/// threshold — a square-law model's hard cutoff cannot evaluate this
+/// corner, while the EKV model conducts through weak inversion.  The parity
+/// suite appends it to corners().
 inline pdk::PvtCorner cold_low_voltage_corner() {
   return pdk::PvtCorner{pdk::ProcessCorner::SS, 0.8, -40.0, true};
 }

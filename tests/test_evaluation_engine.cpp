@@ -380,19 +380,19 @@ std::array<std::uint64_t, 8> spice_fields(const EngineStats& s) {
 
 // Two engines with different numerics, interleaved batch by batch on the
 // shared pool, each reproduce a solo engine's metrics and SPICE counts bit
-// for bit: neither runs on the other's model or grid, nor counts the other's
-// simulations.  Warm start is off because a warm seed depends on which pool
-// worker ran which draw before, which is only reproducible to vtol.
+// for bit: neither runs under the other's Newton deadline, nor counts the
+// other's simulations.  The deadline (in Newton iterations) aborts 16 of the
+// 32 evaluations, which then report the penalty metrics.  Warm start is off
+// because a warm seed depends on which pool worker ran which draw before,
+// which is only reproducible to vtol.
 TEST(EvaluationEngine, InterleavedEnginesWithDifferentNumericsMatchTheirSoloRuns) {
   const auto tb = circuits::make_testbench(circuits::Testcase::Sal, circuits::Backend::Spice);
-  EngineConfig level1_fixed;
-  level1_fixed.parallelism = 0;  // batches fan out on the pool
-  level1_fixed.dc_warm_start = false;
-  level1_fixed.adaptive_timestep = false;
-  level1_fixed.mos_model = "level1";
-  EngineConfig ekv_adaptive = level1_fixed;
-  ekv_adaptive.adaptive_timestep = true;
-  ekv_adaptive.mos_model = "ekv";
+  EngineConfig deadline;
+  deadline.parallelism = 0;  // batches fan out on the pool
+  deadline.dc_warm_start = false;
+  deadline.eval_deadline_steps = 775;
+  EngineConfig unbounded = deadline;
+  unbounded.eval_deadline_steps = 0;
 
   const auto x = midpoint_design(*tb);
   Rng rng(5);
@@ -411,13 +411,16 @@ TEST(EvaluationEngine, InterleavedEnginesWithDifferentNumericsMatchTheirSoloRuns
   };
   EngineStats alone_a_stats;
   EngineStats alone_b_stats;
-  const Batches alone_a = solo(level1_fixed, alone_a_stats);
-  const Batches alone_b = solo(ekv_adaptive, alone_b_stats);
+  const Batches alone_a = solo(deadline, alone_a_stats);
+  const Batches alone_b = solo(unbounded, alone_b_stats);
   ASSERT_NE(alone_a, alone_b) << "the two numerics must differ for this test to bite";
+  EXPECT_GT(alone_a_stats.deadline_aborts, 0u);
+  EXPECT_LT(alone_a_stats.deadline_aborts, alone_a_stats.requested);
+  EXPECT_EQ(alone_b_stats.deadline_aborts, 0u);
   EXPECT_GT(alone_b_stats.steps_accepted, 0u);
 
-  EvaluationEngine a(tb, level1_fixed);
-  EvaluationEngine b(tb, ekv_adaptive);
+  EvaluationEngine a(tb, deadline);
+  EvaluationEngine b(tb, unbounded);
   Batches mixed_a;
   Batches mixed_b;
   for (const auto& corner : corners) {
@@ -431,7 +434,7 @@ TEST(EvaluationEngine, InterleavedEnginesWithDifferentNumericsMatchTheirSoloRuns
 }
 
 // An engine-state frame written before the lockstep batch path and the Newton
-// bypass were retired (SAL on SPICE, adaptive_timestep=1, three draws), by a
+// bypass were retired (SAL on SPICE, adaptive grid, three draws), by a
 // release whose default engine still kept a memo.  Its carried line holds the
 // four retired batch/bypass counters at 0 between the warm-start and timestep
 // counters.  An engine with a memo must re-save the frame byte for byte; a
@@ -469,8 +472,7 @@ TEST(EvaluationEngine, StateFrameWithRetiredCountersReSavesByteIdentically) {
   const std::string without_entries = frame.substr(0, frame.find("cache 3\n")) + "cache 0\n";
   const auto tb = circuits::make_testbench(circuits::Testcase::Sal, circuits::Backend::Spice);
   for (const bool with_memo : {true, false}) {
-    EngineConfig config = with_memo ? memo_config("retired_counters") : EngineConfig{};
-    config.adaptive_timestep = true;
+    const EngineConfig config = with_memo ? memo_config("retired_counters") : EngineConfig{};
     EvaluationEngine engine(tb, config);
     std::istringstream in(frame);
     engine.load_state(in);

@@ -330,9 +330,11 @@ TEST(RunSpec, DefaultSpecIsValidAndRoundTrips) {
   EXPECT_EQ(core::RunSpec::from_string(spec.to_string()), spec);
 }
 
-// Checkpoints and glova-serve spools written before batched_draws and
-// newton_bypass were retired carry both keys at 0.  They must keep loading;
-// re-saving drops exactly those two tokens and is then a byte fixed point.
+// Checkpoints and glova-serve spools written before the retired keys went
+// carry them at the values that still load: the four switches at 0, the
+// surrogate tuning at any value, and adaptive_timestep=1 with mos_model=ekv
+// (every spec written since those became the defaults).  Re-saving drops
+// exactly those tokens and is then a byte fixed point.
 TEST(RunSpec, SpecWrittenWithTheRetiredKeysStillLoads) {
   const std::string saved =
       "testcase=FIA backend=behavioral algorithm=glova method=C corner_filter=all seed=7 "
@@ -340,18 +342,17 @@ TEST(RunSpec, SpecWrittenWithTheRetiredKeysStillLoads) {
       "use_reordering=1 max_simulations=0 budget_iterations=0 max_wall_seconds=0 "
       "cost_per_simulation=1 cost_per_rl_iteration=2 parallelism=0 min_parallel_batch=8 "
       "cache_capacity=4096 cache_quantum=1.0000000000000001e-15 dc_warm_start=1 "
-      "batched_draws=0 adaptive_timestep=1 newton_bypass=0 recovery=0 mos_model=level1 "
+      "batched_draws=0 adaptive_timestep=1 newton_bypass=0 recovery=0 mos_model=ekv "
       "spice_noise=0 max_eval_retries=0 eval_deadline_steps=0 degrade_to_behavioral=0 "
       "cache_path= surrogate=0 surrogate_keep=0.5 surrogate_warmup=64 progress_log=0";
   const core::RunSpec spec = core::RunSpec::from_string(saved);
   EXPECT_EQ(spec.testcase, circuits::Testcase::Fia);
   EXPECT_EQ(spec.seed, 7u);
-  EXPECT_TRUE(spec.engine.adaptive_timestep);
 
   std::string expected = saved;
   for (const std::string token :
-       {" batched_draws=0", " newton_bypass=0", " spice_noise=0", " surrogate=0",
-        " surrogate_keep=0.5", " surrogate_warmup=64"}) {
+       {" batched_draws=0", " adaptive_timestep=1", " newton_bypass=0", " mos_model=ekv",
+        " spice_noise=0", " surrogate=0", " surrogate_keep=0.5", " surrogate_warmup=64"}) {
     expected.erase(expected.find(token), token.size());
   }
   const std::string resaved = spec.to_string();
@@ -360,8 +361,11 @@ TEST(RunSpec, SpecWrittenWithTheRetiredKeysStillLoads) {
 }
 
 TEST(RunSpec, RetiredKeysRejectOneWithADocsPointer) {
-  for (const char* text :
-       {"batched_draws=1", "newton_bypass=1", "spice_noise=1", "surrogate=1"}) {
+  // The four switches reject 1; the timestep and channel-model keys reject
+  // the fixed grid and the Level-1 model that every spec written before the
+  // adaptive/EKV defaults carries.
+  for (const char* text : {"batched_draws=1", "newton_bypass=1", "spice_noise=1", "surrogate=1",
+                           "adaptive_timestep=0", "adaptive_timestep=off", "mos_model=level1"}) {
     try {
       (void)core::RunSpec::from_string(text);
       FAIL() << "expected std::invalid_argument for " << text;
@@ -372,6 +376,18 @@ TEST(RunSpec, RetiredKeysRejectOneWithADocsPointer) {
   }
   EXPECT_EQ(core::RunSpec::from_string("batched_draws=0 newton_bypass=off"), core::RunSpec{});
   EXPECT_EQ(core::RunSpec::from_string("spice_noise=0 surrogate=off"), core::RunSpec{});
+  EXPECT_EQ(core::RunSpec::from_string("adaptive_timestep=1 mos_model=ekv"), core::RunSpec{});
+  // A value that never named a model is a plain grammar error, as before.
+  try {
+    (void)core::RunSpec::from_string("mos_model=foo");
+    FAIL() << "expected std::invalid_argument for mos_model=foo";
+  } catch (const std::invalid_argument& e) {
+    const std::string what = e.what();
+    EXPECT_NE(what.find("(see docs/run_spec.md)"), std::string::npos) << what;
+    EXPECT_EQ(what.find("retired-keys"), std::string::npos) << what;
+  }
+  EXPECT_THROW((void)core::RunSpec::from_string("adaptive_timestep=maybe"),
+               std::invalid_argument);
   // The surrogate's tuning keys only acted under surrogate=1: any well-typed
   // value loads and is ignored, a malformed one is still an error.
   EXPECT_EQ(core::RunSpec::from_string("surrogate_keep=0.9 surrogate_warmup=8"), core::RunSpec{});

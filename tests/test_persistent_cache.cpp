@@ -40,15 +40,19 @@ core::MemoCacheFile sample_file() {
   return file;
 }
 
-/// The config that wrote the memo files below: the release before the
-/// adaptive-timestep and EKV defaults, whose tag spells `adaptive=0` and
-/// `mos=level1`.
-core::EngineConfig pre_default_config() {
-  core::EngineConfig cfg;
-  cfg.adaptive_timestep = false;
-  cfg.mos_model = "level1";
-  return cfg;
-}
+/// The header of a SAL behavioral memo file as a default engine writes it
+/// (and has since the adaptive/EKV defaults), then the one entry the files
+/// below carry: the midpoint design at the typical corner.
+const std::string kDefaultTagLine =
+    "tag StrongARM latch|q=1.0000000000000001e-15|warm=1|batched=0|adaptive=1|bypass=0"
+    "|recovery=0|retries=0|deadline=0|degrade=0|mos=ekv|noise=0\n";
+const std::string kMidpointEntry =
+    "entries 1\n"
+    "key 19 1 900000000000000 26999999999999996 14 16540000000 16540000000 16540000000 "
+    "16540000000 16540000000 16540000000 180000000 180000000 180000000 180000000 "
+    "180000000 180000000 2752 2752 0\n"
+    "val 4 0.00040532783151035772 1.5801978999547426e-09 2.0674653238861908e-09 "
+    "4.3373456954211326e-05\n";
 
 TEST(MemoCacheFormat, SaveLoadSaveIsAByteFixedPoint) {
   const core::MemoCacheFile original = sample_file();
@@ -200,42 +204,38 @@ TEST(PersistentCache, EngineFlushesOnDestructionAndPreloadsOnConstruction) {
   EXPECT_EQ(warm.stats().cache_hits, 6u);
 }
 
-// The tag still spells the retired batch/bypass knobs as literal 0s, so memo
-// files written before their removal keep loading through an engine with
-// the config that wrote them instead of being rejected as foreign.  A
-// default engine (adaptive timestep, EKV) rejects such a file: a Level-1
-// memo never answers an EKV query.
+// The tag still spells the retired knobs as the values they took on the
+// default path (batch/bypass/noise 0, the adaptive grid, EKV), so memo files
+// written by default engines before their removal keep loading.  A file from
+// before the adaptive/EKV defaults spells `adaptive=0` and `mos=level1`: its
+// points were simulated on numerics the solver no longer has, and a default
+// engine rejects it.
 TEST(PersistentCache, DefaultTagIsPinnedAndOlderMemoFilesStillLoad) {
   EXPECT_EQ(core::memo_cache_tag("X", core::EngineConfig{}),
             "X|q=1.0000000000000001e-15|warm=1|batched=0|adaptive=1|bypass=0|recovery=0"
             "|retries=0|deadline=0|degrade=0|mos=ekv|noise=0");
 
   const std::string dir = fresh_dir("glova_memo_older_release");
-  core::EngineConfig cfg = pre_default_config();
+  core::EngineConfig cfg;
   cfg.cache_path = dir + "/sal.memo";
+  const auto tb = circuits::make_testbench(circuits::Testcase::Sal);
   {
     std::ofstream os(cfg.cache_path);
     os << "glova-memo v1\n"
           "tag StrongARM latch|q=1.0000000000000001e-15|warm=1|batched=0|adaptive=0|bypass=0"
           "|recovery=0|retries=0|deadline=0|degrade=0|mos=level1|noise=0\n"
-          "entries 1\n"
-          "key 19 1 900000000000000 26999999999999996 14 16540000000 16540000000 16540000000 "
-          "16540000000 16540000000 16540000000 180000000 180000000 180000000 180000000 "
-          "180000000 180000000 2752 2752 0\n"
-          "val 4 0.00040532783151035772 1.5801978999547426e-09 2.0674653238861908e-09 "
-          "4.3373456954211326e-05\n"
-          "surrogate-lines 0\n"
-          "end\n";
+       << kMidpointEntry << "surrogate-lines 0\nend\n";
   }
-  const auto tb = circuits::make_testbench(circuits::Testcase::Sal);
-  core::EngineConfig default_cfg;
-  default_cfg.cache_path = cfg.cache_path;
   try {
-    core::EvaluationEngine rejected(tb, default_cfg);
+    core::EvaluationEngine rejected(tb, cfg);
     ADD_FAILURE() << "a default engine loaded a level1 memo file";
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("tag mismatch"), std::string::npos) << e.what();
   }
+
+  std::ofstream(cfg.cache_path) << "glova-memo v1\n"
+                                << kDefaultTagLine << kMidpointEntry
+                                << "surrogate-lines 0\nend\n";
   core::EvaluationEngine engine(tb, cfg);  // a tag mismatch would throw here
   ASSERT_EQ(engine.cache_size(), 1u);
   const auto x = midpoint_design(*tb);
@@ -293,18 +293,9 @@ TEST(PersistentCache, TagMismatchAtEngineConstructionThrows) {
 // loader skips the block, the entry still answers its point, and the flush
 // at teardown writes the file back with the block empty.
 TEST(PersistentCache, MemoFileWithASurrogateBlockLoadsAndReflushesWithoutIt) {
-  const std::string entries =
-      "glova-memo v1\n"
-      "tag StrongARM latch|q=1.0000000000000001e-15|warm=1|batched=0|adaptive=0|bypass=0"
-      "|recovery=0|retries=0|deadline=0|degrade=0|mos=level1|noise=0\n"
-      "entries 1\n"
-      "key 19 1 900000000000000 26999999999999996 14 16540000000 16540000000 16540000000 "
-      "16540000000 16540000000 16540000000 180000000 180000000 180000000 180000000 "
-      "180000000 180000000 2752 2752 0\n"
-      "val 4 0.00040532783151035772 1.5801978999547426e-09 2.0674653238861908e-09 "
-      "4.3373456954211326e-05\n";
+  const std::string entries = "glova-memo v1\n" + kDefaultTagLine + kMidpointEntry;
   const std::string dir = fresh_dir("glova_memo_surrogate_block");
-  core::EngineConfig cfg = pre_default_config();
+  core::EngineConfig cfg;
   cfg.cache_path = dir + "/sal.memo";
   std::ofstream(cfg.cache_path)
       << entries << "surrogate-lines 2\nopaque line one\nopaque line two\nend\n";

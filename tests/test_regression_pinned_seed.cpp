@@ -1,13 +1,13 @@
 // Pinned-seed regression table (ROADMAP ask): fixed-seed GlovaOptimizer runs
 // must request exactly the recorded number of simulations, with the recorded
 // cache behavior, the SPICE testbenches must reproduce the recorded circuit
-// metrics (on the default LTE-adaptive grid with the EKV model, and on the
-// fixed grid with Level-1 that older specs still select), one SPICE session
-// per testcase must verify with the recorded counts on default knobs and at
-// the EKV cold corner, and a spec written before those defaults must keep
-// its recorded outcome.  This is the guard rail for every evaluation-stack
-// change: a refactor that alters optimizer control flow, cache keys, or
-// solver results shows up here before it ships.
+// metrics (LTE-adaptive grid, EKV model), one SPICE session per testcase
+// must verify with the recorded counts on default knobs and at the cold
+// corner, and a spec written before the adaptive/EKV defaults must fail to
+// load with a docs pointer instead of running on other numerics.  This is
+// the guard rail for every evaluation-stack change: a refactor that alters
+// optimizer control flow, cache keys, or solver results shows up here
+// before it ships.
 //
 // Re-recording (only when an intentional behavior change is made): build,
 // then run this binary with --gtest_also_run_disabled_tests removed and
@@ -16,8 +16,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <iterator>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -81,23 +81,18 @@ TEST(PinnedSeedRegression, SimulationCountsMatchReferenceTable) {
   }
 }
 
-// SPICE metrics at fixed sizing points, one row per testcase netlist, in
-// two tables: kSpiceBaselines on the fixed uniform grid with the Level-1
-// model (the path every spec written before the adaptive/EKV defaults still
-// selects), kDefaultSpiceBaselines on the default options.  The fixed-grid
-// SAL row was recorded on git main before the stamp-plan/warm-start
-// rewrite; its FIA and OCSA+SH rows were recorded when their netlists
-// landed (ISSUE 5).  The compiled-plan assembler, the fused LU kernel, the
-// pinned-source absorption, and the netlist construction itself must
-// reproduce them to within Newton's voltage tolerance (measured deviation:
-// ~2e-13 relative).  Warm start is disabled so the check is independent of
+// SPICE metrics at fixed sizing points, one row per testcase netlist, on
+// the default options (LTE-adaptive grid, EKV model).  The compiled-plan
+// assembler, the fused LU kernel, the pinned-source absorption, and the
+// netlist construction itself must reproduce them to within Newton's
+// voltage tolerance.  Warm start is disabled so the check is independent of
 // cache state.
 //
 // Re-recording (only for an intentional solver/netlist change): run this
 // binary, copy the "actual" values from the failing EXPECT_NEAR output —
 // or print them at max_digits10 with a one-off probe against
 // circuits::make_testbench(tc, Backend::Spice), under the context the test
-// below installs — into the matching table, and note the change in
+// below installs — into the table, and note the change in
 // bench/BENCH_spice.json's context.note.
 struct SpiceBaseline {
   circuits::Testcase testcase;
@@ -110,36 +105,6 @@ const std::vector<double> kSalPoint = {0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2,
 const std::vector<double> kFiaPoint = {0.05, 0.25, 0.5, 0.3, 0.003, 0.001};
 const std::vector<double> kOcsaPoint = {1.0, 1.0, 1.0, 0.0, 0.0, 0.3,
                                         1.0, 1.0, 1.0, 0.0, 1.0, 1.0};
-
-const std::vector<SpiceBaseline> kSpiceBaselines = {
-    {circuits::Testcase::Sal,
-     kSalPoint,
-     {
-         // Re-recorded when SalConditions::input_cm_frac returned to the
-         // paper's mid-rail testbench (the 0.7*vdd bias was a Level-1
-         // cutoff crutch; see SalConditions).
-         1.07752996735812805e-05,  // power [W]
-         5.11384451347077711e-10,  // set delay [s]
-         1.11129848615213381e-10,  // reset delay [s]
-         9.12987598746986783e-05,  // input noise [V]
-     }},
-    {circuits::Testcase::Fia,
-     kFiaPoint,
-     {
-         4.80820605355794003e-14,  // energy per conversion [J]
-         // Noise re-recorded with the behavioral gm estimate moved to the
-         // analytic pdk::ekv_gm derivative (thermal + latch-referral terms
-         // shift slightly at this bias).
-         8.04802882424353610e-04,  // input-referred noise [V]
-     }},
-    {circuits::Testcase::DramOcsa,
-     kOcsaPoint,
-     {
-         1.13709493220082503e-01,  // dVD0 [V]
-         1.42651524570952482e-01,  // dVD1 [V]
-         1.02392190707012904e-14,  // energy per bit [J]
-     }},
-};
 
 // Recorded when the LTE-adaptive timestep and the EKV model became the
 // SimulatorOptions / EngineConfig defaults.
@@ -167,16 +132,11 @@ const std::vector<SpiceBaseline> kDefaultSpiceBaselines = {
      }},
 };
 
-/// Evaluates every row at the typical corner with warm start off and the
-/// given timestep mode and channel model, then checks the recorded metrics.
-void expect_spice_baselines(const std::vector<SpiceBaseline>& table, bool adaptive_timestep,
-                            spice::MosModel model) {
+TEST(PinnedSeedRegression, DefaultSpiceMetricsMatchRecordedBaselines) {
   spice::EvaluationContext context;
   context.dc_warm_start = false;
-  context.options.adaptive_timestep = adaptive_timestep;
-  context.options.mos_model = model;
   const spice::ScopedContext scope(context);
-  for (const SpiceBaseline& row : table) {
+  for (const SpiceBaseline& row : kDefaultSpiceBaselines) {
     const auto tb = circuits::make_testbench(row.testcase, circuits::Backend::Spice);
     const auto x = tb->sizing().denormalize(row.x01);
     const auto m = tb->evaluate(x, pdk::typical_corner(), {});
@@ -186,15 +146,6 @@ void expect_spice_baselines(const std::vector<SpiceBaseline>& table, bool adapti
           << circuits::to_string(row.testcase) << " metric " << i;
     }
   }
-}
-
-TEST(PinnedSeedRegression, SpiceMetricsMatchRecordedBaselines) {
-  expect_spice_baselines(kSpiceBaselines, /*adaptive_timestep=*/false, spice::MosModel::kLevel1);
-}
-
-TEST(PinnedSeedRegression, DefaultSpiceMetricsMatchRecordedBaselines) {
-  const spice::SimulatorOptions defaults;
-  expect_spice_baselines(kDefaultSpiceBaselines, defaults.adaptive_timestep, defaults.mos_model);
 }
 
 /// The GLOVA session every SPICE outcome row below runs: method C, seed 1,
@@ -260,81 +211,89 @@ constexpr const char* kPreDefaultSalSpec =
     "mos_model=level1 max_eval_retries=0 eval_deadline_steps=0 degrade_to_behavioral=0 "
     "cache_path= progress_log=0";
 
-// The outcomes that release recorded for that spec, per testcase.
-constexpr SessionOutcome kPreDefaultSpiceSessions[] = {
-    {circuits::Testcase::Sal, "iteration-cap", 120, 174},
-    {circuits::Testcase::Fia, "iteration-cap", 120, 176},
-    {circuits::Testcase::DramOcsa, "verified", 1, 82},
-};
+void expect_retired_keys_error(const std::invalid_argument& e) {
+  EXPECT_NE(std::string(e.what()).find("docs/run_spec.md#retired-keys"), std::string::npos)
+      << e.what();
+}
 
-TEST(PinnedSeedRegression, SpecWrittenBeforeTheAdaptiveEkvDefaultsKeepsItsNumerics) {
+// Both numerics that spec names are gone.  Running it on the defaults would
+// resume a half-run session on other numerics, so it fails to load with a
+// docs pointer, as text and inside a campaign checkpoint; minus those two
+// tokens it is today's spice_session(Sal).
+TEST(PinnedSeedRegression, SpecWrittenBeforeTheAdaptiveEkvDefaultsFailsWithADocsPointer) {
   set_log_level(LogLevel::Warn);
-  const core::RunSpec sal = core::RunSpec::from_string(kPreDefaultSalSpec);
-  EXPECT_EQ(sal.to_string(), kPreDefaultSalSpec);
-  EXPECT_FALSE(sal.engine.adaptive_timestep);
-  EXPECT_EQ(sal.engine.mos_model, "level1");
-
-  // The same text with the testcase swapped: the outcome each row recorded.
-  std::vector<core::RunSpec> specs;
-  for (const SessionOutcome& run : kPreDefaultSpiceSessions) {
-    core::RunSpec spec = sal;
-    spec.testcase = run.testcase;
-    specs.push_back(spec);
-  }
-  core::Campaign straight(specs);
-  const core::CampaignResult& table = straight.run();
-  ASSERT_EQ(table.entries.size(), std::size(kPreDefaultSpiceSessions));
-  for (std::size_t i = 0; i < table.entries.size(); ++i) {
-    expect_outcome(table.entries[i].result, kPreDefaultSpiceSessions[i]);
+  try {
+    (void)core::RunSpec::from_string(kPreDefaultSalSpec);
+    ADD_FAILURE() << "the pre-default spec loaded";
+  } catch (const std::invalid_argument& e) {
+    expect_retired_keys_error(e);
   }
 
-  // A checkpoint saved mid-run resumes to the same table, byte for byte.
-  const auto canonical_table = [](const core::CampaignResult& result) {
-    std::string text;
-    for (const core::CampaignEntry& entry : result.entries) text += canonical(entry);
-    return text;
-  };
-  core::Campaign interrupted(specs);
-  std::stringstream checkpoint;
-  for (int turn = 0; turn < 60 && interrupted.step(); ++turn) {}
-  ASSERT_FALSE(interrupted.done()) << "the campaign finished before the checkpoint";
-  interrupted.save(checkpoint);
-  core::Campaign resumed = core::Campaign::load(checkpoint);
-  EXPECT_EQ(canonical_table(resumed.run()), canonical_table(table));
+  const std::string current = spice_session(circuits::Testcase::Sal).to_string();
+  std::string stripped = kPreDefaultSalSpec;
+  for (const std::string token : {" adaptive_timestep=0", " mos_model=level1"}) {
+    stripped.erase(stripped.find(token), token.size());
+  }
+  ASSERT_EQ(stripped, current);
+
+  core::Campaign campaign(std::vector<core::RunSpec>{spice_session(circuits::Testcase::Sal)});
+  std::ostringstream saved;
+  campaign.save(saved);
+  std::string checkpoint = saved.str();
+  const std::string spec_line = "spec " + current + "\n";
+  const std::size_t at = checkpoint.find(spec_line);
+  ASSERT_NE(at, std::string::npos) << checkpoint;
+  checkpoint.replace(at, spec_line.size(), "spec " + std::string(kPreDefaultSalSpec) + "\n");
+  std::istringstream old_checkpoint(checkpoint);
+  try {
+    (void)core::Campaign::load(old_checkpoint);
+    ADD_FAILURE() << "a checkpoint carrying the pre-default spec loaded";
+  } catch (const std::invalid_argument& e) {
+    expect_retired_keys_error(e);
+  }
 }
 
 // A campaign steps its sessions turn by turn on one thread.  A session on
-// the default numerics and one on the pre-default spec must each keep the
-// result it gets alone, in either order: neither runs on the other's model
-// or grid, seeds its DC solves from the other's operating points, or counts
-// the other's SPICE activity.
+// the default numerics and one with warm start off must each keep the
+// result it gets alone, in either order: the second neither reads nor
+// stores the thread's DC cache, so it cannot seed the first's solves, and
+// neither counts the other's SPICE activity.
 TEST(PinnedSeedRegression, MixedNumericsCampaignKeepsEachSessionsSoloResult) {
   set_log_level(LogLevel::Warn);
   const core::RunSpec current = spice_session(circuits::Testcase::Sal);
-  const core::RunSpec pre_default = core::RunSpec::from_string(kPreDefaultSalSpec);
+  core::RunSpec cold = current;
+  cold.engine.dc_warm_start = false;
   const auto solo = [](const core::RunSpec& spec) {
     core::Campaign alone(std::vector<core::RunSpec>{spec});
     return canonical(alone.run().entries.at(0));
   };
   const std::string current_alone = solo(current);
-  const std::string pre_default_alone = solo(pre_default);
+  const std::string cold_alone = solo(cold);
+  // The solo results differ beyond the spec line (the warm-start counters at
+  // least), so a leak would show.
+  ASSERT_NE(current_alone.substr(current_alone.find('\n')),
+            cold_alone.substr(cold_alone.find('\n')));
 
   for (const bool current_first : {true, false}) {
-    core::Campaign mixed(current_first ? std::vector<core::RunSpec>{current, pre_default}
-                                       : std::vector<core::RunSpec>{pre_default, current});
+    core::Campaign mixed(current_first ? std::vector<core::RunSpec>{current, cold}
+                                       : std::vector<core::RunSpec>{cold, current});
     const core::CampaignResult& table = mixed.run();
     ASSERT_EQ(table.entries.size(), 2u);
     const core::CampaignEntry& c = table.entries[current_first ? 0 : 1];
     const core::CampaignEntry& p = table.entries[current_first ? 1 : 0];
+    // Cold DC solves move the metrics only within vtol: same outcome.
     expect_outcome(c.result, {circuits::Testcase::Sal, "verified", 21, 104});
-    expect_outcome(p.result, {circuits::Testcase::Sal, "iteration-cap", 120, 174});
+    expect_outcome(p.result, {circuits::Testcase::Sal, "verified", 21, 104});
+    EXPECT_EQ(p.result.engine_stats.dc_warm_hits, 0u);
+    EXPECT_EQ(p.result.engine_stats.dc_warm_misses, 0u);
+    EXPECT_EQ(p.result.engine_stats.dc_warm_stores, 0u);
     EXPECT_EQ(canonical(c), current_alone) << "current_first=" << current_first;
-    EXPECT_EQ(canonical(p), pre_default_alone) << "current_first=" << current_first;
+    EXPECT_EQ(canonical(p), cold_alone) << "current_first=" << current_first;
   }
 }
 
 // One GLOVA session per SPICE testcase at the coldest low-voltage corner
-// (SS, 0.8 V, -40 C) under the EKV channel model.  Every session must verify
+// (SS, 0.8 V, -40 C), which the EKV channel model evaluates.  Every session must verify
 // with exactly the recorded iteration and requested-simulation counts.
 constexpr SessionOutcome kColdCornerRuns[] = {
     {circuits::Testcase::Sal, "verified", 21, 46},
@@ -347,7 +306,6 @@ TEST(PinnedSeedRegression, EkvColdCornerSessionsVerify) {
   for (const SessionOutcome& run : kColdCornerRuns) {
     core::RunSpec spec = spice_session(run.testcase);
     spec.corner_filter = "cold_lv";
-    spec.engine.mos_model = "ekv";
     expect_outcome(core::make_optimizer(spec)->run(), run);
   }
 }

@@ -328,8 +328,9 @@ TEST(Server, SubmitRunsToDoneWithTheCanonicalResult) {
 // Two tenants whose specs name different numerics share a two-worker daemon
 // that steps one quantum at a time, so their jobs interleave on both worker
 // threads.  Each RESULT is still the canonical text of its sweep run alone:
-// neither job runs on the other's model or grid, seeds its DC solves from
-// the other's operating points, or counts the other's SPICE activity.
+// alice's job runs with warm start off, so it neither reads nor stores the
+// worker threads' DC caches and cannot seed bob's solves, and neither job
+// counts the other's SPICE activity.
 TEST(Server, TenantsWithDifferentNumericsGetTheirSoloResults) {
   set_log_level(LogLevel::Warn);
   const std::string spool = fresh_dir("glova_serve_numerics");
@@ -343,7 +344,7 @@ TEST(Server, TenantsWithDifferentNumericsGetTheirSoloResults) {
 
   const std::string bob_spec =
       "testcase=SAL backend=spice method=C seed=1 max_iterations=120 parallelism=1";
-  const std::string alice_spec = bob_spec + " adaptive_timestep=0 mos_model=level1";
+  const std::string alice_spec = bob_spec + " dc_warm_start=0";
   TestClient client(server.port());
   ASSERT_TRUE(client.connected());
   const std::string alice = client.request("SUBMIT alice " + alice_spec);
@@ -351,15 +352,67 @@ TEST(Server, TenantsWithDifferentNumericsGetTheirSoloResults) {
   ASSERT_EQ(alice.rfind("OK ", 0), 0u) << alice;
   ASSERT_EQ(bob.rfind("OK ", 0), 0u) << bob;
 
+  std::vector<std::string> solo_results;
   for (const auto& [id, spec] : {std::pair{alice.substr(3), alice_spec},
                                  std::pair{bob.substr(3), bob_spec}}) {
     const std::string status = wait_terminal(client, id);
     ASSERT_NE(status.find(" Done "), std::string::npos) << status;
     core::Campaign alone(core::SweepSpec::from_string(spec));
-    EXPECT_EQ(strip_trailing_newlines(result_text(client, id)),
-              strip_trailing_newlines(serve::format_campaign_result(alone.run())))
-        << spec;
+    solo_results.push_back(strip_trailing_newlines(serve::format_campaign_result(alone.run())));
+    EXPECT_EQ(strip_trailing_newlines(result_text(client, id)), solo_results.back()) << spec;
   }
+  // Beyond the spec lines the two solo results differ (alice's warm-start
+  // counters stay 0), so a leak between the jobs would show.
+  const auto without_specs = [](const std::string& text) {
+    std::istringstream in(text);
+    std::string out;
+    for (std::string line; std::getline(in, line);) {
+      if (line.find("testcase=") == std::string::npos) out += line + '\n';
+    }
+    return out;
+  };
+  EXPECT_NE(without_specs(solo_results[0]), without_specs(solo_results[1]));
+
+  server.stop(true);
+  std::filesystem::remove_all(spool);
+}
+
+// A spool record written before the adaptive/EKV defaults carries
+// `adaptive_timestep=0 mos_model=level1`.  After a restart the daemon fails
+// that job with the docs pointer instead of running it on other numerics,
+// and keeps serving new jobs.
+TEST(Server, SpoolRecordWithRetiredNumericsFailsWithADocsPointerAfterRestart) {
+  set_log_level(LogLevel::Warn);
+  const std::string spool = fresh_dir("glova_serve_retired_numerics");
+  JobStore(spool).save_job(
+      {"job-000001", "alice",
+       "testcase=SAL backend=spice algorithm=glova method=C corner_filter=all seed=1 "
+       "max_iterations=120 n_opt_samples=3 use_ensemble_critic=1 use_mu_sigma=1 "
+       "use_reordering=1 max_simulations=0 budget_iterations=0 max_wall_seconds=0 "
+       "cost_per_simulation=1 cost_per_rl_iteration=2 parallelism=1 min_parallel_batch=8 "
+       "cache_capacity=4096 cache_quantum=1.0000000000000001e-15 dc_warm_start=1 "
+       "adaptive_timestep=0 recovery=0 mos_model=level1 max_eval_retries=0 "
+       "eval_deadline_steps=0 degrade_to_behavioral=0 cache_path= progress_log=0"});
+
+  serve::ServerConfig config;
+  config.spool_dir = spool;
+  config.workers = 1;
+  serve::Server server(std::move(config));
+  server.start();
+  TestClient client(server.port());
+  ASSERT_TRUE(client.connected());
+  const std::string status = wait_terminal(client, "job-000001");
+  ASSERT_NE(status.find(" Failed "), std::string::npos) << status;
+  const std::string failure = result_text(client, "job-000001");
+  EXPECT_NE(failure.find("docs/run_spec.md#retired-keys"), std::string::npos) << failure;
+
+  core::SweepSpec tiny = serve_sweep();
+  tiny.algorithms = {core::Algorithm::Glova};
+  const std::string next = client.request("SUBMIT alice " + tiny.to_string());
+  ASSERT_EQ(next.rfind("OK ", 0), 0u) << next;
+  EXPECT_EQ(next.substr(3), "job-000002");
+  const std::string done = wait_terminal(client, next.substr(3));
+  EXPECT_NE(done.find(" Done "), std::string::npos) << done;
 
   server.stop(true);
   std::filesystem::remove_all(spool);

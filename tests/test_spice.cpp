@@ -164,16 +164,14 @@ TEST(Op, CmosInverterTransfersCorrectly) {
 TEST(Op, NmosReversedBiasSwapsSourceAndDrain) {
   const pdk::MosParams params = pdk::mos_params(false, pdk::typical_corner(), 60e-9);
   const double w_over_l = 1e-6 / 60e-9;
-  for (const auto model : {MosModel::kLevel1, MosModel::kEkv}) {
-    const MosLinearization fwd = nmos_linearize(model, params, w_over_l, 0.9, 0.9, 0.0);
-    const MosLinearization rev = nmos_linearize(model, params, w_over_l, 0.9, 0.0, 0.9);
-    EXPECT_DOUBLE_EQ(rev.i_ds, -fwd.i_ds);
-    // Swapping terminals swaps the roles of the drain/source derivatives:
-    // the low terminal sees gm + gds, mirroring -d_vs of the forward bias.
-    EXPECT_DOUBLE_EQ(rev.d_vd, -fwd.d_vs);
-    EXPECT_GT(rev.d_vd, 0.0);
-    EXPECT_LT(rev.d_vs, 0.0);
-  }
+  const MosLinearization fwd = nmos_linearize(params, w_over_l, 0.9, 0.9, 0.0);
+  const MosLinearization rev = nmos_linearize(params, w_over_l, 0.9, 0.0, 0.9);
+  EXPECT_DOUBLE_EQ(rev.i_ds, -fwd.i_ds);
+  // Swapping terminals swaps the roles of the drain/source derivatives:
+  // the low terminal sees gm + gds, mirroring -d_vs of the forward bias.
+  EXPECT_DOUBLE_EQ(rev.d_vd, -fwd.d_vs);
+  EXPECT_GT(rev.d_vd, 0.0);
+  EXPECT_LT(rev.d_vs, 0.0);
 
   // Same check through the full operating-point solve: reverse the supply
   // and the measured branch current flips sign, same magnitude.
@@ -198,22 +196,15 @@ TEST(Op, NmosReversedBiasSwapsSourceAndDrain) {
 }
 
 // Regression for the cutoff-region stamp bug: at vds == 0 an on channel
-// carries no current but is still a resistor of conductance k*Vov.  The
-// old model classified vds == 0 as cutoff and stamped gds = 0, starving
-// Newton of the derivative that moves a pass-gate node off equal bias.
+// carries no current but is still a resistor.  A model that classified
+// vds == 0 as cutoff stamped gds = 0, starving Newton of the derivative
+// that moves a pass-gate node off equal bias.
 TEST(Op, PassGateAtEqualBiasKeepsChannelConductance) {
   const pdk::MosParams params = pdk::mos_params(false, pdk::typical_corner(), 60e-9);
   const double w_over_l = 1e-6 / 60e-9;
-  const double vov = 0.45 - params.vth;  // vgs = vg - vs = 0.45
-  for (const auto model : {MosModel::kLevel1, MosModel::kEkv}) {
-    const MosLinearization lin = nmos_linearize(model, params, w_over_l, 0.9, 0.45, 0.45);
-    EXPECT_DOUBLE_EQ(lin.i_ds, 0.0);
-    EXPECT_GT(lin.d_vd, 0.0) << "channel conductance lost at vds == 0";
-    // Level-1 triode limit: gds -> k * Vov as vds -> 0 (clm factor is 1).
-    if (model == MosModel::kLevel1) {
-      EXPECT_NEAR(lin.d_vd, params.kp * w_over_l * vov, 1e-9);
-    }
-  }
+  const MosLinearization lin = nmos_linearize(params, w_over_l, 0.9, 0.45, 0.45);
+  EXPECT_DOUBLE_EQ(lin.i_ds, 0.0);
+  EXPECT_GT(lin.d_vd, 0.0) << "channel conductance lost at vds == 0";
 
   // Functional version: a node connected only through an on pass-gate must
   // settle to the driven level (gmin alone would leave it near ground).
@@ -231,9 +222,10 @@ TEST(Op, PassGateAtEqualBiasKeepsChannelConductance) {
 }
 
 // Deep in strong inversion the softplus terms are linear to within
-// exp(-z), so the EKV interpolation collapses onto the square law.  Points
-// are chosen with every half-charge argument above ~8 characteristic
-// voltages, which puts the analytic disagreement below 0.1%.
+// exp(-z), so the EKV interpolation collapses onto the square law (the
+// Level-1 reference, nmos_square_law).  Points are chosen with every
+// half-charge argument above ~8 characteristic voltages, which puts the
+// analytic disagreement below 0.1%.
 TEST(MosModels, EkvMatchesLevel1InStrongInversion) {
   const pdk::MosParams p = pdk::mos_params(false, pdk::typical_corner(), 100e-9);
   const double w_over_l = 10.0;
@@ -246,8 +238,8 @@ TEST(MosModels, EkvMatchesLevel1InStrongInversion) {
       {p.vth + 0.7, 0.05},  // deep triode (pass-gate-like)
   };
   for (const auto& pt : points) {
-    const NmosEval l1 = nmos_channel(MosModel::kLevel1, p, w_over_l, pt.vgs, pt.vds);
-    const NmosEval ekv = nmos_channel(MosModel::kEkv, p, w_over_l, pt.vgs, pt.vds);
+    const NmosEval l1 = nmos_square_law(p, w_over_l, pt.vgs, pt.vds);
+    const NmosEval ekv = nmos_ekv(p, w_over_l, pt.vgs, pt.vds);
     EXPECT_NEAR(ekv.id, l1.id, 1e-3 * std::abs(l1.id)) << "vgs " << pt.vgs << " vds " << pt.vds;
     EXPECT_NEAR(ekv.gm, l1.gm, 1e-3 * std::abs(l1.gm)) << "vgs " << pt.vgs << " vds " << pt.vds;
     EXPECT_NEAR(ekv.gds, l1.gds, 1e-3 * std::abs(l1.gds))
@@ -255,14 +247,15 @@ TEST(MosModels, EkvMatchesLevel1InStrongInversion) {
   }
 }
 
-// Below threshold Level-1 is dead while EKV conducts with the subthreshold
-// slope gm = Id / (n vt) — the property the cold low-voltage corner needs.
+// Below threshold the square law is dead while EKV conducts with the
+// subthreshold slope gm = Id / (n vt) — the property the cold low-voltage
+// corner needs.
 TEST(MosModels, EkvConductsInWeakInversion) {
   const pdk::MosParams p = pdk::mos_params(false, pdk::typical_corner(), 100e-9);
   const double w_over_l = 10.0;
   const double vgs = p.vth - 0.2;  // ~3 v_char below threshold: sig/sp within 3% of 1
-  const NmosEval l1 = nmos_channel(MosModel::kLevel1, p, w_over_l, vgs, 0.5);
-  const NmosEval ekv = nmos_channel(MosModel::kEkv, p, w_over_l, vgs, 0.5);
+  const NmosEval l1 = nmos_square_law(p, w_over_l, vgs, 0.5);
+  const NmosEval ekv = nmos_ekv(p, w_over_l, vgs, 0.5);
   EXPECT_EQ(l1.id, 0.0);
   EXPECT_GT(ekv.id, 0.0);
   EXPECT_GT(ekv.gm, 0.0);
@@ -333,36 +326,27 @@ TEST(Transient, EnergyConservationInRcCharge) {
 }
 
 TEST(Transient, FinalStepLandsExactlyOnTStop) {
-  // t_stop is NOT an integer multiple of dt: the final partial step of the
-  // fixed uniform grid must land exactly on t_stop with strictly positive dt
-  // everywhere.
+  // Whether or not t_stop is an integer multiple of the initial dt, the run
+  // must end exactly on t_stop with strictly positive steps everywhere.
   Circuit ckt;
   const auto out = ckt.node("out");
   ckt.add_resistor("R1", out, Circuit::ground(), 1e3);
   ckt.add_capacitor("C1", out, Circuit::ground(), 1e-12, 1.0);
-  SimulatorOptions fixed_grid;
-  fixed_grid.adaptive_timestep = false;
-  Simulator sim(ckt, fixed_grid);
+  Simulator sim(ckt);
   TransientSpec spec;
   spec.t_stop = 1e-9;
-  spec.dt = 3e-13;
   spec.use_ic = true;
   spec.initial_conditions["out"] = 1.0;
-  const TransientResult res = sim.transient(spec);
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_DOUBLE_EQ(res.times.back(), spec.t_stop);
-  // ceil(1e-9 / 3e-13) = 3334 steps plus the initial point.
-  EXPECT_EQ(res.times.size(), 3335u);
-  for (std::size_t i = 1; i < res.times.size(); ++i) {
-    EXPECT_GT(res.times[i], res.times[i - 1]) << "non-positive dt at step " << i;
+  for (const double dt : {3e-13, 1e-12}) {
+    spec.dt = dt;
+    const TransientResult res = sim.transient(spec);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.times.back(), spec.t_stop) << "dt " << dt;
+    EXPECT_EQ(res.times.size(), res.steps_accepted + 1) << "dt " << dt;
+    for (std::size_t i = 1; i < res.times.size(); ++i) {
+      EXPECT_GT(res.times[i], res.times[i - 1]) << "non-positive step " << i << ", dt " << dt;
+    }
   }
-
-  // Exact-multiple case ends on t_stop too, with no extra step.
-  spec.dt = 1e-12;
-  const TransientResult even = sim.transient(spec);
-  ASSERT_TRUE(even.ok);
-  EXPECT_DOUBLE_EQ(even.times.back(), spec.t_stop);
-  EXPECT_EQ(even.times.size(), 1001u);
 }
 
 TEST(TransientResult, TraceLookupByNameIsRebuiltAfterAppends) {
@@ -513,7 +497,7 @@ TEST(Transient, FloatingCapacitorHoldsChargeWhenSwitchesOpen) {
 TEST(Transient, BoostedPassGateSharesChargeBidirectionally) {
   // The DRAM access construct: a boosted NMOS pass-gate between two caps,
   // with the *source* side above the drain side (reverse conduction — the
-  // channel-symmetry path of the Level-1 model).
+  // channel-symmetry path of the channel model).
   const auto nmos = pdk::mos_params(false, pdk::typical_corner(), 50e-9);
   Circuit ckt;
   const auto cellv = ckt.node("cellv");

@@ -1,9 +1,11 @@
 // Convergence-recovery ladder, evaluation deadlines, and deterministic fault
-// injection: every rescue rung (DC gmin stepping, transient substep cutting,
-// restart-from-DC), the cooperative Newton-iteration deadline, the engine's
-// retry / degrade funnel, and the defaults-off bit-identity guarantee.
+// injection: every rescue path (DC gmin stepping, the timestep controller
+// shrinking dt on a failed step, restart-from-DC at dt_min), the cooperative
+// Newton-iteration deadline, the engine's retry / degrade funnel, and the
+// defaults-off bit-identity guarantee.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <limits>
@@ -15,6 +17,7 @@
 #include "core/evaluation_engine.hpp"
 #include "spice/circuit.hpp"
 #include "spice/counters.hpp"
+#include "spice/measure.hpp"
 #include "spice/simulator.hpp"
 #include "spice/warm_start.hpp"
 #include "spice/waveform.hpp"
@@ -46,14 +49,6 @@ TransientSpec rc_spec() {
   return spec;
 }
 
-/// The fixed uniform grid: the solve numbering below (one fault-plan index
-/// per timestep, solve 3 at t = 3 ps) is pinned on it.
-SimulatorOptions fixed_grid() {
-  SimulatorOptions options;
-  options.adaptive_timestep = false;
-  return options;
-}
-
 FaultPlan one_site(std::uint64_t begin, std::uint64_t end, FaultPlan::Kind kind,
                    int extra = 50) {
   FaultPlan plan;
@@ -78,16 +73,30 @@ TEST(FaultPlan, MatchesHalfOpenSiteRanges) {
 }
 
 // Pins the solve numbering the rest of this file relies on: a converging
-// scalar run on the fixed grid consumes one index for the cold DC solve and
-// one per timestep.
+// scalar run consumes one index for the cold DC solve and one per timestep
+// trial, accepted or rejected.  Index 3 is therefore the third trial step.
 TEST(FaultPlan, EmptyPlanCountsEverySolve) {
   const Circuit ckt = rc_circuit();
   FaultPlan probe;  // no sites: pure dry-run counter
   ScopedFaults guard(&probe);
-  Simulator sim(ckt, fixed_grid());
+  Simulator sim(ckt);
   const TransientResult res = sim.transient(rc_spec());
   ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_EQ(probe.cursor, 1u + res.steps_accepted);
+  EXPECT_EQ(probe.cursor, 1u + res.steps_accepted + res.steps_rejected);
+  EXPECT_GT(probe.cursor, 4u);
+}
+
+/// Faulted solves, from solve index `begin` on, that the timestep
+/// controller burns before it gives up at dt_min: each failed solve shrinks
+/// dt, and a failure at dt_min ends the run (recovery off).
+std::uint64_t solves_to_dt_min(const Circuit& ckt, const TransientSpec& spec,
+                               std::uint64_t begin) {
+  const FaultPlan all = one_site(begin, kAll, FaultPlan::Kind::NonConverge);
+  ScopedFaults guard(&all);
+  Simulator sim(ckt);
+  const TransientResult res = sim.transient(spec);
+  EXPECT_EQ(res.failure.stage, FailureStage::Timestep) << res.error;
+  return all.cursor - begin;
 }
 
 TEST(Recovery, DefaultsOffIsBitIdenticalToRecoveryEnabledWithoutFailures) {
@@ -170,83 +179,83 @@ TEST(Recovery, TransientDcFailureReportsTheDcStage) {
   EXPECT_EQ(res.error, res.failure.to_string());
 }
 
-TEST(Recovery, StepCuttingRescuesAFaultedTransientStep) {
+constexpr FaultPlan::Kind kStepFaults[] = {FaultPlan::Kind::NonConverge,
+                                           FaultPlan::Kind::NanStamp,
+                                           FaultPlan::Kind::SingularMatrix};
+
+// One faulted timestep solve is the controller's to absorb, recovery or
+// not: it rejects the step, redoes it at a tenth of the dt and carries on.
+// The ladder never runs, and the trace stays on the clean run's waveform.
+// The band is the clean run's own startup error: its two backward-Euler
+// steps after the 2 ps edge run at dt = tau and overshoot the exact ramp
+// response (0.184 V at 3 ps) by 0.066 V, while the faulted run, redone at
+// dt / 10, lands within 2 mV of it.  From the next breakpoint on the runs
+// agree to 0.02 V.
+TEST(Recovery, ControllerAbsorbsAnIsolatedStepFault) {
   const Circuit ckt = rc_circuit();
-  const TransientSpec spec = rc_spec();
+  Simulator ref_sim(ckt);
+  const TransientResult ref = ref_sim.transient(rc_spec());
+  ASSERT_TRUE(ref.ok) << ref.error;
 
-  Simulator ref_sim(ckt, fixed_grid());
-  const TransientResult ref = ref_sim.transient(spec);
-  ASSERT_TRUE(ref.ok);
-
-  // Solve index 3 is the third timestep (t = 3 ps); only that solve faults,
-  // so the first cut's backward-Euler substeps land on clean indices.
-  {
-    const FaultPlan fp = one_site(3, 4, FaultPlan::Kind::NonConverge);
-    ScopedFaults guard(&fp);
-    Simulator sim(ckt, fixed_grid());
-    const TransientResult res = sim.transient(spec);
-    EXPECT_FALSE(res.ok);
-    EXPECT_EQ(res.failure.stage, FailureStage::TransientNewton);
-    EXPECT_DOUBLE_EQ(res.failure.time, 3e-12);
-    EXPECT_FALSE(res.failure.worst_node.empty());
-  }
-
-  const SpiceCounters before = spice_counters();
-  const FaultPlan fp = one_site(3, 4, FaultPlan::Kind::NonConverge);
-  ScopedFaults guard(&fp);
-  SimulatorOptions armed = fixed_grid();
-  armed.recovery.enabled = true;
-  Simulator sim(ckt, armed);
-  const TransientResult res = sim.transient(spec);
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_EQ(spice_counters().recovered_transient, before.recovered_transient + 1);
-  // Substep cutting records only at the original grid point: same time axis,
-  // values within the rung's integration-order difference (the substeps are
-  // first-order backward Euler against the trapezoidal reference).
-  ASSERT_EQ(res.times, ref.times);
-  const auto& rescued = res.trace("out");
-  const auto& reference = ref.trace("out");
-  ASSERT_EQ(rescued.size(), reference.size());
-  for (std::size_t i = 0; i < rescued.size(); ++i) {
-    EXPECT_NEAR(rescued[i], reference[i], 0.1) << "sample " << i;
-  }
-}
-
-TEST(Recovery, DcRestartRescuesWhenStepCutsAreExhausted) {
-  const Circuit ckt = rc_circuit();
-  const SpiceCounters before = spice_counters();
-  const FaultPlan fp = one_site(3, 4, FaultPlan::Kind::NonConverge);
-  ScopedFaults guard(&fp);
-  SimulatorOptions armed = fixed_grid();
-  armed.recovery.enabled = true;
-  armed.recovery.max_step_cuts = 0;  // skip straight to the restart rung
-  armed.recovery.dc_restart_attempts = 1;
-  Simulator sim(ckt, armed);
-  const TransientResult res = sim.transient(rc_spec());
-  ASSERT_TRUE(res.ok) << res.error;
-  EXPECT_EQ(res.failure.stage, FailureStage::None);
-  EXPECT_EQ(spice_counters().recovered_transient, before.recovered_transient + 1);
-}
-
-TEST(Recovery, NanStampAndSingularMatrixFaultsAreRescued) {
-  const Circuit ckt = rc_circuit();
-  for (const FaultPlan::Kind kind :
-       {FaultPlan::Kind::NanStamp, FaultPlan::Kind::SingularMatrix}) {
-    {
-      const FaultPlan fp = one_site(3, 4, kind);
-      ScopedFaults guard(&fp);
-      Simulator sim(ckt, fixed_grid());
-      const TransientResult res = sim.transient(rc_spec());
-      EXPECT_FALSE(res.ok);
-      EXPECT_EQ(res.failure.stage, FailureStage::TransientNewton);
-    }
+  for (const FaultPlan::Kind kind : kStepFaults) {
+    const SpiceCounters before = spice_counters();
     const FaultPlan fp = one_site(3, 4, kind);
     ScopedFaults guard(&fp);
-    SimulatorOptions armed = fixed_grid();
+    Simulator sim(ckt);
+    const TransientResult res = sim.transient(rc_spec());
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.failure.stage, FailureStage::None);
+    EXPECT_EQ(res.steps_rejected, ref.steps_rejected + 1);
+    EXPECT_EQ(spice_counters().recovered_transient, before.recovered_transient);
+    EXPECT_EQ(res.times.back(), ref.times.back());
+    const auto& out = res.trace("out");
+    const auto& clean = ref.trace("out");
+    for (std::size_t i = 0; i < ref.times.size(); ++i) {
+      EXPECT_NEAR(value_at(res.times, out, ref.times[i]), clean[i], 0.1)
+          << "t = " << ref.times[i] << ", fault kind " << static_cast<int>(kind);
+    }
+    EXPECT_NEAR(out.back(), clean.back(), 0.02);
+  }
+}
+
+// A run of faults drives dt down to dt_min.  Without recovery the failure
+// there ends the run with the timestep stage; with recovery the
+// restart-from-DC rung re-solves a pseudo-DC point at the failing time and
+// the run finishes, the restart accepted as a dt_min step.
+TEST(Recovery, DcRestartRescuesAStepFaultedDownToDtMin) {
+  const Circuit ckt = rc_circuit();
+  const TransientSpec spec = rc_spec();
+  const std::uint64_t depth = solves_to_dt_min(ckt, spec, 3);
+  ASSERT_GE(depth, 2u) << "the controller must shrink dt before giving up";
+  const double dt_min = spec.dt * SimulatorOptions{}.dt_min_factor;
+
+  for (const FaultPlan::Kind kind : kStepFaults) {
+    {
+      const FaultPlan fp = one_site(3, 3 + depth, kind);
+      ScopedFaults guard(&fp);
+      Simulator sim(ckt);
+      const TransientResult res = sim.transient(spec);
+      EXPECT_FALSE(res.ok);
+      EXPECT_EQ(res.failure.stage, FailureStage::Timestep);
+      EXPECT_EQ(res.failure.attempts, 0);
+      EXPECT_FALSE(res.failure.worst_node.empty());
+      EXPECT_EQ(res.error, res.failure.to_string());
+      EXPECT_EQ(fp.cursor, 3 + depth);
+    }
+    const SpiceCounters before = spice_counters();
+    const FaultPlan fp = one_site(3, 3 + depth, kind);
+    ScopedFaults guard(&fp);
+    SimulatorOptions armed;
     armed.recovery.enabled = true;
     Simulator sim(ckt, armed);
-    const TransientResult res = sim.transient(rc_spec());
-    EXPECT_TRUE(res.ok) << res.error;
+    const TransientResult res = sim.transient(spec);
+    ASSERT_TRUE(res.ok) << res.error;
+    EXPECT_EQ(res.failure.stage, FailureStage::None);
+    EXPECT_EQ(res.times.back(), spec.t_stop);
+    EXPECT_EQ(spice_counters().recovered_transient, before.recovered_transient + 1);
+    EXPECT_EQ(spice_counters().recovered_dc, before.recovered_dc);
+    const double smallest = *std::min_element(res.dt_trace.begin(), res.dt_trace.end());
+    EXPECT_NEAR(smallest, dt_min, 1e-6 * dt_min);
   }
 }
 
@@ -275,7 +284,7 @@ TEST(Recovery, EscalationLevelsShapeTheDefaultOptions) {
   const RecoveryPolicy o = escalated(off, 2);
   EXPECT_TRUE(o.enabled);
   EXPECT_GT(o.max_gmin_rungs, RecoveryPolicy{}.max_gmin_rungs);
-  EXPECT_GT(o.max_step_cuts, RecoveryPolicy{}.max_step_cuts);
+  EXPECT_GT(o.dc_restart_attempts, RecoveryPolicy{}.dc_restart_attempts);
 }
 
 // ---------------------------------------------------------------------------
@@ -397,8 +406,8 @@ TEST(EngineFunnel, StatsSurfaceTheRecoveryCounters) {
   SalFixture fx;
   core::EngineConfig config;
   config.cache_capacity = 0;
-  config.dc_warm_start = false;      // every evaluation numbers its solves alike
-  config.adaptive_timestep = false;  // a failed step is cut, not shrunk
+  config.dc_warm_start = false;  // every evaluation numbers its solves alike
+  core::EngineConfig plain = config;
   config.recovery = true;
   core::EvaluationEngine engine(fx.tb, config);
 
@@ -410,8 +419,19 @@ TEST(EngineFunnel, StatsSurfaceTheRecoveryCounters) {
   }
   ASSERT_GT(probe.cursor, 2u);
   const std::uint64_t mid = probe.cursor / 2;
+  // Faulting every solve from there on, an engine without recovery fails at
+  // dt_min; the solves it burned are the run of faults that reaches it.
+  std::uint64_t depth = 0;
   {
-    const FaultPlan fp = one_site(mid, mid + 1, FaultPlan::Kind::NonConverge);
+    core::EvaluationEngine unarmed(fx.tb, plain);
+    const FaultPlan all = one_site(mid, kAll, FaultPlan::Kind::NonConverge);
+    ScopedFaults guard(&all);
+    (void)unarmed.evaluate_one(fx.x, fx.corner, {});
+    depth = all.cursor - mid;
+  }
+  ASSERT_GE(depth, 2u);
+  {
+    const FaultPlan fp = one_site(mid, mid + depth, FaultPlan::Kind::NonConverge);
     ScopedFaults guard(&fp);
     (void)engine.evaluate_one(fx.x, fx.corner, {});
   }
@@ -423,12 +443,13 @@ TEST(EngineFunnel, StatsSurfaceTheRecoveryCounters) {
 
   // A bare faulted simulation beside the engine counts into the process
   // totals only, never into the engine's stats.
+  const Circuit ckt = rc_circuit();
+  const std::uint64_t rc_depth = solves_to_dt_min(ckt, rc_spec(), 3);
   const SpiceCounters before = spice_counters();
   {
-    const Circuit ckt = rc_circuit();
-    const FaultPlan fp = one_site(3, 4, FaultPlan::Kind::NonConverge);
+    const FaultPlan fp = one_site(3, 3 + rc_depth, FaultPlan::Kind::NonConverge);
     ScopedFaults guard(&fp);
-    SimulatorOptions armed = fixed_grid();
+    SimulatorOptions armed;
     armed.recovery.enabled = true;
     Simulator sim(ckt, armed);
     const TransientResult res = sim.transient(rc_spec());

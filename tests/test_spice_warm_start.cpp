@@ -167,15 +167,13 @@ TEST(DcWarmStart, KeyDistinguishesDesignCornerAndTag) {
   const std::vector<double> x1 = {1e-6, 2e-6};
   std::vector<double> x2 = x1;
   x2[1] += 1e-9;
-  const MosModel ekv = MosModel::kEkv;
-  const auto k1 = make_dc_key(1, ekv, x1, pdk::typical_corner());
-  EXPECT_EQ(k1, make_dc_key(1, ekv, x1, pdk::typical_corner()));
-  EXPECT_NE(k1, make_dc_key(2, ekv, x1, pdk::typical_corner()));
-  EXPECT_NE(k1, make_dc_key(1, MosModel::kLevel1, x1, pdk::typical_corner()));
-  EXPECT_NE(k1, make_dc_key(1, ekv, x2, pdk::typical_corner()));
+  const auto k1 = make_dc_key(1, x1, pdk::typical_corner());
+  EXPECT_EQ(k1, make_dc_key(1, x1, pdk::typical_corner()));
+  EXPECT_NE(k1, make_dc_key(2, x1, pdk::typical_corner()));
+  EXPECT_NE(k1, make_dc_key(1, x2, pdk::typical_corner()));
   pdk::PvtCorner hot = pdk::typical_corner();
   hot.temp_c += 50.0;
-  EXPECT_NE(k1, make_dc_key(1, ekv, x1, hot));
+  EXPECT_NE(k1, make_dc_key(1, x1, hot));
 }
 
 TEST(DcWarmStart, SalEvaluateWarmMatchesColdWithinTolerance) {
@@ -259,25 +257,21 @@ TEST(DcWarmStart, PolaritiesAndTestbenchesDoNotShareSeeds) {
   // the three testbenches share design-vector shapes at equal dimensions —
   // the cache keys must keep all of them apart.  Evaluating each backend
   // once from a cold cache must only ever miss (no cross-testbench or
-  // cross-polarity hits), and so must a second pass under the other channel
-  // model: a level1 operating point never seeds an EKV solve.
+  // cross-polarity hits).
   thread_local_dc_cache().clear();
   SpiceCounterBlock counts;
   EvaluationContext context;
   context.counters = &counts;
-  for (const MosModel model : {MosModel::kLevel1, MosModel::kEkv}) {
-    context.options.mos_model = model;
-    const ScopedContext scope(context);
-    for (const auto tc : circuits::all_testcases()) {
-      const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
-      std::vector<double> x01(tb->sizing().dimension(), 0.45);
-      const auto x = tb->sizing().denormalize(x01);
-      (void)tb->evaluate(x, pdk::typical_corner(), {});
-    }
+  const ScopedContext scope(context);
+  for (const auto tc : circuits::all_testcases()) {
+    const auto tb = circuits::make_testbench(tc, circuits::Backend::Spice);
+    std::vector<double> x01(tb->sizing().dimension(), 0.45);
+    const auto x = tb->sizing().denormalize(x01);
+    (void)tb->evaluate(x, pdk::typical_corner(), {});
   }
   EXPECT_EQ(counts.dc_warm_hits, 0u);
-  EXPECT_EQ(counts.dc_warm_misses, 8u);  // (SAL + FIA + DRAM data0 + DRAM data1) x 2 models
-  EXPECT_EQ(counts.dc_warm_stores, 8u);
+  EXPECT_EQ(counts.dc_warm_misses, 4u);  // SAL + FIA + DRAM data0 + DRAM data1
+  EXPECT_EQ(counts.dc_warm_stores, 4u);
 }
 
 TEST(DcWarmStart, EngineSurfacesWarmStartCounters) {

@@ -4,38 +4,32 @@
 // mismatch draws come from tests/backend_parity_grid.hpp, so the printed
 // ratios correspond exactly to the points the test asserts.
 //
-// Arguments (in any order):
-//   h    — use the deterministic local-mismatch draw instead of nominal;
-//   ekv  — evaluate the SPICE backend with mos_model=ekv and append the
-//          cold low-voltage corner the ekv parity rows assert on.
+// The SPICE backend runs the solver's one channel model (EKV), and the
+// cold low-voltage corner the parity rows assert on is appended to the
+// grid's corners.  Argument `h`: use the deterministic local-mismatch draw
+// instead of nominal.
 #include <cstdio>
 #include <cstring>
 #include <vector>
 
 #include "backend_parity_grid.hpp"
 #include "circuits/registry.hpp"
-#include "spice/simulator.hpp"
 
 using namespace glova;
 
 int main(int argc, char** argv) {
   bool with_h = false;
-  bool ekv = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "h") == 0) with_h = true;
-    if (std::strcmp(argv[i], "ekv") == 0) ekv = true;
   }
-  spice::EvaluationContext context;
-  context.options.mos_model = ekv ? spice::MosModel::kEkv : spice::MosModel::kLevel1;
-  const spice::ScopedContext scope(context);
   for (const auto tc : circuits::all_testcases()) {
     const auto beh = circuits::make_testbench(tc, circuits::Backend::Behavioral);
     const auto spc = circuits::make_testbench(tc, circuits::Backend::Spice);
     const auto& sz = beh->sizing();
-    std::printf("=== %s (%s) ===\n", circuits::to_string(tc), ekv ? "ekv" : "level1");
+    std::printf("=== %s ===\n", circuits::to_string(tc));
     const auto grid = parity_grid::designs_x01(tc);
     auto corners = parity_grid::corners();
-    if (ekv) corners.push_back(parity_grid::cold_low_voltage_corner());
+    corners.push_back(parity_grid::cold_low_voltage_corner());
     for (std::size_t gi = 0; gi < grid.size(); ++gi) {
       const auto x = sz.denormalize(grid[gi]);
       const std::vector<double> h =
