@@ -19,6 +19,7 @@
 #include "rl/agent.hpp"
 #include "rl/ensemble_critic.hpp"
 #include "spice/lu.hpp"
+#include "spice/mos_model.hpp"
 #include "spice/simulator.hpp"
 #include "spice/warm_start.hpp"
 #include "stats/pearson.hpp"
@@ -122,13 +123,44 @@ static void BM_SpiceAssemblyOnly(benchmark::State& state) {
   spice::LuSolver solver;
   spice::DenseMatrix& g = solver.matrix(plan.unknown_count());
   std::vector<double> rhs(plan.unknown_count() + 1, 0.0);
+  spice::ChannelLanes lanes;
   for (auto _ : state) {
-    plan.stamp(xg, g, rhs);
+    plan.stamp(xg, g, rhs, lanes);
     benchmark::DoNotOptimize(g.data());
     benchmark::DoNotOptimize(rhs.data());
   }
 }
 BENCHMARK(BM_SpiceAssemblyOnly);
+
+static void BM_EkvChannel(benchmark::State& state) {
+  // The channel kernel over SAL's nine MOSFETs at their DC operating point:
+  // orient pass, one lane pass, finish pass — the channel work of one
+  // Newton iteration, without the stamping around it.
+  circuits::StrongArmLatchSpice sal;
+  const auto x = sal.sizing().denormalize(
+      std::vector<double>{0.2, 0.3, 0.2, 0.2, 0.2, 0.1, 0.2, 0, 0, 0, 0, 0, 0.05, 0.01});
+  const spice::Circuit ckt = sal.build_netlist(x, pdk::typical_corner(), {});
+  const spice::OpResult op = spice::Simulator(ckt).operating_point();
+  const std::vector<double>& v = op.node_voltages;
+  std::vector<spice::MosChannel> channels;
+  for (const spice::Mosfet& m : ckt.mosfets()) {
+    channels.push_back(spice::mos_channel(m.params, m.w_over_l()));
+  }
+  spice::ChannelLanes lanes;
+  for (auto _ : state) {
+    lanes.prepare(channels.size());
+    for (std::size_t i = 0; i < channels.size(); ++i) {
+      const spice::Mosfet& m = ckt.mosfets()[i];
+      lanes.orient(i, channels[i], v[m.gate], v[m.drain], v[m.source]);
+    }
+    lanes.evaluate();
+    for (std::size_t i = 0; i < channels.size(); ++i) {
+      benchmark::DoNotOptimize(lanes.finish(i, channels[i]));
+    }
+  }
+  state.counters["channels"] = static_cast<double>(channels.size());
+}
+BENCHMARK(BM_EkvChannel);
 
 static void BM_SpiceNewtonOp(benchmark::State& state) {
   // A full DC Newton solve (assembly + fused LU each iteration) on the SAL

@@ -66,6 +66,8 @@ struct TechnologyNominal {
 [[nodiscard]] double ekv_gm(const MosParams& p, double w_over_l, double vgs, double vds,
                             double temp_k);
 
+// Both below stay on libm on purpose: the behavioral FIA runs them (kPinnedRuns pins it).
+
 /// The smoothed overdrive used by ekv_id: 2 n vt ln(1 + exp(vov / (2 n vt))).
 [[nodiscard]] double ekv_overdrive(double vov, double temp_k);
 

@@ -115,10 +115,10 @@ std::string row_label(const Circuit& circuit, const StampPlan& plan, std::size_t
 /// computes the true KCL residual (plan state must still be the failing
 /// solve's begin_solve) and records the worst row's magnitude and label.
 void note_worst_residual(const Circuit& circuit, StampPlan& plan, std::span<const double> x,
-                         FailureReport& report) {
+                         ChannelLanes& lanes, FailureReport& report) {
   const std::size_t n = plan.unknown_count();
   std::vector<double> r(n + 1, 0.0);
-  plan.residual(x, r);
+  plan.residual(x, r, lanes);
   std::size_t worst = 0;
   double worst_abs = 0.0;
   for (std::size_t row = 0; row < n; ++row) {
@@ -345,8 +345,7 @@ StampPlan::StampPlan(const Circuit& circuit, const SimulatorOptions& options) {
     ms.mg = node_is_unknown(m.gate) ? 1.0 : 0.0;
     ms.md = node_is_unknown(m.drain) ? 1.0 : 0.0;
     ms.ms = node_is_unknown(m.source) ? 1.0 : 0.0;
-    ms.params = &m.params;
-    ms.w_over_l = m.w_over_l();
+    ms.channel = mos_channel(m.params, m.w_over_l());
     mosfets_.push_back(ms);
   }
 
@@ -398,16 +397,14 @@ void StampPlan::build_recovery(const Circuit& circuit, const SimulatorOptions& o
         terms.push_back(t);
       }
     }
-    for (const Mosfet& m : circuit.mosfets()) {
+    const std::vector<Mosfet>& mosfets = circuit.mosfets();
+    for (std::size_t mi = 0; mi < mosfets.size(); ++mi) {
+      const Mosfet& m = mosfets[mi];
       if (m.drain != p && m.source != p) continue;  // gates draw no current
       RecoveryTerm t;
       t.kind = RecoveryTerm::Kind::MosChannel;
       t.coeff = (m.drain == p ? 1.0 : 0.0) - (m.source == p ? 1.0 : 0.0);
-      t.params = &m.params;
-      t.w_over_l = m.w_over_l();
-      t.xg = x_slot(m.gate);
-      t.xd = x_slot(m.drain);
-      t.xs = x_slot(m.source);
+      t.index = mi;
       terms.push_back(t);
     }
     for (const CurrentSource& i : circuit.isources()) {
@@ -539,19 +536,31 @@ void StampPlan::load_static(DenseMatrix& g, std::span<double> rhs) const {
   std::copy(rhs_base_.begin(), rhs_base_.end(), rhs.begin());
 }
 
-void StampPlan::stamp(std::span<const double> x, DenseMatrix& g, std::span<double> rhs) const {
+void StampPlan::evaluate_channels(std::span<const double> x, ChannelLanes& lanes) const {
+  lanes.prepare(mosfets_.size());
+  for (std::size_t i = 0; i < mosfets_.size(); ++i) {
+    const MosStamp& ms = mosfets_[i];
+    lanes.orient(i, ms.channel, x[ms.xg], x[ms.xd], x[ms.xs]);
+  }
+  lanes.evaluate();
+}
+
+void StampPlan::stamp(std::span<const double> x, DenseMatrix& g, std::span<double> rhs,
+                      ChannelLanes& lanes) const {
   load_static(g, rhs);
+  evaluate_channels(x, lanes);
   double* gd = g.data();
   double* rd = rhs.data();
 
   // MOSFETs: companion model around the current Newton iterate.  Eliminated
   // rows/columns land in the scratch slots, so the loop has no branches
-  // beyond the device-region selection inside the linearization itself.
-  for (const MosStamp& ms : mosfets_) {
+  // beyond the source/drain orientation inside the finish pass.
+  for (std::size_t i = 0; i < mosfets_.size(); ++i) {
+    const MosStamp& ms = mosfets_[i];
     const double vg = x[ms.xg];
     const double vd = x[ms.xd];
     const double vs = x[ms.xs];
-    const MosLinearization lin = mos_linearize(*ms.params, ms.w_over_l, vg, vd, vs);
+    const MosLinearization lin = lanes.finish(i, ms.channel);
     // i(vg, vd, vs) ~ i0 + d_vg*(Vg - vg) + d_vd*(Vd - vd) + d_vs*(Vs - vs);
     // only unknown-terminal slopes stay on the left-hand side.
     const double i_eq = lin.i_ds - ms.mg * (lin.d_vg * vg) - ms.md * (lin.d_vd * vd) -
@@ -567,7 +576,8 @@ void StampPlan::stamp(std::span<const double> x, DenseMatrix& g, std::span<doubl
   }
 }
 
-void StampPlan::residual(std::span<const double> x, std::span<double> r) const {
+void StampPlan::residual(std::span<const double> x, std::span<double> r,
+                         ChannelLanes& lanes) const {
   // Static part: G_static x - rhs_base row by row.  Columns >= n_ of each
   // padded row are never written by any stamp, so the matvec can stop at n_.
   const double* g = static_g_.data();
@@ -582,18 +592,22 @@ void StampPlan::residual(std::span<const double> x, std::span<double> r) const {
   rd[n_] = 0.0;  // scratch slot absorbs eliminated-row device currents
   // Nonlinear part: each channel current leaves the drain node and enters
   // the source node (gates draw no current).
-  for (const MosStamp& ms : mosfets_) {
-    const double i = mos_current(*ms.params, ms.w_over_l, x[ms.xg], x[ms.xd], x[ms.xs]);
-    rd[ms.rhs_d] += i;
-    rd[ms.rhs_s] -= i;
+  evaluate_channels(x, lanes);
+  for (std::size_t i = 0; i < mosfets_.size(); ++i) {
+    const MosStamp& ms = mosfets_[i];
+    const double current = lanes.finish(i, ms.channel).i_ds;
+    rd[ms.rhs_d] += current;
+    rd[ms.rhs_s] -= current;
   }
 }
 
 void StampPlan::vsource_currents(std::span<const double> x, std::span<const double> cap_current,
-                                 double time, double source_scale, std::span<double> out) const {
+                                 double time, double source_scale, std::span<double> out,
+                                 ChannelLanes& lanes) const {
   for (std::size_t si = 0; si < vsrc_branch_.size(); ++si) {
     if (vsrc_branch_[si] != kNoSlot) out[si] = x[vsrc_branch_[si]];
   }
+  if (!pinned_.empty()) evaluate_channels(x, lanes);
   for (std::size_t pi = 0; pi < pinned_.size(); ++pi) {
     double sum = 0.0;
     for (const RecoveryTerm& t : recovery_[pi]) {
@@ -605,7 +619,7 @@ void StampPlan::vsource_currents(std::span<const double> x, std::span<const doub
           if (!cap_current.empty()) sum += t.coeff * cap_current[t.index];
           break;
         case RecoveryTerm::Kind::MosChannel:
-          sum += t.coeff * mos_current(*t.params, t.w_over_l, x[t.xg], x[t.xd], x[t.xs]);
+          sum += t.coeff * lanes.finish(t.index, mosfets_[t.index].channel).i_ds;
           break;
         case RecoveryTerm::Kind::SourceCurrent:
           sum += t.coeff * t.waveform->value(time) * source_scale;
@@ -680,7 +694,7 @@ bool newton_solve_plan(StampPlan& plan, const SimulatorOptions& options,
   bool wreck_matrix = fault != nullptr && fault->kind == FaultPlan::Kind::SingularMatrix;
   DenseMatrix& g = ws.solver.matrix(n);
   for (int it = 0; it < options.max_newton_iterations; ++it) {
-    plan.stamp(x, g, ws.rhs);
+    plan.stamp(x, g, ws.rhs, ws.channels);
     if (poison_rhs) {
       ws.rhs[0] = std::numeric_limits<double>::quiet_NaN();
       poison_rhs = false;
@@ -836,12 +850,12 @@ OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
     result.node_voltages.assign(n_nodes, 0.0);
     for (NodeId nd = 1; nd < n_nodes; ++nd) result.node_voltages[nd] = x[plan.x_slot(nd)];
     result.vsource_currents.assign(n_vsrc, 0.0);
-    plan.vsource_currents(x, {}, time, 1.0, result.vsource_currents);
+    plan.vsource_currents(x, {}, time, 1.0, result.vsource_currents, ws.channels);
   } else if (failure != nullptr) {
     failure->stage = deadline_hit ? FailureStage::Deadline : FailureStage::DcOperatingPoint;
     failure->time = time;
     failure->attempts = recovery_attempts;
-    note_worst_residual(circuit, plan, x, *failure);
+    note_worst_residual(circuit, plan, x, ws.channels, *failure);
     if (deadline_hit) note(&SpiceCounterBlock::deadline_aborts);
   }
   return result;
@@ -929,7 +943,7 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
     for (const NodeId nd : record_nodes) result.traces[ti++].values.push_back(voltage_of(solution, nd));
     if (n_vsrc_ > 0) {
       if (recover_currents) {
-        plan_.vsource_currents(solution, cap_current, time, 1.0, vsrc_i);
+        plan_.vsource_currents(solution, cap_current, time, 1.0, vsrc_i, workspace_->channels);
       } else {
         std::fill(vsrc_i.begin(), vsrc_i.end(), 0.0);
       }
@@ -1097,7 +1111,9 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
       note_lte_steps(result);
       result.failure.stage = FailureStage::Deadline;
       result.failure.time = t_next;
-      if (!solved) note_worst_residual(circuit_, plan_, x_trial, result.failure);
+      if (!solved) {
+        note_worst_residual(circuit_, plan_, x_trial, workspace_->channels, result.failure);
+      }
       note(&SpiceCounterBlock::deadline_aborts);
       result.error = result.failure.to_string();
       return result;
@@ -1106,7 +1122,7 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
       if (dt_eff <= dt_min * (1.0 + 1e-9)) {
         FailureReport report;
         report.time = t_next;
-        note_worst_residual(circuit_, plan_, x_trial, report);
+        note_worst_residual(circuit_, plan_, x_trial, workspace_->channels, report);
         bool deadline_hit = false;
         bool rescued = false;
         if (options_.recovery.enabled) {

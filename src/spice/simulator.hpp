@@ -11,10 +11,10 @@
 // Assembly is driven by a compiled StampPlan: the circuit is walked once at
 // Simulator construction and every stamp is resolved to a flat index into
 // the matrix/RHS storage.  Each Newton iteration then reduces to one memcpy
-// of a cached static matrix, one memcpy of a per-timestep RHS base, and a
-// tight MOSFET companion pass with no per-stamp ground checks (ground and
-// pinned rows/columns target write-only scratch slots appended to the
-// storage).
+// of a cached static matrix, one memcpy of a per-timestep RHS base, one
+// pass of the channel kernel over every MOSFET (mos_model.hpp), and a tight
+// companion stamp pass with no per-stamp ground checks (ground and pinned
+// rows/columns target write-only scratch slots appended to the storage).
 //
 // Structure awareness: a node tied to ground through an ideal voltage
 // source has a known voltage, so the plan absorbs it — the node unknown and
@@ -36,6 +36,7 @@
 
 #include "spice/circuit.hpp"
 #include "spice/lu.hpp"
+#include "spice/mos_model.hpp"
 
 namespace glova::spice {
 
@@ -351,11 +352,13 @@ class StampPlan {
   void load_pinned(std::span<double> x) const;
 
   /// One Newton iteration's assembly: copy the cached static parts into
-  /// `g` / `rhs`, then stamp the MOSFET companion models around iterate `x`.
+  /// `g` / `rhs`, then stamp the MOSFET companion models around iterate `x`,
+  /// every channel evaluated in one pass of the channel kernel on `lanes`.
   /// `x` must have padded_size() entries with the pinned/ground tail loaded
   /// via load_pinned(); `rhs` needs unknown_count() + 1 entries; `g` must be
   /// sized to unknown_count().
-  void stamp(std::span<const double> x, DenseMatrix& g, std::span<double> rhs) const;
+  void stamp(std::span<const double> x, DenseMatrix& g, std::span<double> rhs,
+             ChannelLanes& lanes) const;
 
   /// True nonlinear KCL residual at iterate `x` for the current solve:
   /// r = G_static * x + i_mos(x) - rhs_base, row for row the amount by which
@@ -363,15 +366,17 @@ class StampPlan {
   /// the worst row of a failed iterate.  Must be called between
   /// begin_solve() and the next begin_solve(); `x` as in stamp(); `r` needs
   /// unknown_count() + 1 entries (trailing scratch slot).
-  void residual(std::span<const double> x, std::span<double> r) const;
+  void residual(std::span<const double> x, std::span<double> r, ChannelLanes& lanes) const;
 
   /// Fill `out[si]` with the branch current of every independent voltage
   /// source: read from the solution for branch-form sources, recovered from
   /// KCL at the pinned node for absorbed ones.  `cap_current` may be empty
   /// (operating point: capacitors open).  `time`/`source_scale` evaluate
-  /// current-source waveforms appearing in the recovery sums.
+  /// current-source waveforms appearing in the recovery sums.  The channel
+  /// currents come from one pass of the channel kernel on `lanes`.
   void vsource_currents(std::span<const double> x, std::span<const double> cap_current,
-                        double time, double source_scale, std::span<double> out) const;
+                        double time, double source_scale, std::span<double> out,
+                        ChannelLanes& lanes) const;
 
  private:
   struct LinearStamp {
@@ -379,15 +384,14 @@ class StampPlan {
     double value;
   };
   /// One MOSFET's resolved stamp targets: Jacobian / RHS / iterate-read
-  /// slots plus the hoisted device parameters.
+  /// slots plus its channel constants.
   struct MosStamp {
     std::size_t j_dg, j_dd, j_ds;  ///< drain-row Jacobian slots
     std::size_t j_sg, j_sd, j_ss;  ///< source-row Jacobian slots
     std::size_t rhs_d, rhs_s;
     std::size_t xg, xd, xs;        ///< padded solution reads
     double mg, md, ms;             ///< 1.0 iff that terminal is an unknown node
-    const pdk::MosParams* params;
-    double w_over_l;               ///< hoisted out of the Newton loop
+    MosChannel channel;            ///< hoisted out of the Newton loop
   };
   /// Static matrix entry whose column is a pinned node: the known voltage
   /// contribution goes to the RHS base instead (rhs[row] += coeff * V_pin).
@@ -423,7 +427,7 @@ class StampPlan {
     enum class Kind : std::uint8_t {
       Conductance,    ///< coeff * (x[xa] - x[xb])   (resistors, gmin, VCCS)
       CapCurrent,     ///< coeff * cap_current[index]
-      MosChannel,     ///< coeff * i_ds(x)           (drain +1 / source -1)
+      MosChannel,     ///< coeff * i_ds(x) of mosfets_[index] (drain +1 / source -1)
       SourceCurrent,  ///< coeff * waveform(t) * scale
       BranchCurrent,  ///< coeff * x[index]          (neighbor V/E branch)
     };
@@ -431,9 +435,6 @@ class StampPlan {
     double coeff = 0.0;
     std::size_t xa = 0, xb = 0;
     std::size_t index = 0;
-    const pdk::MosParams* params = nullptr;
-    double w_over_l = 0.0;
-    std::size_t xg = 0, xd = 0, xs = 0;
     const Waveform* waveform = nullptr;
   };
 
@@ -453,6 +454,9 @@ class StampPlan {
   void route_static_row(std::vector<LinearStamp>& out, std::size_t row_unknown, NodeId col,
                         double value);
   void append_conductance(NodeId a, NodeId b, double cond);
+  /// Orient and lane passes of the channel kernel for every MOSFET at
+  /// iterate `x`; finish() on `lanes` then yields each linearization.
+  void evaluate_channels(std::span<const double> x, ChannelLanes& lanes) const;
   void build_recovery(const Circuit& circuit, const SimulatorOptions& options);
 
   std::size_t n_ = 0;         ///< solved unknowns
@@ -490,17 +494,19 @@ class StampPlan {
 
 /// Reusable scratch buffers for the Newton loop: the padded RHS, the solver
 /// (which owns the assembly-target matrix, its factorization, and the
-/// permutation), and the iterate produced by each solve.  Every buffer is
-/// fully overwritten before use, so sharing a workspace across solves,
-/// timesteps, and even different circuits never changes results — it only
-/// removes the per-solve heap traffic.  A workspace is single-threaded
-/// state: use one per thread.
+/// permutation), the iterate produced by each solve, and the channel
+/// kernel's lanes.  Every buffer is fully overwritten before use, so sharing
+/// a workspace across solves, timesteps, and even different circuits never
+/// changes results — it only removes the per-solve heap traffic.  A
+/// workspace is single-threaded state: use one per thread.
 struct SimulatorWorkspace {
   std::vector<double> rhs;    ///< unknown_count() + 1, scratch slot last
   std::vector<double> x_new;
   LuSolver solver;
+  ChannelLanes channels;
 
-  /// Size every buffer for an n-unknown system, reusing capacity.
+  /// Size the RHS and iterate for an n-unknown system, reusing capacity
+  /// (each StampPlan pass sizes the channel lanes for its own MOSFETs).
   void prepare(std::size_t n);
 };
 

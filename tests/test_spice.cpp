@@ -3,11 +3,15 @@
 // parser, and waveform measurements.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
 #include <span>
+#include <stdexcept>
 #include <utility>
+#include <vector>
 
 #include "common/rng.hpp"
 #include "common/units.hpp"
@@ -164,8 +168,8 @@ TEST(Op, CmosInverterTransfersCorrectly) {
 TEST(Op, NmosReversedBiasSwapsSourceAndDrain) {
   const pdk::MosParams params = pdk::mos_params(false, pdk::typical_corner(), 60e-9);
   const double w_over_l = 1e-6 / 60e-9;
-  const MosLinearization fwd = nmos_linearize(params, w_over_l, 0.9, 0.9, 0.0);
-  const MosLinearization rev = nmos_linearize(params, w_over_l, 0.9, 0.0, 0.9);
+  const MosLinearization fwd = mos_linearize(params, w_over_l, 0.9, 0.9, 0.0);
+  const MosLinearization rev = mos_linearize(params, w_over_l, 0.9, 0.0, 0.9);
   EXPECT_DOUBLE_EQ(rev.i_ds, -fwd.i_ds);
   // Swapping terminals swaps the roles of the drain/source derivatives:
   // the low terminal sees gm + gds, mirroring -d_vs of the forward bias.
@@ -202,7 +206,7 @@ TEST(Op, NmosReversedBiasSwapsSourceAndDrain) {
 TEST(Op, PassGateAtEqualBiasKeepsChannelConductance) {
   const pdk::MosParams params = pdk::mos_params(false, pdk::typical_corner(), 60e-9);
   const double w_over_l = 1e-6 / 60e-9;
-  const MosLinearization lin = nmos_linearize(params, w_over_l, 0.9, 0.45, 0.45);
+  const MosLinearization lin = mos_linearize(params, w_over_l, 0.9, 0.45, 0.45);
   EXPECT_DOUBLE_EQ(lin.i_ds, 0.0);
   EXPECT_GT(lin.d_vd, 0.0) << "channel conductance lost at vds == 0";
 
@@ -225,7 +229,8 @@ TEST(Op, PassGateAtEqualBiasKeepsChannelConductance) {
 // exp(-z), so the EKV interpolation collapses onto the square law (the
 // Level-1 reference, nmos_square_law).  Points are chosen with every
 // half-charge argument above ~8 characteristic voltages, which puts the
-// analytic disagreement below 0.1%.
+// analytic disagreement below 0.1%.  With the source grounded and vd >= 0,
+// mos_linearize's (i_ds, d_vg, d_vd) is the NMOS (id, gm, gds).
 TEST(MosModels, EkvMatchesLevel1InStrongInversion) {
   const pdk::MosParams p = pdk::mos_params(false, pdk::typical_corner(), 100e-9);
   const double w_over_l = 10.0;
@@ -239,10 +244,12 @@ TEST(MosModels, EkvMatchesLevel1InStrongInversion) {
   };
   for (const auto& pt : points) {
     const NmosEval l1 = nmos_square_law(p, w_over_l, pt.vgs, pt.vds);
-    const NmosEval ekv = nmos_ekv(p, w_over_l, pt.vgs, pt.vds);
-    EXPECT_NEAR(ekv.id, l1.id, 1e-3 * std::abs(l1.id)) << "vgs " << pt.vgs << " vds " << pt.vds;
-    EXPECT_NEAR(ekv.gm, l1.gm, 1e-3 * std::abs(l1.gm)) << "vgs " << pt.vgs << " vds " << pt.vds;
-    EXPECT_NEAR(ekv.gds, l1.gds, 1e-3 * std::abs(l1.gds))
+    const MosLinearization ekv = mos_linearize(p, w_over_l, pt.vgs, pt.vds, 0.0);
+    EXPECT_NEAR(ekv.i_ds, l1.id, 1e-3 * std::abs(l1.id))
+        << "vgs " << pt.vgs << " vds " << pt.vds;
+    EXPECT_NEAR(ekv.d_vg, l1.gm, 1e-3 * std::abs(l1.gm))
+        << "vgs " << pt.vgs << " vds " << pt.vds;
+    EXPECT_NEAR(ekv.d_vd, l1.gds, 1e-3 * std::abs(l1.gds))
         << "vgs " << pt.vgs << " vds " << pt.vds;
   }
 }
@@ -255,13 +262,281 @@ TEST(MosModels, EkvConductsInWeakInversion) {
   const double w_over_l = 10.0;
   const double vgs = p.vth - 0.2;  // ~3 v_char below threshold: sig/sp within 3% of 1
   const NmosEval l1 = nmos_square_law(p, w_over_l, vgs, 0.5);
-  const NmosEval ekv = nmos_ekv(p, w_over_l, vgs, 0.5);
+  const MosLinearization ekv = mos_linearize(p, w_over_l, vgs, 0.5, 0.0);
   EXPECT_EQ(l1.id, 0.0);
-  EXPECT_GT(ekv.id, 0.0);
-  EXPECT_GT(ekv.gm, 0.0);
-  EXPECT_GT(ekv.gds, 0.0);  // the reverse half-charge keeps gds alive
+  EXPECT_GT(ekv.i_ds, 0.0);
+  EXPECT_GT(ekv.d_vg, 0.0);
+  EXPECT_GT(ekv.d_vd, 0.0);  // the reverse half-charge keeps gds alive
   const double n_vt = pdk::kEkvSlopeFactor * units::thermal_voltage(p.temp_k);
-  EXPECT_NEAR(ekv.gm, ekv.id / n_vt, 0.05 * ekv.gm);
+  EXPECT_NEAR(ekv.d_vg, ekv.i_ds / n_vt, 0.05 * ekv.d_vg);
+}
+
+/// Units in the last place between two finite doubles, on the ordered
+/// integer line of their bit patterns (0 for equal values, +0 == -0).
+std::int64_t ulp_distance(double a, double b) {
+  const auto ordered = [](double v) {
+    const auto bits = std::bit_cast<std::int64_t>(v);
+    return bits < 0 ? std::numeric_limits<std::int64_t>::min() - bits : bits;
+  };
+  return a == b ? 0 : std::abs(ordered(a) - ordered(b));
+}
+
+/// `z` padded with zero lanes to the kernel's lane width.
+std::vector<double> padded_lanes(std::vector<double> z) {
+  z.resize((z.size() + kChannelLaneWidth - 1) / kChannelLaneWidth * kChannelLaneWidth, 0.0);
+  return z;
+}
+
+// The lane pass against glibc on a dense grid over [-40, 40] that crosses
+// both cutoffs, plus the lanes either side of +-30 to the last ulp: within
+// 4 ulp of log1p(exp(z)) and 2 ulp of ez / (1 + ez) between the cutoffs,
+// the asymptotes exactly beyond them, NaN through, and zero rather than a
+// subnormal below z = -708 (glibc's exp goes subnormal there).
+TEST(MosModels, ChannelKernelMatchesLibm) {
+  constexpr std::int64_t kSoftplusUlp = 4;
+  constexpr std::int64_t kSigmoidUlp = 2;
+  std::vector<double> z;
+  constexpr int kSteps = 1600000;
+  for (int i = 0; i <= kSteps; ++i) z.push_back(-40.0 + 80.0 * i / kSteps);
+  for (const double cut : {30.0, -30.0}) {
+    z.push_back(cut);
+    z.push_back(std::nextafter(cut, 0.0));
+    z.push_back(std::nextafter(cut, 2.0 * cut));
+  }
+  const std::size_t count = z.size();
+  z = padded_lanes(z);
+  std::vector<double> sp(z.size());
+  std::vector<double> sig(z.size());
+  softplus_sigmoid(z, sp, sig);
+
+  std::int64_t worst_sp = 0;
+  std::int64_t worst_sig = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const double zi = z[i];
+    if (zi > 30.0) {
+      ASSERT_EQ(sp[i], zi) << "z = " << zi;
+      ASSERT_EQ(sig[i], 1.0) << "z = " << zi;
+    } else if (zi < -30.0) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(sp[i]), std::bit_cast<std::uint64_t>(sig[i]))
+          << "z = " << zi;
+      worst_sp = std::max(worst_sp, ulp_distance(sp[i], std::exp(zi)));
+    } else {
+      const double ez = std::exp(zi);
+      worst_sp = std::max(worst_sp, ulp_distance(sp[i], std::log1p(ez)));
+      worst_sig = std::max(worst_sig, ulp_distance(sig[i], ez / (1.0 + ez)));
+    }
+  }
+  EXPECT_LE(worst_sp, kSoftplusUlp);
+  EXPECT_LE(worst_sig, kSigmoidUlp);
+
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> special = padded_lanes({nan, inf, -inf, -707.9, -708.0, -708.2, -708.4,
+                                              -720.0, -745.1, -800.0, -1e300});
+  std::vector<double> sp_special(special.size());
+  std::vector<double> sig_special(special.size());
+  softplus_sigmoid(special, sp_special, sig_special);
+  EXPECT_TRUE(std::isnan(sp_special[0]));
+  EXPECT_TRUE(std::isnan(sig_special[0]));
+  EXPECT_EQ(sp_special[1], inf);
+  EXPECT_EQ(sig_special[1], 1.0);
+  for (std::size_t i = 2; i < 11; ++i) {
+    EXPECT_NE(std::fpclassify(sp_special[i]), FP_SUBNORMAL) << "z = " << special[i];
+    EXPECT_NE(std::fpclassify(sig_special[i]), FP_SUBNORMAL) << "z = " << special[i];
+    EXPECT_GE(sp_special[i], 0.0) << "z = " << special[i];
+    if (special[i] < -708.0) {
+      EXPECT_EQ(sp_special[i], 0.0) << "z = " << special[i];
+      EXPECT_EQ(sig_special[i], 0.0) << "z = " << special[i];
+    } else {
+      EXPECT_LE(ulp_distance(sp_special[i], std::exp(special[i])), kSoftplusUlp);
+    }
+  }
+  std::vector<double> unpadded(3);
+  EXPECT_THROW(softplus_sigmoid(unpadded, unpadded, unpadded), std::invalid_argument);
+}
+
+// Pins the kernel's bits: one FNV-1a digest over the lane pass on a fixed z
+// grid and over mos_linearize on a fixed bias grid, both polarities and
+// both orientations.  The parameters are literals (no libm on the way in),
+// so the digest depends on the kernel alone: builds with
+// GLOVA_SPICE_NATIVE_KERNELS ON and OFF must both reproduce it, which shows
+// the vector lanes compute the portable build's bits.  Re-pin it only on a
+// deliberate change to the channel arithmetic.
+TEST(MosModels, ChannelKernelDigestIsPinned) {
+  std::uint64_t hash = 1469598103934665603ull;
+  const auto mix = [&hash](double v) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (bits >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  };
+  std::vector<double> z;
+  for (int i = -800; i <= 800; ++i) z.push_back(i / 16.0);
+  for (const double v : {30.0, -30.0, -707.5, -708.0, -709.0, 1e-300, -1e-300}) {
+    z.push_back(v);
+    z.push_back(std::nextafter(v, 0.0));
+  }
+  z = padded_lanes(z);
+  std::vector<double> sp(z.size());
+  std::vector<double> sig(z.size());
+  softplus_sigmoid(z, sp, sig);
+  for (std::size_t i = 0; i < z.size(); ++i) {
+    mix(sp[i]);
+    mix(sig[i]);
+  }
+
+  pdk::MosParams nmos;
+  nmos.vth = 0.38;
+  nmos.kp = 350e-6;
+  nmos.lambda = 0.12;
+  nmos.temp_k = 300.0;
+  pdk::MosParams pmos_cold = nmos;
+  pmos_cold.is_pmos = true;
+  pmos_cold.vth = 0.47;
+  pmos_cold.kp = 180e-6;
+  pmos_cold.temp_k = 233.15;
+  for (const pdk::MosParams& p : {nmos, pmos_cold}) {
+    for (int g = 0; g <= 9; ++g) {
+      for (int d = 0; d <= 9; ++d) {
+        for (int s = 0; s <= 9; ++s) {
+          const MosLinearization lin = mos_linearize(p, 7.5, 0.1 * g, 0.1 * d, 0.1 * s);
+          mix(lin.i_ds);
+          mix(lin.d_vg);
+          mix(lin.d_vd);
+          mix(lin.d_vs);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0x20daa0a92e56f5e6ull) << std::hex << "digest 0x" << hash;
+}
+
+/// Inverter-pair circuit for the plan tests: two grounded sources (VDD, VIN)
+/// pin their nodes, three nodes are unknowns, and the seven MOSFETs cover
+/// both polarities, forward and swapped channels, and terminals on unknown,
+/// pinned and ground nodes.  `with_mosfets = false` builds the same nodes
+/// and linear elements only, so its stamp is the static part of the other.
+Circuit channel_test_circuit(bool with_mosfets) {
+  const pdk::MosParams nmos = pdk::mos_params(false, pdk::typical_corner(), 60e-9);
+  const pdk::MosParams pmos = pdk::mos_params(true, pdk::typical_corner(), 60e-9);
+  Circuit ckt;
+  const NodeId vdd = ckt.node("vdd");
+  const NodeId in = ckt.node("in");
+  const NodeId a = ckt.node("a");
+  const NodeId b = ckt.node("b");
+  const NodeId c = ckt.node("c");
+  const NodeId gnd = Circuit::ground();
+  ckt.add_vsource("VDD", vdd, gnd, Waveform::dc(0.9));
+  ckt.add_vsource("VIN", in, gnd, Waveform::dc(0.5));
+  ckt.add_resistor("RC", c, gnd, 20e3);
+  if (with_mosfets) {
+    ckt.add_mosfet("M1", a, in, gnd, nmos, 1e-6, 60e-9);
+    ckt.add_mosfet("M2", a, in, vdd, pmos, 2e-6, 60e-9);
+    ckt.add_mosfet("M3", b, a, c, nmos, 1.5e-6, 60e-9);
+    ckt.add_mosfet("M4", c, b, vdd, pmos, 2e-6, 90e-9);
+    ckt.add_mosfet("M5", vdd, b, c, nmos, 1e-6, 60e-9);
+    ckt.add_mosfet("M6", c, vdd, b, nmos, 0.5e-6, 60e-9);  // vd < vs: swapped
+    ckt.add_mosfet("M7", vdd, a, b, pmos, 1e-6, 60e-9);    // mirrored vd < vs: swapped
+  }
+  return ckt;
+}
+
+/// Padded iterate for `plan` at a = 0.3, b = 0.7, c = 0.1 V, pinned tail loaded.
+std::vector<double> channel_test_iterate(const Circuit& ckt, StampPlan& plan) {
+  AssemblyInputs in;
+  in.mode = AnalysisMode::Op;
+  plan.begin_solve(in);
+  std::vector<double> x(plan.padded_size(), 0.0);
+  x[plan.x_slot(ckt.find_node("a"))] = 0.3;
+  x[plan.x_slot(ckt.find_node("b"))] = 0.7;
+  x[plan.x_slot(ckt.find_node("c"))] = 0.1;
+  plan.load_pinned(x);
+  return x;
+}
+
+// One lane pass over every channel stamps exactly what per-device one-lane
+// mos_linearize calls stamp, entry for entry and bit for bit.
+TEST(ChannelKernel, PlanStampEqualsPerDeviceLinearizationBitForBit) {
+  const Circuit ckt = channel_test_circuit(true);
+  const Circuit linear = channel_test_circuit(false);
+  StampPlan plan(ckt, {});
+  StampPlan linear_plan(linear, {});
+  const std::vector<double> x = channel_test_iterate(ckt, plan);
+  ASSERT_EQ(channel_test_iterate(linear, linear_plan), x);
+  const std::size_t n = plan.unknown_count();
+  ASSERT_EQ(n, 3u);
+
+  DenseMatrix g(n);
+  std::vector<double> rhs(n + 1);
+  ChannelLanes lanes;
+  plan.stamp(x, g, rhs, lanes);
+
+  DenseMatrix want(n);
+  std::vector<double> want_rhs(n + 1);
+  linear_plan.stamp(x, want, want_rhs, lanes);
+  const auto unknown = [&](NodeId node) { return plan.node_is_unknown(node); };
+  const auto add = [&](NodeId row, NodeId col, double value) {
+    if (unknown(row) && unknown(col)) want.at(plan.x_slot(row), plan.x_slot(col)) += value;
+  };
+  for (const Mosfet& m : ckt.mosfets()) {
+    const double vg = x[plan.x_slot(m.gate)];
+    const double vd = x[plan.x_slot(m.drain)];
+    const double vs = x[plan.x_slot(m.source)];
+    const MosLinearization lin = mos_linearize(m.params, m.w_over_l(), vg, vd, vs);
+    const double mg = unknown(m.gate) ? 1.0 : 0.0;
+    const double md = unknown(m.drain) ? 1.0 : 0.0;
+    const double ms = unknown(m.source) ? 1.0 : 0.0;
+    const double i_eq =
+        lin.i_ds - mg * (lin.d_vg * vg) - md * (lin.d_vd * vd) - ms * (lin.d_vs * vs);
+    add(m.drain, m.gate, lin.d_vg);
+    add(m.drain, m.drain, lin.d_vd);
+    add(m.drain, m.source, lin.d_vs);
+    if (unknown(m.drain)) want_rhs[plan.x_slot(m.drain)] -= i_eq;
+    add(m.source, m.gate, -lin.d_vg);
+    add(m.source, m.drain, -lin.d_vd);
+    add(m.source, m.source, -lin.d_vs);
+    if (unknown(m.source)) want_rhs[plan.x_slot(m.source)] += i_eq;
+  }
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) {
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(g.at(r, c)),
+                std::bit_cast<std::uint64_t>(want.at(r, c)))
+          << "G(" << r << ", " << c << ")";
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(rhs[r]), std::bit_cast<std::uint64_t>(want_rhs[r]))
+        << "rhs(" << r << ")";
+  }
+}
+
+// An absorbed source's recovered branch current is the KCL sum at its node
+// (gmin first, then each channel touching it in circuit order) of the
+// scalar one-lane channel currents, bit for bit.
+TEST(ChannelKernel, VsourceCurrentsEqualScalarChannelSumBitForBit) {
+  const Circuit ckt = channel_test_circuit(true);
+  const SimulatorOptions options;
+  StampPlan plan(ckt, options);
+  const std::vector<double> x = channel_test_iterate(ckt, plan);
+  ASSERT_EQ(plan.pinned_count(), 2u);
+  std::vector<double> out(ckt.vsources().size());
+  ChannelLanes lanes;
+  plan.vsource_currents(x, {}, 0.0, 1.0, out, lanes);
+
+  int channels_summed = 0;
+  for (std::size_t si = 0; si < ckt.vsources().size(); ++si) {
+    const NodeId p = ckt.vsources()[si].pos;
+    double sum = options.gmin * (x[plan.x_slot(p)] - 0.0);
+    for (const Mosfet& m : ckt.mosfets()) {
+      if (m.drain != p && m.source != p) continue;
+      const double coeff = (m.drain == p ? 1.0 : 0.0) - (m.source == p ? 1.0 : 0.0);
+      sum += coeff * mos_current(m.params, m.w_over_l(), x[plan.x_slot(m.gate)],
+                                 x[plan.x_slot(m.drain)], x[plan.x_slot(m.source)]);
+      ++channels_summed;
+    }
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(out[si]), std::bit_cast<std::uint64_t>(-sum))
+        << ckt.vsources()[si].name;
+  }
+  EXPECT_EQ(channels_summed, 4);  // M2, M4, M5 and M7 at VDD
 }
 
 TEST(Transient, RcDischargeMatchesAnalytic) {
