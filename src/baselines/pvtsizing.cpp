@@ -4,190 +4,44 @@
 #include <limits>
 #include <utility>
 
-#include "common/state_io.hpp"
 #include "core/reward.hpp"
-#include "core/verifier.hpp"
 #include "opt/turbo.hpp"
-#include "pdk/variation.hpp"
-#include "rl/agent.hpp"
 
 namespace glova::baselines {
 
-using core::kSuccessReward;
-
-struct PvtSizingOptimizer::Session {
-  core::EvaluationEngine service;
-  Rng rng;
-  Rng mc_rng{0};
-  std::unique_ptr<rl::RiskSensitiveAgent> agent;
-  rl::WorstCaseReplayBuffer buffer;
-  rl::LastWorstBuffer last_worst;
-  std::unique_ptr<core::Verifier> verifier;
-  std::vector<double> x_last;
-  std::size_t iter = 0;
-
-  Session(circuits::TestbenchPtr testbench, const PvtSizingConfig& config,
-          std::size_t corner_count)
-      : service(std::move(testbench), config.engine),
-        rng(config.seed),
-        last_worst(corner_count) {}
-};
-
+// Risk-neutral critic (one Q network, beta1 = 0); verification without the
+// mu-sigma gate or reordering.
 PvtSizingOptimizer::PvtSizingOptimizer(circuits::TestbenchPtr testbench, PvtSizingConfig config)
-    : testbench_(std::move(testbench)),
-      config_(config),
-      op_config_(core::OperationalConfig::for_method(config.method, config.n_opt_samples,
-                                                     config.corner_filter)) {}
-
-PvtSizingOptimizer::~PvtSizingOptimizer() = default;
-
-const core::EvaluationEngine* PvtSizingOptimizer::engine_ptr() const {
-  return s_ ? &s_->service : nullptr;
-}
-
-rl::AgentConfig PvtSizingOptimizer::agent_config() const {
-  rl::AgentConfig agent_cfg;
-  agent_cfg.critic.ensemble_size = 1;
-  agent_cfg.critic.beta1 = 0.0;
-  agent_cfg.critic.hidden = config_.hidden;
-  agent_cfg.hidden = config_.hidden;
-  agent_cfg.batch_size = config_.batch_size;
-  return agent_cfg;
-}
-
-core::VerifierOptions PvtSizingOptimizer::verifier_options() const {
-  core::VerifierOptions vopts;
-  vopts.use_mu_sigma = false;
-  vopts.use_reordering = false;
-  return vopts;
-}
-
-void PvtSizingOptimizer::do_save_state(std::ostream& os) const {
-  const Session& s = *s_;
-  os << "pvtsizing " << s.iter << '\n';
-  os << "rng " << s.rng.save() << '\n';
-  os << "mc_rng " << s.mc_rng.save() << '\n';
-  state::write_doubles(os, "x_last", s.x_last);
-  s.buffer.save(os);
-  s.last_worst.save(os);
-  s.agent->save(os);
-  s.service.save_state(os);
-}
-
-void PvtSizingOptimizer::do_load_state(std::istream& is) {
-  s_ = std::make_unique<Session>(testbench_, config_, op_config_.corner_count());
-  Session& s = *s_;
-  s.iter = state::parse_u64(state::expect_line(is, "pvtsizing"), "PVTSizing iteration");
-  s.rng.restore(state::expect_line(is, "rng"));
-  s.mc_rng.restore(state::expect_line(is, "mc_rng"));
-  s.x_last = state::read_doubles(is, "x_last");
-  s.buffer.load(is);
-  s.last_worst.load(is);
-  // Placeholder construction: agent->load overwrites all of it.
-  const std::size_t p = testbench_->sizing().dimension();
-  s.agent = std::make_unique<rl::RiskSensitiveAgent>(p, agent_config(), s.rng.split(0xA6E7));
-  s.agent->load(is);
-  s.verifier = std::make_unique<core::Verifier>(s.service, op_config_, verifier_options());
-  s.service.load_state(is);
-}
+    : core::Optimizer(std::move(testbench), config, 1, 0.0,
+                      core::VerifierOptions{.use_mu_sigma = false, .use_reordering = false}),
+      config_(std::move(config)) {}
 
 void PvtSizingOptimizer::do_start() {
-  s_ = std::make_unique<Session>(testbench_, config_, op_config_.corner_count());
-  Session& s = *s_;
-  core::EvaluationEngine& service = s.service;
-  const circuits::SizingSpec& sizing = testbench_->sizing();
-  const circuits::PerformanceSpec& spec = testbench_->performance();
-  const std::size_t p = sizing.dimension();
-
-  // --- TuRBO initial sampling at the typical condition (shared with GLOVA).
-  opt::TurboConfig turbo_cfg;
-  turbo_cfg.n_init = std::max<std::size_t>(8, p);
-  opt::Turbo turbo(p, turbo_cfg, s.rng.split(0x7B0));
-  const pdk::PvtCorner typical = pdk::typical_corner();
-  const std::size_t turbo_min = std::min<std::size_t>(turbo_cfg.n_init + 4, config_.turbo_budget);
-  while (service.simulation_count() < config_.turbo_budget) {
-    const auto points = turbo.ask(1);
-    std::vector<double> values;
-    for (const auto& x01 : points) {
-      const auto x = sizing.denormalize(x01);
-      values.push_back(core::reward_from_metrics(spec, service.evaluate_one(x, typical, {})));
-    }
-    turbo.tell(points, values);
-    if (turbo.best_value() >= kSuccessReward && service.simulation_count() >= turbo_min) break;
-  }
-  result_.turbo_evaluations = service.simulation_count();
-
-  // --- risk-neutral agent: single critic, beta1 = 0.
-  s.agent = std::make_unique<rl::RiskSensitiveAgent>(p, agent_config(), s.rng.split(0xA6E7));
-
-  // Verification without the mu-sigma gate or reordering.
-  s.verifier = std::make_unique<core::Verifier>(service, op_config_, verifier_options());
-
+  Session& s = session();
+  // TuRBO initial sampling at the typical condition (shared with GLOVA).
+  const opt::Turbo turbo = turbo_init(config_.turbo_budget);
   s.x_last = turbo.best_point();
-  if (s.x_last.empty()) s.x_last = s.rng.uniform_vector(p, 0.0, 1.0);
+  if (s.x_last.empty()) s.x_last = s.rng.uniform_vector(testbench_->sizing().dimension(), 0.0, 1.0);
   s.buffer.add(s.x_last, 0.0);
-  s.mc_rng = s.rng.split(0x3C3C);
-  result_.termination = "iteration-cap";
 }
 
 bool PvtSizingOptimizer::do_step() {
-  Session& s = *s_;
-  if (s.iter >= config_.max_iterations) return false;
-  const std::size_t iter = ++s.iter;
-  core::EvaluationEngine& service = s.service;
-  const circuits::SizingSpec& sizing = testbench_->sizing();
-  const circuits::PerformanceSpec& spec = testbench_->performance();
-
-  std::vector<double> x_new = s.agent->propose(s.x_last);
-  const auto x_phys = sizing.denormalize(x_new);
+  Session& s = session();
+  std::vector<double> x_new = s.agent.propose(s.x_last);
+  std::vector<double> x_phys = testbench_->sizing().denormalize(x_new);
 
   // Batch sampling: every corner, every iteration.
   double r_worst = std::numeric_limits<double>::max();
   for (std::size_t j = 0; j < op_config_.corner_count(); ++j) {
-    const auto hs = op_config_.sample_conditions(*testbench_, x_phys, op_config_.n_opt, s.mc_rng);
-    const auto metrics = service.evaluate_batch(x_phys, op_config_.corners[j], hs);
-    const double w = core::worst_reward_of(spec, metrics);
-    s.last_worst.update(j, w);
-    r_worst = std::min(r_worst, w);
+    r_worst = std::min(r_worst, sample_corner(x_phys, j, s.mc_rng));
   }
 
-  core::IterationTrace trace;
-  trace.iteration = iter;
-  trace.reward_worst = r_worst;
-  const rl::EnsembleCritic::Bound bound = s.agent->critic().bound(x_new);
-  trace.critic_mean = bound.mean;
-  trace.critic_bound = bound.risk_adjusted;
-  trace.mu_sigma_pass = r_worst == kSuccessReward;  // hard gate: no mu-sigma
-
-  if (r_worst == kSuccessReward) {
-    trace.attempted_verification = true;
-    const core::VerificationOutcome outcome = s.verifier->verify(x_phys, s.last_worst, s.mc_rng);
-    for (const auto& [j, w] : outcome.corner_worst_rewards) {
-      s.last_worst.update(j, w);
-      r_worst = std::min(r_worst, w);
-    }
-    if (outcome.passed) {
-      result_.success = true;
-      result_.rl_iterations = iter;
-      result_.x01_final = x_new;
-      result_.x_phys_final = x_phys;
-      result_.termination = "verified";
-      trace.sims_total = service.simulation_count();
-      result_.trace.push_back(trace);
-      return false;
-    }
-  }
-
-  s.buffer.add(x_new, r_worst);
-  (void)s.agent->update(s.buffer);  // standard DDPG: one update per environment step
-  trace.sims_total = service.simulation_count();
-  result_.trace.push_back(trace);
-  s.x_last = std::move(x_new);
-  if (const auto best = s.buffer.best(); best && r_worst < best->reward - 0.05) {
-    s.x_last = best->x01;
-  }
-  result_.rl_iterations = iter;
-  return iter < config_.max_iterations;
+  // Hard gate (no mu-sigma); standard DDPG: one update per environment step.
+  const std::optional<double> stored = verify_or_store(
+      std::move(x_new), std::move(x_phys), r_worst, r_worst == core::kSuccessReward, 1);
+  if (!stored) return false;
+  reanchor(*stored);
+  return true;
 }
 
 }  // namespace glova::baselines

@@ -6,231 +6,115 @@
 
 #include "common/state_io.hpp"
 #include "core/reward.hpp"
-#include "core/verifier.hpp"
 #include "opt/kmeans.hpp"
 #include "pdk/variation.hpp"
-#include "rl/agent.hpp"
 
 namespace glova::baselines {
 
-using core::kSuccessReward;
-
-struct RobustAnalogOptimizer::Session {
-  core::EvaluationEngine service;
-  Rng rng;
-  Rng mc_rng{0};
-  rl::LastWorstBuffer last_worst;
-  std::vector<std::size_t> dominant;
-  std::unique_ptr<rl::RiskSensitiveAgent> agent;
-  rl::WorstCaseReplayBuffer buffer;
-  std::unique_ptr<core::Verifier> verifier;
-  std::vector<double> x_last;
-  std::size_t iter = 0;
-
-  Session(circuits::TestbenchPtr testbench, const RobustAnalogConfig& config,
-          std::size_t corner_count)
-      : service(std::move(testbench), config.engine),
-        rng(config.seed),
-        last_worst(corner_count) {}
-};
-
+// Risk-neutral critic (one Q network, beta1 = 0); verification without the
+// mu-sigma gate or reordering.
 RobustAnalogOptimizer::RobustAnalogOptimizer(circuits::TestbenchPtr testbench,
                                              RobustAnalogConfig config)
-    : testbench_(std::move(testbench)),
-      config_(config),
-      op_config_(core::OperationalConfig::for_method(config.method, config.n_opt_samples,
-                                                     config.corner_filter)) {}
+    : core::Optimizer(std::move(testbench), config, 1, 0.0,
+                      core::VerifierOptions{.use_mu_sigma = false, .use_reordering = false}),
+      config_(std::move(config)) {}
 
-RobustAnalogOptimizer::~RobustAnalogOptimizer() = default;
-
-const core::EvaluationEngine* RobustAnalogOptimizer::engine_ptr() const {
-  return s_ ? &s_->service : nullptr;
-}
-
-rl::AgentConfig RobustAnalogOptimizer::agent_config() const {
-  rl::AgentConfig agent_cfg;
-  agent_cfg.critic.ensemble_size = 1;
-  agent_cfg.critic.beta1 = 0.0;
-  agent_cfg.critic.hidden = config_.hidden;
-  agent_cfg.hidden = config_.hidden;
-  agent_cfg.batch_size = config_.batch_size;
-  return agent_cfg;
-}
-
-core::VerifierOptions RobustAnalogOptimizer::verifier_options() const {
-  core::VerifierOptions vopts;
-  vopts.use_mu_sigma = false;
-  vopts.use_reordering = false;
-  return vopts;
-}
-
-void RobustAnalogOptimizer::do_save_state(std::ostream& os) const {
-  const Session& s = *s_;
-  os << "robustanalog " << s.iter << '\n';
-  os << "rng " << s.rng.save() << '\n';
-  os << "mc_rng " << s.mc_rng.save() << '\n';
-  state::write_doubles(os, "x_last", s.x_last);
-  const std::vector<std::uint64_t> dominant(s.dominant.begin(), s.dominant.end());
+void RobustAnalogOptimizer::save_policy_state(std::ostream& os) const {
+  const std::vector<std::uint64_t> dominant(dominant_.begin(), dominant_.end());
   state::write_u64s(os, "dominant", dominant);
-  s.buffer.save(os);
-  s.last_worst.save(os);
-  s.agent->save(os);
-  s.service.save_state(os);
 }
 
-void RobustAnalogOptimizer::do_load_state(std::istream& is) {
-  s_ = std::make_unique<Session>(testbench_, config_, op_config_.corner_count());
-  Session& s = *s_;
-  s.iter = state::parse_u64(state::expect_line(is, "robustanalog"), "RobustAnalog iteration");
-  s.rng.restore(state::expect_line(is, "rng"));
-  s.mc_rng.restore(state::expect_line(is, "mc_rng"));
-  s.x_last = state::read_doubles(is, "x_last");
+void RobustAnalogOptimizer::load_policy_state(std::istream& is) {
   const auto dominant = state::read_u64s(is, "dominant");
-  s.dominant.assign(dominant.begin(), dominant.end());
-  for (const std::size_t j : s.dominant) {
+  dominant_.assign(dominant.begin(), dominant.end());
+  for (const std::size_t j : dominant_) {
     if (j >= op_config_.corner_count()) state::bad("RobustAnalog dominant corner out of range");
   }
-  s.buffer.load(is);
-  s.last_worst.load(is);
-  // Placeholder construction: agent->load overwrites all of it.
-  const std::size_t p = testbench_->sizing().dimension();
-  s.agent = std::make_unique<rl::RiskSensitiveAgent>(p, agent_config(), s.rng.split(0xA6E7));
-  s.agent->load(is);
-  s.verifier = std::make_unique<core::Verifier>(s.service, op_config_, verifier_options());
-  s.service.load_state(is);
 }
 
 void RobustAnalogOptimizer::recluster(std::span<const double> x01) {
-  Session& s = *s_;
-  const circuits::SizingSpec& sizing = testbench_->sizing();
+  Session& s = session();
   const circuits::PerformanceSpec& spec = testbench_->performance();
   const std::size_t k = op_config_.corner_count();
-  const auto x = sizing.denormalize(x01);
+  const auto x = testbench_->sizing().denormalize(x01);
   std::vector<std::vector<double>> signatures(k);
   for (std::size_t j = 0; j < k; ++j) {
-    const auto hs = op_config_.sample_conditions(*testbench_, x, op_config_.n_opt, s.mc_rng);
-    const auto metrics = s.service.evaluate_batch(x, op_config_.corners[j], hs);
-    s.last_worst.update(j, core::worst_reward_of(spec, metrics));
+    core::CornerPresample draw;
+    (void)sample_corner(x, j, s.mc_rng, &draw);
     // Signature: mean normalized margins across the sampled conditions.
     std::vector<double> mean_margins(spec.count(), 0.0);
-    for (const auto& m : metrics) {
+    for (const auto& m : draw.metrics) {
       const auto f = core::margins(spec, m);
-      for (std::size_t i = 0; i < f.size(); ++i) mean_margins[i] += f[i] / metrics.size();
+      for (std::size_t i = 0; i < f.size(); ++i) mean_margins[i] += f[i] / draw.metrics.size();
     }
     signatures[j] = std::move(mean_margins);
   }
   const std::size_t n_clusters = std::min(config_.clusters, k);
   Rng cluster_rng = s.rng.split(0xC1);  // deterministic given the seed
   const opt::KMeansResult clusters = opt::kmeans(signatures, n_clusters, cluster_rng);
-  s.dominant.assign(n_clusters, 0);
+  dominant_.assign(n_clusters, 0);
   std::vector<double> worst(n_clusters, std::numeric_limits<double>::max());
   for (std::size_t j = 0; j < k; ++j) {
     const std::size_t c = clusters.assignment[j];
     if (s.last_worst.reward(j) < worst[c]) {
       worst[c] = s.last_worst.reward(j);
-      s.dominant[c] = j;
+      dominant_[c] = j;
     }
   }
 }
 
 void RobustAnalogOptimizer::do_start() {
-  s_ = std::make_unique<Session>(testbench_, config_, op_config_.corner_count());
-  Session& s = *s_;
-  core::EvaluationEngine& service = s.service;
+  Session& s = session();
   const circuits::SizingSpec& sizing = testbench_->sizing();
   const circuits::PerformanceSpec& spec = testbench_->performance();
   const std::size_t p = sizing.dimension();
 
   // --- random initial sampling (no TuRBO: the limitation [9] pointed out).
-  s.mc_rng = s.rng.split(0x3C3C);
   std::vector<double> x_best;
   double best_reward = -std::numeric_limits<double>::max();
   const pdk::PvtCorner typical = pdk::typical_corner();
   for (std::size_t i = 0; i < config_.random_init_samples; ++i) {
     const auto x01 = s.rng.uniform_vector(p, 0.0, 1.0);
     const auto x = sizing.denormalize(x01);
-    const double r = core::reward_from_metrics(spec, service.evaluate_one(x, typical, {}));
+    const double r = core::reward_from_metrics(spec, s.engine.evaluate_one(x, typical, {}));
     if (r > best_reward) {
       best_reward = r;
       x_best = x01;
     }
   }
-  result_.turbo_evaluations = service.simulation_count();  // init cost (random here)
+  result_.turbo_evaluations = s.engine.simulation_count();  // init cost (random here)
 
   // --- corner signatures of the incumbent -> k-means -> dominant corners.
   if (x_best.empty()) x_best = s.rng.uniform_vector(p, 0.0, 1.0);
   recluster(x_best);
 
-  // --- risk-neutral multi-task agent (shared actor/critic over tasks).
-  s.agent = std::make_unique<rl::RiskSensitiveAgent>(p, agent_config(), s.rng.split(0xA6E7));
   s.buffer.add(x_best, best_reward);
-
-  s.verifier = std::make_unique<core::Verifier>(service, op_config_, verifier_options());
-
   s.x_last = std::move(x_best);
-  result_.termination = "iteration-cap";
 }
 
 bool RobustAnalogOptimizer::do_step() {
-  Session& s = *s_;
-  if (s.iter >= config_.max_iterations) return false;
-  const std::size_t iter = ++s.iter;
-  core::EvaluationEngine& service = s.service;
-  const circuits::SizingSpec& sizing = testbench_->sizing();
-  const circuits::PerformanceSpec& spec = testbench_->performance();
-
-  std::vector<double> x_new = s.agent->propose(s.x_last);
-  const auto x_phys = sizing.denormalize(x_new);
+  Session& s = session();
+  std::vector<double> x_new = s.agent.propose(s.x_last);
+  std::vector<double> x_phys = testbench_->sizing().denormalize(x_new);
 
   // Simulate only the dominant corner of each cluster.
   double r_worst = std::numeric_limits<double>::max();
-  for (const std::size_t j : s.dominant) {
-    const auto hs = op_config_.sample_conditions(*testbench_, x_phys, op_config_.n_opt, s.mc_rng);
-    const auto metrics = service.evaluate_batch(x_phys, op_config_.corners[j], hs);
-    const double w = core::worst_reward_of(spec, metrics);
-    s.last_worst.update(j, w);
-    r_worst = std::min(r_worst, w);
+  for (const std::size_t j : dominant_) {
+    r_worst = std::min(r_worst, sample_corner(x_phys, j, s.mc_rng));
   }
 
-  core::IterationTrace trace;
-  trace.iteration = iter;
-  trace.reward_worst = r_worst;
-  const rl::EnsembleCritic::Bound bound = s.agent->critic().bound(x_new);
-  trace.critic_mean = bound.mean;
-  trace.critic_bound = bound.risk_adjusted;
-  trace.mu_sigma_pass = r_worst == kSuccessReward;  // hard gate: no mu-sigma
-
-  if (r_worst == kSuccessReward) {
-    trace.attempted_verification = true;
-    const core::VerificationOutcome outcome = s.verifier->verify(x_phys, s.last_worst, s.mc_rng);
-    for (const auto& [j, w] : outcome.corner_worst_rewards) {
-      s.last_worst.update(j, w);
-      r_worst = std::min(r_worst, w);
-    }
-    if (outcome.passed) {
-      result_.success = true;
-      result_.rl_iterations = iter;
-      result_.x01_final = x_new;
-      result_.x_phys_final = x_phys;
-      result_.termination = "verified";
-      trace.sims_total = service.simulation_count();
-      result_.trace.push_back(trace);
-      return false;
-    }
+  // Hard gate (no mu-sigma); standard DDPG: one update per environment step.
+  if (!verify_or_store(std::move(x_new), std::move(x_phys), r_worst,
+                       r_worst == core::kSuccessReward, 1)
+           .has_value()) {
+    return false;
   }
-
-  s.buffer.add(x_new, r_worst);
-  (void)s.agent->update(s.buffer);  // standard DDPG: one update per environment step
-  trace.sims_total = service.simulation_count();
-  result_.trace.push_back(trace);
   // RobustAnalog follows the plain DDPG chain: no re-anchoring onto the
   // best-known design (one of the stability gaps the later works close).
-  s.x_last = std::move(x_new);
-  if (iter % config_.recluster_interval == 0) {
+  if (s.iter % config_.recluster_interval == 0) {
     recluster(s.buffer.best() ? s.buffer.best()->x01 : s.x_last);
   }
-  result_.rl_iterations = iter;
-  return iter < config_.max_iterations;
+  return true;
 }
 
 }  // namespace glova::baselines

@@ -548,10 +548,10 @@ void Campaign::save(std::ostream& os) const {
     if (s.terminal()) write_glova_result(os, s.result);
     if (s.state == SessionState::Running) {
       // A Running session with steps > 0 has a started optimizer; serialize
-      // its full state so load() resumes it without replay.  Otherwise (or
-      // when the algorithm has no state serialization) fall back to the v1
-      // replay mechanism, which handles steps == 0 as a fresh build.
-      if (s.steps > 0 && s.optimizer->supports_state_serialization()) {
+      // its full state so load() resumes it without replay.  One that has
+      // taken no step is rebuilt by the v1 replay mechanism, which handles
+      // steps == 0 as a fresh build.
+      if (s.steps > 0) {
         os << "resume state\n";
         s.optimizer->save_state(os);
       } else {

@@ -17,11 +17,11 @@
 // Checkpoint/resume: save() serializes the campaign — config, cursor, every
 // session's spec (the way RunSpec already round-trips through text), its
 // step count, the full result of each terminal session, and (v2) the full
-// serialized optimizer state of each in-flight session — to a versioned text
-// format.  load() restores in-flight sessions O(1) from that state, without
-// replaying a single optimizer step; v1 checkpoints (and algorithms without
-// state serialization) fall back to deterministic replay (re-stepping a
-// freshly built session to its recorded step count).  Sessions are
+// serialized optimizer state of each in-flight session that has taken a
+// step — to a versioned text format.  load() restores those sessions O(1)
+// from that state, without replaying a single optimizer step; v1
+// checkpoints fall back to deterministic replay (re-stepping a freshly
+// built session to its recorded step count).  Sessions are
 // fixed-seed deterministic by construction (pinned by the run/step parity
 // tests), so a resumed campaign produces bit-identical results to an
 // uninterrupted one; tests/test_campaign.cpp and tests/test_resume_state.cpp
@@ -213,7 +213,7 @@ class Campaign {
   /// Reconstruct a campaign from save() output.  Terminal sessions restore
   /// their recorded results directly; in-flight sessions restore O(1) from
   /// their serialized optimizer state (v2) — zero step() replays — or, for
-  /// v1 checkpoints and algorithms without state serialization, are rebuilt
+  /// v1 checkpoints and sessions saved before their first step, are rebuilt
   /// via make_optimizer and deterministically replayed to their recorded
   /// step count.  Either way resuming continues bit-identically (fixed
   /// seeds, no wall-clock budgets).  `make_testbench` must match the factory

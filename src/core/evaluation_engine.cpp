@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <chrono>
 #include <cmath>
 #include <memory>
 #include <ostream>
@@ -108,22 +107,7 @@ void EvaluationEngine::store_spice_counters(const EngineStats& s) {
   spice_counters_.deadline_aborts.store(s.deadline_aborts);
 }
 
-EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, std::size_t parallelism)
-    : EvaluationEngine(std::move(testbench), [&] {
-        EngineConfig cfg;
-        cfg.parallelism = parallelism;
-        return cfg;
-      }()) {}
-
 EvaluationEngine::~EvaluationEngine() {
-  std::vector<std::future<void>> pending;
-  {
-    const std::lock_guard<std::mutex> lock(pending_mutex_);
-    pending.swap(pending_);
-  }
-  for (std::future<void>& f : pending) {
-    if (f.valid()) f.wait();
-  }
   try {
     flush_persistent_cache();
   } catch (const std::exception& e) {
@@ -195,46 +179,6 @@ std::vector<double> EvaluationEngine::evaluate_one(std::span<const double> x_phy
   executed_.fetch_add(1);
   if (memo_) memo_->insert(x_phys, corner, h, metrics);
   return metrics;
-}
-
-std::future<std::vector<double>> EvaluationEngine::submit(std::span<const double> x_phys,
-                                                          const pdk::PvtCorner& corner,
-                                                          std::span<const double> h) {
-  requested_.fetch_add(1);
-  std::vector<double> metrics;
-  if (memo_ && memo_->lookup(x_phys, corner, h, metrics)) {
-    cache_hits_.fetch_add(1);
-    std::promise<std::vector<double>> ready;
-    ready.set_value(std::move(metrics));
-    return ready.get_future();
-  }
-  // The task owns copies of its inputs: the caller's spans need not outlive
-  // the future.
-  auto state = std::make_shared<std::promise<std::vector<double>>>();
-  std::future<std::vector<double>> fut = state->get_future();
-  std::vector<double> x_copy(x_phys.begin(), x_phys.end());
-  std::vector<double> h_copy(h.begin(), h.end());
-  std::future<void> done = global_thread_pool().submit(
-      [this, state, corner, x = std::move(x_copy), hh = std::move(h_copy)] {
-        try {
-          std::vector<double> m = evaluate_with_slot(x, corner, hh);
-          executed_.fetch_add(1);
-          if (memo_) memo_->insert(x, corner, hh, m);
-          state->set_value(std::move(m));
-        } catch (...) {
-          state->set_exception(std::current_exception());
-        }
-      });
-  {
-    // Track the queued task so the destructor can drain it; drop entries
-    // that have already finished to keep the list from growing.
-    const std::lock_guard<std::mutex> lock(pending_mutex_);
-    std::erase_if(pending_, [](std::future<void>& f) {
-      return f.wait_for(std::chrono::seconds(0)) == std::future_status::ready;
-    });
-    pending_.push_back(std::move(done));
-  }
-  return fut;
 }
 
 EngineStats EvaluationEngine::stats() const {

@@ -25,10 +25,8 @@
 
 #include <atomic>
 #include <cstdint>
-#include <future>
 #include <iosfwd>
 #include <memory>
-#include <mutex>
 #include <semaphore>
 #include <span>
 #include <string>
@@ -143,11 +141,7 @@ struct EngineStats {
 class EvaluationEngine {
  public:
   explicit EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfig config = {});
-  /// Compatibility constructor: engine defaults with an explicit parallelism.
-  EvaluationEngine(circuits::TestbenchPtr testbench, std::size_t parallelism);
-  /// Blocks until every submit()-queued evaluation has finished: a queued
-  /// task touches the engine's counters and memo, so they must not outlive
-  /// the engine.
+  /// Merges the memo into its cache_path file, if the engine keeps one.
   ~EvaluationEngine();
 
   /// Evaluate one design under one corner and many mismatch conditions.
@@ -162,21 +156,8 @@ class EvaluationEngine {
                                                  const pdk::PvtCorner& corner,
                                                  std::span<const double> h);
 
-  /// Asynchronous single evaluation: a memo hit resolves immediately, any
-  /// other request is queued on the shared thread pool.  Counted like
-  /// evaluate_one.  Individually submitted evaluations honor
-  /// EngineConfig::parallelism: every execution path (submit, evaluate_one,
-  /// evaluate_batch) acquires a slot from one shared counting semaphore, so
-  /// the combined in-flight simulation count of this engine never exceeds
-  /// the cap.
-  [[nodiscard]] std::future<std::vector<double>> submit(std::span<const double> x_phys,
-                                                        const pdk::PvtCorner& corner,
-                                                        std::span<const double> h);
-
   /// The circuit under evaluation (stateless-const; shared across engines).
   [[nodiscard]] const circuits::Testbench& testbench() const { return *testbench_; }
-  /// Shared ownership of the testbench (e.g. to build a sibling engine).
-  [[nodiscard]] circuits::TestbenchPtr testbench_ptr() const { return testbench_; }
   /// The knobs this engine was constructed with.
   [[nodiscard]] const EngineConfig& config() const { return config_; }
 
@@ -232,7 +213,8 @@ class EvaluationEngine {
 
   circuits::TestbenchPtr testbench_;
   EngineConfig config_;
-  /// Shared in-flight cap for every execution path; null when
+  /// Shared in-flight cap for every execution path (evaluate_one and
+  /// evaluate_batch, from any number of calling threads); null when
   /// config_.parallelism == 0 (uncapped: the pool size is the only bound).
   std::unique_ptr<std::counting_semaphore<>> slots_;
 
@@ -250,10 +232,6 @@ class EvaluationEngine {
 
   /// Null unless config_ has a cache_path and a nonzero cache_capacity.
   std::unique_ptr<MemoCache> memo_;
-
-  /// submit()-queued work still in flight; drained by the destructor.
-  std::mutex pending_mutex_;
-  std::vector<std::future<void>> pending_;
 };
 
 }  // namespace glova::core

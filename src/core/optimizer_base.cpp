@@ -1,5 +1,6 @@
 #include "core/optimizer_base.hpp"
 
+#include <algorithm>
 #include <sstream>
 #include <stdexcept>
 #include <utility>
@@ -7,6 +8,9 @@
 #include "common/log.hpp"
 #include "common/state_io.hpp"
 #include "common/text.hpp"
+#include "core/reward.hpp"
+#include "opt/turbo.hpp"
+#include "pdk/variation.hpp"
 
 namespace glova::core {
 
@@ -85,44 +89,75 @@ const char* RunBudget::exceeded_by(std::uint64_t simulations, std::size_t iterat
   return nullptr;
 }
 
+namespace {
+
+rl::AgentConfig make_agent_config(const SessionConfig& config, std::size_t ensemble_size,
+                                  double beta1) {
+  rl::AgentConfig agent;
+  agent.critic.ensemble_size = ensemble_size;
+  agent.critic.beta1 = beta1;
+  agent.critic.hidden = config.hidden;
+  agent.hidden = config.hidden;
+  agent.batch_size = config.batch_size;
+  return agent;
+}
+
+}  // namespace
+
+// The child streams are split off the root seed, not its position, so the
+// agent and the mismatch stream can be built before any policy draws.
+Optimizer::Session::Session(const circuits::TestbenchPtr& testbench, const SessionConfig& config,
+                            const OperationalConfig& op_config,
+                            const rl::AgentConfig& agent_config,
+                            const VerifierOptions& verifier_options)
+    : engine(testbench, config.engine),
+      rng(config.seed),
+      mc_rng(rng.split(0x3C3C)),
+      last_worst(op_config.corner_count()),
+      agent(testbench->sizing().dimension(), agent_config, rng.split(0xA6E7)),
+      verifier(engine, op_config, verifier_options) {}
+
+Optimizer::Optimizer(circuits::TestbenchPtr testbench, const SessionConfig& config,
+                     std::size_t ensemble_size, double beta1, VerifierOptions verifier)
+    : testbench_(std::move(testbench)),
+      op_config_(OperationalConfig::for_method(config.method, config.n_opt_samples,
+                                               config.corner_filter)),
+      session_config_(config),
+      agent_config_(make_agent_config(config, ensemble_size, beta1)),
+      verifier_options_(verifier) {}
+
 double Optimizer::elapsed_seconds() const {
   if (!started_) return 0.0;
   return wall_offset_ +
          std::chrono::duration<double>(std::chrono::steady_clock::now() - t0_).count();
 }
 
-void Optimizer::do_save_state(std::ostream&) const {
-  throw std::logic_error(std::string(algorithm_name()) +
-                         ": state serialization not implemented");
-}
-
-void Optimizer::do_load_state(std::istream&) {
-  throw std::logic_error(std::string(algorithm_name()) +
-                         ": state serialization not implemented");
-}
-
+// The frame is the same for every algorithm; the session block after the
+// result opens with the iteration count under the algorithm's lowercased
+// name (`glova 3`), the bytes that checkpoints and spools already hold.
 void Optimizer::save_state(std::ostream& os) const {
-  if (!supports_state_serialization()) {
-    throw std::logic_error(std::string(algorithm_name()) +
-                           ": state serialization not supported");
-  }
   if (!started_ || finished_) {
     throw std::logic_error(
         "Optimizer::save_state: only a live (started, unfinished) session can be serialized; "
         "a fresh session is captured by its spec, a terminal one by its result");
   }
+  const Session& s = *s_;
   os << "optimizer-state v2 " << algorithm_name() << '\n';
   write_glova_result(os, result_);
-  do_save_state(os);
+  os << to_lower(algorithm_name()) << ' ' << s.iter << '\n';
+  os << "rng " << s.rng.save() << '\n';
+  os << "mc_rng " << s.mc_rng.save() << '\n';
+  state::write_doubles(os, "x_last", s.x_last);
+  save_policy_state(os);
+  s.buffer.save(os);
+  s.last_worst.save(os);
+  s.agent.save(os);
+  s.engine.save_state(os);
   os << "optimizer-state-end\n";
   if (!os) state::bad("optimizer state write failed");
 }
 
 void Optimizer::load_state(std::istream& is) {
-  if (!supports_state_serialization()) {
-    throw std::logic_error(std::string(algorithm_name()) +
-                           ": state serialization not supported");
-  }
   if (started_ || finished_) {
     throw std::logic_error("Optimizer::load_state: requires a fresh session (no step() yet)");
   }
@@ -137,14 +172,132 @@ void Optimizer::load_state(std::istream& is) {
     state::bad("optimizer-state algorithm mismatch: state is for '" + name +
                "', this session runs " + algorithm_name());
   }
-  result_ = read_glova_result(is);
-  do_load_state(is);
+  // Read aside and committed only once the whole frame has been read, so a
+  // failed load leaves the session fresh for a clean first step().  The
+  // fresh Session is the placeholder every field below overwrites: the
+  // agent's load() replaces all its weights, moments and RNG words.
+  GlovaResult restored = read_glova_result(is);
+  auto session = std::make_unique<Session>(testbench_, session_config_, op_config_,
+                                           agent_config_, verifier_options_);
+  Session& s = *session;
+  s.iter = state::parse_u64(state::expect_line(is, to_lower(algorithm_name())),
+                            std::string(algorithm_name()) + " iteration");
+  s.rng.restore(state::expect_line(is, "rng"));
+  s.mc_rng.restore(state::expect_line(is, "mc_rng"));
+  s.x_last = state::read_doubles(is, "x_last");
+  load_policy_state(is);
+  s.buffer.load(is);
+  s.last_worst.load(is);
+  s.agent.load(is);
+  s.engine.load_state(is);
   state::expect_line(is, "optimizer-state-end");
+  result_ = std::move(restored);
+  s_ = std::move(session);
   // The session is live from here: the saved wall time carries into
   // elapsed_seconds() so wall-clock budgets span process restarts.
   wall_offset_ = result_.wall_seconds;
   t0_ = std::chrono::steady_clock::now();
   started_ = true;
+}
+
+opt::Turbo Optimizer::turbo_init(std::size_t budget) {
+  Session& s = *s_;
+  const circuits::SizingSpec& sizing = testbench_->sizing();
+  const circuits::PerformanceSpec& spec = testbench_->performance();
+  const std::size_t p = sizing.dimension();
+  opt::TurboConfig turbo_cfg;
+  turbo_cfg.n_init = std::max<std::size_t>(8, p);
+  opt::Turbo turbo(p, turbo_cfg, s.rng.split(0x7B0));
+  const pdk::PvtCorner typical = pdk::typical_corner();
+  // Always collect at least the warmup set: even when the first sample is
+  // already typical-feasible, the replay buffer needs a diverse initial
+  // dataset for the critic.
+  const std::size_t turbo_min = std::min<std::size_t>(turbo_cfg.n_init + 4, budget);
+  while (s.engine.simulation_count() < budget) {
+    const auto points = turbo.ask(1);
+    std::vector<double> values;
+    values.reserve(points.size());
+    for (const auto& x01 : points) {
+      const auto x = sizing.denormalize(x01);
+      values.push_back(reward_from_metrics(spec, s.engine.evaluate_one(x, typical, {})));
+    }
+    turbo.tell(points, values);
+    if (turbo.best_value() >= kSuccessReward && s.engine.simulation_count() >= turbo_min) break;
+  }
+  result_.turbo_evaluations = s.engine.simulation_count();
+  log_info(algorithm_name(), " init: TuRBO best reward ", turbo.best_value(), " after ",
+           result_.turbo_evaluations, " typical-condition simulations");
+  return turbo;
+}
+
+double Optimizer::sample_corner(std::span<const double> x_phys, std::size_t corner, Rng& rng,
+                                CornerPresample* keep) {
+  Session& s = *s_;
+  auto hs = op_config_.sample_conditions(*testbench_, x_phys, op_config_.n_opt, rng);
+  auto metrics = s.engine.evaluate_batch(x_phys, op_config_.corners[corner], hs);
+  const double worst = worst_reward_of(testbench_->performance(), metrics);
+  s.last_worst.update(corner, worst);
+  if (keep) *keep = {corner, std::move(hs), std::move(metrics)};
+  return worst;
+}
+
+std::optional<double> Optimizer::verify_or_store(std::vector<double> x01,
+                                                 std::vector<double> x_phys,
+                                                 double reward_worst, bool gate, int updates,
+                                                 const CornerPresample* reuse) {
+  Session& s = *s_;
+  IterationTrace trace;
+  trace.iteration = s.iter;
+  trace.reward_worst = reward_worst;
+  const rl::EnsembleCritic::Bound bound = s.agent.critic().bound(x01);
+  trace.critic_mean = bound.mean;
+  trace.critic_bound = bound.risk_adjusted;
+  trace.mu_sigma_pass = gate;
+
+  double stored = reward_worst;
+  if (gate) {
+    // Full verification with the policy's gate and ordering.
+    trace.attempted_verification = true;
+    const VerificationOutcome outcome = s.verifier.verify(x_phys, s.last_worst, s.mc_rng, reuse);
+    for (const auto& [j, w] : outcome.corner_worst_rewards) {
+      s.last_worst.update(j, w);
+      stored = std::min(stored, w);  // verification failures are the most
+                                     // informative worst-case rewards
+    }
+    if (outcome.passed) {
+      result_.success = true;
+      result_.rl_iterations = s.iter;
+      result_.x01_final = std::move(x01);
+      result_.x_phys_final = std::move(x_phys);
+      result_.termination = "verified";
+      trace.sims_total = s.engine.simulation_count();
+      result_.trace.push_back(trace);
+      return std::nullopt;
+    }
+  }
+
+  s.buffer.add(x01, stored);
+  for (int e = 0; e < updates; ++e) (void)s.agent.update(s.buffer);
+  trace.sims_total = s.engine.simulation_count();
+  result_.trace.push_back(trace);
+  s.x_last = std::move(x01);
+  return stored;
+}
+
+void Optimizer::reanchor(double stored) {
+  Session& s = *s_;
+  if (const auto best = s.buffer.best(); best && stored < best->reward - 0.05) {
+    s.x_last = best->x01;
+  }
+}
+
+bool Optimizer::iterate() {
+  Session& s = *s_;
+  if (s.iter >= session_config_.max_iterations) return false;
+  ++s.iter;
+  if (!do_step()) return false;
+  result_.rl_iterations = s.iter;
+  return s.iter < session_config_.max_iterations;
 }
 
 bool Optimizer::step() {
@@ -164,24 +317,27 @@ bool Optimizer::step() {
   } scope(in_step_);
   if (!started_) {
     t0_ = std::chrono::steady_clock::now();
+    s_ = std::make_unique<Session>(testbench_, session_config_, op_config_, agent_config_,
+                                   verifier_options_);
     do_start();
+    result_.termination = "iteration-cap";
     // Marked only after do_start() succeeds: if initialization throws, a
-    // retrying step() must run it again from scratch (do_start builds a
-    // fresh Session) instead of stepping a half-built one.
+    // retrying step() must run it again from scratch on a fresh Session
+    // instead of stepping a half-built one.
     started_ = true;
     for (const auto& obs : observers_) obs->on_start(*this);
   }
-  const bool more = do_step();
+  const bool more = iterate();
+  // A frame saved after this step carries its wall time, so a restored
+  // session's clock and wall-clock budget continue from here.
+  result_.wall_seconds = elapsed_seconds();
   if (!observers_.empty() && !result_.trace.empty()) {
-    const EvaluationEngine* eng = engine_ptr();
-    const EngineStats stats = eng ? eng->stats() : EngineStats{};
+    const EngineStats stats = s_->engine.stats();
     for (const auto& obs : observers_) obs->on_iteration(*this, result_.trace.back(), stats);
   }
   if (more && !cancel_requested_) {
-    const EvaluationEngine* eng = engine_ptr();
-    const std::uint64_t sims = eng ? eng->simulation_count() : 0;
-    if (const char* reason =
-            budget_.exceeded_by(sims, result_.rl_iterations, elapsed_seconds())) {
+    if (const char* reason = budget_.exceeded_by(s_->engine.simulation_count(),
+                                                 result_.rl_iterations, elapsed_seconds())) {
       cancel(reason);
     }
   }
@@ -207,18 +363,17 @@ void Optimizer::cancel(std::string reason) {
 void Optimizer::finish() {
   if (finished_) return;
   finished_ = true;
-  if (const EvaluationEngine* eng = engine_ptr()) {
-    const EngineStats stats = eng->stats();
+  if (s_) {
+    const EngineStats stats = s_->engine.stats();
     result_.engine_stats = stats;
     result_.n_simulations = stats.requested;
     result_.n_simulations_executed = stats.executed;
     result_.n_cache_hits = stats.cache_hits;
   }
   result_.wall_seconds = elapsed_seconds();
-  result_.modeled_runtime =
-      static_cast<double>(result_.n_simulations) * cost().per_simulation +
-      static_cast<double>(result_.rl_iterations) * cost().per_rl_iteration;
-  do_finalize(result_);
+  const SimulationCost& cost = session_config_.cost;
+  result_.modeled_runtime = static_cast<double>(result_.n_simulations) * cost.per_simulation +
+                            static_cast<double>(result_.rl_iterations) * cost.per_rl_iteration;
   for (const auto& obs : observers_) obs->on_finish(*this, result_);
 }
 
@@ -259,15 +414,6 @@ void ProgressLogObserver::on_iteration(Optimizer& session, const IterationTrace&
 void ProgressLogObserver::on_finish(Optimizer& session, const GlovaResult& result) {
   log_info(session.algorithm_name(), ": finished (", result.termination, ") after ",
            result.rl_iterations, " iterations, ", result.n_simulations, " simulations");
-}
-
-void BudgetObserver::on_iteration(Optimizer& session, const IterationTrace& trace,
-                                  const EngineStats& stats) {
-  (void)trace;
-  if (const char* reason = budget_.exceeded_by(stats.requested, session.iterations_completed(),
-                                               session.elapsed_seconds())) {
-    session.cancel(reason);
-  }
 }
 
 EarlyStopObserver::EarlyStopObserver(std::size_t patience, double min_improvement)

@@ -1,31 +1,65 @@
 // Step-driven optimizer sessions: the control-plane API of the repo.
 //
-// Every optimization algorithm (GLOVA, PVTSizing, RobustAnalog) is a
-// `core::Optimizer` — a resumable session driven one iteration at a time:
+// Every optimization algorithm (GLOVA, PVTSizing, RobustAnalog) is one
+// `core::Optimizer` session — a resumable loop driven one iteration at a
+// time:
 //
 //   auto opt = core::make_optimizer(spec);        // see run_spec.hpp
 //   while (!opt->done()) opt->step();             // external control loop
 //   const core::GlovaResult& res = opt->result();
 //
-// `run()` survives as a thin loop over `step()` and produces bit-identical
-// fixed-seed results (tests/test_optimizer_session.cpp pins the parity; the
-// pinned-seed regression pins the absolute numbers).  Callers observe
-// progress through `RunObserver` (one callback per iteration, carrying the
-// `IterationTrace` row plus an `EngineStats` snapshot) and bound a session
-// with `RunBudget` (simulations / iterations / wall-clock) or `cancel()` —
-// both terminate with a well-formed partial result, no algorithm forked.
+// The session is the same for all three: an engine, RNG streams, the
+// worst-case replay and last-worst buffers, an actor-critic agent, a
+// verifier, the checkpoint codec and the verify-then-record tail of an
+// iteration all live here.  An algorithm is only its policy: which corners
+// it samples, how it gates verification and how it initialises
+// (do_start/do_step in the derived class).
+//
+// `run()` is a thin loop over `step()` and produces bit-identical fixed-seed
+// results (tests/test_optimizer_session.cpp pins the parity; the pinned-seed
+// regression pins the absolute numbers).  Callers observe progress through
+// `RunObserver` (one callback per iteration, carrying the `IterationTrace`
+// row plus an `EngineStats` snapshot) and bound a session with `RunBudget`
+// (simulations / iterations / wall-clock) or `cancel()` — both terminate
+// with a well-formed partial result, no algorithm forked.
 #pragma once
 
 #include <chrono>
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
+#include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
+#include "circuits/testbench.hpp"
+#include "common/rng.hpp"
+#include "core/config.hpp"
 #include "core/evaluation_engine.hpp"
+#include "core/verifier.hpp"
+#include "rl/agent.hpp"
+#include "rl/replay_buffer.hpp"
+
+namespace glova::opt {
+class Turbo;
+}
 
 namespace glova::core {
+
+/// The knobs every algorithm's session shares; each algorithm's config
+/// extends it with its policy knobs.
+struct SessionConfig {
+  VerifMethod method = VerifMethod::C;
+  std::string corner_filter = "all";  ///< RunSpec `corner_filter` (docs/run_spec.md)
+  std::size_t n_opt_samples = 3;      ///< N' (paper: parallel sample size 3)
+  std::size_t batch_size = 10;        ///< replay batch (paper Sec. VI-B)
+  std::size_t hidden = 64;
+  std::size_t max_iterations = 3000;  ///< success-rate cap
+  std::uint64_t seed = 1;
+  SimulationCost cost;
+  EngineConfig engine;                ///< evaluation-stack knobs (parallelism, cache)
+};
 
 /// One row of the per-iteration trace (Fig. 3 reproduction).
 struct IterationTrace {
@@ -99,10 +133,10 @@ class RunObserver {
   virtual void on_finish(Optimizer& /*session*/, const GlovaResult& /*result*/) {}
 };
 
-/// Abstract optimizer session.  Derived classes hoist their former run()
-/// stack state into members and implement do_start/do_step; this base owns
-/// the loop protocol, budgets, cancellation, observers, and the common
-/// result finalization (engine stats, wall time, modeled runtime).
+/// One sizing session.  The base owns the loop protocol, budgets,
+/// cancellation, observers, the session state and its checkpoint codec, the
+/// verify-then-record tail of an iteration and the result finalization;
+/// derived classes implement the policy (do_start/do_step).
 class Optimizer {
  public:
   virtual ~Optimizer() = default;
@@ -130,8 +164,8 @@ class Optimizer {
   void cancel(std::string reason = "cancelled");
   [[nodiscard]] bool cancel_requested() const { return cancel_requested_; }
 
-  /// Session budget, enforced by the base after every step (the sibling
-  /// BudgetObserver offers the same checks for externally shared budgets).
+  /// Session budget, enforced by the base after every step.  May be set or
+  /// changed at any point, also after construction by make_optimizer.
   void set_budget(RunBudget budget) { budget_ = budget; }
   [[nodiscard]] const RunBudget& budget() const { return budget_; }
 
@@ -139,18 +173,13 @@ class Optimizer {
 
   [[nodiscard]] virtual const char* algorithm_name() const = 0;
 
-  /// True when the algorithm implements replay-free state serialization
-  /// (save_state/load_state below).  Campaign checkpoints fall back to
-  /// deterministic replay for algorithms that return false.
-  [[nodiscard]] virtual bool supports_state_serialization() const { return false; }
-
-  /// Serialize the live session — the partial result plus the algorithm's
-  /// full internal state (agent weights, RNG streams, buffers, engine
-  /// counters/cache) — so an identically configured fresh session restored
-  /// via load_state() continues bit-identically without replaying a single
-  /// step.  Only a started, unfinished session can be saved; throws
-  /// std::logic_error otherwise (terminal sessions are captured by their
-  /// result, fresh ones by their spec).
+  /// Serialize the live session — the partial result plus the full session
+  /// state (agent weights, RNG streams, buffers, engine counters/cache and
+  /// the policy's own state) — so an identically configured fresh session
+  /// restored via load_state() continues bit-identically without replaying
+  /// a single step.  Only a started, unfinished session can be saved;
+  /// throws std::logic_error otherwise (terminal sessions are captured by
+  /// their result, fresh ones by their spec).
   void save_state(std::ostream& os) const;
 
   /// Restore a session saved by save_state().  Must be called on a fresh
@@ -158,40 +187,101 @@ class Optimizer {
   /// testbench; the session is `started` afterwards and the next step()
   /// continues where the saved one left off.  Observer on_start callbacks do
   /// not re-fire.  Throws std::logic_error on protocol misuse and
-  /// std::runtime_error on malformed state.
+  /// std::runtime_error on malformed state, leaving the session fresh.
   void load_state(std::istream& is);
 
   /// Iterations completed so far (== result().rl_iterations when done).
   [[nodiscard]] std::size_t iterations_completed() const { return result_.rl_iterations; }
 
   /// The session's evaluation engine; nullptr before the first step.
-  [[nodiscard]] const EvaluationEngine* engine() const { return engine_ptr(); }
+  [[nodiscard]] const EvaluationEngine* engine() const { return s_ ? &s_->engine : nullptr; }
 
-  /// Seconds since the first step (0 before it).
+  /// Seconds since the first step (0 before it), including the time a
+  /// restored session had accrued when it was saved.
   [[nodiscard]] double elapsed_seconds() const;
 
  protected:
-  /// One-time initialization (engine construction, initial sampling, agent
-  /// warm-up).  Runs inside the first step().
-  virtual void do_start() = 0;
-  /// One iteration of the algorithm's main loop.  Returns true while more
-  /// work remains, false when the algorithm has terminated on its own
-  /// (verified, or its configured iteration cap was reached).
-  virtual bool do_step() = 0;
-  /// Algorithm-specific result fields beyond the common finalization.
-  virtual void do_finalize(GlovaResult& /*result*/) {}
-  /// Algorithm-specific state serialization behind save_state()/load_state().
-  /// The default implementations throw std::logic_error; algorithms that
-  /// override both also override supports_state_serialization().
-  virtual void do_save_state(std::ostream& os) const;
-  virtual void do_load_state(std::istream& is);
-  [[nodiscard]] virtual const EvaluationEngine* engine_ptr() const = 0;
-  [[nodiscard]] virtual const SimulationCost& cost() const = 0;
+  /// `ensemble_size` and `beta1` shape the critic (1 and 0 make it
+  /// risk-neutral); `verifier` sets how full verification gates and orders
+  /// its simulations.
+  Optimizer(circuits::TestbenchPtr testbench, const SessionConfig& config,
+            std::size_t ensemble_size, double beta1, VerifierOptions verifier);
 
+  /// The state of a running session, built at the first step (or by
+  /// load_state) and carried whole by the checkpoint codec.
+  struct Session {
+    Session(const circuits::TestbenchPtr& testbench, const SessionConfig& config,
+            const OperationalConfig& op_config, const rl::AgentConfig& agent_config,
+            const VerifierOptions& verifier_options);
+
+    EvaluationEngine engine;
+    Rng rng;     ///< root stream; the policies split their own streams off it
+    Rng mc_rng;  ///< mismatch draws of the main loop and of verification
+    rl::WorstCaseReplayBuffer buffer;
+    rl::LastWorstBuffer last_worst;
+    rl::RiskSensitiveAgent agent;
+    Verifier verifier;
+    std::vector<double> x_last;  ///< the design the actor proposes from
+    std::size_t iter = 0;        ///< iterations begun
+  };
+
+  /// The policy's initialization (initial sampling, buffer seeding, agent
+  /// warm-up), run inside the first step() on a fresh Session.  It must
+  /// leave `x_last` set.
+  virtual void do_start() = 0;
+  /// The policy's part of one main-loop iteration (the base has already
+  /// counted it in `Session::iter`): propose, sample corners, then hand over
+  /// to verify_or_store().  Returns false once the design verified.
+  virtual bool do_step() = 0;
+  /// State a policy keeps beyond the Session, written into the checkpoint
+  /// after `x_last`.  Nothing by default.
+  virtual void save_policy_state(std::ostream& /*os*/) const {}
+  virtual void load_policy_state(std::istream& /*is*/) {}
+
+  [[nodiscard]] Session& session() { return *s_; }
+
+  /// TuRBO initial sampling at the typical condition (GLOVA's step 0,
+  /// adopted from PVTSizing): sample until a design meets every constraint,
+  /// after at least a warm-up set, or `budget` simulations are spent.
+  /// Records the spend as the result's turbo_evaluations.
+  [[nodiscard]] opt::Turbo turbo_init(std::size_t budget);
+
+  /// Simulate `x_phys` at corner `corner` under N' mismatch draws from
+  /// `rng`, refresh the last-worst buffer there and return the worst
+  /// reward.  `keep`, if given, receives the draws and their metrics.
+  double sample_corner(std::span<const double> x_phys, std::size_t corner, Rng& rng,
+                       CornerPresample* keep = nullptr);
+
+  /// Fig. 2 steps 5-6 for the proposal `x01` whose sampled worst-case
+  /// reward is `reward_worst`: trace it, fully verify it when `gate` is
+  /// open (folding the verifier's corner rewards into the last-worst buffer
+  /// and the stored reward) and finish the session if it passes; otherwise
+  /// store the reward, run `updates` agent updates and continue the actor
+  /// chain from the proposal.  Returns the stored reward, or nullopt once
+  /// the design verified.
+  [[nodiscard]] std::optional<double> verify_or_store(std::vector<double> x01,
+                                                      std::vector<double> x_phys,
+                                                      double reward_worst, bool gate, int updates,
+                                                      const CornerPresample* reuse = nullptr);
+
+  /// Re-anchor the actor input on the best-known design when the stored
+  /// reward fell clearly below it: the actor chain otherwise has no way
+  /// back after a streak of bad proposals.
+  void reanchor(double stored);
+
+  const circuits::TestbenchPtr testbench_;
+  const OperationalConfig op_config_;
   GlovaResult result_;
 
  private:
+  /// One main-loop iteration: the cap check and count around do_step().
+  bool iterate();
   void finish();
+
+  SessionConfig session_config_;
+  rl::AgentConfig agent_config_;
+  VerifierOptions verifier_options_;
+  std::unique_ptr<Session> s_;
 
   bool started_ = false;
   bool finished_ = false;
@@ -220,21 +310,6 @@ class ProgressLogObserver final : public RunObserver {
 
  private:
   std::size_t every_;
-};
-
-/// Cancels the session when an externally supplied budget is exhausted —
-/// the observer-side twin of Optimizer::set_budget, for attaching a limit
-/// after construction.  The checks read the observed session's own usage,
-/// so use one instance per session (a fleet-wide shared budget would need
-/// aggregate accounting this observer does not do).
-class BudgetObserver final : public RunObserver {
- public:
-  explicit BudgetObserver(RunBudget budget) : budget_(budget) {}
-  void on_iteration(Optimizer& session, const IterationTrace& trace,
-                    const EngineStats& stats) override;
-
- private:
-  RunBudget budget_;
 };
 
 /// Cancels after `patience` consecutive iterations without the sampled

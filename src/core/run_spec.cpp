@@ -292,47 +292,32 @@ std::unique_ptr<Optimizer> make_optimizer(const RunSpec& spec,
                                           circuits::TestbenchPtr testbench) {
   if (!testbench) throw std::invalid_argument("make_optimizer: null testbench");
   validate_scalars(spec);
+  SessionConfig session;
+  session.method = spec.method;
+  session.corner_filter = spec.corner_filter;
+  session.n_opt_samples = spec.n_opt_samples;
+  session.max_iterations = spec.max_iterations;
+  session.seed = spec.seed;
+  session.cost = spec.cost;
+  session.engine = spec.engine;
   std::unique_ptr<Optimizer> optimizer;
   switch (spec.algorithm) {
     case Algorithm::Glova: {
-      GlovaConfig cfg;
-      cfg.method = spec.method;
-      cfg.corner_filter = spec.corner_filter;
-      cfg.n_opt_samples = spec.n_opt_samples;
-      cfg.max_iterations = spec.max_iterations;
+      GlovaConfig cfg{session};
       cfg.use_ensemble_critic = spec.use_ensemble_critic;
       cfg.use_mu_sigma = spec.use_mu_sigma;
       cfg.use_reordering = spec.use_reordering;
-      cfg.seed = spec.seed;
-      cfg.cost = spec.cost;
-      cfg.engine = spec.engine;
       optimizer = std::make_unique<GlovaOptimizer>(std::move(testbench), cfg);
       break;
     }
-    case Algorithm::PvtSizing: {
-      baselines::PvtSizingConfig cfg;
-      cfg.method = spec.method;
-      cfg.corner_filter = spec.corner_filter;
-      cfg.n_opt_samples = spec.n_opt_samples;
-      cfg.max_iterations = spec.max_iterations;
-      cfg.seed = spec.seed;
-      cfg.cost = spec.cost;
-      cfg.engine = spec.engine;
-      optimizer = std::make_unique<baselines::PvtSizingOptimizer>(std::move(testbench), cfg);
+    case Algorithm::PvtSizing:
+      optimizer = std::make_unique<baselines::PvtSizingOptimizer>(
+          std::move(testbench), baselines::PvtSizingConfig{session});
       break;
-    }
-    case Algorithm::RobustAnalog: {
-      baselines::RobustAnalogConfig cfg;
-      cfg.method = spec.method;
-      cfg.corner_filter = spec.corner_filter;
-      cfg.n_opt_samples = spec.n_opt_samples;
-      cfg.max_iterations = spec.max_iterations;
-      cfg.seed = spec.seed;
-      cfg.cost = spec.cost;
-      cfg.engine = spec.engine;
-      optimizer = std::make_unique<baselines::RobustAnalogOptimizer>(std::move(testbench), cfg);
+    case Algorithm::RobustAnalog:
+      optimizer = std::make_unique<baselines::RobustAnalogOptimizer>(
+          std::move(testbench), baselines::RobustAnalogConfig{session});
       break;
-    }
   }
   optimizer->set_budget(spec.budget);
   if (spec.progress_log) optimizer->add_observer(std::make_shared<ProgressLogObserver>());

@@ -1,14 +1,14 @@
 // Tests for the GLOVA core pieces: Table I configuration, the Eq. 4/5
 // reward, the mu-sigma evaluation (Eq. 7), reordering scores (Eqs. 8-10),
-// and the counting simulation service.
+// and the evaluation engine's simulation count.
 #include <gtest/gtest.h>
 
 #include "circuits/registry.hpp"
 #include "core/config.hpp"
+#include "core/evaluation_engine.hpp"
 #include "core/mu_sigma.hpp"
 #include "core/reordering.hpp"
 #include "core/reward.hpp"
-#include "core/simulation.hpp"
 
 namespace glova::core {
 namespace {
@@ -148,8 +148,8 @@ TEST(Reordering, CorrelationIdentifiesHarmfulAxis) {
   EXPECT_NEAR(rho[1], 0.0, 0.25);
 }
 
-TEST(SimulationService, CountsEverySimulation) {
-  SimulationService service(circuits::make_testbench(circuits::Testcase::Sal));
+TEST(Engine, CountsEverySimulation) {
+  EvaluationEngine service(circuits::make_testbench(circuits::Testcase::Sal));
   const auto& sz = service.testbench().sizing();
   std::vector<double> x01(sz.dimension(), 0.5);
   const auto x = sz.denormalize(x01);
@@ -163,8 +163,8 @@ TEST(SimulationService, CountsEverySimulation) {
   EXPECT_EQ(service.simulation_count(), 0u);
 }
 
-TEST(SimulationService, BatchMatchesSequentialEvaluation) {
-  SimulationService service(circuits::make_testbench(circuits::Testcase::DramOcsa));
+TEST(Engine, BatchMatchesSequentialEvaluation) {
+  EvaluationEngine service(circuits::make_testbench(circuits::Testcase::DramOcsa));
   const auto& tb = service.testbench();
   std::vector<double> x01(tb.sizing().dimension(), 0.6);
   const auto x = tb.sizing().denormalize(x01);

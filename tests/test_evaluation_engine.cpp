@@ -1,8 +1,8 @@
 // Tests for the EvaluationEngine: a default engine keeps no memo, memo
 // correctness on engines with a persistent memo file (hits return identical
 // metrics, distinct mismatch draws never alias), counter semantics
-// (requested == hits + executed == simulation_count()), LRU bounding, the
-// parallelism cap, and the future-based submission path.
+// (requested == hits + executed == simulation_count()), LRU bounding, and
+// the parallelism cap, which also holds across concurrent callers.
 #include <gtest/gtest.h>
 
 #include <array>
@@ -37,7 +37,7 @@ EngineConfig memo_config(const std::string& name) {
 
 TEST(EvaluationEngine, DefaultEngineDoesNotMemoize) {
   // Without a cache_path every request reaches the testbench: a repeated
-  // point, a batch of repeated nominal draws and a repeated submit all run.
+  // point and a batch of repeated nominal draws all run.
   EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::Sal));
   const auto x = midpoint_design(engine.testbench());
   const auto first = engine.evaluate_one(x, pdk::typical_corner(), {});
@@ -45,10 +45,9 @@ TEST(EvaluationEngine, DefaultEngineDoesNotMemoize) {
   const std::vector<std::vector<double>> nominal(5);
   (void)engine.evaluate_batch(x, pdk::typical_corner(), nominal);
   (void)engine.evaluate_batch(x, pdk::typical_corner(), nominal);
-  EXPECT_EQ(engine.submit(x, pdk::typical_corner(), {}).get(), first);
 
   const EngineStats stats = engine.stats();
-  EXPECT_EQ(stats.requested, 13u);
+  EXPECT_EQ(stats.requested, 12u);
   EXPECT_EQ(stats.executed, stats.requested);
   EXPECT_EQ(stats.cache_hits, 0u);
   EXPECT_EQ(engine.cache_size(), 0u);
@@ -148,36 +147,6 @@ TEST(EvaluationEngine, LruEvictionKeepsCacheBounded) {
   EXPECT_EQ(engine.stats().cache_hits, 1u);
 }
 
-TEST(EvaluationEngine, SubmitResolvesLikeEvaluateOne) {
-  EvaluationEngine engine(circuits::make_testbench(circuits::Testcase::DramOcsa),
-                          memo_config("submit"));
-  const auto x = midpoint_design(engine.testbench());
-  auto fut = engine.submit(x, pdk::typical_corner(), {});
-  const auto async_metrics = fut.get();
-  const auto sync_metrics = engine.evaluate_one(x, pdk::typical_corner(), {});
-  EXPECT_EQ(async_metrics, sync_metrics);
-  EXPECT_EQ(engine.simulation_count(), 2u);
-  EXPECT_EQ(engine.stats().executed, 1u);
-
-  // A cached submit resolves immediately.
-  auto fut2 = engine.submit(x, pdk::typical_corner(), {});
-  EXPECT_EQ(fut2.wait_for(std::chrono::seconds(0)), std::future_status::ready);
-  EXPECT_EQ(fut2.get(), sync_metrics);
-}
-
-TEST(EvaluationEngine, DestructionDrainsPendingSubmits) {
-  // Discarding the future and destroying the engine must not leave a queued
-  // task touching freed state: the destructor drains in-flight submits.
-  const auto tb = circuits::make_testbench(circuits::Testcase::Sal);
-  const auto x = midpoint_design(*tb);
-  for (int round = 0; round < 4; ++round) {
-    EvaluationEngine engine(tb);
-    (void)engine.submit(x, pdk::typical_corner(), {});
-    (void)engine.submit(x, pdk::full_corner_set()[round], {});
-  }  // engine destroyed with results never collected
-  SUCCEED();
-}
-
 /// Testbench that records the maximum number of concurrent evaluations.
 class ConcurrencyProbeBench final : public circuits::Testbench {
  public:
@@ -241,28 +210,9 @@ TEST(EvaluationEngine, ParallelismSettingCapsFanOut) {
   EXPECT_LE(probe->max_in_flight(), 2);
 }
 
-TEST(EvaluationEngine, SubmitHonorsTheParallelismCap) {
-  // Individually submitted evaluations used to bypass EngineConfig::
-  // parallelism entirely (documented gap); they now draw from the same
-  // counting semaphore as evaluate_batch.
-  const auto probe = std::make_shared<ConcurrencyProbeBench>();
-  EngineConfig cfg;
-  cfg.parallelism = 2;
-  EvaluationEngine engine(probe, cfg);
-
-  const std::vector<double> x = {0.5};
-  std::vector<std::future<std::vector<double>>> futures;
-  std::vector<std::vector<double>> hs;
-  for (int i = 0; i < 24; ++i) hs.push_back({static_cast<double>(i)});
-  for (const auto& h : hs) futures.push_back(engine.submit(x, pdk::typical_corner(), h));
-  for (std::size_t i = 0; i < futures.size(); ++i) {
-    EXPECT_EQ(futures[i].get()[0], hs[i][0]);
-  }
-  EXPECT_LE(probe->max_in_flight(), 2);
-  EXPECT_EQ(engine.stats().executed, 24u);
-}
-
-TEST(EvaluationEngine, MixedSubmitAndBatchShareOneCap) {
+TEST(EvaluationEngine, ConcurrentCallersShareOneCap) {
+  // The cap is per engine, not per call: batches and single evaluations
+  // issued from several threads at once draw from one counting semaphore.
   const auto probe = std::make_shared<ConcurrencyProbeBench>();
   EngineConfig cfg;
   cfg.parallelism = 3;
@@ -270,16 +220,21 @@ TEST(EvaluationEngine, MixedSubmitAndBatchShareOneCap) {
   EvaluationEngine engine(probe, cfg);
 
   const std::vector<double> x = {0.5};
-  std::vector<std::future<std::vector<double>>> futures;
-  for (int i = 0; i < 8; ++i) {
-    const std::vector<double> h = {100.0 + i};
-    futures.push_back(engine.submit(x, pdk::typical_corner(), h));
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 3; ++t) {
+    callers.emplace_back([&engine, &x, t] {
+      std::vector<std::vector<double>> hs;
+      for (int i = 0; i < 8; ++i) hs.push_back({100.0 * t + i});
+      (void)engine.evaluate_batch(x, pdk::typical_corner(), hs);
+      for (int i = 0; i < 4; ++i) {
+        const std::vector<double> h = {100.0 * t + 50.0 + i};
+        (void)engine.evaluate_one(x, pdk::typical_corner(), h);
+      }
+    });
   }
-  std::vector<std::vector<double>> hs;
-  for (int i = 0; i < 12; ++i) hs.push_back({static_cast<double>(i)});
-  (void)engine.evaluate_batch(x, pdk::typical_corner(), hs);
-  for (auto& f : futures) (void)f.get();
+  for (std::thread& caller : callers) caller.join();
   EXPECT_LE(probe->max_in_flight(), 3);
+  EXPECT_EQ(engine.stats().executed, 36u);
 }
 
 /// Minimal three-way-mismatch testbench for key-quantization properties:
@@ -365,7 +320,9 @@ TEST(EvaluationEngine, MemoKeyQuantizationProperty) {
 
 TEST(EvaluationEngine, SequentialParallelismNeverUsesThePool) {
   const auto probe = std::make_shared<ConcurrencyProbeBench>();
-  EvaluationEngine engine(probe, /*parallelism=*/1);
+  EngineConfig cfg;
+  cfg.parallelism = 1;
+  EvaluationEngine engine(probe, cfg);
   std::vector<std::vector<double>> hs;
   for (int i = 0; i < 20; ++i) hs.push_back({static_cast<double>(i)});
   (void)engine.evaluate_batch(std::vector<double>{0.5}, pdk::typical_corner(), hs);

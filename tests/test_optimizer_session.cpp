@@ -470,20 +470,6 @@ TEST(Observers, SeeEveryIterationAndTheFinish) {
   EXPECT_EQ(counter->final_termination, res.termination);
 }
 
-TEST(Observers, BudgetObserverCancelsLikeTheBuiltInBudget) {
-  set_log_level(LogLevel::Warn);
-  core::GlovaConfig cfg;
-  cfg.method = core::VerifMethod::C;
-  cfg.seed = 1;
-  core::GlovaOptimizer opt(circuits::make_testbench(circuits::Testcase::Sal), cfg);
-  core::RunBudget shared;
-  shared.max_simulations = 65;
-  opt.add_observer(std::make_shared<core::BudgetObserver>(shared));
-  const auto res = opt.run();
-  EXPECT_EQ(res.termination, "simulation-budget");
-  EXPECT_GE(res.n_simulations, 65u);
-}
-
 TEST(Observers, EarlyStopCancelsAfterStall) {
   set_log_level(LogLevel::Warn);
   core::GlovaConfig cfg;

@@ -19,6 +19,7 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "circuits/registry.hpp"
@@ -78,6 +79,100 @@ TEST(PinnedSeedRegression, SimulationCountsMatchReferenceTable) {
     EXPECT_EQ(res.n_cache_hits, run.n_cache_hits) << label;
     EXPECT_EQ(res.rl_iterations, run.rl_iterations) << label;
     EXPECT_EQ(res.termination, run.termination) << label;
+  }
+}
+
+/// The behavioral session the baseline rows and the state digests below run:
+/// method C, seed 1, a 120-iteration cap, default knobs otherwise.
+core::RunSpec behavioral_session(core::Algorithm algorithm, circuits::Testcase testcase) {
+  core::RunSpec spec;
+  spec.testcase = testcase;
+  spec.algorithm = algorithm;
+  spec.method = core::VerifMethod::C;
+  spec.seed = 1;
+  spec.max_iterations = 120;
+  return spec;
+}
+
+struct BaselineRun {
+  core::Algorithm algorithm;
+  circuits::Testcase testcase;
+  std::uint64_t n_simulations;
+  std::uint64_t n_executed;
+  std::size_t rl_iterations;
+  const char* termination;
+};
+
+// Table II's two baselines.  Recorded before the three algorithms' copies of
+// one session (state, checkpoint codec, verify tail) were folded into
+// core::Optimizer, which had to reproduce them exactly.
+constexpr BaselineRun kBaselineRuns[] = {
+    {core::Algorithm::PvtSizing, circuits::Testcase::Sal, 2480, 2480, 81, "verified"},
+    {core::Algorithm::PvtSizing, circuits::Testcase::Fia, 2195, 2195, 71, "verified"},
+    {core::Algorithm::RobustAnalog, circuits::Testcase::Sal, 570, 570, 100, "verified"},
+    {core::Algorithm::RobustAnalog, circuits::Testcase::Fia, 550, 550, 95, "verified"},
+};
+
+TEST(PinnedSeedRegression, BaselineCountsMatchReferenceTable) {
+  set_log_level(LogLevel::Warn);
+  for (const BaselineRun& run : kBaselineRuns) {
+    const core::GlovaResult res =
+        core::make_optimizer(behavioral_session(run.algorithm, run.testcase))->run();
+    const std::string label = std::string(core::to_string(run.algorithm)) + "/" +
+                              circuits::to_string(run.testcase);
+    EXPECT_EQ(res.n_simulations, run.n_simulations) << label;
+    EXPECT_EQ(res.n_simulations_executed, run.n_executed) << label;
+    EXPECT_EQ(res.rl_iterations, run.rl_iterations) << label;
+    EXPECT_EQ(res.termination, run.termination) << label;
+  }
+}
+
+/// FNV-1a over the bytes of a text.
+std::uint64_t fnv1a(std::string_view text) {
+  std::uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char c : text) {
+    hash ^= static_cast<unsigned char>(c);
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+/// The `optimizer-state v2` frame a SAL session writes after three steps,
+/// with the wall-seconds field of its `result` line (the one timing field)
+/// masked as `-`.
+std::string masked_state_frame(core::Algorithm algorithm) {
+  const auto session = core::make_optimizer(behavioral_session(algorithm, circuits::Testcase::Sal));
+  for (int k = 0; k < 3; ++k) session->step();
+  std::ostringstream os;
+  session->save_state(os);
+  std::string frame = os.str();
+  // result <success> <iterations> <sims> <executed> <hits> <turbo> <wall> <modeled>
+  const std::size_t line = frame.find("\nresult ") + 1;
+  std::size_t wall = line;
+  for (int field = 0; field < 7; ++field) wall = frame.find(' ', wall) + 1;
+  frame.replace(wall, frame.find(' ', wall) - wall, "-");
+  return frame;
+}
+
+struct StateDigest {
+  core::Algorithm algorithm;
+  std::uint64_t fnv1a;
+};
+
+// Recorded with the baseline rows above: every byte of the frame but the
+// wall time (RNG streams, buffers, agent weights, engine counters) is pinned.
+constexpr StateDigest kStateDigests[] = {
+    {core::Algorithm::Glova, 0x182e8fcf5b212b0aull},
+    {core::Algorithm::PvtSizing, 0x59fcbcd9dc24591eull},
+    {core::Algorithm::RobustAnalog, 0xa696ed2a36806777ull},
+};
+
+TEST(PinnedSeedRegression, StateFramesMatchRecordedDigests) {
+  set_log_level(LogLevel::Warn);
+  for (const StateDigest& row : kStateDigests) {
+    const std::string frame = masked_state_frame(row.algorithm);
+    EXPECT_EQ(fnv1a(frame), row.fnv1a)
+        << core::to_string(row.algorithm) << " frame:\n" << frame.substr(0, 400);
   }
 }
 

@@ -147,9 +147,14 @@ std::string downconvert_to_v1(const std::string& v3_text) {
 }
 
 TEST(ResumeState, EveryAlgorithmSupportsStateSerialization) {
+  set_log_level(LogLevel::Warn);
   for (core::Algorithm algorithm : core::all_algorithms()) {
     const auto session = core::make_optimizer(parity_spec(algorithm));
-    EXPECT_TRUE(session->supports_state_serialization())
+    session->step();
+    std::ostringstream os;
+    EXPECT_NO_THROW(session->save_state(os)) << core::to_string(algorithm);
+    EXPECT_EQ(os.str().rfind(std::string("optimizer-state v2 ") + session->algorithm_name(), 0),
+              0u)
         << core::to_string(algorithm);
   }
 }
@@ -200,6 +205,31 @@ TEST(ResumeState, SaveAndLoadEnforceTheSessionProtocol) {
     const auto other = core::make_optimizer(parity_spec(core::Algorithm::PvtSizing));
     std::istringstream is(saved);
     EXPECT_THROW(other->load_state(is), std::runtime_error);
+  }
+}
+
+// A frame that fails to load leaves the session fresh: running it then
+// gives the straight-through result, with none of the partly read frame
+// (its trace rows, say) carried into it.
+TEST(ResumeState, FailedLoadLeavesTheSessionFresh) {
+  set_log_level(LogLevel::Warn);
+  for (core::Algorithm algorithm : core::all_algorithms()) {
+    SCOPED_TRACE(core::to_string(algorithm));
+    const core::RunSpec spec = parity_spec(algorithm);
+    const auto driver = core::make_optimizer(spec);
+    for (int k = 0; k < 3; ++k) driver->step();
+    std::ostringstream os;
+    driver->save_state(os);
+    const std::string saved = os.str();
+    // Cut before its `x_last` line: the result and the RNG streams read,
+    // the buffers, the agent and the engine missing.
+    const std::string truncated = saved.substr(0, saved.find("\nx_last ") + 1);
+    ASSERT_LT(truncated.size(), saved.size());
+
+    const auto fresh = core::make_optimizer(spec);
+    std::istringstream is(truncated);
+    EXPECT_THROW(fresh->load_state(is), std::runtime_error);
+    expect_identical_results(fresh->run(), core::make_optimizer(spec)->run());
   }
 }
 
@@ -261,6 +291,47 @@ TEST(ResumeState, PvtSizingResumesBitIdentically) {
 
 TEST(ResumeState, RobustAnalogResumesBitIdentically) {
   check_resume_parity(core::Algorithm::RobustAnalog);
+}
+
+// A frame carries the wall time of the session's last step, so the restored
+// session's clock, and with it a wall-clock budget, continues from there
+// instead of starting again at zero.
+TEST(ResumeState, WallClockCarriesAcrossSaveAndLoad) {
+  set_log_level(LogLevel::Warn);
+  const core::RunSpec spec = parity_spec(core::Algorithm::Glova);
+  const auto driver = core::make_optimizer(spec);
+  for (int k = 0; k < 3; ++k) driver->step();
+  const double elapsed = driver->elapsed_seconds();
+  ASSERT_GT(elapsed, 0.0);
+  std::stringstream state;
+  driver->save_state(state);
+
+  const std::string saved = state.str();
+
+  const auto restored = core::make_optimizer(spec);
+  restored->load_state(state);
+  EXPECT_GE(restored->elapsed_seconds(), elapsed);
+
+  // A budget the saved session had already spent stops the restored one
+  // after its next step.
+  restored->set_budget(core::RunBudget{.max_wall_seconds = elapsed});
+  restored->step();
+  ASSERT_TRUE(restored->done());
+  EXPECT_EQ(restored->result().termination, "wall-clock-budget");
+
+  // Frames written before the wall time was carried hold 0 there; they
+  // still load and re-save byte-identically.
+  // result <success> <iterations> <sims> <executed> <hits> <turbo> <wall> <modeled>
+  std::string old_frame = saved;
+  std::size_t wall = old_frame.find("\nresult ") + 1;
+  for (int field = 0; field < 7; ++field) wall = old_frame.find(' ', wall) + 1;
+  old_frame.replace(wall, old_frame.find(' ', wall) - wall, "0");
+  const auto old_restored = core::make_optimizer(spec);
+  std::istringstream old_in(old_frame);
+  old_restored->load_state(old_in);
+  std::ostringstream resaved;
+  old_restored->save_state(resaved);
+  EXPECT_EQ(resaved.str(), old_frame);
 }
 
 TEST(ResumeState, CampaignLoadPerformsZeroEvaluations) {
