@@ -254,7 +254,8 @@ static void BM_GlovaRunCornerOnly(benchmark::State& state) {
 BENCHMARK(BM_GlovaRunCornerOnly)->Unit(benchmark::kMillisecond);
 
 // One EnsembleCritic::train at the SAL design dimension: five member steps
-// on a batch of 10, fanned out on the process pool.
+// on a batch of 10, fanned out on the process pool.  Timed in wall time, with
+// cpu_time summed over every thread of the process (the pool's workers too).
 static void BM_CriticUpdate(benchmark::State& state) {
   Rng rng(3);
   rl::CriticConfig cfg;
@@ -269,10 +270,10 @@ static void BM_CriticUpdate(benchmark::State& state) {
   const std::vector<std::vector<const rl::Experience*>> batches(critic.ensemble_size(), batch);
   for (auto _ : state) benchmark::DoNotOptimize(critic.train(batches));
 }
-BENCHMARK(BM_CriticUpdate);
+BENCHMARK(BM_CriticUpdate)->MeasureProcessCPUTime()->UseRealTime();
 
 // One Algorithm-1 iteration at the SAL design dimension: five critic steps
-// plus the actor step through the frozen critic.
+// plus the actor step through the frozen critic.  Timed like BM_CriticUpdate.
 static void BM_AgentUpdate(benchmark::State& state) {
   Rng rng(6);
   rl::WorstCaseReplayBuffer buffer;
@@ -280,7 +281,7 @@ static void BM_AgentUpdate(benchmark::State& state) {
   rl::RiskSensitiveAgent agent(14, rl::AgentConfig{}, rng.split(1));
   for (auto _ : state) benchmark::DoNotOptimize(agent.update(buffer));
 }
-BENCHMARK(BM_AgentUpdate);
+BENCHMARK(BM_AgentUpdate)->MeasureProcessCPUTime()->UseRealTime();
 
 // One forward and one backward with parameter gradients of a batch of n
 // samples through a critic member ({14, 64, 64, 64, 1}); n = 1 is the

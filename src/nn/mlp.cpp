@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <stdexcept>
 
@@ -13,7 +14,7 @@ namespace glova::nn {
 double activate(Activation act, double x) {
   switch (act) {
     case Activation::Identity: return x;
-    case Activation::Tanh: return std::tanh(x);
+    case Activation::Tanh: tanh_lanes(std::span<double>(&x, 1)); return x;
     case Activation::ReLU: return x > 0.0 ? x : 0.0;
     case Activation::Sigmoid: return 1.0 / (1.0 + std::exp(-x));
   }
@@ -279,13 +280,132 @@ void transpose(const double* v, std::size_t rows, std::size_t cols, std::size_t 
   }
 }
 
+// The tanh kernel: glibc 2.36's tanh (s_tanh.c) over the FMA build of its
+// expm1 (s_expm1.c as __expm1_fma, which glibc's ifunc picks when FMA and
+// AVX2 are usable), transcribed lane by lane.  Every lane runs every branch
+// and selects its own result.  The operations glibc's compiler fused are
+// explicit std::fma.  Nothing else fuses: the native build compiles this TU
+// with -ffp-contract=off, and the portable build's x86-64 baseline ISA has
+// no FMA instruction.  So each lane gets the bits of glibc's tanh on such a
+// host, on any x86-64 host (docs/architecture.md#the-tanh-kernel).
+
+typedef std::int64_t LaneInts __attribute__((vector_size(sizeof(Lanes))));
+
+// s_expm1.c's constants.
+constexpr double kLn2Hi = 0x1.62e42feep-1;
+constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+constexpr double kInvLn2 = 0x1.71547652b82fep0;
+constexpr double kQ1 = -0x1.11111111110f4p-5;
+constexpr double kQ2 = 0x1.a01a019fe5585p-10;
+constexpr double kQ3 = -0x1.4ce199eaadbb7p-14;
+constexpr double kQ4 = 0x1.0cfca86e65239p-18;
+constexpr double kQ5 = -0x1.afdb76e09c32dp-23;
+
+double lane_of(const Lanes& v, std::size_t i) { return v[i]; }
+double lane_of(double v, std::size_t) { return v; }
+
+/// r = a * b + c rounded once, lane by lane; an operand may be a scalar.
+template <class A, class B, class C>
+void fma_lanes(Lanes& r, const A& a, const B& b, const C& c) {
+  for (std::size_t i = 0; i < kLanes; ++i) {
+    r[i] = std::fma(lane_of(a, i), lane_of(b, i), lane_of(c, i));
+  }
+}
+
+/// expm1 of each lane, for the arguments tanh passes it: y in [2, 44) or
+/// (-2, -2^-54].  That leaves out glibc's tiny, huge and k = 1 branches.
+void expm1_lanes(Lanes& y) {
+  const Lanes zero = {};
+  const LaneInts zeros = {};
+  const Lanes ay = (Lanes)((LaneInts)y & INT64_MAX);
+  // y = k ln2 + r, r = hi - lo, c the rounding error of that difference.
+  // glibc picks k by the high word of |y|: 0 to 0x3fd62e42 (about ln2 / 2),
+  // -1 below 0x3ff0a2b2 (about 1.5 ln2; only a negative y gets there), else
+  // (int)(y / ln2 +- 0.5), the product and the sum rounded apart.
+  Lanes w = kInvLn2 * y;
+  w += y < zero ? zero - 0.5 : zero + 0.5;
+  LaneInts k = __builtin_convertvector(w, LaneInts);
+  k = ay < 0x1.0a2b2p0 ? zeros - 1 : k;
+  k = ay < 0x1.62e43p-2 ? zeros : k;
+  const Lanes kd = __builtin_convertvector(k, Lanes);
+  // At k = 0 and -1 this is glibc's hi = y and y + ln2_hi: the product is exact.
+  Lanes hi;
+  fma_lanes(hi, -kd, kLn2Hi, y);
+  const Lanes lo = kd * kLn2Lo;
+  const Lanes r = hi - lo;
+  const Lanes c = (hi - r) - lo;
+  const Lanes hfx = 0.5 * r;
+  const Lanes hxs = r * hfx;
+  const Lanes h2 = hxs * hxs;
+  const Lanes h4 = h2 * h2;
+  Lanes r1;
+  Lanes r2;
+  Lanes r3;
+  fma_lanes(r1, hxs, kQ1, 1.0);
+  fma_lanes(r2, hxs, kQ3, kQ2);
+  fma_lanes(r3, hxs, kQ5, kQ4);
+  fma_lanes(r1, h2, r2, r1);
+  fma_lanes(r1, h4, r3, r1);
+  Lanes t;
+  Lanes d;
+  fma_lanes(t, -r1, hfx, 3.0);
+  fma_lanes(d, -r, t, 6.0);
+  const Lanes e = hxs * ((r1 - t) / d);
+  // k = 0: r - (r e - hxs).
+  Lanes res0;
+  fma_lanes(res0, r, e, -hxs);
+  res0 = r - res0;
+  // Otherwise e becomes r (e - c) - c - hxs, and k picks the form.
+  Lanes ek;
+  fma_lanes(ek, r, e - c, -c);
+  ek -= hxs;
+  Lanes res_m1;  // k = -1
+  fma_lanes(res_m1, 0.5, r - ek, -0.5);
+  // glibc scales by adding k to the exponent field; these results are
+  // normal, so that is the exact product by 2^k.
+  const Lanes two_k = (Lanes)((k + 1023) << 52);
+  const Lanes two_mk = (Lanes)((1023 - k) << 52);
+  const Lanes res_far = (1.0 - (ek - r)) * two_k - 1.0;         // k <= -2 or k > 56
+  const Lanes res_low = ((1.0 - two_mk) - (ek - r)) * two_k;    // 2 <= k < 20
+  const Lanes res_high = ((r - (ek + two_mk)) + 1.0) * two_k;  // 20 <= k <= 56
+  y = k < 20 ? res_low : res_high;
+  y = k <= -2 || k > 56 ? res_far : y;
+  y = k == -1 ? res_m1 : y;
+  y = k == 0 ? res0 : y;
+}
+
+/// tanh of each lane.  glibc: |x| < 2^-55 (and +-0) gives x (1 + x);
+/// |x| >= 22 gives +-1, and so do +-inf through 1 / x +- 1, which turns a
+/// NaN into itself quieted, as x + x does.  Between, z = 1 - 2 / (t + 2)
+/// with t = expm1(2|x|) for |x| >= 1, z = -t / (t + 2) with
+/// t = expm1(-2|x|) below, and tanh takes the sign of x.
+void tanh_kernel(Lanes& v) {
+  const Lanes zero = {};
+  const Lanes one = zero + 1.0;
+  const LaneInts sign = (LaneInts)v & INT64_MIN;
+  const Lanes a = (Lanes)((LaneInts)v & INT64_MAX);
+  const auto core = a >= 0x1p-55 && a < 22.0;
+  const auto big = a >= 1.0;
+  // Lanes outside the core hand expm1 a dummy in its range.
+  const Lanes ac = core ? a : one;
+  Lanes t = big ? 2.0 * ac : -2.0 * ac;
+  expm1_lanes(t);
+  // glibc's two quotients share the divisor t + 2: one divide serves both.
+  const Lanes q = (big ? zero + 2.0 : -t) / (t + 2.0);
+  const Lanes z = (Lanes)((LaneInts)(big ? 1.0 - q : q) ^ sign);
+  const Lanes unit = (Lanes)((LaneInts)one | sign);
+  v = core ? z : (a < 0x1p-55 ? v * (1.0 + v) : (a >= 22.0 ? unit : v + v));
+}
+
 /// f applied to the n real lanes of each of `units` rows; the padding lanes
-/// are zeroed, so only real samples reach tanh/exp.
+/// are zeroed afterwards.  tanh runs over the whole block, where the padding
+/// lanes hold the (finite) bias.
 void activate_rows(Activation act, std::size_t units, std::size_t n, std::size_t stride,
                    double* y) {
+  if (act == Activation::Tanh) tanh_lanes(std::span<double>(y, units * stride));
   for (std::size_t u = 0; u < units; ++u) {
     double* row = y + u * stride;
-    if (act != Activation::Identity) {
+    if (act == Activation::ReLU || act == Activation::Sigmoid) {
       for (std::size_t s = 0; s < n; ++s) row[s] = activate(act, row[s]);
     }
     std::fill(row + n, row + stride, 0.0);
@@ -309,6 +429,23 @@ void from_lanes(const double* in, std::size_t units, std::size_t n, std::size_t 
 }
 
 }  // namespace
+
+void tanh_lanes(std::span<double> x) {
+  std::size_t i = 0;
+  Lanes v = {};
+  for (; i + kLanes <= x.size(); i += kLanes) {
+    load(v, &x[i]);
+    tanh_kernel(v);
+    store(&x[i], v);
+  }
+  if (i == x.size()) return;
+  double tail[kLanes] = {};
+  std::copy(x.begin() + static_cast<std::ptrdiff_t>(i), x.end(), tail);
+  load(v, tail);
+  tanh_kernel(v);
+  store(tail, v);
+  std::copy_n(tail, x.size() - i, x.begin() + static_cast<std::ptrdiff_t>(i));
+}
 
 Mlp::Mlp(std::vector<std::size_t> sizes, Activation hidden, Activation output, Rng& rng)
     : sizes_(std::move(sizes)) {

@@ -14,6 +14,8 @@
 // activation is evaluated once and backward() takes its derivative from the
 // stored value; parameter gradients accumulate in sample order.  A batch of n
 // therefore gives the same bits as n single-sample calls in sample order.
+// tanh is tanh_lanes(), a lane-wise transcription of glibc's tanh that gives
+// its bits on every x86-64 host, so no tanh depends on the host's libm.
 #pragma once
 
 #include <cstddef>
@@ -29,6 +31,11 @@ enum class Activation { Identity, Tanh, ReLU, Sigmoid };
 
 /// Value of the activation function.
 [[nodiscard]] double activate(Activation act, double x);
+/// tanh of every element, in place: a lane-wise transcription of glibc's
+/// tanh over its FMA expm1, so each value has the bits glibc's tanh gives on
+/// an x86-64 host with FMA and AVX2, on every x86-64 host and in both
+/// builds.  The NN layer's one tanh: activate() and forward() call it.
+void tanh_lanes(std::span<double> x);
 /// Derivative of the activation expressed via its output y = activate(act, x).
 [[nodiscard]] double activate_grad_from_output(Activation act, double y);
 

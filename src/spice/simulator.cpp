@@ -404,7 +404,10 @@ void StampPlan::build_recovery(const Circuit& circuit, const SimulatorOptions& o
       RecoveryTerm t;
       t.kind = RecoveryTerm::Kind::MosChannel;
       t.coeff = (m.drain == p ? 1.0 : 0.0) - (m.source == p ? 1.0 : 0.0);
-      t.index = mi;
+      // A channel between two pinned nodes enters two sums on one lane.
+      const auto lane = std::ranges::find(recovery_mosfets_, mi);
+      t.index = static_cast<std::size_t>(lane - recovery_mosfets_.begin());
+      if (lane == recovery_mosfets_.end()) recovery_mosfets_.push_back(mi);
       terms.push_back(t);
     }
     for (const CurrentSource& i : circuit.isources()) {
@@ -607,7 +610,15 @@ void StampPlan::vsource_currents(std::span<const double> x, std::span<const doub
   for (std::size_t si = 0; si < vsrc_branch_.size(); ++si) {
     if (vsrc_branch_[si] != kNoSlot) out[si] = x[vsrc_branch_[si]];
   }
-  if (!pinned_.empty()) evaluate_channels(x, lanes);
+  // Only the channels the recovery sums name go through the kernel.
+  if (!recovery_mosfets_.empty()) {
+    lanes.prepare(recovery_mosfets_.size());
+    for (std::size_t l = 0; l < recovery_mosfets_.size(); ++l) {
+      const MosStamp& ms = mosfets_[recovery_mosfets_[l]];
+      lanes.orient(l, ms.channel, x[ms.xg], x[ms.xd], x[ms.xs]);
+    }
+    lanes.evaluate();
+  }
   for (std::size_t pi = 0; pi < pinned_.size(); ++pi) {
     double sum = 0.0;
     for (const RecoveryTerm& t : recovery_[pi]) {
@@ -618,9 +629,11 @@ void StampPlan::vsource_currents(std::span<const double> x, std::span<const doub
         case RecoveryTerm::Kind::CapCurrent:
           if (!cap_current.empty()) sum += t.coeff * cap_current[t.index];
           break;
-        case RecoveryTerm::Kind::MosChannel:
-          sum += t.coeff * lanes.finish(t.index, mosfets_[t.index].channel).i_ds;
+        case RecoveryTerm::Kind::MosChannel: {
+          const MosChannel& channel = mosfets_[recovery_mosfets_[t.index]].channel;
+          sum += t.coeff * lanes.finish(t.index, channel).i_ds;
           break;
+        }
         case RecoveryTerm::Kind::SourceCurrent:
           sum += t.coeff * t.waveform->value(time) * source_scale;
           break;

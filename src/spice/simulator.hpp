@@ -427,7 +427,7 @@ class StampPlan {
     enum class Kind : std::uint8_t {
       Conductance,    ///< coeff * (x[xa] - x[xb])   (resistors, gmin, VCCS)
       CapCurrent,     ///< coeff * cap_current[index]
-      MosChannel,     ///< coeff * i_ds(x) of mosfets_[index] (drain +1 / source -1)
+      MosChannel,     ///< coeff * i_ds(x) of recovery lane `index` (drain +1 / source -1)
       SourceCurrent,  ///< coeff * waveform(t) * scale
       BranchCurrent,  ///< coeff * x[index]          (neighbor V/E branch)
     };
@@ -469,6 +469,9 @@ class StampPlan {
   std::vector<std::size_t> vsrc_branch_;   ///< vsource index -> x slot or kNoPin
   std::vector<PinnedSource> pinned_;
   std::vector<std::vector<RecoveryTerm>> recovery_;  ///< per pinned source
+  /// mosfets_ index of each channel the recovery sums name, one lane each:
+  /// vsource_currents() evaluates only these.
+  std::vector<std::size_t> recovery_mosfets_;
 
   std::vector<LinearStamp> pre_cap_;   ///< gmin + resistors (applied before caps)
   std::vector<CapStamp> caps_;

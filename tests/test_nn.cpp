@@ -7,6 +7,8 @@
 #include <bit>
 #include <cmath>
 #include <cstdint>
+#include <limits>
+#include <random>
 #include <span>
 #include <sstream>
 #include <string>
@@ -25,7 +27,7 @@ TEST(Activation, ValuesAndDerivatives) {
   EXPECT_DOUBLE_EQ(activate_grad_from_output(Activation::Identity, 1.7), 1.0);
   EXPECT_DOUBLE_EQ(activate(Activation::ReLU, -2.0), 0.0);
   EXPECT_DOUBLE_EQ(activate(Activation::ReLU, 2.0), 2.0);
-  EXPECT_NEAR(activate(Activation::Tanh, 0.5), std::tanh(0.5), 1e-15);
+  EXPECT_EQ(activate(Activation::Tanh, 0.5), 0x1.d9353d7568af3p-2);  // glibc's tanh(0.5)
   EXPECT_NEAR(activate(Activation::Sigmoid, 0.0), 0.5, 1e-15);
   // Derivative consistency via finite differences.
   for (const Activation act :
@@ -35,6 +37,313 @@ TEST(Activation, ValuesAndDerivatives) {
     const double fd = (activate(act, x + eps) - activate(act, x - eps)) / (2 * eps);
     EXPECT_NEAR(activate_grad_from_output(act, activate(act, x)), fd, 1e-8);
   }
+}
+
+// ---- The tanh kernel against glibc ---------------------------------------
+
+std::uint64_t bits_of(double x) { return std::bit_cast<std::uint64_t>(x); }
+std::uint32_t high_word(double x) { return static_cast<std::uint32_t>(bits_of(x) >> 32); }
+/// x with its high word replaced, the low word kept (glibc's SET_HIGH_WORD).
+double with_high_word(double x, std::uint32_t high) {
+  return std::bit_cast<double>((std::uint64_t{high} << 32) | (bits_of(x) & 0xffffffffu));
+}
+
+// s_expm1.c's constants.
+constexpr double kLn2Hi = 0x1.62e42feep-1;
+constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
+constexpr double kInvLn2 = 0x1.71547652b82fep0;
+constexpr double kOThreshold = 0x1.62e42fefa39efp9;
+constexpr double kHuge = 1.0e300;
+constexpr double kQ1 = -0x1.11111111110f4p-5;
+constexpr double kQ2 = 0x1.a01a019fe5585p-10;
+constexpr double kQ3 = -0x1.4ce199eaadbb7p-14;
+constexpr double kQ4 = 0x1.0cfca86e65239p-18;
+constexpr double kQ5 = -0x1.afdb76e09c32dp-23;
+
+/// glibc 2.36's expm1 (sysdeps/ieee754/dbl-64/s_expm1.c) as its FMA build
+/// __expm1_fma computes it, branch for branch.  The operations that build's
+/// compiler fused are std::fma here.  Nothing else fuses: GCC contracts
+/// a * b + c in C++ wherever the ISA has an FMA instruction, and this file
+/// builds for the x86-64 baseline, which has none.
+double glibc_expm1_fma(double x) {
+  std::uint32_t hx = high_word(x);
+  const bool negative = (hx & 0x80000000u) != 0;
+  hx &= 0x7fffffffu;
+  if (hx >= 0x4043687au) {    // |x| >= 56 ln2
+    if (hx >= 0x40862e42u) {  // |x| >= 709.78
+      if (hx >= 0x7ff00000u) {
+        if (((hx & 0xfffffu) | static_cast<std::uint32_t>(bits_of(x))) != 0) return x + x;
+        return negative ? -1.0 : x;
+      }
+      if (x > kOThreshold) return std::numeric_limits<double>::infinity();
+    }
+    if (negative) return -1.0;
+  }
+  double hi = 0.0;
+  double lo = 0.0;
+  double c = 0.0;
+  int k = 0;
+  if (hx > 0x3fd62e42u) {    // |x| > 0.5 ln2
+    if (hx < 0x3ff0a2b2u) {  // and |x| < 1.5 ln2
+      hi = negative ? x + kLn2Hi : x - kLn2Hi;
+      lo = negative ? -kLn2Lo : kLn2Lo;
+      k = negative ? -1 : 1;
+    } else {
+      k = static_cast<int>(kInvLn2 * x + (negative ? -0.5 : 0.5));
+      const double t = k;
+      hi = std::fma(-t, kLn2Hi, x);
+      lo = t * kLn2Lo;
+    }
+    const double reduced = hi - lo;
+    c = (hi - reduced) - lo;
+    x = reduced;
+  } else if (hx < 0x3c900000u) {  // |x| < 2^-54
+    const double t = kHuge + x;
+    return x - (t - (kHuge + x));
+  }
+  const double hfx = 0.5 * x;
+  const double hxs = x * hfx;
+  const double R1 = std::fma(hxs, kQ1, 1.0);
+  const double h2 = hxs * hxs;
+  const double R2 = std::fma(hxs, kQ3, kQ2);
+  const double h4 = h2 * h2;
+  const double R3 = std::fma(hxs, kQ5, kQ4);
+  const double r1 = std::fma(h4, R3, std::fma(h2, R2, R1));
+  const double t = std::fma(-r1, hfx, 3.0);
+  double e = hxs * ((r1 - t) / std::fma(-x, t, 6.0));
+  if (k == 0) return x - std::fma(x, e, -hxs);
+  e = std::fma(x, e - c, -c);
+  e -= hxs;
+  if (k == -1) return std::fma(0.5, x - e, -0.5);
+  if (k == 1) return x < -0.25 ? -2.0 * (e - (x + 0.5)) : std::fma(2.0, x - e, 1.0);
+  // 2^k by adding k to the exponent field.
+  const auto scale = [k](double y) {
+    return with_high_word(y, high_word(y) + (static_cast<std::uint32_t>(k) << 20));
+  };
+  if (k <= -2 || k > 56) {
+    const double y = 1.0 - (e - x);
+    return (k == 1024 ? y * 2.0 * 0x1p1023 : scale(y)) - 1.0;
+  }
+  if (k < 20) {
+    const double t_k = with_high_word(1.0, 0x3ff00000u - (0x200000u >> k));  // 1 - 2^-k
+    return scale(t_k - (e - x));
+  }
+  const double t_k = with_high_word(1.0, static_cast<std::uint32_t>(0x3ff - k) << 20);  // 2^-k
+  return scale((x - (e + t_k)) + 1.0);
+}
+
+/// glibc 2.36's tanh (sysdeps/ieee754/dbl-64/s_tanh.c) over that expm1.
+double glibc_tanh(double x) {
+  const auto jx = static_cast<std::int32_t>(high_word(x));
+  const std::int32_t ix = jx & 0x7fffffff;
+  const auto lx = static_cast<std::uint32_t>(bits_of(x));
+  if (ix >= 0x7ff00000) return jx >= 0 ? 1.0 / x + 1.0 : 1.0 / x - 1.0;
+  double z = 0.0;
+  if (ix < 0x40360000) {  // |x| < 22
+    if ((static_cast<std::uint32_t>(ix) | lx) == 0) return x;
+    if (ix < 0x3c800000) return x * (1.0 + x);  // |x| < 2^-55
+    if (ix >= 0x3ff00000) {                      // |x| >= 1
+      const double t = glibc_expm1_fma(2.0 * std::fabs(x));
+      z = 1.0 - 2.0 / (t + 2.0);
+    } else {
+      const double t = glibc_expm1_fma(-2.0 * std::fabs(x));
+      z = -t / (t + 2.0);
+    }
+  } else {
+    z = 1.0 - 1.0e-300;
+  }
+  return jx >= 0 ? z : -z;
+}
+
+/// The k glibc's expm1 reduces y by: 0 to 0.5 ln2, +-1 to 1.5 ln2, then
+/// y / ln2 rounded half away from zero in two roundings.
+int expm1_k(double y) {
+  const std::uint32_t hx = high_word(y) & 0x7fffffffu;
+  if (hx <= 0x3fd62e42u) return 0;
+  if (hx < 0x3ff0a2b2u) return y < 0.0 ? -1 : 1;
+  return static_cast<int>(kInvLn2 * y + (y < 0.0 ? -0.5 : 0.5));
+}
+
+/// The smallest positive double in [lo, hi] where `pred` holds, for a
+/// predicate that is false at lo and stays true once it holds.
+template <class Pred>
+double first_where(double lo, double hi, Pred pred) {
+  std::uint64_t a = bits_of(lo);
+  std::uint64_t b = bits_of(hi);
+  while (b - a > 1) {
+    const std::uint64_t mid = a + (b - a) / 2;
+    (pred(std::bit_cast<double>(mid)) ? b : a) = mid;
+  }
+  return std::bit_cast<double>(b);
+}
+
+/// Every branch edge of glibc's tanh and expm1 on the |x| axis, with the
+/// three doubles either side, both signs: |x| = 2^-55; the |x| at which 2|x|
+/// crosses expm1's 0.5 ln2, 1.5 ln2 and 56 ln2 thresholds; |x| = 1; the k
+/// transitions -2/-1 and -3/-2 (on -2|x|), 19/20 and 56/57 (on 2|x|); and 22.
+std::vector<double> tanh_branch_edges() {
+  std::vector<double> edges = {0x1p-55, 0x1.62e43p-3, 0x1.0a2b2p-1, 0x1.3687ap4, 1.0, 22.0};
+  edges.push_back(first_where(0.5, 1.0, [](double a) { return expm1_k(-2.0 * a) <= -2; }));
+  edges.push_back(first_where(0.5, 1.0, [](double a) { return expm1_k(-2.0 * a) <= -3; }));
+  edges.push_back(first_where(1.0, 22.0, [](double a) { return expm1_k(2.0 * a) >= 20; }));
+  edges.push_back(first_where(1.0, 22.0, [](double a) { return expm1_k(2.0 * a) >= 57; }));
+  std::vector<double> x;
+  for (const double edge : edges) {
+    double below = edge;
+    double above = edge;
+    x.push_back(edge);
+    for (int step = 0; step < 3; ++step) {
+      below = std::nextafter(below, 0.0);
+      above = std::nextafter(above, 100.0);
+      x.push_back(below);
+      x.push_back(above);
+    }
+  }
+  const std::size_t positive = x.size();
+  for (std::size_t i = 0; i < positive; ++i) x.push_back(-x[i]);
+  return x;
+}
+
+/// Signed zeros, infinities, NaNs, subnormals and the ends of the normals.
+std::vector<double> tanh_special_inputs() {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  return {0.0, -0.0, inf, -inf, nan, -nan,
+          std::bit_cast<double>(std::uint64_t{0x7ff0000000000001}),  // signaling
+          0x1p-1074, -0x1p-1074, 0x1.8p-1040, -0x1.8p-1040, 0x0.fffffffffffffp-1022,
+          0x1p-1022, -0x1p-1022, std::numeric_limits<double>::max(),
+          std::numeric_limits<double>::lowest()};
+}
+
+/// The bulk inputs, 2^16 at a time through `check`, 10,485,760 in all:
+/// uniform on [-25, 25] and on [-1.5, 1.5], that range scaled by 1e-3,
+/// random exponents from 2^-60 to 2^6 (random sign and mantissa), and
+/// arbitrary 64-bit patterns.
+template <class Check>
+void for_each_tanh_chunk(Check check) {
+  std::mt19937_64 bits(20250611);
+  const auto unit = [&bits] { return static_cast<double>(bits() >> 11) * 0x1p-53; };
+  std::vector<double> x(std::size_t{1} << 16);
+  for (int kind = 0; kind < 5; ++kind) {
+    for (int chunk = 0; chunk < 32; ++chunk) {
+      for (double& v : x) {
+        switch (kind) {
+          case 0: v = -25.0 + 50.0 * unit(); break;
+          case 1: v = -1.5 + 3.0 * unit(); break;
+          case 2: v = 1e-3 * (-1.5 + 3.0 * unit()); break;
+          case 3: {
+            const int exponent = static_cast<int>(bits() % 67) - 60;
+            v = std::ldexp((bits() & 1) != 0 ? -1.0 - unit() : 1.0 + unit(), exponent);
+            break;
+          }
+          default: v = std::bit_cast<double>(bits()); break;
+        }
+      }
+      check(std::span<const double>(x));
+    }
+  }
+}
+
+/// tanh_lanes over x against `reference`, bit for bit; returns how many
+/// values differ and reports the first few.
+std::size_t tanh_mismatches(std::span<const double> x, double (*reference)(double)) {
+  std::vector<double> y(x.begin(), x.end());
+  tanh_lanes(y);
+  std::size_t bad = 0;
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    const double want = reference(x[i]);
+    if (bits_of(y[i]) == bits_of(want)) continue;
+    if (++bad <= 5) {
+      ADD_FAILURE() << std::hexfloat << "tanh(" << x[i] << "): kernel " << y[i] << ", reference "
+                    << want;
+    }
+  }
+  return bad;
+}
+
+// The kernel against the scalar transcription: on every host.  The whole
+// blocks and the tail go through tanh_lanes; activate() is the one-lane call.
+TEST(Activation, TanhKernelMatchesGlibcTranscription) {
+  std::size_t bad = 0;
+  std::size_t count = 0;
+  for_each_tanh_chunk([&](std::span<const double> x) {
+    bad += tanh_mismatches(x, glibc_tanh);
+    bad += tanh_mismatches(x.first(13), glibc_tanh);
+    count += x.size();
+  });
+  EXPECT_GE(count, 10'000'000u);
+  std::vector<double> edges = tanh_branch_edges();
+  for (const double v : tanh_special_inputs()) edges.push_back(v);
+  bad += tanh_mismatches(edges, glibc_tanh);
+  for (const double v : edges) {
+    EXPECT_EQ(bits_of(activate(Activation::Tanh, v)), bits_of(glibc_tanh(v)))
+        << std::hexfloat << v;
+  }
+  EXPECT_EQ(bad, 0u);
+}
+
+// The same inputs against libm's tanh where glibc picks __expm1_fma.  A
+// tolerance would hide exactly what this pins, so elsewhere it skips.
+TEST(Activation, TanhKernelMatchesLibmOnFmaHosts) {
+#if defined(__x86_64__) && defined(__GLIBC__)
+  if (!__builtin_cpu_supports("fma") || !__builtin_cpu_supports("avx2")) {
+    GTEST_SKIP() << "glibc's tanh runs its SSE2 expm1 without FMA and AVX2; the kernel keeps "
+                    "the FMA bits, which the transcription test pins";
+  }
+  const auto libm_tanh = [](double v) { return std::tanh(v); };
+  std::size_t bad = 0;
+  for_each_tanh_chunk([&](std::span<const double> x) { bad += tanh_mismatches(x, libm_tanh); });
+  std::vector<double> edges = tanh_branch_edges();
+  for (const double v : tanh_special_inputs()) edges.push_back(v);
+  bad += tanh_mismatches(edges, libm_tanh);
+  EXPECT_EQ(bad, 0u);
+#else
+  GTEST_SKIP() << "libm's tanh is glibc's FMA build only on x86-64 glibc hosts";
+#endif
+}
+
+TEST(Activation, TanhKernelSpecialValues) {
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> x = {0.0, -0.0, inf, -inf, std::numeric_limits<double>::quiet_NaN(),
+                           0x1p-1074, -0x1.8p-1040, 22.0, -22.0, 700.0};
+  tanh_lanes(x);
+  EXPECT_EQ(bits_of(x[0]), bits_of(0.0));
+  EXPECT_EQ(bits_of(x[1]), bits_of(-0.0));
+  EXPECT_EQ(x[2], 1.0);
+  EXPECT_EQ(x[3], -1.0);
+  EXPECT_TRUE(std::isnan(x[4]));
+  EXPECT_EQ(x[5], 0x1p-1074);
+  EXPECT_EQ(x[6], -0x1.8p-1040);
+  EXPECT_EQ(x[7], 1.0);
+  EXPECT_EQ(x[8], -1.0);
+  EXPECT_EQ(x[9], 1.0);
+  // Odd symmetry, bit for bit, across every edge.
+  const std::vector<double> edges = tanh_branch_edges();
+  std::vector<double> y = edges;
+  tanh_lanes(y);
+  const std::size_t half = edges.size() / 2;
+  for (std::size_t i = 0; i < half; ++i) {
+    EXPECT_EQ(bits_of(y[i + half]), bits_of(-y[i])) << std::hexfloat << edges[i];
+  }
+}
+
+// One FNV-1a digest of the kernel over a fixed grid, its edges and the
+// subnormals: it must hold in the native and the portable build alike.
+TEST(Activation, TanhKernelDigestIsPinned) {
+  std::vector<double> x;
+  for (int i = -1600; i <= 1600; ++i) x.push_back(i / 64.0);
+  for (const double v : tanh_branch_edges()) x.push_back(v);
+  for (const double v : {0x1p-1074, -0x1.8p-1040, 0x1p-1022, 1e-300, -1e-20}) x.push_back(v);
+  tanh_lanes(x);
+  std::uint64_t hash = 1469598103934665603ull;
+  for (const double v : x) {
+    const std::uint64_t b = bits_of(v);
+    for (int byte = 0; byte < 8; ++byte) {
+      hash ^= (b >> (8 * byte)) & 0xffu;
+      hash *= 1099511628211ull;
+    }
+  }
+  EXPECT_EQ(hash, 0x02b07a52bc6ba0ddull) << std::hex << "digest 0x" << hash;
 }
 
 TEST(Mlp, ShapesAndDeterminism) {

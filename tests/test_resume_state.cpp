@@ -300,13 +300,24 @@ TEST(ResumeState, WallClockCarriesAcrossSaveAndLoad) {
   set_log_level(LogLevel::Warn);
   const core::RunSpec spec = parity_spec(core::Algorithm::Glova);
   const auto driver = core::make_optimizer(spec);
-  for (int k = 0; k < 3; ++k) driver->step();
-  const double elapsed = driver->elapsed_seconds();
-  ASSERT_GT(elapsed, 0.0);
+  for (int k = 0; k < 2; ++k) driver->step();
+  const double before_last_step = driver->elapsed_seconds();
+  driver->step();
   std::stringstream state;
   driver->save_state(state);
 
   const std::string saved = state.str();
+  // The frame's wall field, the wall time at the end of the last step: the
+  // restored clock continues from it, not from when the frame was saved.
+  // step() records it after the iteration, so it lies strictly after a
+  // read taken before that step and no later than a read after the save.
+  // result <success> <iterations> <sims> <executed> <hits> <turbo> <wall> <modeled>
+  std::size_t wall = saved.find("\nresult ") + 1;
+  for (int field = 0; field < 7; ++field) wall = saved.find(' ', wall) + 1;
+  const std::size_t wall_end = saved.find(' ', wall);
+  const double elapsed = std::stod(saved.substr(wall, wall_end - wall));
+  ASSERT_GT(elapsed, before_last_step);
+  ASSERT_LE(elapsed, driver->elapsed_seconds());
 
   const auto restored = core::make_optimizer(spec);
   restored->load_state(state);
@@ -321,11 +332,8 @@ TEST(ResumeState, WallClockCarriesAcrossSaveAndLoad) {
 
   // Frames written before the wall time was carried hold 0 there; they
   // still load and re-save byte-identically.
-  // result <success> <iterations> <sims> <executed> <hits> <turbo> <wall> <modeled>
   std::string old_frame = saved;
-  std::size_t wall = old_frame.find("\nresult ") + 1;
-  for (int field = 0; field < 7; ++field) wall = old_frame.find(' ', wall) + 1;
-  old_frame.replace(wall, old_frame.find(' ', wall) - wall, "0");
+  old_frame.replace(wall, wall_end - wall, "0");
   const auto old_restored = core::make_optimizer(spec);
   std::istringstream old_in(old_frame);
   old_restored->load_state(old_in);

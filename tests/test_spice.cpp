@@ -509,15 +509,13 @@ TEST(ChannelKernel, PlanStampEqualsPerDeviceLinearizationBitForBit) {
   }
 }
 
-// An absorbed source's recovered branch current is the KCL sum at its node
-// (gmin first, then each channel touching it in circuit order) of the
-// scalar one-lane channel currents, bit for bit.
-TEST(ChannelKernel, VsourceCurrentsEqualScalarChannelSumBitForBit) {
-  const Circuit ckt = channel_test_circuit(true);
-  const SimulatorOptions options;
-  StampPlan plan(ckt, options);
-  const std::vector<double> x = channel_test_iterate(ckt, plan);
-  ASSERT_EQ(plan.pinned_count(), 2u);
+/// Each absorbed source's recovered current at iterate `x` equals, bit for
+/// bit, minus its gmin term plus the scalar mos_current of every channel
+/// with a drain or source on its node; returns how many channel terms
+/// those sums hold.
+int expect_vsource_currents_equal_scalar_sums(const Circuit& ckt, const StampPlan& plan,
+                                              const std::vector<double>& x,
+                                              const SimulatorOptions& options) {
   std::vector<double> out(ckt.vsources().size());
   ChannelLanes lanes;
   plan.vsource_currents(x, {}, 0.0, 1.0, out, lanes);
@@ -536,7 +534,49 @@ TEST(ChannelKernel, VsourceCurrentsEqualScalarChannelSumBitForBit) {
     EXPECT_EQ(std::bit_cast<std::uint64_t>(out[si]), std::bit_cast<std::uint64_t>(-sum))
         << ckt.vsources()[si].name;
   }
+  return channels_summed;
+}
+
+// An absorbed source's recovered branch current is the KCL sum at its node
+// (gmin first, then each channel touching it in circuit order) of the
+// scalar one-lane channel currents, bit for bit.
+TEST(ChannelKernel, VsourceCurrentsEqualScalarChannelSumBitForBit) {
+  const Circuit ckt = channel_test_circuit(true);
+  const SimulatorOptions options;
+  StampPlan plan(ckt, options);
+  const std::vector<double> x = channel_test_iterate(ckt, plan);
+  ASSERT_EQ(plan.pinned_count(), 2u);
+  const int channels_summed = expect_vsource_currents_equal_scalar_sums(ckt, plan, x, options);
   EXPECT_EQ(channels_summed, 4);  // M2, M4, M5 and M7 at VDD
+}
+
+// A channel between two absorbed sources enters both of their sums from one
+// lane of the recovery pass, and a channel at neither stays out of it.
+TEST(ChannelKernel, VsourceCurrentsShareOneLaneBetweenTwoPinnedNodes) {
+  const pdk::MosParams nmos = pdk::mos_params(false, pdk::typical_corner(), 60e-9);
+  const pdk::MosParams pmos = pdk::mos_params(true, pdk::typical_corner(), 60e-9);
+  Circuit ckt;
+  const NodeId vdd = ckt.node("vdd");
+  const NodeId in = ckt.node("in");
+  const NodeId a = ckt.node("a");
+  const NodeId gnd = Circuit::ground();
+  ckt.add_vsource("VDD", vdd, gnd, Waveform::dc(0.9));
+  ckt.add_vsource("VIN", in, gnd, Waveform::dc(0.5));
+  ckt.add_resistor("RA", a, gnd, 20e3);
+  ckt.add_mosfet("M1", a, in, gnd, nmos, 1e-6, 60e-9);   // at neither source
+  ckt.add_mosfet("M2", in, a, vdd, pmos, 2e-6, 60e-9);   // between VIN and VDD
+  ckt.add_mosfet("M3", a, vdd, in, nmos, 1e-6, 90e-9);   // at VIN
+  const SimulatorOptions options;
+  StampPlan plan(ckt, options);
+  AssemblyInputs inputs;
+  inputs.mode = AnalysisMode::Op;
+  plan.begin_solve(inputs);
+  std::vector<double> x(plan.padded_size(), 0.0);
+  x[plan.x_slot(a)] = 0.3;
+  plan.load_pinned(x);
+  ASSERT_EQ(plan.pinned_count(), 2u);
+  const int channels_summed = expect_vsource_currents_equal_scalar_sums(ckt, plan, x, options);
+  EXPECT_EQ(channels_summed, 3);  // M2 at VDD, M2 and M3 at VIN
 }
 
 TEST(Transient, RcDischargeMatchesAnalytic) {
