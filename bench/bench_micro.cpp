@@ -238,7 +238,8 @@ BENCHMARK(BM_EngineCacheHit);
 
 static void BM_GlovaRunCornerOnly(benchmark::State& state) {
   // End-to-end GlovaOptimizer::run — TuRBO init, RL loop, verification —
-  // on the behavioral SAL bench, corner-only regime, fixed seed.
+  // on the behavioral SAL bench, corner-only regime, fixed seed.  Wall time,
+  // and cpu_time of every thread (the critic members run on the pool).
   set_log_level(LogLevel::Warn);
   const auto tb = circuits::make_testbench(circuits::Testcase::Sal);
   for (auto _ : state) {
@@ -251,7 +252,10 @@ static void BM_GlovaRunCornerOnly(benchmark::State& state) {
     benchmark::DoNotOptimize(res.n_simulations);
   }
 }
-BENCHMARK(BM_GlovaRunCornerOnly)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_GlovaRunCornerOnly)
+    ->Unit(benchmark::kMillisecond)
+    ->MeasureProcessCPUTime()
+    ->UseRealTime();
 
 // One EnsembleCritic::train at the SAL design dimension: five member steps
 // on a batch of 10, fanned out on the process pool.  Timed in wall time, with
@@ -272,16 +276,18 @@ static void BM_CriticUpdate(benchmark::State& state) {
 }
 BENCHMARK(BM_CriticUpdate)->MeasureProcessCPUTime()->UseRealTime();
 
-// One Algorithm-1 iteration at the SAL design dimension: five critic steps
-// plus the actor step through the frozen critic.  Timed like BM_CriticUpdate.
+// One update(buffer, rounds) at the SAL design dimension: per round five
+// critic steps plus the actor step through the frozen critic.  /3 is a
+// GLOVA iteration's.  Timed like BM_CriticUpdate.
 static void BM_AgentUpdate(benchmark::State& state) {
+  const std::size_t rounds = static_cast<std::size_t>(state.range(0));
   Rng rng(6);
   rl::WorstCaseReplayBuffer buffer;
   for (int i = 0; i < 64; ++i) buffer.add(rng.uniform_vector(14, 0.0, 1.0), rng.uniform(-1.0, 0.2));
   rl::RiskSensitiveAgent agent(14, rl::AgentConfig{}, rng.split(1));
-  for (auto _ : state) benchmark::DoNotOptimize(agent.update(buffer));
+  for (auto _ : state) benchmark::DoNotOptimize(agent.update(buffer, rounds));
 }
-BENCHMARK(BM_AgentUpdate)->MeasureProcessCPUTime()->UseRealTime();
+BENCHMARK(BM_AgentUpdate)->Arg(1)->Arg(3)->MeasureProcessCPUTime()->UseRealTime();
 
 // One forward and one backward with parameter gradients of a batch of n
 // samples through a critic member ({14, 64, 64, 64, 1}); n = 1 is the
@@ -304,6 +310,24 @@ static void BM_MlpBatch(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
 }
 BENCHMARK(BM_MlpBatch)->Arg(1)->Arg(8)->Arg(10);
+
+// One Adam::step over n parameters: a critic member (9,345) and the actor
+// (10,190) at p = 14.  Each critic update takes five of the first, each
+// agent update one of the second.
+static void BM_AdamStep(benchmark::State& state) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  Rng rng(8);
+  std::vector<double> params = rng.uniform_vector(n, -0.5, 0.5);
+  const std::vector<double> grad = rng.uniform_vector(n, -0.1, 0.1);
+  nn::Adam adam(n);
+  for (auto _ : state) {
+    adam.step(params, grad);
+    benchmark::DoNotOptimize(params.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * n));
+}
+BENCHMARK(BM_AdamStep)->Arg(9345)->Arg(10190);
 
 static void BM_HScoreReordering(benchmark::State& state) {
   Rng rng(4);

@@ -56,7 +56,7 @@ void GlovaOptimizer::do_start() {
   }
 
   // Warm up the risk-sensitive agent on the initial dataset.
-  for (int i = 0; i < 100; ++i) (void)s.agent.update(s.buffer);
+  (void)s.agent.update(s.buffer, 100);
 
   s.x_last = std::move(x_best);
 }

@@ -277,7 +277,7 @@ std::optional<double> Optimizer::verify_or_store(std::vector<double> x01,
   }
 
   s.buffer.add(x01, stored);
-  for (int e = 0; e < updates; ++e) (void)s.agent.update(s.buffer);
+  if (updates > 0) (void)s.agent.update(s.buffer, static_cast<std::size_t>(updates));
   trace.sims_total = s.engine.simulation_count();
   result_.trace.push_back(trace);
   s.x_last = std::move(x01);

@@ -4,10 +4,10 @@
 #include <array>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <stdexcept>
 
 #include "common/state_io.hpp"
+#include "nn/lanes.hpp"
 
 namespace glova::nn {
 
@@ -39,37 +39,13 @@ namespace {
 // sample of a batch goes through each weight while it is in a register.  A
 // row's lanes past the batch are zero.  Every kernel gives each sample the
 // exact operation sequence of the single-sample loops it replaced: samples
-// never mix.
-// W doubles as one vector.  The typedef sits in a class template because
-// GCC drops a dependent vector_size from an alias template; the
-// static_asserts catch that.
-template <std::size_t W>
-struct VecOf {
-  typedef double type __attribute__((vector_size(W * sizeof(double))));
-};
-template <std::size_t W>
-using Vec = typename VecOf<W>::type;
+// never mix.  The vector types and their helpers come from nn/lanes.hpp.
 
-constexpr std::size_t kLanes = 8;          ///< doubles per full lane vector
 constexpr std::size_t kHalf = kLanes / 2;  ///< the stride is a multiple of this
-using Lanes = Vec<kLanes>;
 using Half = Vec<kHalf>;
-static_assert(sizeof(Lanes) == kLanes * sizeof(double));
 static_assert(sizeof(Half) == kHalf * sizeof(double));
 
 std::size_t lane_stride(std::size_t n) { return (n + kHalf - 1) / kHalf * kHalf; }
-
-// Vectors move through references, never by value: the kernels' vectors
-// are wider than the baseline ISA's registers (GCC's -Wpsabi).
-template <class V>
-void load(V& v, const double* p) {
-  std::memcpy(&v, p, sizeof v);
-}
-
-template <class V>
-void store(double* p, const V& v) {
-  std::memcpy(p, &v, sizeof v);
-}
 
 template <class V>
 void splat(V& v, double x) {
@@ -289,8 +265,6 @@ void transpose(const double* v, std::size_t rows, std::size_t cols, std::size_t 
 // no FMA instruction.  So each lane gets the bits of glibc's tanh on such a
 // host, on any x86-64 host (docs/architecture.md#the-tanh-kernel).
 
-typedef std::int64_t LaneInts __attribute__((vector_size(sizeof(Lanes))));
-
 // s_expm1.c's constants.
 constexpr double kLn2Hi = 0x1.62e42feep-1;
 constexpr double kLn2Lo = 0x1.a39ef35793c76p-33;
@@ -300,17 +274,6 @@ constexpr double kQ2 = 0x1.a01a019fe5585p-10;
 constexpr double kQ3 = -0x1.4ce199eaadbb7p-14;
 constexpr double kQ4 = 0x1.0cfca86e65239p-18;
 constexpr double kQ5 = -0x1.afdb76e09c32dp-23;
-
-double lane_of(const Lanes& v, std::size_t i) { return v[i]; }
-double lane_of(double v, std::size_t) { return v; }
-
-/// r = a * b + c rounded once, lane by lane; an operand may be a scalar.
-template <class A, class B, class C>
-void fma_lanes(Lanes& r, const A& a, const B& b, const C& c) {
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    r[i] = std::fma(lane_of(a, i), lane_of(b, i), lane_of(c, i));
-  }
-}
 
 /// expm1 of each lane, for the arguments tanh passes it: y in [2, 44) or
 /// (-2, -2^-54].  That leaves out glibc's tiny, huge and k = 1 branches.
@@ -497,6 +460,17 @@ std::span<const double> Mlp::forward(std::span<const double> x, Workspace& ws) c
   ws.out.resize(output_dim() * n);
   from_lanes(ws.post.back().data(), output_dim(), n, stride, ws.out.data());
   return ws.out;
+}
+
+void Mlp::reserve(Workspace& ws, Scratch& scratch, std::size_t n) const {
+  const std::size_t stride = lane_stride(n);
+  ws.sizes.reserve(sizes_.size());
+  if (ws.post.size() < sizes_.size()) ws.post.resize(sizes_.size());
+  for (std::size_t l = 0; l < sizes_.size(); ++l) ws.post[l].reserve(sizes_[l] * stride);
+  ws.out.reserve(output_dim() * n);
+  const std::size_t width = std::ranges::max(sizes_);
+  scratch.delta.reserve(n * width);
+  scratch.other.reserve(n * width);
 }
 
 void Mlp::backward(const Workspace& ws, Scratch& scratch, std::span<const double> dLdy,

@@ -85,6 +85,12 @@ class Mlp {
   /// valid until its next forward().
   std::span<const double> forward(std::span<const double> x, Workspace& ws) const;
 
+  /// Sizes `ws` and `scratch` for batches of up to n samples, so forward()
+  /// and backward() at those sizes allocate nothing.  An owner that runs
+  /// them on pool threads calls this first on its own thread: the memory
+  /// then comes from its allocator arena, not a worker's.
+  void reserve(Workspace& ws, Scratch& scratch, std::size_t n) const;
+
   /// Backpropagate `dLdy` (gradient of the loss w.r.t. the network outputs,
   /// lane-major like forward()'s result) through the activations the last
   /// forward() recorded in `ws`.  Parameter gradients of all n samples are

@@ -36,26 +36,45 @@ RiskSensitiveAgent::RiskSensitiveAgent(std::size_t design_dim, const AgentConfig
       critic_(make_critic(design_dim, config.critic, rng.split(0xC217))),
       noise_(config.noise_initial) {}
 
-double RiskSensitiveAgent::update(const WorstCaseReplayBuffer& buffer) {
-  if (buffer.empty()) return 0.0;
-  ++updates_;
-
-  // --- critic: each base model trains on its own batch (Sec. IV-B).  The
-  // batches are drawn in member order before the members train
-  // concurrently; training never touches rng_ ---
+double RiskSensitiveAgent::update(const WorstCaseReplayBuffer& buffer, std::size_t rounds) {
+  if (buffer.empty() || rounds == 0) return 0.0;
   member_batches_.resize(critic_.ensemble_size());
-  for (std::vector<const Experience*>& batch : member_batches_) {
-    buffer.sample(config_.batch_size, rng_, batch);
+  // What the actor's index of the fan-out uses is sized here, on the
+  // calling thread, so its memory does not land in a pool worker's arena.
+  grad_.resize(actor_.parameter_count());
+  actor_.reserve(actor_ws_, actor_scratch_, config_.batch_size);
+  double loss = 0.0;
+  for (std::size_t k = 0; k < rounds; ++k) {
+    ++updates_;
+    // The round's batches from the agent's RNG: the critic members' in
+    // member order, then the actor's.  These are the draws of a serial
+    // loop, because training never touches rng_.
+    for (std::vector<const Experience*>& batch : member_batches_) {
+      buffer.sample(config_.batch_size, rng_, batch);
+    }
+    buffer.sample(config_.batch_size, rng_, batch_);
+    gather_designs(batch_, actor_.input_dim(), batch_x_);
+    // --- critic: each base model trains on its own batch (Sec. IV-B).  One
+    // more index of the same fan-out runs the actor, which needs no critic
+    // there: the last round's backward and Adam step, then this round's
+    // forward ---
+    const bool previous = k > 0;
+    critic_.train(member_batches_, [this, previous] {
+      if (previous) step_actor();
+      (void)actor_.forward(batch_x_, actor_ws_);
+    });
+    loss = actor_loss();
   }
-  critic_.train(member_batches_);
+  step_actor();
+  return loss;
+}
 
+double RiskSensitiveAgent::actor_loss() {
   // --- actor: minimize MSE(0.2, Q(A(x)) + bias) through the frozen critic,
-  // the whole batch at once: actor forward, critic bounds of the actions,
-  // their input gradients, actor backward ---
-  buffer.sample(config_.batch_size, rng_, batch_);
+  // the whole batch at once: critic bounds of the actions the actor forward
+  // left in actor_ws_, and their input gradients ---
+  const std::span<const double> actions = actor_ws_.out;
   const std::size_t n = batch_.size();
-  gather_designs(batch_, actor_.input_dim(), batch_x_);
-  const std::span<const double> actions = actor_.forward(batch_x_, actor_ws_);
   bounds_.resize(n);
   critic_.bound(actions, bounds_);
   dLdq_.resize(n);
@@ -68,10 +87,13 @@ double RiskSensitiveAgent::update(const WorstCaseReplayBuffer& buffer) {
   }
   dLda_.resize(actions.size());
   critic_.input_gradient(dLdq_, dLda_);
-  grad_.assign(actor_.parameter_count(), 0.0);
+  return loss;
+}
+
+void RiskSensitiveAgent::step_actor() {
+  std::fill(grad_.begin(), grad_.end(), 0.0);
   actor_.backward(actor_ws_, actor_scratch_, dLda_, grad_, {});
   actor_opt_.step(actor_.parameters(), grad_);
-  return loss;
 }
 
 std::span<const double> RiskSensitiveAgent::actor_mean(std::span<const double> x_last) {

@@ -38,9 +38,14 @@ class RiskSensitiveAgent {
  public:
   RiskSensitiveAgent(std::size_t design_dim, const AgentConfig& config, Rng rng);
 
-  /// One Algorithm-1 training iteration on the current buffer contents.
-  /// Returns the actor loss (for traces).  No-op if the buffer is empty.
-  double update(const WorstCaseReplayBuffer& buffer);
+  /// `rounds` Algorithm-1 training iterations on the current buffer
+  /// contents.  Returns the last round's actor loss (for traces).  No-op if
+  /// the buffer is empty or `rounds` is 0.  The result has the bits of `rounds` calls with
+  /// rounds = 1, RNG draws included: round k's actor backward and Adam step
+  /// and round k + 1's actor forward run beside round k + 1's critic
+  /// training, as one more index of its fan-out
+  /// (docs/architecture.md#nn-layer, "Member fan-out").
+  double update(const WorstCaseReplayBuffer& buffer, std::size_t rounds = 1);
 
   /// Propose the next design from the last one (actor + exploration noise),
   /// clamped to [0,1]^p.
@@ -69,6 +74,11 @@ class RiskSensitiveAgent {
  private:
   /// The actor's output for one design (the batch n = 1).
   std::span<const double> actor_mean(std::span<const double> x_last);
+  /// The actor loss of the actions the last actor forward left in
+  /// actor_ws_, with its gradient dL/d(action) in dLda_.
+  double actor_loss();
+  /// The actor's backward from dLda_ and its Adam step.
+  void step_actor();
 
   AgentConfig config_;
   Rng rng_;
@@ -77,8 +87,10 @@ class RiskSensitiveAgent {
   EnsembleCritic critic_;
   double noise_;
   std::size_t updates_ = 0;
-  // Scratch, sized on first use.  grad_ is the actor's parameter gradient;
-  // the critic borrows its members' training scratch (EnsembleCritic::train).
+  // Scratch, sized on first use; what the actor's index of the training
+  // fan-out uses is sized by update() before the fan-out.  grad_ is the
+  // actor's parameter gradient; the critic borrows its members' training
+  // scratch (EnsembleCritic::train).
   nn::Mlp::Workspace actor_ws_;
   nn::Mlp::Scratch actor_scratch_;
   std::vector<std::vector<const Experience*>> member_batches_;  ///< one per critic member

@@ -134,7 +134,8 @@ EnsembleCritic::Bound EnsembleCritic::bound(std::span<const double> x) {
   return b;
 }
 
-double EnsembleCritic::train(std::span<const std::vector<const Experience*>> batches) {
+double EnsembleCritic::train(std::span<const std::vector<const Experience*>> batches,
+                             const std::function<void()>& alongside) {
   const std::size_t e = models_.size();
   if (batches.size() != e) throw std::invalid_argument("EnsembleCritic::train: one batch per member");
   for (const std::vector<const Experience*>& batch : batches) {
@@ -142,7 +143,11 @@ double EnsembleCritic::train(std::span<const std::vector<const Experience*>> bat
   }
   last_.clear();
   BorrowedScratch scratch(e);
-  global_thread_pool().fork_join(e, [&](std::size_t i) {
+  global_thread_pool().fork_join(alongside ? e + 1 : e, [&](std::size_t i) {
+    if (i == e) {
+      alongside();
+      return;
+    }
     const std::vector<const Experience*>& batch = batches[i];
     MemberScratch& m = scratch[i];
     nn::Mlp& model = models_[i];

@@ -9,6 +9,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <iosfwd>
 #include <span>
 #include <vector>
@@ -52,11 +53,14 @@ class EnsembleCritic {
   /// `batches[i]`: L_Qi = MSE(r, Q_i(x) + bias), one forward and one
   /// backward over the whole batch.  The members train concurrently on the
   /// process pool (ThreadPool::fork_join) with the bits of a serial loop:
-  /// each touches only its own network, optimizer and workspace.  Training
-  /// records into the members' bound() workspaces, so it ends the last
-  /// bound(): input_gradient() needs a new one.  Returns the member batch
-  /// losses summed in member order.
-  double train(std::span<const std::vector<const Experience*>> batches);
+  /// each touches only its own network, optimizer and workspace.  A given
+  /// `alongside` runs as one more index of the same fan-out, so it must
+  /// touch none of the critic's state.  Training records into the members'
+  /// bound() workspaces, so it ends the last bound(): input_gradient()
+  /// needs a new one.  Returns the member batch losses summed in member
+  /// order.
+  double train(std::span<const std::vector<const Experience*>> batches,
+               const std::function<void()>& alongside = {});
 
   /// dLdq[s] * dQ/dx of each bound the last bound() call computed, written
   /// to `dx` (input_dim() * n entries, lane-major); used to push gradients

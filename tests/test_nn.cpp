@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -14,8 +15,10 @@
 #include <string>
 
 #include "common/rng.hpp"
+#include "common/state_io.hpp"
 #include "counting_new.hpp"
 #include "nn/adam.hpp"
+#include "nn/lanes.hpp"
 #include "nn/loss.hpp"
 #include "nn/mlp.hpp"
 
@@ -560,6 +563,247 @@ TEST(Adam, SizeMismatchThrows) {
   EXPECT_THROW(adam.step(params, std::vector<double>{1.0}), std::invalid_argument);
 }
 
+// ---- Adam's quotients ----------------------------------------------------
+
+/// Adam::step as a plain loop, three divides and a sqrt per parameter, kept
+/// verbatim from before the checked reciprocal: Adam must give its bits.
+class DividingAdam {
+ public:
+  explicit DividingAdam(std::size_t n, AdamConfig config = {})
+      : config_(config), m_(n, 0.0), v_(n, 0.0) {}
+
+  void set_state(std::size_t t, std::vector<double> m, std::vector<double> v) {
+    t_ = t;
+    m_ = std::move(m);
+    v_ = std::move(v);
+  }
+
+  void step(std::span<double> params, std::span<const double> grad) {
+    ++t_;
+    const double b1 = config_.beta1;
+    const double b2 = config_.beta2;
+    const double bias1 = 1.0 - std::pow(b1, static_cast<double>(t_));
+    const double bias2 = 1.0 - std::pow(b2, static_cast<double>(t_));
+    for (std::size_t i = 0; i < params.size(); ++i) {
+      m_[i] = b1 * m_[i] + (1.0 - b1) * grad[i];
+      v_[i] = b2 * v_[i] + (1.0 - b2) * grad[i] * grad[i];
+      const double m_hat = m_[i] / bias1;
+      const double v_hat = v_[i] / bias2;
+      params[i] -= config_.learning_rate * m_hat / (std::sqrt(v_hat) + config_.epsilon);
+    }
+  }
+
+ private:
+  AdamConfig config_;
+  std::vector<double> m_;
+  std::vector<double> v_;
+  std::size_t t_ = 0;
+};
+
+/// Equal bits, where every NaN equals every NaN: given two NaN operands x86
+/// returns the first one's payload, and a compiler may order the operands
+/// of + and * either way.
+::testing::AssertionResult same_values(std::span<const double> a, std::span<const double> b) {
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    if (std::isnan(a[i]) && std::isnan(b[i])) continue;
+    if (bits_of(a[i]) != bits_of(b[i])) {
+      return ::testing::AssertionFailure() << std::hexfloat << "entry " << i << ": " << a[i]
+                                           << " vs " << b[i];
+    }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+/// Adam and DividingAdam from the same state, one step on `grad` each with
+/// the parameters at zero, so every bit of each update shows.
+::testing::AssertionResult steps_agree(Adam& adam, DividingAdam& reference,
+                                       std::span<const double> grad) {
+  std::vector<double> got(grad.size(), 0.0);
+  std::vector<double> want(grad.size(), 0.0);
+  adam.step(got, grad);
+  reference.step(want, grad);
+  return same_values(got, want);
+}
+
+// 625 blocks of eight and a tail of three, every bit after every step.  The
+// gradients span 1e-300 to 1e3 log-uniformly with both signs, plus exact
+// +-0 and subnormals; a few parameters take +-inf and NaN.  Then moments
+// loaded through Adam::load: +-0, tiny, subnormal and huge.
+TEST(Adam, StepMatchesDividingReference) {
+  constexpr std::size_t kParams = 5003;
+  constexpr int kSteps = 2000;
+  std::mt19937_64 gen(0xADA);
+  std::uniform_real_distribution<double> log_magnitude(std::log(1e-300), std::log(1e3));
+  std::uniform_int_distribution<int> kind(0, 63);
+  const auto draw = [&]() {
+    const int k = kind(gen);
+    const double sign = (k & 1) != 0 ? -1.0 : 1.0;
+    if (k < 4) return sign * 0.0;
+    if (k < 6) return sign * 0x1p-1074 * static_cast<double>(gen() % 4096 + 1);
+    return sign * std::exp(log_magnitude(gen));
+  };
+  Adam adam(kParams);
+  DividingAdam reference(kParams);
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<double> grad(kParams);
+  for (int step = 0; step < kSteps; ++step) {
+    for (double& g : grad) g = draw();
+    if (step == 100) grad[4000] = inf;
+    if (step == 150) grad[4003] = -inf;
+    if (step == 200) grad[4010] = std::numeric_limits<double>::quiet_NaN();
+    if (step == 250) grad[kParams - 2] = inf;
+    ASSERT_TRUE(steps_agree(adam, reference, grad)) << "step " << step;
+  }
+
+  // Loaded moments: every lane kind, in the blocks and the tail.
+  const std::vector<double> specials = {-0.0, 0.0, 0x1p-950, -0x1p-950, 0x1p-1060, 1e300,
+                                        -1e300, 0x1p899, -0x1p-899, 0.25, -3.5};
+  std::vector<double> m(kParams);
+  std::vector<double> v(kParams);
+  for (std::size_t i = 0; i < kParams; ++i) {
+    m[i] = specials[i % specials.size()];
+    v[i] = std::fabs(specials[(i / specials.size() + i) % specials.size()]);
+    if (i % 7 == 0) v[i] = -0.0;
+  }
+  std::ostringstream text;
+  text << "adam 7\n";
+  state::write_doubles(text, "m", m);
+  state::write_doubles(text, "v", v);
+  Adam loaded(kParams);
+  std::istringstream in(text.str());
+  loaded.load(in);
+  DividingAdam loaded_reference(kParams);
+  loaded_reference.set_state(7, m, v);
+  for (int step = 0; step < 50; ++step) {
+    for (double& g : grad) g = step % 2 == 0 ? 0.0 : draw();
+    ASSERT_TRUE(steps_agree(loaded, loaded_reference, grad)) << "loaded, step " << step;
+  }
+}
+
+/// quotient_check() of eight (q, r) lanes at one divisor b; true per lane.
+std::array<bool, kLanes> check_lanes(std::span<const double> q, std::span<const double> r,
+                                     double b) {
+  Lanes qv;
+  Lanes rv;
+  load(qv, q.data());
+  load(rv, r.data());
+  LaneInts ok;
+  quotient_check(ok, qv, rv, b);
+  std::array<bool, kLanes> out{};
+  for (std::size_t i = 0; i < kLanes; ++i) out[i] = ok[i] != 0;
+  return out;
+}
+
+// The remainder test at its bounds: with h = ulp(q) / 2, and half of that
+// below a power of two, it rejects r = h b and r = -h- b and accepts the
+// doubles just inside.  Then candidates one ulp off either side of the
+// quotient, powers of two included, fail, and the quotient passes.
+TEST(Adam, QuotientCheckAcceptsExactlyTheQuotient) {
+  const std::vector<double> divisors = {1.0 - std::pow(0.9, 1.0),
+                                        1.0 - std::pow(0.999, 1.0),
+                                        1.0 - std::pow(0.999, 37.0),
+                                        0.75,
+                                        1.0,
+                                        0x1.fffffffffffffp-1,
+                                        0x1p-64,
+                                        0x1p64,
+                                        3.0};
+  const std::vector<double> quotients = {1.0, 0x1p-500, 0x1p800, 1.5, 0x1.fffffffffffffp0,
+                                         0x1.0000000000001p3, 0.1, 123.456};
+  for (const double b : divisors) {
+    for (const double q : quotients) {
+      const double h = (std::nextafter(q, INFINITY) - q) / 2;
+      const double h_below = (q - std::nextafter(q, 0.0)) / 2;
+      const std::vector<double> qs(kLanes, q);
+      const std::vector<double> r = {h * b,
+                                     std::nextafter(h * b, 0.0),
+                                     -h_below * b,
+                                     std::nextafter(-h_below * b, 0.0),
+                                     0.0,
+                                     -0.0,
+                                     std::nextafter(h * b, INFINITY),
+                                     std::nextafter(-h_below * b, -INFINITY)};
+      const std::array<bool, kLanes> want = {false, true, false, true, true, true, false, false};
+      EXPECT_EQ(check_lanes(qs, r, b), want) << std::hexfloat << "q " << q << ", b " << b;
+    }
+  }
+
+  std::mt19937_64 gen(0x9107);
+  std::uniform_real_distribution<double> log_a(std::log(0x1p-890), std::log(0x1p890));
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  std::size_t powers_of_two = 0;
+  for (int trial = 0; trial < 20000; ++trial) {
+    const double b = trial % 3 == 0 ? 1.0 - std::pow(0.999, 1.0 + trial % 500)
+                                    : 0x1p-60 + unit(gen);
+    double a = std::exp(log_a(gen));
+    if (trial % 2 == 0) {
+      // Next to a power of two: a / b within a few ulps of 2^k, either side.
+      const double two_k = std::ldexp(1.0, static_cast<int>(gen() % 200) - 100);
+      a = two_k * b;
+      const double toward = trial % 4 == 0 ? 0.0 : INFINITY;
+      for (std::uint64_t s = gen() % 6; s > 0; --s) a = std::nextafter(a, toward);
+    }
+    const double q = a / b;
+    const auto power_of_two = [](double x) { return (bits_of(x) & 0xfffffffffffffull) == 0; };
+    powers_of_two += power_of_two(q) || power_of_two(std::nextafter(q, INFINITY)) ||
+                     power_of_two(std::nextafter(q, 0.0));
+    const std::vector<double> candidates = {q,
+                                            std::nextafter(q, INFINITY),
+                                            std::nextafter(q, 0.0),
+                                            std::nextafter(std::nextafter(q, INFINITY), INFINITY),
+                                            std::nextafter(std::nextafter(q, 0.0), 0.0),
+                                            q,
+                                            std::nextafter(q, 0.0),
+                                            std::nextafter(q, INFINITY)};
+    std::vector<double> r(kLanes);
+    for (std::size_t i = 0; i < kLanes; ++i) r[i] = std::fma(-candidates[i], b, a);
+    const std::array<bool, kLanes> want = {true, false, false, false, false, true, false, false};
+    ASSERT_EQ(check_lanes(candidates, r, b), want) << std::hexfloat << "a " << a << ", b " << b;
+  }
+  EXPECT_GT(powers_of_two, 1000u);
+}
+
+// detail::divide_lanes, the kernel Adam::step runs: ordinary blocks, +-0
+// included, go by the reciprocal wherever the build has it, and a block
+// with one lane out of range, or an out-of-range divisor, divides.  Both
+// give the bits of a / b.
+TEST(Adam, OrdinaryQuotientsTakeTheReciprocal) {
+  const bool built = detail::reciprocal_division_built();
+  std::mt19937_64 gen(0x51DE);
+  std::uniform_real_distribution<double> log_a(std::log(0x1p-880), std::log(0x1p880));
+  const auto same = [](double x, double y) {
+    return (std::isnan(x) && std::isnan(y)) || bits_of(x) == bits_of(y);
+  };
+  const auto divide = [&](const std::vector<double>& a, double b) {
+    std::vector<double> q(kLanes);
+    const bool by_reciprocal = detail::divide_lanes(a.data(), b, q.data());
+    for (std::size_t i = 0; i < kLanes; ++i) {
+      EXPECT_TRUE(same(q[i], a[i] / b)) << std::hexfloat << a[i] << " / " << b;
+    }
+    return by_reciprocal;
+  };
+  const double inf = std::numeric_limits<double>::infinity();
+  const std::vector<double> forced = {0x1p-901, -0x1p-1000, 0x1p-1074, 0x1p900, -1e300, inf,
+                                      -inf, std::numeric_limits<double>::quiet_NaN()};
+  for (int trial = 0; trial < 2000; ++trial) {
+    const double b = 1.0 - std::pow(trial % 2 == 0 ? 0.9 : 0.999, 1.0 + trial);
+    std::vector<double> a(kLanes);
+    for (double& x : a) x = (gen() & 1) != 0 ? -std::exp(log_a(gen)) : std::exp(log_a(gen));
+    a[trial % kLanes] = 0.0;
+    a[(trial + 3) % kLanes] = -0.0;
+    EXPECT_EQ(divide(a, b), built) << "trial " << trial;
+    a[(trial + 5) % kLanes] = forced[trial % forced.size()];
+    EXPECT_FALSE(divide(a, b)) << "trial " << trial;
+  }
+  const std::vector<double> ordinary = {1.0, -2.5, 0.0, -0.0, 1e-3, 3e5, -7e-200, 0x1p800};
+  EXPECT_EQ(divide(ordinary, 0x1p-64), built);
+  EXPECT_EQ(divide(ordinary, 0x1p64), built);
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  for (const double b : {0x1p-65, 0x1p65, 0.0, -0.5, inf, nan}) {
+    EXPECT_FALSE(divide(ordinary, b)) << b;
+  }
+}
+
 TEST(Loss, MseAndGradient) {
   const std::vector<double> pred = {1.0, 2.0};
   const std::vector<double> target = {0.0, 4.0};
@@ -696,6 +940,29 @@ TEST(Mlp, WarmWorkspaceTrainingStepAllocatesNothing) {
   (void)net.forward(x, fresh);
   g_alloc_counting.store(false);
   EXPECT_GT(g_alloc_count.load(), 0u);
+}
+
+// reserve() sizes a fresh workspace and scratch for batches of up to n, so
+// even the first forward and backward allocate nothing.  The agent calls it
+// before the actor's step runs on a pool worker.
+TEST(Mlp, ReservedWorkspaceAllocatesNothing) {
+  Rng rng(31);
+  const Mlp net({14, 64, 64, 64, 14}, Activation::Tanh, Activation::Sigmoid, rng);
+  std::vector<double> grad(net.parameter_count(), 0.0);
+  Mlp::Workspace ws;
+  Mlp::Scratch scratch;
+  net.reserve(ws, scratch, 10);
+  for (const std::size_t n : {10u, 1u, 7u}) {
+    const std::vector<double> x = rng.uniform_vector(net.input_dim() * n, 0.0, 1.0);
+    const std::vector<double> dLdy = rng.uniform_vector(net.output_dim() * n, -0.1, 0.1);
+    std::vector<double> dx(net.input_dim() * n);
+    g_alloc_count.store(0);
+    g_alloc_counting.store(true);
+    (void)net.forward(x, ws);
+    net.backward(ws, scratch, dLdy, grad, dx);
+    g_alloc_counting.store(false);
+    EXPECT_EQ(g_alloc_count.load(), 0u) << "batch " << n;
+  }
 }
 
 TEST(Training, LearnsOneDimensionalRegression) {

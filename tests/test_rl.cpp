@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <span>
 #include <sstream>
+#include <string>
 #include <string_view>
 
 #include "common/rng.hpp"
@@ -140,6 +142,52 @@ TEST(GoldenBits, AgentAndSurrogateLoopsAreBitIdentical) {
   EXPECT_EQ(h.value(), 0x39a135d57981170cull) << std::hex << "digest 0x" << h.value();
 }
 
+// update(buffer, R) runs the actor's backward, Adam step and next forward
+// beside the critic's training; it must leave the agent exactly as R calls
+// of update(buffer) do, RNG stream included.  A proposal between the calls
+// leaves an n = 1 pass in the actor's workspace and an n = 8 bound in the
+// critic's.  The single-round side is pinned too: the digest was recorded
+// with the serial update before the multi-round schedule, so a change of
+// the draw order fails here even where both sides share it.
+TEST(Agent, MultiRoundUpdateMatchesSingleRounds) {
+  const auto saved = [](const RiskSensitiveAgent& agent) {
+    std::ostringstream state;
+    agent.save(state);
+    return state.str();
+  };
+  Fnv1a h;
+  for (const std::size_t p : {14u, 6u, 12u}) {
+    for (const std::size_t rounds : {1u, 2u, 3u, 100u}) {
+      RiskSensitiveAgent multi(p, AgentConfig{}, Rng(0x5E55 + 7 * p + rounds));
+      RiskSensitiveAgent single(p, AgentConfig{}, Rng(0x5E55 + 7 * p + rounds));
+      WorstCaseReplayBuffer buffer;
+      Rng data(p + 100 * rounds);
+      for (int i = 0; i < 16; ++i) {
+        const std::vector<double> x = data.uniform_vector(p, 0.0, 1.0);
+        buffer.add(x, data.uniform(-1.0, 0.2));
+      }
+      const std::vector<double> x_last(p, 0.5);
+      for (int call = 0; call < 2; ++call) {
+        const double multi_loss = multi.update(buffer, rounds);
+        double loss = 0.0;
+        for (std::size_t r = 0; r < rounds; ++r) loss = single.update(buffer);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(multi_loss), std::bit_cast<std::uint64_t>(loss))
+            << "p " << p << ", " << rounds << " rounds, call " << call;
+        h.add(loss);
+        const std::vector<double> x = single.propose_screened(x_last, 8);
+        EXPECT_EQ(multi.propose_screened(x_last, 8), x);
+        h.add(x);
+        buffer.add(x, data.uniform(-1.0, 0.2));
+      }
+      // Weights, Adam moments and the RNG stream: a drift cannot heal.
+      const std::string state = saved(single);
+      EXPECT_TRUE(saved(multi) == state) << "p " << p << ", " << rounds << " rounds";
+      h.add(state);
+    }
+  }
+  EXPECT_EQ(h.value(), 0xa662f4e692df5f63ull) << std::hex << "digest 0x" << h.value();
+}
+
 TEST(Agent, WarmUpdateAllocatesNothing) {
   RiskSensitiveAgent agent(14, AgentConfig{}, Rng(12));
   WorstCaseReplayBuffer buffer;
@@ -151,6 +199,7 @@ TEST(Agent, WarmUpdateAllocatesNothing) {
   g_alloc_count.store(0);
   g_alloc_counting.store(true);
   for (int i = 0; i < 5; ++i) (void)agent.update(buffer);
+  (void)agent.update(buffer, 3);
   g_alloc_counting.store(false);
   EXPECT_EQ(g_alloc_count.load(), 0u);
 }
