@@ -1,6 +1,7 @@
 #include "common/state_io.hpp"
 
 #include <istream>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -26,14 +27,9 @@ std::string expect_line(std::istream& is, std::string_view expect) {
 }
 
 std::uint64_t parse_u64(const std::string& text, std::string_view what) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return v;
-  } catch (const std::exception&) {
-    bad("invalid integer for " + std::string(what) + ": '" + text + "'");
-  }
+  const std::optional<std::uint64_t> v = parse_unsigned(text);
+  if (!v) bad("invalid integer for " + std::string(what) + ": '" + text + "'");
+  return *v;
 }
 
 double parse_double(const std::string& text, std::string_view what) {
@@ -53,12 +49,29 @@ void write_doubles(std::ostream& os, std::string_view tag, std::span<const doubl
   os << '\n';
 }
 
+namespace {
+
+/// The next space-separated token of `line` as a strict unsigned decimal
+/// (`istream >>` would read "-1" into an unsigned as 2^64 - 1).
+std::optional<std::uint64_t> next_unsigned(std::istream& line) {
+  std::string token;
+  if (!(line >> token)) return std::nullopt;
+  return parse_unsigned(token);
+}
+
+/// The count that opens a "tag N v0 ... vN-1" line.
+std::size_t read_count(std::istream& line, std::string_view tag) {
+  const std::optional<std::uint64_t> n = next_unsigned(line);
+  if (!n) bad("missing or malformed count after '" + std::string(tag) + "'");
+  if (*n > kMaxCount) bad("implausible '" + std::string(tag) + "' count " + std::to_string(*n));
+  return static_cast<std::size_t>(*n);
+}
+
+}  // namespace
+
 std::vector<double> read_doubles(std::istream& is, std::string_view tag) {
   std::istringstream line(expect_line(is, tag));
-  std::size_t n = 0;
-  if (!(line >> n)) bad("missing count after '" + std::string(tag) + "'");
-  if (n > kMaxCount) bad("implausible '" + std::string(tag) + "' count " + std::to_string(n));
-  std::vector<double> out(n);
+  std::vector<double> out(read_count(line, tag));
   for (double& x : out) {
     if (!(line >> x)) bad("truncated vector '" + std::string(tag) + "'");
   }
@@ -73,12 +86,11 @@ void write_u64s(std::ostream& os, std::string_view tag, std::span<const std::uin
 
 std::vector<std::uint64_t> read_u64s(std::istream& is, std::string_view tag) {
   std::istringstream line(expect_line(is, tag));
-  std::size_t n = 0;
-  if (!(line >> n)) bad("missing count after '" + std::string(tag) + "'");
-  if (n > kMaxCount) bad("implausible '" + std::string(tag) + "' count " + std::to_string(n));
-  std::vector<std::uint64_t> out(n);
+  std::vector<std::uint64_t> out(read_count(line, tag));
   for (std::uint64_t& x : out) {
-    if (!(line >> x)) bad("truncated vector '" + std::string(tag) + "'");
+    const std::optional<std::uint64_t> v = next_unsigned(line);
+    if (!v) bad("truncated or malformed vector '" + std::string(tag) + "'");
+    x = *v;
   }
   return out;
 }

@@ -3,8 +3,11 @@
 
 #include <algorithm>
 #include <cctype>
+#include <charconv>
+#include <cstdint>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <string>
 #include <string_view>
 
@@ -16,6 +19,20 @@ namespace glova {
   std::string out(s);
   std::transform(out.begin(), out.end(), out.begin(),
                  [](unsigned char c) { return static_cast<char>(std::tolower(c)); });
+  return out;
+}
+
+/// Strict unsigned decimal: every character of `text` a digit (no sign, no
+/// whitespace) and the value at most `max`; nullopt otherwise.  The one
+/// parser behind every unsigned field (RunSpec, SweepSpec, the state formats,
+/// the serve tools' flags).  std::stoull would read "-1" as 2^64 - 1 and
+/// accept "+5" and leading spaces.
+[[nodiscard]] inline std::optional<std::uint64_t> parse_unsigned(
+    std::string_view text, std::uint64_t max = std::numeric_limits<std::uint64_t>::max()) {
+  std::uint64_t out = 0;
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, out);
+  if (ec != std::errc{} || ptr != end || out > max) return std::nullopt;
   return out;
 }
 

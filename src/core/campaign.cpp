@@ -131,18 +131,8 @@ SweepSpec SweepSpec::from_string(std::string_view text) {
     } else if (key == "sweep.methods") {
       sweep.methods = split_axis<VerifMethod>(value, key, verif_method_from_string);
     } else if (key == "sweep.seeds") {
-      sweep.seeds = split_axis<std::uint64_t>(value, key,
-                                              [](std::string_view item) -> std::optional<std::uint64_t> {
-                                                try {
-                                                  std::size_t parsed = 0;
-                                                  const std::string s(item);
-                                                  const std::uint64_t v = std::stoull(s, &parsed);
-                                                  if (parsed != s.size()) return std::nullopt;
-                                                  return v;
-                                                } catch (const std::exception&) {
-                                                  return std::nullopt;
-                                                }
-                                              });
+      sweep.seeds = split_axis<std::uint64_t>(
+          value, key, [](std::string_view item) { return parse_unsigned(item); });
     } else {
       throw std::invalid_argument("SweepSpec: unknown key '" + std::string(key) + "'");
     }
@@ -481,51 +471,8 @@ constexpr const char* kMagic = "glova-campaign";
 /// re-serving previously simulated points.  All three versions load.
 constexpr int kFormatVersion = 3;
 
-/// Sanity cap on serialized element counts (sessions, vector lengths, trace
-/// rows).  Real campaigns are orders of magnitude below this; a corrupt
-/// count field must fail as a malformed-checkpoint error, not as a
-/// multi-petabyte allocation.
-constexpr std::size_t kMaxCheckpointCount = 1'000'000;
-
 [[noreturn]] void bad_checkpoint(const std::string& what) {
   throw std::runtime_error("Campaign checkpoint: " + what);
-}
-
-/// Read one line and split off its leading keyword; throws when the stream
-/// ends or the keyword differs from `expect`.
-std::string expect_line(std::istream& is, std::string_view expect) {
-  std::string line;
-  if (!std::getline(is, line)) bad_checkpoint("unexpected end of input, expected '" +
-                                              std::string(expect) + "'");
-  const std::size_t space = line.find(' ');
-  const std::string_view keyword =
-      space == std::string::npos ? std::string_view(line)
-                                 : std::string_view(line).substr(0, space);
-  if (keyword != expect) {
-    bad_checkpoint("expected '" + std::string(expect) + "', got '" + line + "'");
-  }
-  return space == std::string::npos ? std::string() : line.substr(space + 1);
-}
-
-std::uint64_t parse_u64_field(const std::string& text, std::string_view what) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return v;
-  } catch (const std::exception&) {
-    bad_checkpoint("invalid integer for " + std::string(what) + ": '" + text + "'");
-  }
-}
-
-/// Newlines would break the line-oriented format; exception texts and
-/// termination reasons are stored with them flattened to spaces.
-std::string one_line(std::string_view text) {
-  std::string out(text);
-  for (char& c : out) {
-    if (c == '\n' || c == '\r') c = ' ';
-  }
-  return out;
 }
 
 }  // namespace
@@ -534,7 +481,7 @@ void Campaign::save(std::ostream& os) const {
   os << kMagic << " v" << kFormatVersion << '\n';
   os << "max_total_simulations " << config_.max_total_simulations << '\n';
   os << "steps_per_turn " << config_.steps_per_turn << '\n';
-  os << "cache_dir " << one_line(config_.cache_dir) << '\n';
+  os << "cache_dir " << state::one_line(config_.cache_dir) << '\n';
   os << "cursor " << cursor_ << '\n';
   os << "sessions " << sessions_.size() << '\n';
   for (std::size_t i = 0; i < sessions_.size(); ++i) {
@@ -544,7 +491,7 @@ void Campaign::save(std::ostream& os) const {
     os << "state " << to_string(s.state) << '\n';
     os << "steps " << s.steps << '\n';
     os << "retries " << s.retries << '\n';
-    if (s.state == SessionState::Failed) os << "error " << one_line(s.error) << '\n';
+    if (s.state == SessionState::Failed) os << "error " << state::one_line(s.error) << '\n';
     if (s.terminal()) write_glova_result(os, s.result);
     if (s.state == SessionState::Running) {
       // A Running session with steps > 0 has a started optimizer; serialize
@@ -596,40 +543,38 @@ Campaign Campaign::load(std::istream& is,
     }
   }
 
+  // A "<tag> <unsigned>" line; the tag names the field in error messages.
+  const auto read_field = [&is](std::string_view tag) {
+    return state::parse_u64(state::expect_line(is, tag), tag);
+  };
   Campaign campaign;
   campaign.config_.make_testbench = std::move(make_testbench);
-  campaign.config_.max_total_simulations =
-      parse_u64_field(expect_line(is, "max_total_simulations"), "max_total_simulations");
-  campaign.config_.steps_per_turn = static_cast<std::size_t>(
-      parse_u64_field(expect_line(is, "steps_per_turn"), "steps_per_turn"));
-  if (version >= 3) campaign.config_.cache_dir = expect_line(is, "cache_dir");
-  campaign.cursor_ = static_cast<std::size_t>(parse_u64_field(expect_line(is, "cursor"), "cursor"));
-  const std::size_t count =
-      static_cast<std::size_t>(parse_u64_field(expect_line(is, "sessions"), "sessions"));
-  if (count > kMaxCheckpointCount) {
+  campaign.config_.max_total_simulations = read_field("max_total_simulations");
+  campaign.config_.steps_per_turn = static_cast<std::size_t>(read_field("steps_per_turn"));
+  if (version >= 3) campaign.config_.cache_dir = state::expect_line(is, "cache_dir");
+  campaign.cursor_ = static_cast<std::size_t>(read_field("cursor"));
+  const std::size_t count = static_cast<std::size_t>(read_field("sessions"));
+  if (count > state::kMaxCount) {
     bad_checkpoint("implausible session count " + std::to_string(count));
   }
 
   campaign.sessions_.reserve(count);
   for (std::size_t i = 0; i < count; ++i) {
-    if (parse_u64_field(expect_line(is, "session"), "session index") != i) {
+    if (read_field("session") != i) {
       bad_checkpoint("session records out of order");
     }
     Session s;
-    s.spec = RunSpec::from_string(expect_line(is, "spec"));
-    const std::string state_name = expect_line(is, "state");
-    const auto state = session_state_from_string(state_name);
-    if (!state) bad_checkpoint("unknown session state '" + state_name + "'");
-    s.state = *state;
-    s.steps = static_cast<std::size_t>(parse_u64_field(expect_line(is, "steps"), "steps"));
-    if (version >= 2) {
-      s.retries =
-          static_cast<std::size_t>(parse_u64_field(expect_line(is, "retries"), "retries"));
-    }
-    if (s.state == SessionState::Failed) s.error = expect_line(is, "error");
+    s.spec = RunSpec::from_string(state::expect_line(is, "spec"));
+    const std::string state_name = state::expect_line(is, "state");
+    const auto session_state = session_state_from_string(state_name);
+    if (!session_state) bad_checkpoint("unknown session state '" + state_name + "'");
+    s.state = *session_state;
+    s.steps = static_cast<std::size_t>(read_field("steps"));
+    if (version >= 2) s.retries = static_cast<std::size_t>(read_field("retries"));
+    if (s.state == SessionState::Failed) s.error = state::expect_line(is, "error");
     if (s.terminal()) s.result = read_glova_result(is);
     if (version >= 2 && s.state == SessionState::Running) {
-      const std::string mode = expect_line(is, "resume");
+      const std::string mode = state::expect_line(is, "resume");
       if (mode == "state") {
         // Replay-free resume: build a fresh session and restore its full
         // serialized state in place — O(1), zero optimizer step() replays.
@@ -645,7 +590,7 @@ Campaign Campaign::load(std::istream& is,
     }
     campaign.sessions_.push_back(std::move(s));
   }
-  (void)expect_line(is, "end");
+  (void)state::expect_line(is, "end");
   if (campaign.cursor_ >= count && count > 0) bad_checkpoint("cursor out of range");
 
   // Rebuild the remaining in-flight sessions by deterministic replay: a

@@ -21,34 +21,6 @@ namespace {
   throw std::runtime_error("glova-memo cache: " + what);
 }
 
-/// Read one line and split off its leading keyword (campaign-checkpoint
-/// convention); throws via bad_cache on end-of-input or keyword mismatch.
-std::string expect_cache_line(std::istream& is, std::string_view expect) {
-  std::string line;
-  if (!std::getline(is, line)) {
-    bad_cache("truncated file: expected '" + std::string(expect) + "'");
-  }
-  const std::size_t space = line.find(' ');
-  const std::string_view keyword = space == std::string::npos
-                                       ? std::string_view(line)
-                                       : std::string_view(line).substr(0, space);
-  if (keyword != expect) {
-    bad_cache("expected '" + std::string(expect) + "', got '" + line + "'");
-  }
-  return space == std::string::npos ? std::string() : line.substr(space + 1);
-}
-
-std::uint64_t parse_count(const std::string& text, std::string_view what) {
-  try {
-    std::size_t pos = 0;
-    const std::uint64_t v = std::stoull(text, &pos);
-    if (pos != text.size()) throw std::invalid_argument(text);
-    return v;
-  } catch (const std::exception&) {
-    bad_cache("invalid integer for " + std::string(what) + ": '" + text + "'");
-  }
-}
-
 /// One process-wide lock around every file read-modify-write: concurrently
 /// retiring sessions that share a cache path must serialize their merges or
 /// the later rename would silently drop the earlier flush's entries.
@@ -219,14 +191,14 @@ MemoCacheFile load_memo_cache(std::istream& is, const std::string& expected_tag)
     }
   }
   MemoCacheFile file;
-  file.tag = expect_cache_line(is, "tag");
+  file.tag = state::expect_line(is, "tag");
   if (!expected_tag.empty() && file.tag != expected_tag) {
     bad_cache("tag mismatch: file is tagged '" + file.tag + "' but this engine expects '" +
               expected_tag +
               "' — the cache belongs to a different (testcase, backend, numerics-config); "
               "delete the file or point cache_path elsewhere");
   }
-  const std::uint64_t n = parse_count(expect_cache_line(is, "entries"), "entry count");
+  const std::uint64_t n = state::parse_u64(state::expect_line(is, "entries"), "entry count");
   if (n > kMaxMemoCacheEntries) {
     bad_cache("implausible entry count " + std::to_string(n) + " (cap is " +
               std::to_string(kMaxMemoCacheEntries) + ")");
@@ -237,14 +209,14 @@ MemoCacheFile load_memo_cache(std::istream& is, const std::string& expected_tag)
     bad_cache(e.what());
   }
   const std::uint64_t lines =
-      parse_count(expect_cache_line(is, "surrogate-lines"), "surrogate line count");
+      state::parse_u64(state::expect_line(is, "surrogate-lines"), "surrogate line count");
   if (lines > state::kMaxCount) bad_cache("implausible surrogate line count");
   // Files written in the retired surrogate mode carry its model here: skip it.
   for (std::uint64_t i = 0; i < lines; ++i) {
     std::string line;
     if (!std::getline(is, line)) bad_cache("truncated surrogate state");
   }
-  (void)expect_cache_line(is, "end");
+  (void)state::expect_line(is, "end");
   return file;
 }
 

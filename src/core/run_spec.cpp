@@ -4,6 +4,7 @@
 #include <charconv>
 #include <cstdio>
 #include <limits>
+#include <optional>
 #include <stdexcept>
 
 #include "baselines/pvtsizing.hpp"
@@ -24,12 +25,9 @@ std::string format_double(double v) { return format_double_roundtrip(v); }
 }
 
 std::uint64_t parse_u64(std::string_view key, std::string_view value) {
-  std::uint64_t out = 0;
-  const auto [ptr, ec] = std::from_chars(value.data(), value.data() + value.size(), out);
-  if (ec != std::errc{} || ptr != value.data() + value.size()) {
-    bad_spec("invalid integer for " + std::string(key) + ": '" + std::string(value) + "'");
-  }
-  return out;
+  const std::optional<std::uint64_t> out = parse_unsigned(value);
+  if (!out) bad_spec("invalid integer for " + std::string(key) + ": '" + std::string(value) + "'");
+  return *out;
 }
 
 double parse_double(std::string_view key, std::string_view value) {

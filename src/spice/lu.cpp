@@ -1,12 +1,10 @@
 #include "spice/lu.hpp"
 
-#include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <utility>
 
 namespace glova::spice {
-
-void DenseMatrix::set_zero() { std::fill(data_.begin(), data_.end(), 0.0); }
 
 void DenseMatrix::resize_zero(std::size_t n) {
   n_ = n;
@@ -14,57 +12,11 @@ void DenseMatrix::resize_zero(std::size_t n) {
   data_.assign(n * stride_ + 1, 0.0);
 }
 
-bool LuSolver::factor(const DenseMatrix& a) {
-  lu_ = a;
-  return factor_in_place();
-}
-
-DenseMatrix& LuSolver::matrix(std::size_t n) {
-  if (lu_.size() != n) lu_.resize_zero(n);
-  return lu_;
-}
-
-bool LuSolver::factor_in_place() {
-  const std::size_t n = lu_.size();
-  perm_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
-
-  for (std::size_t col = 0; col < n; ++col) {
-    // Partial pivoting: pick the largest magnitude entry in this column.
-    std::size_t pivot = col;
-    double best = std::abs(lu_.at(col, col));
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double mag = std::abs(lu_.at(r, col));
-      if (mag > best) {
-        best = mag;
-        pivot = r;
-      }
-    }
-    if (best < 1e-300) return false;  // singular
-    if (pivot != col) {
-      for (std::size_t c = 0; c < n; ++c) std::swap(lu_.at(col, c), lu_.at(pivot, c));
-      std::swap(perm_[col], perm_[pivot]);
-    }
-    const double inv_pivot = 1.0 / lu_.at(col, col);
-    for (std::size_t r = col + 1; r < n; ++r) {
-      const double factor = lu_.at(r, col) * inv_pivot;
-      lu_.at(r, col) = factor;
-      if (factor == 0.0) continue;
-      for (std::size_t c = col + 1; c < n; ++c) {
-        lu_.at(r, c) -= factor * lu_.at(col, c);
-      }
-    }
-  }
-  return true;
-}
-
-bool LuSolver::factor_solve_in_place(std::span<double> b, std::vector<double>& x) {
-  const std::size_t n = lu_.size();
-  const std::size_t stride = lu_.stride();
-  if (b.size() < n) throw std::invalid_argument("LuSolver::factor_solve_in_place: size mismatch");
-  double* a = lu_.data();
-  perm_.resize(n);
-  for (std::size_t i = 0; i < n; ++i) perm_[i] = i;
+bool factor_solve_in_place(DenseMatrix& m, std::span<double> b, std::vector<double>& x) {
+  const std::size_t n = m.size();
+  const std::size_t stride = m.stride();
+  if (b.size() < n) throw std::invalid_argument("factor_solve_in_place: b is shorter than n");
+  double* a = m.data();
 
   for (std::size_t col = 0; col < n; ++col) {
     // Partial pivoting: pick the largest magnitude entry in this column.
@@ -83,7 +35,6 @@ bool LuSolver::factor_solve_in_place(std::span<double> b, std::vector<double>& x
       double* rc = a + col * stride;
       double* rp = a + pivot * stride;
       for (std::size_t c = 0; c < stride; ++c) std::swap(rc[c], rp[c]);
-      std::swap(perm_[col], perm_[pivot]);
       std::swap(b[col], b[pivot]);
     }
     const double* __restrict prow = a + col * stride;
@@ -98,8 +49,7 @@ bool LuSolver::factor_solve_in_place(std::span<double> b, std::vector<double>& x
       // aligned start, so the loop vectorizes with no prologue.  Columns
       // c > col receive exactly the updates classic elimination applies
       // (bit-identical); columns c <= col accumulate garbage in what would
-      // be the L factors — this fused kernel never reads them again (unlike
-      // factor(), it does not leave a solve()-ready factorization behind).
+      // be the L factors, which nothing reads again.
       for (std::size_t c = 0; c < stride; ++c) row[c] -= factor * prow[c];
       b[r] -= factor * b_col;
     }
@@ -115,30 +65,6 @@ bool LuSolver::factor_solve_in_place(std::span<double> b, std::vector<double>& x
     xp[r] = sum / row[r];
   }
   return true;
-}
-
-std::vector<double> LuSolver::solve(std::span<const double> b) const {
-  std::vector<double> x;
-  solve_into(b, x);
-  return x;
-}
-
-void LuSolver::solve_into(std::span<const double> b, std::vector<double>& x) const {
-  const std::size_t n = lu_.size();
-  if (b.size() != n) throw std::invalid_argument("LuSolver::solve: size mismatch");
-  x.resize(n);
-  // Forward substitution with permutation.
-  for (std::size_t r = 0; r < n; ++r) {
-    double sum = b[perm_[r]];
-    for (std::size_t c = 0; c < r; ++c) sum -= lu_.at(r, c) * x[c];
-    x[r] = sum;
-  }
-  // Back substitution.
-  for (std::size_t r = n; r-- > 0;) {
-    double sum = x[r];
-    for (std::size_t c = r + 1; c < n; ++c) sum -= lu_.at(r, c) * x[c];
-    x[r] = sum / lu_.at(r, r);
-  }
 }
 
 }  // namespace glova::spice

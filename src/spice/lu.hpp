@@ -1,6 +1,7 @@
-// Dense LU factorization with partial pivoting.  MNA systems for the paper's
-// testbenches have a few dozen unknowns, so a dense solver is both simpler
-// and faster than a sparse one at this scale.
+// Dense LU with partial pivoting, fused with the solve.  The stamp plan
+// absorbs grounded voltage sources, so the testbenches' MNA systems have 4-6
+// unknowns (FIA 4, SAL 5, OCSA+SH 6): a dense elimination on a padded row
+// layout is both simpler and faster than a sparse one at this scale.
 #pragma once
 
 #include <cstddef>
@@ -15,10 +16,9 @@ namespace glova::spice {
 /// 4 — so the elimination inner loops vectorize cleanly; padded lanes are
 /// kept at exactly 0.0, which leaves the arithmetic on real lanes
 /// bit-identical to the unpadded layout.  One extra trailing element is a
-/// write-only scratch slot (see scratch_index()): compiled stamp plans map
-/// updates whose row or column is the eliminated ground node there, so the
-/// stamping loop needs no per-entry ground branches; the slot is never read
-/// by the solver.
+/// write-only scratch slot: compiled stamp plans map updates whose row or
+/// column is the eliminated ground node there, so the stamping loop needs no
+/// per-entry ground branches; the slot is never read by the solver.
 class DenseMatrix {
  public:
   /// Row stride used for an n x n matrix: n rounded up to a multiple of 4.
@@ -34,18 +34,13 @@ class DenseMatrix {
   [[nodiscard]] double& at(std::size_t r, std::size_t c) { return data_[r * stride_ + c]; }
   [[nodiscard]] double at(std::size_t r, std::size_t c) const { return data_[r * stride_ + c]; }
 
-  void set_zero();
   /// Resize to n x n and zero.  Reuses existing storage when capacity allows,
   /// so a workspace matrix is allocation-free across same-size solves.
   void resize_zero(std::size_t n);
-  [[nodiscard]] std::span<double> row(std::size_t r) { return {&data_[r * stride_], n_}; }
 
   /// Raw storage (row-major with stride(), scratch slot last).
   [[nodiscard]] double* data() { return data_.data(); }
   [[nodiscard]] const double* data() const { return data_.data(); }
-  [[nodiscard]] std::size_t storage_size() const { return n_ * stride_ + 1; }
-  /// Flat index of the write-only scratch slot.
-  [[nodiscard]] std::size_t scratch_index() const { return n_ * stride_; }
 
  private:
   std::size_t n_ = 0;
@@ -53,43 +48,14 @@ class DenseMatrix {
   std::vector<double> data_ = {0.0};  ///< n * stride + 1; scratch slot at the end
 };
 
-/// Factor A in place (returns false if singular to working precision) and
-/// solve A x = b.  `perm` records the row permutation.
-class LuSolver {
- public:
-  /// Factor a copy of `a`.  Returns false on (numerical) singularity.
-  [[nodiscard]] bool factor(const DenseMatrix& a);
-
-  /// The internal factorization buffer, sized for an n-unknown system.
-  /// Callers on the hot path assemble directly into this matrix and then
-  /// call factor_in_place(), skipping the copy factor() makes.
-  [[nodiscard]] DenseMatrix& matrix(std::size_t n);
-
-  /// Factor whatever matrix() currently holds, destroying it.  Returns
-  /// false on (numerical) singularity.
-  [[nodiscard]] bool factor_in_place();
-
-  /// Factor matrix() in place while eliminating `b` alongside it (Gaussian
-  /// elimination on the augmented system), then back-substitute into `x`.
-  /// Arithmetically identical to factor_in_place() + solve_into(b, x) —
-  /// same operations in the same order — but a single pass: the Newton hot
-  /// loop saves the separate forward-substitution sweep and the permutation
-  /// indirection.  `b` is destroyed; `x` is resized to n (capacity reused).
-  /// Unlike factor(), this does NOT leave a solve()-ready factorization
-  /// behind (the L region is clobbered for vectorization); reassemble and
-  /// refactor before any subsequent solve call.
-  [[nodiscard]] bool factor_solve_in_place(std::span<double> b, std::vector<double>& x);
-
-  /// Solve using the last successful factorization.
-  [[nodiscard]] std::vector<double> solve(std::span<const double> b) const;
-
-  /// Solve into a caller-provided vector (resized to n; reuses capacity so
-  /// repeated solves allocate nothing).  `x` must not alias `b`.
-  void solve_into(std::span<const double> b, std::vector<double>& x) const;
-
- private:
-  DenseMatrix lu_;
-  std::vector<std::size_t> perm_;
-};
+/// Solve m x = b by Gaussian elimination with partial pivoting, eliminating
+/// `b` alongside `m` (the augmented system) and back-substituting into `x`,
+/// which is resized to n with its capacity reused.  Returns false when a
+/// pivot's magnitude is below 1e-300 (singular to working precision).
+/// Destroys `m` and `b`: the row updates run over whole padded rows so they
+/// vectorize, which leaves garbage where the L factors would be.  Throws
+/// std::invalid_argument when `b` has fewer than n entries.
+[[nodiscard]] bool factor_solve_in_place(DenseMatrix& m, std::span<double> b,
+                                         std::vector<double>& x);
 
 }  // namespace glova::spice

@@ -652,7 +652,9 @@ void StampPlan::vsource_currents(std::span<const double> x, std::span<const doub
 // SimulatorWorkspace
 
 void SimulatorWorkspace::prepare(std::size_t n) {
-  rhs.resize(n + 1);  // contents are fully overwritten by StampPlan::stamp
+  // Matrix and RHS contents are fully overwritten by StampPlan::stamp.
+  if (matrix.size() != n) matrix.resize_zero(n);
+  rhs.resize(n + 1);
   x_new.resize(n);
 }
 
@@ -671,28 +673,19 @@ Simulator::Simulator(const Circuit& circuit, SimulatorOptions options,
       workspace_(workspace != nullptr ? workspace : &thread_local_workspace()),
       plan_(circuit, options),
       n_nodes_(circuit.node_count()),
-      n_vsrc_(circuit.vsources().size()),
-      n_vcvs_(circuit.vcvs().size()) {}
+      n_vsrc_(circuit.vsources().size()) {}
 
 double Simulator::voltage_of(const std::vector<double>& x, NodeId node) const {
   return x[plan_.x_slot(node)];
 }
 
-namespace {
-
-/// One damped Newton solve over an already-compiled plan: begin_solve,
-/// load_pinned, then iterate stamp / fused factor-solve / clamped update
-/// until the maximum node-voltage change drops below vtol.  `x` is the
-/// initial guess on entry and the converged iterate on exit (padded
-/// layout); `iterations` is incremented by the iterations spent.
-bool newton_solve_plan(StampPlan& plan, const SimulatorOptions& options,
-                       SimulatorWorkspace& ws, const AssemblyInputs& in, std::vector<double>& x,
-                       int& iterations) {
-  const std::size_t n = plan.unknown_count();
-  const std::size_t nu = plan.unknown_node_count();
+bool Simulator::newton_solve(const AssemblyInputs& in, std::vector<double>& x, int& iterations) {
+  const std::size_t n = plan_.unknown_count();
+  const std::size_t nu = plan_.unknown_node_count();
+  SimulatorWorkspace& ws = *workspace_;
   ws.prepare(n);
-  plan.begin_solve(in);
-  plan.load_pinned(x);
+  plan_.begin_solve(in);
+  plan_.load_pinned(x);
   // Deterministic fault injection (tests/benches only; t_fault_plan is never
   // installed in production, so this is one null check on the default path).
   const FaultPlan::Site* fault = nullptr;
@@ -700,23 +693,22 @@ bool newton_solve_plan(StampPlan& plan, const SimulatorOptions& options,
     fault = fp->match(fp->cursor++);
   }
   if (fault != nullptr && fault->kind == FaultPlan::Kind::NonConverge) {
-    iterations += options.max_newton_iterations;
+    iterations += options_.max_newton_iterations;
     return false;
   }
   bool poison_rhs = fault != nullptr && fault->kind == FaultPlan::Kind::NanStamp;
   bool wreck_matrix = fault != nullptr && fault->kind == FaultPlan::Kind::SingularMatrix;
-  DenseMatrix& g = ws.solver.matrix(n);
-  for (int it = 0; it < options.max_newton_iterations; ++it) {
-    plan.stamp(x, g, ws.rhs, ws.channels);
+  for (int it = 0; it < options_.max_newton_iterations; ++it) {
+    plan_.stamp(x, ws.matrix, ws.rhs, ws.channels);
     if (poison_rhs) {
       ws.rhs[0] = std::numeric_limits<double>::quiet_NaN();
       poison_rhs = false;
     }
     if (wreck_matrix) {
-      std::fill_n(g.data(), n, 0.0);  // zero row 0: factorization must fail
+      std::fill_n(ws.matrix.data(), n, 0.0);  // zero row 0: factorization must fail
       wreck_matrix = false;
     }
-    if (!ws.solver.factor_solve_in_place(std::span<double>(ws.rhs.data(), n), ws.x_new)) {
+    if (!factor_solve_in_place(ws.matrix, std::span<double>(ws.rhs.data(), n), ws.x_new)) {
       iterations += it + 1;
       return false;
     }
@@ -726,7 +718,7 @@ bool newton_solve_plan(StampPlan& plan, const SimulatorOptions& options,
     double max_delta = 0.0;
     for (std::size_t i = 0; i < nu; ++i) {
       const double delta =
-          std::clamp(x_new[i] - x[i], -options.max_step_voltage, options.max_step_voltage);
+          std::clamp(x_new[i] - x[i], -options_.max_step_voltage, options_.max_step_voltage);
       max_delta = std::max(max_delta, std::abs(delta));
       x[i] += delta;
     }
@@ -740,7 +732,7 @@ bool newton_solve_plan(StampPlan& plan, const SimulatorOptions& options,
       iterations += it + 1;
       return false;
     }
-    if (max_delta < options.vtol) {
+    if (max_delta < options_.vtol) {
       iterations += it + 1;
       if (fault != nullptr && fault->kind == FaultPlan::Kind::SlowConverge) {
         iterations += fault->extra_iterations;
@@ -748,24 +740,14 @@ bool newton_solve_plan(StampPlan& plan, const SimulatorOptions& options,
       return true;
     }
   }
-  iterations += options.max_newton_iterations;
+  iterations += options_.max_newton_iterations;
   return false;
 }
 
-/// DC operating point over an already-compiled plan, including the warm
-/// start attempt, cold restart, source-stepping fallback, and (when
-/// options.recovery.enabled) the gmin-stepping ladder.  `failure`, when
-/// non-null, receives the structured report on non-convergence.  `time`
-/// freezes source waveforms at a transient instant for the restart-from-DC
-/// recovery rung (0 = the conventional t=0 operating point).
-OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
-                              const SimulatorOptions& options, SimulatorWorkspace& ws,
-                              const OpResult* warm_start, FailureReport* failure = nullptr,
-                              double time = 0.0) {
-  const std::size_t n_nodes = circuit.node_count();
-  const std::size_t n_vsrc = circuit.vsources().size();
+OpResult Simulator::operating_point(const OpResult* warm_start, FailureReport* failure,
+                                    double time) {
   OpResult result;
-  std::vector<double> x(plan.padded_size(), 0.0);
+  std::vector<double> x(plan_.padded_size(), 0.0);
 
   AssemblyInputs in;
   in.mode = AnalysisMode::Op;
@@ -777,39 +759,39 @@ OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
   bool ok = false;
   bool warm = false;
   if (warm_start != nullptr && warm_start->converged &&
-      warm_start->node_voltages.size() == n_nodes &&
-      warm_start->vsource_currents.size() == n_vsrc) {
-    for (NodeId nd = 1; nd < n_nodes; ++nd) {
-      if (plan.node_is_unknown(nd)) x[plan.x_slot(nd)] = warm_start->node_voltages[nd];
+      warm_start->node_voltages.size() == n_nodes_ &&
+      warm_start->vsource_currents.size() == n_vsrc_) {
+    for (NodeId nd = 1; nd < n_nodes_; ++nd) {
+      if (plan_.node_is_unknown(nd)) x[plan_.x_slot(nd)] = warm_start->node_voltages[nd];
     }
-    for (std::size_t si = 0; si < n_vsrc; ++si) {
-      const std::size_t slot = plan.vsource_branch_slot(si);
+    for (std::size_t si = 0; si < n_vsrc_; ++si) {
+      const std::size_t slot = plan_.vsource_branch_slot(si);
       if (slot != StampPlan::kNoSlot) x[slot] = warm_start->vsource_currents[si];
     }
     // VCVS branch currents are not part of OpResult; they stay seeded at 0.
     warm = true;
-    ok = newton_solve_plan(plan, options, ws, in, x, iterations);
+    ok = newton_solve(in, x, iterations);
     if (!ok) {
       // A bad seed must never cost correctness: restart cold.
       std::fill(x.begin(), x.end(), 0.0);
       warm = false;
     }
   }
-  if (!ok) ok = newton_solve_plan(plan, options, ws, in, x, iterations);
-  if (!ok && deadline_exceeded(options, static_cast<std::uint64_t>(iterations))) {
+  if (!ok) ok = newton_solve(in, x, iterations);
+  if (!ok && deadline_exceeded(options_, static_cast<std::uint64_t>(iterations))) {
     deadline_hit = true;
   }
   if (!ok && !deadline_hit) {
     // Source stepping: ramp all independent sources from 0 to full value.
     std::fill(x.begin(), x.end(), 0.0);
     ok = true;
-    for (int step = 1; step <= options.source_steps; ++step) {
-      in.source_scale = static_cast<double>(step) / options.source_steps;
-      if (!newton_solve_plan(plan, options, ws, in, x, iterations)) {
+    for (int step = 1; step <= options_.source_steps; ++step) {
+      in.source_scale = static_cast<double>(step) / options_.source_steps;
+      if (!newton_solve(in, x, iterations)) {
         ok = false;
         break;
       }
-      if (deadline_exceeded(options, static_cast<std::uint64_t>(iterations))) {
+      if (deadline_exceeded(options_, static_cast<std::uint64_t>(iterations))) {
         ok = false;
         deadline_hit = true;
         break;
@@ -817,17 +799,17 @@ OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
     }
     in.source_scale = 1.0;
   }
-  if (!ok && deadline_exceeded(options, static_cast<std::uint64_t>(iterations))) {
+  if (!ok && deadline_exceeded(options_, static_cast<std::uint64_t>(iterations))) {
     deadline_hit = true;
   }
-  if (!ok && !deadline_hit && options.recovery.enabled) {
+  if (!ok && !deadline_hit && options_.recovery.enabled) {
     // gmin-stepping ladder with anneal-back: solve with a large extra
     // conductance to ground on every unknown node (heavily damped,
     // nearly-linear system), then anneal it geometrically toward zero.  A
     // failed rung retreats one level, restarts the iterate cold, and
     // descends more gently from there.  The point only counts once a solve
     // at extra_gmin == 0 converges.
-    const RecoveryPolicy& rp = options.recovery;
+    const RecoveryPolicy& rp = options_.recovery;
     std::fill(x.begin(), x.end(), 0.0);
     in.source_scale = 1.0;
     double anneal = rp.gmin_anneal;
@@ -835,20 +817,20 @@ OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
     for (int rung = 0; rung < rp.max_gmin_rungs && !ok; ++rung) {
       ++recovery_attempts;
       in.extra_gmin = extra;
-      if (newton_solve_plan(plan, options, ws, in, x, iterations)) {
+      if (newton_solve(in, x, iterations)) {
         if (extra == 0.0) {
           ok = true;
           note(&SpiceCounterBlock::recovered_dc);
           break;
         }
         const double next = extra * anneal;
-        extra = next <= options.gmin ? 0.0 : next;
+        extra = next <= options_.gmin ? 0.0 : next;
       } else {
         std::fill(x.begin(), x.end(), 0.0);
-        extra = std::min(rp.gmin_start, (extra == 0.0 ? options.gmin : extra) / anneal);
+        extra = std::min(rp.gmin_start, (extra == 0.0 ? options_.gmin : extra) / anneal);
         anneal = std::sqrt(anneal);
       }
-      if (deadline_exceeded(options, static_cast<std::uint64_t>(iterations))) {
+      if (deadline_exceeded(options_, static_cast<std::uint64_t>(iterations))) {
         deadline_hit = true;
         break;
       }
@@ -860,28 +842,18 @@ OpResult operating_point_plan(const Circuit& circuit, StampPlan& plan,
   result.iterations = iterations;
   result.warm_started = warm;
   if (ok) {
-    result.node_voltages.assign(n_nodes, 0.0);
-    for (NodeId nd = 1; nd < n_nodes; ++nd) result.node_voltages[nd] = x[plan.x_slot(nd)];
-    result.vsource_currents.assign(n_vsrc, 0.0);
-    plan.vsource_currents(x, {}, time, 1.0, result.vsource_currents, ws.channels);
+    result.node_voltages.assign(n_nodes_, 0.0);
+    for (NodeId nd = 1; nd < n_nodes_; ++nd) result.node_voltages[nd] = x[plan_.x_slot(nd)];
+    result.vsource_currents.assign(n_vsrc_, 0.0);
+    plan_.vsource_currents(x, {}, time, 1.0, result.vsource_currents, workspace_->channels);
   } else if (failure != nullptr) {
     failure->stage = deadline_hit ? FailureStage::Deadline : FailureStage::DcOperatingPoint;
     failure->time = time;
     failure->attempts = recovery_attempts;
-    note_worst_residual(circuit, plan, x, ws.channels, *failure);
+    note_worst_residual(circuit_, plan_, x, workspace_->channels, *failure);
     if (deadline_hit) note(&SpiceCounterBlock::deadline_aborts);
   }
   return result;
-}
-
-}  // namespace
-
-bool Simulator::newton_solve(const AssemblyInputs& in, std::vector<double>& x, int& iterations) {
-  return newton_solve_plan(plan_, options_, *workspace_, in, x, iterations);
-}
-
-OpResult Simulator::operating_point(const OpResult* warm_start) {
-  return operating_point_plan(circuit_, plan_, options_, *workspace_, warm_start);
 }
 
 TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* dc_warm_start) {
@@ -910,8 +882,7 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
       }
     }
   } else {
-    OpResult op = operating_point_plan(circuit_, plan_, options_, *workspace_, dc_warm_start,
-                                       &result.failure);
+    OpResult op = operating_point(dc_warm_start, &result.failure);
     if (!op.converged) {
       result.error = result.failure.to_string();
       return result;
@@ -1145,8 +1116,7 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
           // the divided-difference history is discarded).
           for (int restart = 0; restart < options_.recovery.dc_restart_attempts; ++restart) {
             ++report.attempts;
-            OpResult op = operating_point_plan(circuit_, plan_, options_, *workspace_, nullptr,
-                                               nullptr, t_next);
+            OpResult op = operating_point(nullptr, nullptr, t_next);
             result.newton_iterations += static_cast<std::uint64_t>(op.iterations);
             if (deadline_exceeded(options_, spent())) {
               deadline_hit = true;

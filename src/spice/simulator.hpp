@@ -495,21 +495,22 @@ class StampPlan {
   std::vector<double> pinned_vals_;///< per pinned source, set by begin_solve
 };
 
-/// Reusable scratch buffers for the Newton loop: the padded RHS, the solver
-/// (which owns the assembly-target matrix, its factorization, and the
-/// permutation), the iterate produced by each solve, and the channel
-/// kernel's lanes.  Every buffer is fully overwritten before use, so sharing
-/// a workspace across solves, timesteps, and even different circuits never
-/// changes results — it only removes the per-solve heap traffic.  A
-/// workspace is single-threaded state: use one per thread.
+/// Reusable scratch buffers for the Newton loop: the MNA matrix each
+/// iteration assembles into and factor_solve_in_place destroys, the padded
+/// RHS, the iterate produced by each solve, and the channel kernel's lanes.
+/// Every buffer is fully overwritten before use, so sharing a workspace
+/// across solves, timesteps, and even different circuits never changes
+/// results — it only removes the per-solve heap traffic.  A workspace is
+/// single-threaded state: use one per thread.
 struct SimulatorWorkspace {
+  DenseMatrix matrix;
   std::vector<double> rhs;    ///< unknown_count() + 1, scratch slot last
   std::vector<double> x_new;
-  LuSolver solver;
   ChannelLanes channels;
 
-  /// Size the RHS and iterate for an n-unknown system, reusing capacity
-  /// (each StampPlan pass sizes the channel lanes for its own MOSFETs).
+  /// Size the matrix, RHS and iterate for an n-unknown system, reusing
+  /// capacity (each StampPlan pass sizes the channel lanes for its own
+  /// MOSFETs).
   void prepare(std::size_t n);
 };
 
@@ -526,13 +527,19 @@ class Simulator {
   explicit Simulator(const Circuit& circuit, SimulatorOptions options = {},
                      SimulatorWorkspace* workspace = nullptr);
 
-  /// DC operating point (capacitors open).  `warm_start` optionally seeds
-  /// Newton from a previously converged operating point of the same circuit
-  /// topology (e.g. another mismatch draw of the same design); on any
-  /// mismatch or failure the solver falls back to the cold-start path, so a
-  /// warm start can change the iteration count but never the converged
-  /// solution beyond vtol.
-  [[nodiscard]] OpResult operating_point(const OpResult* warm_start = nullptr);
+  /// DC operating point (capacitors open), including the cold restart, the
+  /// source-stepping fallback and (when options.recovery.enabled) the
+  /// gmin-stepping ladder.  `warm_start` optionally seeds Newton from a
+  /// previously converged operating point of the same circuit topology
+  /// (e.g. another mismatch draw of the same design); on any mismatch or
+  /// failure the solver falls back to the cold-start path, so a warm start
+  /// can change the iteration count but never the converged solution beyond
+  /// vtol.  `failure`, when non-null, receives the structured report on
+  /// non-convergence.  `time` freezes source waveforms at that transient
+  /// instant (the transient's restart-from-DC rung; 0 is the conventional
+  /// t = 0 operating point).
+  [[nodiscard]] OpResult operating_point(const OpResult* warm_start = nullptr,
+                                         FailureReport* failure = nullptr, double time = 0.0);
 
   /// Transient analysis.  `dc_warm_start` seeds the initial DC solve (no
   /// effect when spec.use_ic); the converged DC point is returned in
@@ -543,9 +550,13 @@ class Simulator {
   [[nodiscard]] const StampPlan& plan() const { return plan_; }
 
  private:
+  /// One damped Newton solve over the compiled plan: begin_solve,
+  /// load_pinned, then iterate stamp / fused factor-solve / clamped update
+  /// until the maximum node-voltage change drops below vtol.  `x` is the
+  /// initial guess on entry and the converged iterate on exit (padded
+  /// layout); `iterations` is incremented by the iterations spent.
   [[nodiscard]] bool newton_solve(const AssemblyInputs& in, std::vector<double>& x,
                                   int& iterations);
-  [[nodiscard]] std::size_t unknown_count() const { return plan_.unknown_count(); }
   [[nodiscard]] double voltage_of(const std::vector<double>& x, NodeId node) const;
 
   const Circuit& circuit_;
@@ -554,7 +565,6 @@ class Simulator {
   StampPlan plan_;
   std::size_t n_nodes_;    ///< including ground
   std::size_t n_vsrc_;
-  std::size_t n_vcvs_;
 };
 
 }  // namespace glova::spice

@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <memory>
 #include <sstream>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "circuits/registry.hpp"
 #include "common/log.hpp"
@@ -100,6 +103,39 @@ TEST(SweepSpec, EmptyAxesDefaultToTheBaseSpec) {
   const auto specs = sweep.expand();
   ASSERT_EQ(specs.size(), 1u);
   EXPECT_EQ(specs[0], sweep.base);
+}
+
+// Seeds are unsigned decimals: std::stoull read "-1" as 2^64 - 1 and
+// accepted "+5", so a SUBMIT could run seed 18446744073709551615.
+TEST(SweepSpec, SeedsRejectSignsLikeRunSpec) {
+  EXPECT_THROW((void)core::SweepSpec::from_string("sweep.seeds=-1"), std::invalid_argument);
+  EXPECT_THROW((void)core::SweepSpec::from_string("sweep.seeds=+5"), std::invalid_argument);
+  EXPECT_THROW((void)core::SweepSpec::from_string("sweep.seeds=1,-2"), std::invalid_argument);
+  EXPECT_THROW((void)core::SweepSpec::from_string("sweep.seeds= 5"), std::invalid_argument);
+  EXPECT_THROW((void)core::RunSpec::from_string("seed=-1"), std::invalid_argument);
+  const core::SweepSpec sweep = core::SweepSpec::from_string("sweep.seeds=3,18446744073709551615");
+  EXPECT_EQ(sweep.seeds, (std::vector<std::uint64_t>{3, 18446744073709551615ull}));
+}
+
+// A checkpoint count field with a sign is malformed, not 2^64 - 1 steps.
+TEST(Campaign, CheckpointRejectsASignedCount) {
+  core::RunSpec spec;
+  spec.max_iterations = 5;
+  core::Campaign campaign(std::vector<core::RunSpec>{spec});
+  std::stringstream ss;
+  campaign.save(ss);
+  std::string text = ss.str();
+  const std::size_t at = text.find("\nsteps 0\n");
+  ASSERT_NE(at, std::string::npos) << text;
+  text.replace(at, 9, "\nsteps -1\n");
+  std::istringstream in(text);
+  try {
+    (void)core::Campaign::load(in);
+    FAIL() << "loaded a checkpoint with 'steps -1'";
+  } catch (const std::runtime_error& e) {
+    EXPECT_NE(std::string(e.what()).find("invalid integer for steps: '-1'"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Campaign, EmptyCampaignIsTriviallyDone) {

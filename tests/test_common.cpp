@@ -1,5 +1,6 @@
 // Tests for the common substrate: deterministic RNG, stream splitting,
-// thread pool (parallel_for and fork_join), units.
+// thread pool (parallel_for and fork_join), units, the strict unsigned
+// parser behind every text format.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -7,11 +8,14 @@
 #include <cstdint>
 #include <functional>
 #include <set>
+#include <sstream>
 #include <stdexcept>
 #include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
+#include "common/state_io.hpp"
+#include "common/text.hpp"
 #include "common/thread_pool.hpp"
 #include "common/units.hpp"
 #include "counting_new.hpp"
@@ -230,6 +234,34 @@ TEST(Units, Conversions) {
   EXPECT_DOUBLE_EQ(4.0_ns, 4e-9);
   EXPECT_DOUBLE_EQ(units::celsius_to_kelvin(27.0), 300.15);
   EXPECT_NEAR(units::thermal_voltage(300.0), 0.02585, 1e-4);
+}
+
+TEST(Text, ParseUnsignedTakesDigitsOnly) {
+  EXPECT_EQ(parse_unsigned("0"), 0u);
+  EXPECT_EQ(parse_unsigned("42"), 42u);
+  EXPECT_EQ(parse_unsigned("18446744073709551615"), 18446744073709551615ull);
+  for (const char* bad : {"", "-1", "+5", " 5", "5 ", "0x10", "1e3", "12a",
+                          "18446744073709551616"}) {
+    EXPECT_FALSE(parse_unsigned(bad).has_value()) << "'" << bad << "'";
+  }
+  EXPECT_EQ(parse_unsigned("65535", 65535), 65535u);
+  EXPECT_FALSE(parse_unsigned("65536", 65535).has_value());
+}
+
+// state::parse_u64 and read_u64s take no sign: a checkpoint's "steps -1"
+// or a frame's "adam -1" must fail to load instead of reading as 2^64 - 1.
+TEST(StateIo, ParseU64RejectsASign) {
+  EXPECT_THROW((void)state::parse_u64("-1", "steps"), std::runtime_error);
+  EXPECT_THROW((void)state::parse_u64("+5", "steps"), std::runtime_error);
+  EXPECT_THROW((void)state::parse_u64(" 5", "steps"), std::runtime_error);
+  EXPECT_EQ(state::parse_u64("5", "steps"), 5u);
+  for (const char* bad : {"dominant 2 -1 3\n", "dominant -1\n", "dominant +1 3\n"}) {
+    std::istringstream in(bad);
+    EXPECT_THROW((void)state::read_u64s(in, "dominant"), std::runtime_error) << bad;
+  }
+  std::istringstream good("dominant 2 0 18446744073709551615\n");
+  EXPECT_EQ(state::read_u64s(good, "dominant"),
+            (std::vector<std::uint64_t>{0, 18446744073709551615ull}));
 }
 
 }  // namespace

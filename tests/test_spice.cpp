@@ -33,11 +33,29 @@ TEST(Lu, SolvesKnownSystem) {
   a.at(0, 1) = 1.0;
   a.at(1, 0) = 1.0;
   a.at(1, 1) = 3.0;
-  LuSolver solver;
-  ASSERT_TRUE(solver.factor(a));
-  const auto x = solver.solve(std::vector<double>{5.0, 10.0});
+  std::vector<double> b = {5.0, 10.0};
+  std::vector<double> x;
+  ASSERT_TRUE(factor_solve_in_place(a, b, x));
+  ASSERT_EQ(x.size(), 2u);
   EXPECT_NEAR(x[0], 1.0, 1e-12);
   EXPECT_NEAR(x[1], 3.0, 1e-12);
+}
+
+// A zero (0,0) entry leaves no pivot in place: the kernel must swap rows
+// (and their RHS entries) before it can eliminate.
+TEST(Lu, SwapsRowsPastAZeroLeadingPivot) {
+  DenseMatrix a(3);
+  const double rows[3][3] = {{0.0, 2.0, 1.0}, {1.0, 1.0, 0.0}, {2.0, 0.0, 3.0}};
+  for (std::size_t r = 0; r < 3; ++r) {
+    for (std::size_t c = 0; c < 3; ++c) a.at(r, c) = rows[r][c];
+  }
+  // x = (1, 2, 3).
+  std::vector<double> b = {7.0, 3.0, 11.0};
+  std::vector<double> x;
+  ASSERT_TRUE(factor_solve_in_place(a, b, x));
+  EXPECT_NEAR(x[0], 1.0, 1e-12);
+  EXPECT_NEAR(x[1], 2.0, 1e-12);
+  EXPECT_NEAR(x[2], 3.0, 1e-12);
 }
 
 TEST(Lu, DetectsSingular) {
@@ -46,27 +64,103 @@ TEST(Lu, DetectsSingular) {
   a.at(0, 1) = 2.0;
   a.at(1, 0) = 2.0;
   a.at(1, 1) = 4.0;
-  LuSolver solver;
-  EXPECT_FALSE(solver.factor(a));
+  std::vector<double> b = {1.0, 1.0};
+  std::vector<double> x;
+  EXPECT_FALSE(factor_solve_in_place(a, b, x));
 }
 
+TEST(Lu, RejectsShortRhs) {
+  DenseMatrix a(3);
+  for (std::size_t i = 0; i < 3; ++i) a.at(i, i) = 1.0;
+  std::vector<double> b(2, 1.0);
+  std::vector<double> x;
+  EXPECT_THROW((void)factor_solve_in_place(a, b, x), std::invalid_argument);
+}
+
+/// A random n x n system (entries uniform in [-1, 1), no diagonal boost, so
+/// pivoting swaps rows) and the right-hand side of a known solution.
+struct RandomSystem {
+  DenseMatrix a;
+  std::vector<double> b;
+  std::vector<double> x_true;
+};
+
+RandomSystem random_system(Rng& rng, std::size_t n) {
+  RandomSystem s{DenseMatrix(n), std::vector<double>(n, 0.0), rng.uniform_vector(n, -2.0, 2.0)};
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) s.a.at(i, j) = rng.uniform(-1.0, 1.0);
+  }
+  for (std::size_t i = 0; i < n; ++i) {
+    for (std::size_t j = 0; j < n; ++j) s.b[i] += s.a.at(i, j) * s.x_true[j];
+  }
+  return s;
+}
+
+// The testbenches' sizes (FIA 4, SAL 5, OCSA+SH 6, padded to strides 4 and
+// 8) and one larger system, each solved back to its known solution.
 TEST(Lu, RandomRoundTrip) {
   Rng rng(4);
-  const std::size_t n = 12;
-  DenseMatrix a(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) a.at(i, j) = rng.uniform(-1.0, 1.0);
-    a.at(i, i) += 5.0;
+  std::vector<double> x;
+  for (const std::size_t n : {4u, 5u, 6u, 12u}) {
+    for (int k = 0; k < 16; ++k) {
+      RandomSystem s = random_system(rng, n);
+      ASSERT_TRUE(factor_solve_in_place(s.a, s.b, x)) << "n=" << n << " k=" << k;
+      ASSERT_EQ(x.size(), n);
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_NEAR(x[i], s.x_true[i], 1e-9) << "n=" << n << " k=" << k << " i=" << i;
+      }
+    }
   }
-  const std::vector<double> x_true = rng.uniform_vector(n, -2.0, 2.0);
-  std::vector<double> b(n, 0.0);
-  for (std::size_t i = 0; i < n; ++i) {
-    for (std::size_t j = 0; j < n; ++j) b[i] += a.at(i, j) * x_true[j];
+}
+
+// Textbook elimination with partial pivoting on an unpadded copy: the
+// operations the fused kernel performs, in the same order.
+std::vector<double> classic_solve(const DenseMatrix& m, std::vector<double> b) {
+  const std::size_t n = m.size();
+  std::vector<double> a(n * n);
+  for (std::size_t r = 0; r < n; ++r) {
+    for (std::size_t c = 0; c < n; ++c) a[r * n + c] = m.at(r, c);
   }
-  LuSolver solver;
-  ASSERT_TRUE(solver.factor(a));
-  const auto x = solver.solve(b);
-  for (std::size_t i = 0; i < n; ++i) EXPECT_NEAR(x[i], x_true[i], 1e-9);
+  for (std::size_t col = 0; col < n; ++col) {
+    std::size_t pivot = col;
+    for (std::size_t r = col + 1; r < n; ++r) {
+      if (std::abs(a[r * n + col]) > std::abs(a[pivot * n + col])) pivot = r;
+    }
+    for (std::size_t c = 0; c < n; ++c) std::swap(a[col * n + c], a[pivot * n + c]);
+    std::swap(b[col], b[pivot]);
+    const double inv_pivot = 1.0 / a[col * n + col];
+    for (std::size_t r = col + 1; r < n; ++r) {
+      const double factor = a[r * n + col] * inv_pivot;
+      if (factor == 0.0) continue;
+      for (std::size_t c = col + 1; c < n; ++c) a[r * n + c] -= factor * a[col * n + c];
+      b[r] -= factor * b[col];
+    }
+  }
+  std::vector<double> x(n);
+  for (std::size_t r = n; r-- > 0;) {
+    double sum = b[r];
+    for (std::size_t c = r + 1; c < n; ++c) sum -= a[r * n + c] * x[c];
+    x[r] = sum / a[r * n + r];
+  }
+  return x;
+}
+
+// Updating whole padded rows leaves garbage only where the L factors would
+// be: every solution bit equals classic elimination's.
+TEST(Lu, MatchesClassicEliminationBitForBit) {
+  Rng rng(11);
+  std::vector<double> x;
+  for (const std::size_t n : {4u, 5u, 6u, 12u}) {
+    for (int k = 0; k < 64; ++k) {
+      RandomSystem s = random_system(rng, n);
+      const std::vector<double> want = classic_solve(s.a, s.b);
+      ASSERT_TRUE(factor_solve_in_place(s.a, s.b, x));
+      for (std::size_t i = 0; i < n; ++i) {
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(x[i]), std::bit_cast<std::uint64_t>(want[i]))
+            << "n=" << n << " k=" << k << " i=" << i;
+      }
+    }
+  }
 }
 
 TEST(Waveform, PulseShape) {

@@ -17,9 +17,10 @@
 // seconds (default 5) so scripts can race a freshly started daemon.
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -30,6 +31,7 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include "common/text.hpp"
 #include "serve/protocol.hpp"
 
 namespace {
@@ -38,9 +40,12 @@ using glova::serve::LineIo;
 
 int usage() {
   std::cerr << "usage: glova_client --port N [--connect-timeout SEC] "
-               "submit|submit-file|status|result|watch|cancel|wait|list|shutdown [args...]\n";
+               "submit|submit-file|status|result|watch|cancel|wait|list|shutdown [args...]\n"
+               "  N is 1..65535; SEC (and wait's timeout) an unsigned decimal\n";
   return 2;
 }
+
+constexpr std::uint64_t kMaxSeconds = std::numeric_limits<int>::max();
 
 int connect_loopback(std::uint16_t port, int timeout_sec) {
   const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(timeout_sec);
@@ -97,9 +102,13 @@ int main(int argc, char** argv) {
   for (; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--port" && i + 1 < argc) {
-      port = static_cast<std::uint16_t>(std::atoi(argv[++i]));
+      const std::optional<std::uint64_t> n = glova::parse_unsigned(argv[++i], 65535);
+      if (!n) return usage();
+      port = static_cast<std::uint16_t>(*n);  // 0 is a usage error below
     } else if (arg == "--connect-timeout" && i + 1 < argc) {
-      connect_timeout = std::atoi(argv[++i]);
+      const std::optional<std::uint64_t> n = glova::parse_unsigned(argv[++i], kMaxSeconds);
+      if (!n) return usage();
+      connect_timeout = static_cast<int>(*n);
     } else {
       break;
     }
@@ -107,6 +116,11 @@ int main(int argc, char** argv) {
   if (port == 0 || i >= argc) return usage();
   const std::string command = argv[i++];
   std::vector<std::string> args(argv + i, argv + argc);
+  std::optional<std::uint64_t> wait_timeout = 300;
+  if (command == "wait" && args.size() == 2) {
+    wait_timeout = glova::parse_unsigned(args[1], kMaxSeconds);
+  }
+  if (!wait_timeout) return usage();
 
   const int fd = connect_loopback(port, connect_timeout);
   if (fd < 0) {
@@ -142,8 +156,8 @@ int main(int argc, char** argv) {
   } else if (command == "shutdown" && args.empty()) {
     code = request(io, "SHUTDOWN", /*multi_line=*/false);
   } else if (command == "wait" && (args.size() == 1 || args.size() == 2)) {
-    const int timeout_sec = args.size() == 2 ? std::atoi(args[1].c_str()) : 300;
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(timeout_sec);
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(*wait_timeout);
     code = 1;
     for (;;) {
       if (!io.write_line("STATUS " + args[0])) break;
