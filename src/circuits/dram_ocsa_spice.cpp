@@ -267,8 +267,8 @@ std::vector<double> DramOcsaSubholeSpice::evaluate(std::span<const double> x,
         ckt, dram_transient_spec(), kDramWarmStartTag[data_one ? 1 : 0], x, corner);
     if (!res.ok) {
       // A non-convergent design fails every constraint: vanishing sensing
-      // margins and an enormous energy; the structured report lets the
-      // engine retry or degrade instead of accepting the penalty.
+      // margins and an enormous energy; the structured report says where
+      // the simulation gave up.
       throw EvaluationError(evaluation_failure_from(res.failure), {1e-6, 1e-6, 1.0});
     }
     const auto [margin, e_read] = polarity_margin_energy(res, x, corner, h, data_one);

@@ -154,7 +154,7 @@ std::vector<double> FloatingInverterAmplifierSpice::evaluate(std::span<const dou
   if (!res.ok) {
     // A non-convergent design fails every constraint so the optimizer
     // steers away (both metrics are MinimizeBelow); the structured report
-    // lets the engine retry or degrade instead of accepting the penalty.
+    // says where the simulation gave up.
     throw EvaluationError(evaluation_failure_from(res.failure), {1.0, 1.0});
   }
   return metrics_from_transient(res, x, corner, h, spec.t_stop);

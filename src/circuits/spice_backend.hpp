@@ -53,8 +53,6 @@ class StrongArmLatchSpice final : public Testbench {
                                              const pdk::PvtCorner& corner,
                                              std::span<const double> h) const override;
 
-  [[nodiscard]] const Testbench* degraded_fallback() const override { return &behavioral_; }
-
   /// Build the SAL netlist for inspection (Fig. 4 reproduction).
   [[nodiscard]] spice::Circuit build_netlist(std::span<const double> x,
                                              const pdk::PvtCorner& corner,
@@ -89,8 +87,6 @@ class FloatingInverterAmplifierSpice final : public Testbench {
   [[nodiscard]] std::vector<double> evaluate(std::span<const double> x,
                                              const pdk::PvtCorner& corner,
                                              std::span<const double> h) const override;
-
-  [[nodiscard]] const Testbench* degraded_fallback() const override { return &behavioral_; }
 
   /// Build the FIA netlist for inspection (reservoir, switches, inverters).
   [[nodiscard]] spice::Circuit build_netlist(std::span<const double> x,
@@ -127,8 +123,6 @@ class DramOcsaSubholeSpice final : public Testbench {
   [[nodiscard]] std::vector<double> evaluate(std::span<const double> x,
                                              const pdk::PvtCorner& corner,
                                              std::span<const double> h) const override;
-
-  [[nodiscard]] const Testbench* degraded_fallback() const override { return &behavioral_; }
 
   /// Build the sensing netlist for one stored data polarity.
   [[nodiscard]] spice::Circuit build_netlist(std::span<const double> x,

@@ -15,7 +15,6 @@ EvaluationFailure evaluation_failure_from(const spice::FailureReport& report) {
   f.failed = true;
   f.stage = spice::to_string(report.stage);
   f.message = report.to_string();
-  f.recovery_attempts = report.attempts;
   return f;
 }
 
@@ -121,7 +120,7 @@ std::vector<double> StrongArmLatchSpice::evaluate(std::span<const double> x,
   if (!res.ok) {
     // A non-convergent design is a broken design: the penalty metrics fail
     // every constraint so the optimizer steers away, and the structured
-    // report lets the engine retry or degrade instead of accepting them.
+    // report says where the simulation gave up.
     throw EvaluationError(evaluation_failure_from(res.failure), {1.0, 1.0, 1.0, 1.0});
   }
   return metrics_from_transient(res, x, corner, h);

@@ -76,16 +76,15 @@ struct PerformanceSpec {
 /// so a default-constructed instance means "evaluated fine").
 struct EvaluationFailure {
   bool failed = false;
-  std::string stage;        ///< e.g. "dc-operating-point", "deadline"
+  std::string stage;        ///< e.g. "dc-operating-point", "timestep"
   std::string message;      ///< the canonical one-line error
-  int recovery_attempts = 0;///< recovery rungs the simulator tried
 };
 
 /// Thrown by SPICE-backed Testbench::evaluate when the simulation did not
 /// converge.  Carries the penalty metrics the backend historically returned
-/// inline (every constraint failed, so the optimizer steers away); callers
-/// that do not retry or degrade fall back to exactly those values, keeping
-/// legacy behavior bit-identical.
+/// inline (every constraint failed, so the optimizer steers away);
+/// core::EvaluationEngine and evaluate_draws() catch it and return exactly
+/// those values.
 class EvaluationError : public std::runtime_error {
  public:
   EvaluationError(EvaluationFailure failure, std::vector<double> penalty_metrics)
@@ -134,12 +133,7 @@ class Testbench {
   /// Always false; kept because e2ebench/glova_e2e.cpp overrides it.
   [[nodiscard]] virtual bool supports_batched_draws() const { return false; }
 
-  /// Cheaper stand-in for graceful degradation: when an evaluation keeps
-  /// failing after every retry, the engine (with degrade_to_behavioral set)
-  /// quarantines the draw to this testbench instead of accepting the penalty
-  /// sentinel.  nullptr (the default) means no fallback exists.  SPICE
-  /// backends return their behavioral sibling, which shares specs and
-  /// mismatch layout by construction.
+  /// Always nullptr; kept because e2ebench/glova_e2e.cpp overrides it.
   [[nodiscard]] virtual const Testbench* degraded_fallback() const { return nullptr; }
 };
 

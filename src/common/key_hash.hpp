@@ -24,10 +24,14 @@ inline std::size_t key_fnv1a(const std::vector<std::int64_t>& words) {
   return static_cast<std::size_t>(h);
 }
 
+/// Quantization step of every key coordinate: coarse enough to absorb
+/// round-trip noise, fine enough that distinct mismatch draws never alias.
+inline constexpr double kKeyQuantum = 1e-15;
+
 /// Quantize one coordinate for an exact-equality cache key.  Saturates
 /// instead of invoking UB on overflow; keys only need equality.
-inline std::int64_t quantize_for_key(double v, double quantum) {
-  const double q = v / quantum;
+inline std::int64_t quantize_for_key(double v) {
+  const double q = v / kKeyQuantum;
   if (q >= 9.2e18) return std::numeric_limits<std::int64_t>::max();
   if (q <= -9.2e18) return std::numeric_limits<std::int64_t>::min();
   return std::llround(q);

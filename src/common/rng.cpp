@@ -1,7 +1,10 @@
 #include "common/rng.hpp"
 
+#include <optional>
 #include <sstream>
 #include <stdexcept>
+
+#include "common/text.hpp"
 
 namespace glova {
 
@@ -62,10 +65,13 @@ std::string Rng::save() const {
 
 void Rng::restore(const std::string& text) {
   std::istringstream is(text);
-  std::uint64_t seed = 0;
+  std::string seed_text;
   std::mt19937_64 engine;
-  if (!(is >> seed >> engine)) throw std::runtime_error("Rng::restore: malformed stream state");
-  seed_ = seed;
+  const bool read = static_cast<bool>(is >> seed_text >> engine);
+  // Strict, unlike `is >> seed`, which would keep "-1" as 2^64 - 1.
+  const std::optional<std::uint64_t> seed = read ? parse_unsigned(seed_text) : std::nullopt;
+  if (!seed) throw std::runtime_error("Rng::restore: malformed stream state");
+  seed_ = *seed;
   engine_ = engine;
 }
 

@@ -69,6 +69,12 @@ std::size_t read_count(std::istream& line, std::string_view tag) {
 
 }  // namespace
 
+std::uint64_t next_u64(std::istream& line, std::string_view what) {
+  const std::optional<std::uint64_t> v = next_unsigned(line);
+  if (!v) bad("malformed " + std::string(what));
+  return *v;
+}
+
 std::vector<double> read_doubles(std::istream& is, std::string_view tag) {
   std::istringstream line(expect_line(is, tag));
   std::vector<double> out(read_count(line, tag));

@@ -33,6 +33,12 @@ std::string expect_line(std::istream& is, std::string_view expect);
 [[nodiscard]] std::uint64_t parse_u64(const std::string& text, std::string_view what);
 [[nodiscard]] double parse_double(const std::string& text, std::string_view what);
 
+/// The next space-separated token of `line` as a strict unsigned decimal
+/// (parse_u64's rule); throws bad("malformed " + what) when the line is
+/// exhausted or the token is not one.  `line >> n` would read "-1" into an
+/// unsigned as 2^64 - 1.
+[[nodiscard]] std::uint64_t next_u64(std::istream& line, std::string_view what);
+
 /// "tag N v0 v1 ... vN-1" on one line, doubles via max_digits10.
 void write_doubles(std::ostream& os, std::string_view tag, std::span<const double> v);
 [[nodiscard]] std::vector<double> read_doubles(std::istream& is, std::string_view tag);

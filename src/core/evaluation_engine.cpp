@@ -14,18 +14,19 @@
 
 namespace glova::core {
 
+namespace {
+/// Batches with fewer misses than this run inline on the calling thread:
+/// behavioral evaluations are microseconds each, so fan-out only pays off
+/// from a few tasks up.
+constexpr std::size_t kMinParallelBatch = 8;
+}  // namespace
+
 EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfig config)
     : testbench_(std::move(testbench)), config_(config) {
   if (!testbench_) throw std::invalid_argument("EvaluationEngine: null testbench");
-  if (config_.cache_quantum <= 0.0) {
-    throw std::invalid_argument("EvaluationEngine: cache_quantum must be positive");
-  }
   if (config_.parallelism > 0) {
     slots_ = std::make_unique<std::counting_semaphore<>>(
         static_cast<std::ptrdiff_t>(config_.parallelism));
-  }
-  if (config_.max_eval_retries < 0) {
-    throw std::invalid_argument("EvaluationEngine: max_eval_retries must be >= 0");
   }
   for (const char c : config_.cache_path) {
     // The RunSpec grammar is space-separated; a path that cannot round-trip
@@ -34,12 +35,10 @@ EvaluationEngine::EvaluationEngine(circuits::TestbenchPtr testbench, EngineConfi
       throw std::invalid_argument("EvaluationEngine: cache_path must not contain whitespace");
     }
   }
-  context_.options.recovery.enabled = config_.recovery;
-  context_.options.deadline_newton_iterations = config_.eval_deadline_steps;
   context_.dc_warm_start = config_.dc_warm_start;
   context_.counters = &spice_counters_;
   if (!config_.cache_path.empty() && config_.cache_capacity != 0) {
-    memo_ = std::make_unique<MemoCache>(config_.cache_capacity, config_.cache_quantum);
+    memo_ = std::make_unique<MemoCache>(config_.cache_capacity);
     const auto file =
         load_memo_cache_file(config_.cache_path, memo_cache_tag(testbench_->name(), config_));
     if (file) memo_->assign(file->entries);  // absent on the first run against this path
@@ -50,35 +49,11 @@ std::vector<double> EvaluationEngine::evaluate_guarded(std::span<const double> x
                                                        const pdk::PvtCorner& corner,
                                                        std::span<const double> h) {
   const spice::ScopedContext scope(context_);
-  std::vector<double> penalty;
   try {
     return testbench_->evaluate(x_phys, corner, h);
   } catch (const circuits::EvaluationError& e) {
-    // With no retries and no degradation this resolves to the backend's
-    // legacy penalty metrics — bit-identical to the pre-funnel behavior.
-    penalty = e.penalty_metrics();
+    return e.penalty_metrics();
   }
-  // Escalated retries: each attempt runs under a copy of the context whose
-  // recovery ladder is enabled (level 1) and then taller/deeper (level >= 2);
-  // the copy is installed for that attempt only.
-  for (int attempt = 1; attempt <= config_.max_eval_retries; ++attempt) {
-    retries_.fetch_add(1);
-    spice::EvaluationContext retry = context_;
-    retry.options.recovery = spice::escalated(context_.options.recovery, attempt);
-    const spice::ScopedContext retry_scope(retry);
-    try {
-      return testbench_->evaluate(x_phys, corner, h);
-    } catch (const circuits::EvaluationError&) {
-      // Next attempt escalates further.
-    }
-  }
-  if (config_.degrade_to_behavioral) {
-    if (const circuits::Testbench* fallback = testbench_->degraded_fallback()) {
-      degraded_evals_.fetch_add(1);
-      return fallback->evaluate(x_phys, corner, h);
-    }
-  }
-  return penalty;
 }
 
 std::vector<double> EvaluationEngine::evaluate_with_slot(std::span<const double> x_phys,
@@ -102,9 +77,6 @@ void EvaluationEngine::store_spice_counters(const EngineStats& s) {
   spice_counters_.dc_warm_stores.store(s.dc_warm_stores);
   spice_counters_.steps_accepted.store(s.steps_accepted);
   spice_counters_.steps_rejected.store(s.steps_rejected);
-  spice_counters_.recovered_dc.store(s.recovered_dc);
-  spice_counters_.recovered_transient.store(s.recovered_transient);
-  spice_counters_.deadline_aborts.store(s.deadline_aborts);
 }
 
 EvaluationEngine::~EvaluationEngine() {
@@ -158,7 +130,7 @@ std::vector<std::vector<double>> EvaluationEngine::evaluate_batch(
   };
 
   const std::size_t parallelism = effective_parallelism();
-  if (parallelism > 1 && miss_indices.size() >= config_.min_parallel_batch) {
+  if (parallelism > 1 && miss_indices.size() >= kMinParallelBatch) {
     global_thread_pool().parallel_for(miss_indices.size(), run_one, parallelism);
   } else {
     for (std::size_t mi = 0; mi < miss_indices.size(); ++mi) run_one(mi);
@@ -191,11 +163,6 @@ EngineStats EvaluationEngine::stats() const {
   s.dc_warm_stores = spice_counters_.dc_warm_stores.load();
   s.steps_accepted = spice_counters_.steps_accepted.load();
   s.steps_rejected = spice_counters_.steps_rejected.load();
-  s.recovered_dc = spice_counters_.recovered_dc.load();
-  s.recovered_transient = spice_counters_.recovered_transient.load();
-  s.deadline_aborts = spice_counters_.deadline_aborts.load();
-  s.retries = retries_.load();
-  s.degraded_evals = degraded_evals_.load();
   return s;
 }
 
@@ -203,8 +170,6 @@ void EvaluationEngine::reset_count() {
   requested_.store(0);
   executed_.store(0);
   cache_hits_.store(0);
-  retries_.store(0);
-  degraded_evals_.store(0);
   store_spice_counters(EngineStats{});
 }
 
@@ -215,16 +180,17 @@ void EvaluationEngine::clear_cache() {
 }
 
 void EvaluationEngine::save_state(std::ostream& os) const {
+  // Zeros hold the places of retired counters (retries and degraded
+  // evaluations on the counters line; batch/bypass, then recovery and
+  // deadline on the carried line), so the frame layout stays the one earlier
+  // releases read and write.
   os << "engine-state 1\n";
   os << "counters " << requested_.load() << ' ' << executed_.load() << ' ' << cache_hits_.load()
-     << ' ' << retries_.load() << ' ' << degraded_evals_.load() << '\n';
-  // The engine's own SPICE totals, which load_state() puts back.  The four
-  // zeros hold the places of the retired batch/bypass counters, so the frame
-  // layout stays the one earlier releases read and write.
+     << " 0 0\n";
+  // The engine's own SPICE totals, which load_state() puts back.
   const EngineStats s = stats();
   os << "carried " << s.dc_warm_hits << ' ' << s.dc_warm_misses << ' ' << s.dc_warm_stores
-     << " 0 0 0 0 " << s.steps_accepted << ' ' << s.steps_rejected << ' ' << s.recovered_dc
-     << ' ' << s.recovered_transient << ' ' << s.deadline_aborts << '\n';
+     << " 0 0 0 0 " << s.steps_accepted << ' ' << s.steps_rejected << " 0 0 0\n";
   // Most recent first; load_state() rebuilds in the same order.
   const std::vector<MemoCacheEntry> entries =
       memo_ ? memo_->entries() : std::vector<MemoCacheEntry>{};
@@ -245,27 +211,26 @@ void EvaluationEngine::load_state(std::istream& is) {
     state::bad("unsupported engine-state version " + std::to_string(version) +
                " (this build reads 1)");
   }
+  // Every field must parse; the retired slots (see save_state) are then
+  // discarded.
   {
     std::istringstream line(state::expect_line(is, "counters"));
-    std::uint64_t requested = 0, executed = 0, cache_hits = 0, retries = 0, degraded = 0;
-    if (!(line >> requested >> executed >> cache_hits >> retries >> degraded)) {
-      state::bad("malformed engine counters");
-    }
-    requested_.store(requested);
-    executed_.store(executed);
-    cache_hits_.store(cache_hits);
-    retries_.store(retries);
-    degraded_evals_.store(degraded);
+    std::uint64_t counters[5];
+    for (std::uint64_t& v : counters) v = state::next_u64(line, "engine counters");
+    requested_.store(counters[0]);
+    executed_.store(counters[1]);
+    cache_hits_.store(counters[2]);
   }
   {
     std::istringstream line(state::expect_line(is, "carried"));
+    std::uint64_t carried[12];
+    for (std::uint64_t& v : carried) v = state::next_u64(line, "engine carried counters");
     EngineStats c;
-    std::uint64_t retired[4] = {0, 0, 0, 0};  // batch/bypass counters: read, discarded
-    if (!(line >> c.dc_warm_hits >> c.dc_warm_misses >> c.dc_warm_stores >> retired[0] >>
-          retired[1] >> retired[2] >> retired[3] >> c.steps_accepted >> c.steps_rejected >>
-          c.recovered_dc >> c.recovered_transient >> c.deadline_aborts)) {
-      state::bad("malformed engine carried counters");
-    }
+    c.dc_warm_hits = carried[0];
+    c.dc_warm_misses = carried[1];
+    c.dc_warm_stores = carried[2];
+    c.steps_accepted = carried[7];
+    c.steps_rejected = carried[8];
     store_spice_counters(c);
   }
   const std::size_t n = state::parse_u64(state::expect_line(is, "cache"), "engine cache size");

@@ -18,9 +18,12 @@
 //     reports *normalized* runtime,
 //   * one numerics context (spice::EvaluationContext), built from the
 //     EngineConfig and installed around every Testbench::evaluate call, so
-//     each engine simulates with its own warm-start, recovery and deadline
-//     settings and counts its own SPICE activity, whatever other engines
-//     share the process or its threads.
+//     each engine simulates with its own warm-start setting and counts its
+//     own SPICE activity, whatever other engines share the process or its
+//     threads,
+//   * one failure path: a SPICE evaluation that does not converge throws
+//     circuits::EvaluationError, and the engine returns the backend's
+//     penalty metrics in its place.
 #pragma once
 
 #include <atomic>
@@ -56,42 +59,14 @@ struct EngineConfig {
   /// Maximum simulations in flight for one batch.  0 = use every thread-pool
   /// worker; 1 = strictly sequential.
   std::size_t parallelism = 0;
-  /// Batches smaller than this run inline: behavioral evaluations are
-  /// microseconds each, so fan-out only pays off from a few tasks up.
-  std::size_t min_parallel_batch = 8;
   /// Capacity in entries (LRU eviction) of the memo, which only an engine
   /// with a cache_path keeps.  0 disables it, file included.
   std::size_t cache_capacity = 4096;
-  /// Quantization step applied to design/mismatch coordinates when forming
-  /// memo keys.  Coarse enough to absorb round-trip noise, fine enough that
-  /// distinct mismatch draws never alias.
-  double cache_quantum = 1e-15;
   /// Enable the SPICE-level DC warm-start cache (converged operating points
   /// reused as Newton seeds across mismatch draws of one design), through
   /// this engine's EvaluationContext::dc_warm_start.  Behavioral testbenches
   /// are unaffected.
   bool dc_warm_start = true;
-  /// Convergence-recovery ladder in the SPICE engine (this engine's
-  /// SimulatorOptions::recovery.enabled): gmin stepping for hard DC points,
-  /// restart-from-DC for a transient Newton failure at dt_min.  Off by
-  /// default — with every recovery knob off, solves are bit-identical to
-  /// previous releases.
-  bool recovery = false;
-  /// Re-run a failed evaluation up to this many times, each attempt under a
-  /// copy of the context whose recovery policy is spice::escalated() one
-  /// level further, before giving up.  0 = no retries: a failed evaluation
-  /// keeps the backend's legacy penalty metrics.
-  int max_eval_retries = 0;
-  /// Cooperative per-evaluation deadline in Newton iterations (this engine's
-  /// SimulatorOptions::deadline_newton_iterations).  A run that exhausts it
-  /// aborts deterministically with FailureStage::Deadline.  0 = no deadline.
-  std::uint64_t eval_deadline_steps = 0;
-  /// Graceful degradation: when an evaluation still fails after every retry,
-  /// quarantine it to the testbench's degraded_fallback() (the behavioral
-  /// sibling for SPICE backends) instead of accepting the penalty sentinel.
-  /// Off by default — opt-in because the fallback's metrics are modeled, not
-  /// simulated.
-  bool degrade_to_behavioral = false;
   /// Path of the persistent cross-session memo-cache file (see
   /// core/persistent_cache.hpp).  Non-empty: the engine keeps a memo, loads
   /// matching entries into it at construction and merges it back to disk on
@@ -108,10 +83,10 @@ struct EngineConfig {
 
 /// Counter snapshot.  requested == cache_hits + executed at any quiescent
 /// point; requested is what simulation_count() reports.  The SPICE counters
-/// (dc_warm_*, steps_*, recovered_*, deadline_aborts) count this engine's
-/// own evaluations only, on whichever worker threads they ran, since it was
-/// constructed or reset_count() was last called (plus the totals a
-/// load_state() restored).  Other engines in the process never show up here.
+/// (dc_warm_*, steps_*) count this engine's own evaluations only, on
+/// whichever worker threads they ran, since it was constructed or
+/// reset_count() was last called (plus the totals a load_state() restored).
+/// Other engines in the process never show up here.
 struct EngineStats {
   std::uint64_t requested = 0;
   std::uint64_t executed = 0;
@@ -123,15 +98,8 @@ struct EngineStats {
   /// accepted/rejected step totals.
   std::uint64_t steps_accepted = 0;
   std::uint64_t steps_rejected = 0;
-  /// Convergence-recovery funnel: DC points and transient steps the
-  /// simulator's recovery ladder rescued, and runs its cooperative deadline
-  /// aborted.
-  std::uint64_t recovered_dc = 0;
-  std::uint64_t recovered_transient = 0;
-  std::uint64_t deadline_aborts = 0;
-  /// Engine-level recovery: failed evaluations re-run with an escalated
-  /// recovery ladder, and evaluations quarantined to the degraded
-  /// (behavioral) fallback after exhausting their retries.
+  /// Always 0: evaluation retries and behavioral degradation are gone, but
+  /// e2ebench/glova_e2e.cpp reads them.
   std::uint64_t retries = 0;
   std::uint64_t degraded_evals = 0;
   /// Always 0: the surrogate pre-ranker is gone, but e2ebench/glova_e2e.cpp reads it.
@@ -201,10 +169,8 @@ class EvaluationEngine {
   [[nodiscard]] std::vector<double> evaluate_with_slot(std::span<const double> x_phys,
                                                        const pdk::PvtCorner& corner,
                                                        std::span<const double> h);
-  /// testbench().evaluate under context_, with the failure funnel applied:
-  /// an EvaluationError is retried with the recovery ladder escalated, then
-  /// degraded to the behavioral fallback, then resolved to the backend's
-  /// penalty metrics — so callers above the funnel never see the exception.
+  /// testbench().evaluate under context_; an EvaluationError resolves to
+  /// the backend's penalty metrics, so callers never see the exception.
   [[nodiscard]] std::vector<double> evaluate_guarded(std::span<const double> x_phys,
                                                      const pdk::PvtCorner& corner,
                                                      std::span<const double> h);
@@ -221,8 +187,6 @@ class EvaluationEngine {
   std::atomic<std::uint64_t> requested_{0};
   std::atomic<std::uint64_t> executed_{0};
   std::atomic<std::uint64_t> cache_hits_{0};
-  std::atomic<std::uint64_t> retries_{0};
-  std::atomic<std::uint64_t> degraded_evals_{0};
   /// This engine's SPICE activity: every simulation and DC-cache lookup run
   /// under context_ adds to it.
   spice::SpiceCounterBlock spice_counters_;

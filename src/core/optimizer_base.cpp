@@ -41,19 +41,23 @@ GlovaResult read_glova_result(std::istream& is) {
   GlovaResult r;
   {
     std::istringstream line(state::expect_line(is, "result"));
+    constexpr std::string_view what = "'result' line";
     int success = 0;
-    if (!(line >> success >> r.rl_iterations >> r.n_simulations >> r.n_simulations_executed >>
-          r.n_cache_hits >> r.turbo_evaluations >> r.wall_seconds >> r.modeled_runtime)) {
-      state::bad("malformed 'result' line");
-    }
+    if (!(line >> success)) state::bad("malformed 'result' line");
     r.success = success != 0;
+    r.rl_iterations = state::next_u64(line, what);
+    r.n_simulations = state::next_u64(line, what);
+    r.n_simulations_executed = state::next_u64(line, what);
+    r.n_cache_hits = state::next_u64(line, what);
+    r.turbo_evaluations = state::next_u64(line, what);
+    if (!(line >> r.wall_seconds >> r.modeled_runtime)) state::bad("malformed 'result' line");
   }
   {
     std::istringstream line(state::expect_line(is, "stats"));
-    if (!(line >> r.engine_stats.requested >> r.engine_stats.executed >>
-          r.engine_stats.cache_hits >> r.engine_stats.dc_warm_hits >>
-          r.engine_stats.dc_warm_misses >> r.engine_stats.dc_warm_stores)) {
-      state::bad("malformed 'stats' line");
+    EngineStats& s = r.engine_stats;
+    for (std::uint64_t* field : {&s.requested, &s.executed, &s.cache_hits, &s.dc_warm_hits,
+                                 &s.dc_warm_misses, &s.dc_warm_stores}) {
+      *field = state::next_u64(line, "'stats' line");
     }
   }
   r.termination = state::expect_line(is, "termination");
@@ -68,12 +72,13 @@ GlovaResult read_glova_result(std::istream& is) {
   for (std::size_t i = 0; i < trace_count; ++i) {
     std::istringstream line(state::expect_line(is, "t"));
     IterationTrace t;
+    t.iteration = state::next_u64(line, "trace row");
     int mu = 0;
     int att = 0;
-    if (!(line >> t.iteration >> t.reward_worst >> t.critic_mean >> t.critic_bound >> mu >>
-          att >> t.sims_total)) {
+    if (!(line >> t.reward_worst >> t.critic_mean >> t.critic_bound >> mu >> att)) {
       state::bad("malformed trace row");
     }
+    t.sims_total = state::next_u64(line, "trace row");
     t.mu_sigma_pass = mu != 0;
     t.attempted_verification = att != 0;
     r.trace.push_back(t);

@@ -37,12 +37,12 @@ MemoCache::Key MemoCache::make_key(std::span<const double> x_phys, const pdk::Pv
   key.reserve(4 + x_phys.size() + 1 + h.size());
   key.push_back(static_cast<std::int64_t>(corner.process) * 2 +
                 (corner.process_predefined ? 1 : 0));
-  key.push_back(quantize_for_key(corner.vdd, quantum_));
-  key.push_back(quantize_for_key(corner.temp_c, quantum_));
+  key.push_back(quantize_for_key(corner.vdd));
+  key.push_back(quantize_for_key(corner.temp_c));
   key.push_back(static_cast<std::int64_t>(x_phys.size()));
-  for (const double v : x_phys) key.push_back(quantize_for_key(v, quantum_));
+  for (const double v : x_phys) key.push_back(quantize_for_key(v));
   key.push_back(static_cast<std::int64_t>(h.size()));
-  for (const double v : h) key.push_back(quantize_for_key(v, quantum_));
+  for (const double v : h) key.push_back(quantize_for_key(v));
   return key;
 }
 
@@ -94,21 +94,15 @@ std::size_t MemoCache::assign(const std::vector<MemoCacheEntry>& entries) {
 }
 
 std::string memo_cache_tag(const std::string& testbench_name, const EngineConfig& engine) {
+  // Every field but "warm" is fixed: "q" spells kKeyQuantum and the rest
+  // name retired knobs.  Spelling each as the value default engines wrote
+  // keeps their memo files (and the --cache-dir file names hashed from this
+  // tag) valid.
   std::string tag = testbench_name;
-  tag += "|q=" + format_double_roundtrip(engine.cache_quantum);
+  tag += "|q=" + format_double_roundtrip(kKeyQuantum);
   tag += engine.dc_warm_start ? "|warm=1" : "|warm=0";
-  // "batched", "adaptive", "bypass", "mos" and "noise" name retired knobs;
-  // spelling each as the value default engines wrote keeps their memo files
-  // (and the --cache-dir file names hashed from this tag) valid.
-  tag += "|batched=0";
-  tag += "|adaptive=1";
-  tag += "|bypass=0";
-  tag += engine.recovery ? "|recovery=1" : "|recovery=0";
-  tag += "|retries=" + std::to_string(engine.max_eval_retries);
-  tag += "|deadline=" + std::to_string(engine.eval_deadline_steps);
-  tag += engine.degrade_to_behavioral ? "|degrade=1" : "|degrade=0";
-  tag += "|mos=ekv";
-  tag += "|noise=0";
+  tag += "|batched=0|adaptive=1|bypass=0|recovery=0|retries=0|deadline=0|degrade=0";
+  tag += "|mos=ekv|noise=0";
   return tag;
 }
 

@@ -64,8 +64,9 @@ class MemoCache {
     std::size_t operator()(const Key& key) const noexcept { return key_fnv1a(key); }
   };
 
-  /// `capacity` entries at most; coordinates are quantized to `quantum`.
-  MemoCache(std::size_t capacity, double quantum) : capacity_(capacity), quantum_(quantum) {}
+  /// `capacity` entries at most; coordinates are quantized by
+  /// quantize_for_key.
+  explicit MemoCache(std::size_t capacity) : capacity_(capacity) {}
 
   /// Copy the metrics memoized for (x_phys, corner, h) into `out` and make
   /// the entry the most recent; false on a miss.
@@ -89,7 +90,6 @@ class MemoCache {
                              std::span<const double> h) const;
 
   const std::size_t capacity_;
-  const double quantum_;
   mutable std::mutex mutex_;
   /// Most recent at the front.  The index points into the list.
   std::list<MemoCacheEntry> lru_;
@@ -111,9 +111,10 @@ inline constexpr int kMemoCacheFormatVersion = 1;
 inline constexpr std::size_t kMaxMemoCacheEntries = 262'144;
 
 /// The (testcase, backend, numerics-config) identity of a cache file: the
-/// testbench name plus every EngineConfig knob that changes either the key
-/// geometry (cache_quantum) or the metric values a simulation produces.
-/// Engines refuse to load a file whose tag differs from their own.
+/// testbench name plus every EngineConfig knob that changes the metric
+/// values a simulation produces (today only dc_warm_start), and the
+/// constant values of retired knobs.  Engines refuse to load a file whose
+/// tag differs from their own.
 [[nodiscard]] std::string memo_cache_tag(const std::string& testbench_name,
                                          const EngineConfig& engine);
 

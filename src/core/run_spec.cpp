@@ -87,7 +87,6 @@ void validate_scalars(const RunSpec& spec) {
   if (spec.corner_filter != "all" && spec.corner_filter != "cold_lv") {
     bad_spec("corner_filter must be 'all' or 'cold_lv'");
   }
-  if (spec.engine.cache_quantum <= 0.0) bad_spec("engine.cache_quantum must be positive");
   if (spec.cost.per_simulation < 0.0 || spec.cost.per_rl_iteration < 0.0) {
     bad_spec("simulation costs must be non-negative");
   }
@@ -127,10 +126,7 @@ const std::vector<std::string_view>& run_spec_keys() {
       "max_simulations", "budget_iterations",
       "max_wall_seconds", "cost_per_simulation",
       "cost_per_rl_iteration", "parallelism",
-      "min_parallel_batch", "cache_capacity",
-      "cache_quantum",   "dc_warm_start",
-      "recovery",        "max_eval_retries",
-      "eval_deadline_steps", "degrade_to_behavioral",
+      "cache_capacity",  "dc_warm_start",
       "cache_path",      "progress_log",
   };
   return keys;
@@ -161,14 +157,8 @@ std::string RunSpec::to_string() const {
   kv("cost_per_simulation", format_double(cost.per_simulation));
   kv("cost_per_rl_iteration", format_double(cost.per_rl_iteration));
   kv("parallelism", std::to_string(engine.parallelism));
-  kv("min_parallel_batch", std::to_string(engine.min_parallel_batch));
   kv("cache_capacity", std::to_string(engine.cache_capacity));
-  kv("cache_quantum", format_double(engine.cache_quantum));
   kv("dc_warm_start", engine.dc_warm_start ? "1" : "0");
-  kv("recovery", engine.recovery ? "1" : "0");
-  kv("max_eval_retries", std::to_string(engine.max_eval_retries));
-  kv("eval_deadline_steps", std::to_string(engine.eval_deadline_steps));
-  kv("degrade_to_behavioral", engine.degrade_to_behavioral ? "1" : "0");
   kv("cache_path", engine.cache_path);  // empty value round-trips as "cache_path="
   kv("progress_log", progress_log ? "1" : "0");
   return out;
@@ -237,20 +227,24 @@ RunSpec RunSpec::from_string(std::string_view text) {
       spec.cost.per_rl_iteration = parse_double(key, value);
     } else if (key == "parallelism") {
       spec.engine.parallelism = static_cast<std::size_t>(parse_u64(key, value));
-    } else if (key == "min_parallel_batch") {
-      spec.engine.min_parallel_batch = static_cast<std::size_t>(parse_u64(key, value));
     } else if (key == "cache_capacity") {
       spec.engine.cache_capacity = static_cast<std::size_t>(parse_u64(key, value));
-    } else if (key == "cache_quantum") {
-      spec.engine.cache_quantum = parse_double(key, value);
     } else if (key == "dc_warm_start") {
       spec.engine.dc_warm_start = parse_bool(key, value);
     } else if (key == "batched_draws" || key == "newton_bypass" || key == "spice_noise" ||
-               key == "surrogate") {
+               key == "surrogate" || key == "recovery" || key == "degrade_to_behavioral") {
       // Retired keys: every spec written before their removal carries them
       // at 0, so 0 still loads (and re-saves without them); 1 asks for a
       // code path that no longer exists.
       if (parse_bool(key, value)) retired_value(key, "0");
+    } else if (key == "max_eval_retries" || key == "eval_deadline_steps") {
+      if (parse_u64(key, value) != 0) retired_value(key, "0");
+    } else if (key == "min_parallel_batch") {
+      // Retired knobs that became constants: the one value every spec
+      // carried loads.
+      if (parse_u64(key, value) != 8) retired_value(key, "8");
+    } else if (key == "cache_quantum") {
+      if (parse_double(key, value) != 1e-15) retired_value(key, "1e-15");
     } else if (key == "adaptive_timestep") {
       // Retired the other way round: every spec written since the adaptive
       // grid became the default carries 1, which still loads; 0 asks for
@@ -261,14 +255,6 @@ RunSpec RunSpec::from_string(std::string_view text) {
       // Same for the channel model: `ekv` loads, `level1` is gone.
       if (value == "level1") retired_value(key, "'ekv'");
       if (value != "ekv") bad_spec("unknown mos_model '" + std::string(value) + "'");
-    } else if (key == "recovery") {
-      spec.engine.recovery = parse_bool(key, value);
-    } else if (key == "max_eval_retries") {
-      spec.engine.max_eval_retries = static_cast<int>(parse_u64(key, value));
-    } else if (key == "eval_deadline_steps") {
-      spec.engine.eval_deadline_steps = parse_u64(key, value);
-    } else if (key == "degrade_to_behavioral") {
-      spec.engine.degrade_to_behavioral = parse_bool(key, value);
     } else if (key == "cache_path") {
       spec.engine.cache_path = std::string(value);
     } else if (key == "surrogate_keep") {

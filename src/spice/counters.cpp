@@ -21,9 +21,6 @@ SpiceCounters spice_counters() {
   SpiceCounters c;
   c.steps_accepted = g_totals.steps_accepted.load(std::memory_order_relaxed);
   c.steps_rejected = g_totals.steps_rejected.load(std::memory_order_relaxed);
-  c.recovered_dc = g_totals.recovered_dc.load(std::memory_order_relaxed);
-  c.recovered_transient = g_totals.recovered_transient.load(std::memory_order_relaxed);
-  c.deadline_aborts = g_totals.deadline_aborts.load(std::memory_order_relaxed);
   return c;
 }
 

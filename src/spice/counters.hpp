@@ -19,11 +19,10 @@ struct SpiceCounters {
   /// steps, whether the LTE estimate or a failed Newton solve rejected them.
   std::uint64_t steps_accepted = 0;
   std::uint64_t steps_rejected = 0;
-  /// Convergence-recovery ladder: DC operating points rescued by gmin
-  /// stepping and transient steps rescued by the restart-from-DC rung.
+  /// Retired recovery-ladder and deadline counters, always 0: kept because
+  /// e2ebench/glova_e2e.cpp reads them.
   std::uint64_t recovered_dc = 0;
   std::uint64_t recovered_transient = 0;
-  /// Runs aborted by the cooperative Newton-iteration deadline.
   std::uint64_t deadline_aborts = 0;
 };
 
@@ -31,15 +30,12 @@ struct SpiceCounters {
 struct SpiceCounterBlock {
   std::atomic<std::uint64_t> steps_accepted{0};
   std::atomic<std::uint64_t> steps_rejected{0};
-  std::atomic<std::uint64_t> recovered_dc{0};
-  std::atomic<std::uint64_t> recovered_transient{0};
-  std::atomic<std::uint64_t> deadline_aborts{0};
   std::atomic<std::uint64_t> dc_warm_hits{0};
   std::atomic<std::uint64_t> dc_warm_misses{0};
   std::atomic<std::uint64_t> dc_warm_stores{0};
 };
 
-/// One field of a SpiceCounterBlock, e.g. &SpiceCounterBlock::recovered_dc.
+/// One field of a SpiceCounterBlock, e.g. &SpiceCounterBlock::steps_accepted.
 using SpiceCounter = std::atomic<std::uint64_t> SpiceCounterBlock::*;
 
 /// Add `n` events to `counter` in the process totals and in the installed

@@ -29,16 +29,6 @@ ScopedContext::ScopedContext(const EvaluationContext& context) : previous_(t_con
 
 ScopedContext::~ScopedContext() { t_context = previous_; }
 
-RecoveryPolicy escalated(RecoveryPolicy policy, int level) {
-  if (level >= 1) policy.enabled = true;
-  if (level >= 2) {
-    policy.gmin_start = 1e-2;
-    policy.max_gmin_rungs = 16;
-    policy.dc_restart_attempts = 2;
-  }
-  return policy;
-}
-
 // ---------------------------------------------------------------------------
 // Failure taxonomy and deterministic fault injection
 
@@ -48,7 +38,6 @@ const char* to_string(FailureStage stage) {
     case FailureStage::Setup: return "setup";
     case FailureStage::DcOperatingPoint: return "dc-operating-point";
     case FailureStage::Timestep: return "timestep";
-    case FailureStage::Deadline: return "deadline";
   }
   return "none";
 }
@@ -65,23 +54,15 @@ std::string FailureReport::to_string() const {
       std::snprintf(head, sizeof head,
                     "transient: Newton failed at t = %.6g s with dt already at dt_min", time);
       break;
-    case FailureStage::Deadline:
-      std::snprintf(head, sizeof head,
-                    "transient: Newton-iteration deadline exceeded at t = %.6g s", time);
-      break;
     default:
       head[0] = '\0';
       break;
   }
   std::string out = head;
-  if (attempts > 0 || !worst_node.empty()) {
+  if (!worst_node.empty()) {
     char detail[160];
-    if (!worst_node.empty()) {
-      std::snprintf(detail, sizeof detail, " (recovery attempts: %d; worst residual %.3g A at %s)",
-                    attempts, final_residual, worst_node.c_str());
-    } else {
-      std::snprintf(detail, sizeof detail, " (recovery attempts: %d)", attempts);
-    }
+    std::snprintf(detail, sizeof detail, " (worst residual %.3g A at %s)", final_residual,
+                  worst_node.c_str());
     out += detail;
   }
   if (!message.empty()) out += " [" + message + "]";
@@ -465,15 +446,9 @@ void StampPlan::begin_solve(const AssemblyInputs& in) {
   // a handful of times per transient (BE startup -> trapezoidal -> final
   // partial step), once per operating point.
   if (!key_.valid || key_.mode != in.mode || key_.trapezoidal != in.trapezoidal ||
-      key_.dt != in.dt || key_.extra_gmin != in.extra_gmin) {
+      key_.dt != in.dt) {
     std::fill(static_g_.begin(), static_g_.end(), 0.0);
     for (const LinearStamp& s : pre_cap_) static_g_[s.slot] += s.value;
-    if (in.extra_gmin != 0.0) {
-      // gmin-stepping rung: extra conductance to ground on every unknown
-      // node.  Guarded so the extra_gmin == 0 path accumulates identically
-      // to previous releases.
-      for (std::size_t i = 0; i < nu_; ++i) static_g_[i * stride_ + i] += in.extra_gmin;
-    }
     if (transient) {
       for (const CapStamp& c : caps_) {
         const double geq = (in.trapezoidal ? 2.0 : 1.0) * c.farads / in.dt;
@@ -486,7 +461,7 @@ void StampPlan::begin_solve(const AssemblyInputs& in) {
     // In OP mode capacitors are open circuits: no stamp.
     for (const LinearStamp& s : post_cap_) static_g_[s.slot] += s.value;
     static_g_[scratch_] = 0.0;  // scrub scratch garbage from eliminated stamps
-    key_ = {in.mode, in.trapezoidal, in.dt, in.extra_gmin, true};
+    key_ = {in.mode, in.trapezoidal, in.dt, true};
   }
 
   // RHS base: everything that does not depend on the Newton iterate.  Cheap
@@ -734,9 +709,6 @@ bool Simulator::newton_solve(const AssemblyInputs& in, std::vector<double>& x, i
     }
     if (max_delta < options_.vtol) {
       iterations += it + 1;
-      if (fault != nullptr && fault->kind == FaultPlan::Kind::SlowConverge) {
-        iterations += fault->extra_iterations;
-      }
       return true;
     }
   }
@@ -744,18 +716,14 @@ bool Simulator::newton_solve(const AssemblyInputs& in, std::vector<double>& x, i
   return false;
 }
 
-OpResult Simulator::operating_point(const OpResult* warm_start, FailureReport* failure,
-                                    double time) {
+OpResult Simulator::operating_point(const OpResult* warm_start, FailureReport* failure) {
   OpResult result;
   std::vector<double> x(plan_.padded_size(), 0.0);
 
   AssemblyInputs in;
   in.mode = AnalysisMode::Op;
-  in.time = time;
 
   int iterations = 0;
-  int recovery_attempts = 0;
-  bool deadline_hit = false;
   bool ok = false;
   bool warm = false;
   if (warm_start != nullptr && warm_start->converged &&
@@ -778,10 +746,7 @@ OpResult Simulator::operating_point(const OpResult* warm_start, FailureReport* f
     }
   }
   if (!ok) ok = newton_solve(in, x, iterations);
-  if (!ok && deadline_exceeded(options_, static_cast<std::uint64_t>(iterations))) {
-    deadline_hit = true;
-  }
-  if (!ok && !deadline_hit) {
+  if (!ok) {
     // Source stepping: ramp all independent sources from 0 to full value.
     std::fill(x.begin(), x.end(), 0.0);
     ok = true;
@@ -791,51 +756,8 @@ OpResult Simulator::operating_point(const OpResult* warm_start, FailureReport* f
         ok = false;
         break;
       }
-      if (deadline_exceeded(options_, static_cast<std::uint64_t>(iterations))) {
-        ok = false;
-        deadline_hit = true;
-        break;
-      }
     }
     in.source_scale = 1.0;
-  }
-  if (!ok && deadline_exceeded(options_, static_cast<std::uint64_t>(iterations))) {
-    deadline_hit = true;
-  }
-  if (!ok && !deadline_hit && options_.recovery.enabled) {
-    // gmin-stepping ladder with anneal-back: solve with a large extra
-    // conductance to ground on every unknown node (heavily damped,
-    // nearly-linear system), then anneal it geometrically toward zero.  A
-    // failed rung retreats one level, restarts the iterate cold, and
-    // descends more gently from there.  The point only counts once a solve
-    // at extra_gmin == 0 converges.
-    const RecoveryPolicy& rp = options_.recovery;
-    std::fill(x.begin(), x.end(), 0.0);
-    in.source_scale = 1.0;
-    double anneal = rp.gmin_anneal;
-    double extra = rp.gmin_start;
-    for (int rung = 0; rung < rp.max_gmin_rungs && !ok; ++rung) {
-      ++recovery_attempts;
-      in.extra_gmin = extra;
-      if (newton_solve(in, x, iterations)) {
-        if (extra == 0.0) {
-          ok = true;
-          note(&SpiceCounterBlock::recovered_dc);
-          break;
-        }
-        const double next = extra * anneal;
-        extra = next <= options_.gmin ? 0.0 : next;
-      } else {
-        std::fill(x.begin(), x.end(), 0.0);
-        extra = std::min(rp.gmin_start, (extra == 0.0 ? options_.gmin : extra) / anneal);
-        anneal = std::sqrt(anneal);
-      }
-      if (deadline_exceeded(options_, static_cast<std::uint64_t>(iterations))) {
-        deadline_hit = true;
-        break;
-      }
-    }
-    in.extra_gmin = 0.0;
   }
 
   result.converged = ok;
@@ -845,13 +767,11 @@ OpResult Simulator::operating_point(const OpResult* warm_start, FailureReport* f
     result.node_voltages.assign(n_nodes_, 0.0);
     for (NodeId nd = 1; nd < n_nodes_; ++nd) result.node_voltages[nd] = x[plan_.x_slot(nd)];
     result.vsource_currents.assign(n_vsrc_, 0.0);
-    plan_.vsource_currents(x, {}, time, 1.0, result.vsource_currents, workspace_->channels);
+    plan_.vsource_currents(x, {}, 0.0, 1.0, result.vsource_currents, workspace_->channels);
   } else if (failure != nullptr) {
-    failure->stage = deadline_hit ? FailureStage::Deadline : FailureStage::DcOperatingPoint;
-    failure->time = time;
-    failure->attempts = recovery_attempts;
+    failure->stage = FailureStage::DcOperatingPoint;
+    failure->time = 0.0;
     note_worst_residual(circuit_, plan_, x, workspace_->channels, *failure);
-    if (deadline_hit) note(&SpiceCounterBlock::deadline_aborts);
   }
   return result;
 }
@@ -894,13 +814,6 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
     }
     result.dc_iterations = op.iterations;
     result.dc_op = std::move(op);
-    if (deadline_exceeded(options_, static_cast<std::uint64_t>(result.dc_iterations))) {
-      result.failure.stage = FailureStage::Deadline;
-      result.failure.time = 0.0;
-      note(&SpiceCounterBlock::deadline_aborts);
-      result.error = result.failure.to_string();
-      return result;
-    }
   }
 
   // --- set up recording ---
@@ -959,12 +872,6 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
         cap_current[ci] = c.farads / dt * (v_now - v_was);
       }
     }
-  };
-
-  // Newton iterations spent so far this run (the cooperative deadline is on
-  // DC + transient combined).
-  const auto spent = [&]() {
-    return static_cast<std::uint64_t>(result.dc_iterations) + result.newton_iterations;
   };
 
   // --- LTE-adaptive time stepping ---
@@ -1091,72 +998,14 @@ TransientResult Simulator::transient(const TransientSpec& spec, const OpResult* 
     int step_iterations = 0;
     const bool solved = newton_solve(in, x_trial, step_iterations);
     result.newton_iterations += static_cast<std::uint64_t>(step_iterations);
-    if (deadline_exceeded(options_, spent())) {
-      note_lte_steps(result);
-      result.failure.stage = FailureStage::Deadline;
-      result.failure.time = t_next;
-      if (!solved) {
-        note_worst_residual(circuit_, plan_, x_trial, workspace_->channels, result.failure);
-      }
-      note(&SpiceCounterBlock::deadline_aborts);
-      result.error = result.failure.to_string();
-      return result;
-    }
     if (!solved) {
       if (dt_eff <= dt_min * (1.0 + 1e-9)) {
-        FailureReport report;
-        report.time = t_next;
-        note_worst_residual(circuit_, plan_, x_trial, workspace_->channels, report);
-        bool deadline_hit = false;
-        bool rescued = false;
-        if (options_.recovery.enabled) {
-          // Last recovery rung at dt_min: bounded restart from a pseudo-DC
-          // point with the sources frozen at t_next, then resume with a
-          // fresh backward-Euler startup (capacitor currents restart at 0,
-          // the divided-difference history is discarded).
-          for (int restart = 0; restart < options_.recovery.dc_restart_attempts; ++restart) {
-            ++report.attempts;
-            OpResult op = operating_point(nullptr, nullptr, t_next);
-            result.newton_iterations += static_cast<std::uint64_t>(op.iterations);
-            if (deadline_exceeded(options_, spent())) {
-              deadline_hit = true;
-              break;
-            }
-            if (!op.converged) continue;
-            std::fill(x_trial.begin(), x_trial.end(), 0.0);
-            for (NodeId nd = 1; nd < n_nodes_; ++nd) {
-              x_trial[plan_.x_slot(nd)] = op.node_voltages[nd];
-            }
-            for (std::size_t si = 0; si < n_vsrc_; ++si) {
-              const std::size_t slot = plan_.vsource_branch_slot(si);
-              if (slot != StampPlan::kNoSlot) x_trial[slot] = op.vsource_currents[si];
-            }
-            std::fill(cap_current.begin(), cap_current.end(), 0.0);
-            rescued = true;
-            note(&SpiceCounterBlock::recovered_transient);
-            break;
-          }
-        }
-        if (!rescued) {
-          note_lte_steps(result);
-          report.stage = deadline_hit ? FailureStage::Deadline : FailureStage::Timestep;
-          if (deadline_hit) note(&SpiceCounterBlock::deadline_aborts);
-          result.failure = std::move(report);
-          result.error = result.failure.to_string();
-          return result;
-        }
-        // Accept the restart state as the solution at t_next and reset the
-        // controller exactly as a breakpoint does.
-        record_point(t_next, x_trial, /*recover_currents=*/true);
-        ++result.steps_accepted;
-        result.dt_trace.push_back(dt_eff);
-        std::swap(x_prev, x_trial);
-        t_cur = t_next;
-        since_reset = 0;
-        hist_n = 0;
-        push_history(t_next, x_prev);
-        dt = std::clamp(spec.dt, dt_min, dt_max);
-        continue;
+        note_lte_steps(result);
+        result.failure.stage = FailureStage::Timestep;
+        result.failure.time = t_next;
+        note_worst_residual(circuit_, plan_, x_trial, workspace_->channels, result.failure);
+        result.error = result.failure.to_string();
+        return result;
       }
       ++result.steps_rejected;
       dt = std::max(dt_min, dt_eff * options_.dt_shrink_limit);

@@ -74,19 +74,17 @@ struct Trace {
 enum class FailureStage : std::uint8_t {
   None = 0,
   Setup,             ///< malformed spec (non-positive dt / t_stop, unknown node)
-  DcOperatingPoint,  ///< initial DC solve failed every recovery rung
-  Timestep,          ///< a timestep's Newton solve failed at dt_min, unrecovered
-  Deadline,          ///< cooperative Newton-iteration deadline exceeded
+  DcOperatingPoint,  ///< initial DC solve failed cold and under source stepping
+  Timestep,          ///< a timestep's Newton solve failed at dt_min
 };
 [[nodiscard]] const char* to_string(FailureStage stage);
 
 /// Structured failure taxonomy replacing the bare error string: what stage
-/// gave up, at what simulated time, how many recovery rungs were tried, and
-/// the worst KCL-residual row of the last failed iterate.
+/// gave up, at what simulated time, and the worst KCL-residual row of the
+/// last failed iterate.
 struct FailureReport {
   FailureStage stage = FailureStage::None;
   double time = 0.0;           ///< [s] simulated time of the failing solve
-  int attempts = 0;            ///< recovery rungs tried (0 = recovery off)
   double final_residual = 0.0; ///< [A] worst KCL residual of the last iterate
   std::string worst_node;      ///< node name (or "branch k") of that residual
   std::string message;         ///< free-text detail (Setup stage: verbatim)
@@ -130,28 +128,6 @@ struct TransientResult {
   mutable std::unordered_map<std::string, std::size_t> trace_index_;
 };
 
-/// Convergence-recovery ladder (all rungs off by default: with
-/// `enabled == false` every solve is bit-identical to previous releases).
-/// Rung order on a failure:
-///   1. DC: warm start -> cold restart -> source stepping (always on), then
-///      gmin stepping with anneal-back — an extra conductance to ground on
-///      every unknown node, started large and annealed geometrically toward
-///      zero; a failed rung retreats one level and descends more gently.
-///      The point only counts once a solve at extra gmin == 0 converges.
-///   2. Transient Newton failure at dt_min (the timestep controller shrinks
-///      dt on every failed solve first, recovery or not): bounded
-///      restart-from-DC — re-solve a (pseudo-)DC point with sources frozen
-///      at the failing time and continue from it.
-struct RecoveryPolicy {
-  bool enabled = false;
-  double gmin_start = 1e-3;   ///< [S] top of the gmin-stepping ladder
-  double gmin_anneal = 0.01;  ///< geometric anneal factor per rung (toward 0)
-  int max_gmin_rungs = 10;    ///< bound on ladder solves (including retreats)
-  int dc_restart_attempts = 1;///< restart-from-DC rungs per transient failure
-
-  friend bool operator==(const RecoveryPolicy&, const RecoveryPolicy&) = default;
-};
-
 struct SimulatorOptions {
   double gmin = 1e-12;          ///< [S] from every node to ground
   double abstol = 1e-12;        ///< [A]
@@ -180,22 +156,7 @@ struct SimulatorOptions {
   double dt_shrink_limit = 0.1; ///< min dt shrink per rejected step
   double dt_min_factor = 1e-3;  ///< dt never drops below spec.dt * this
   double dt_max_factor = 16.0;  ///< dt never grows above spec.dt * this
-
-  /// Convergence-recovery ladder (see RecoveryPolicy); off by default.
-  RecoveryPolicy recovery;
-  /// Cooperative evaluation deadline: abort a run (DC + transient combined)
-  /// once this many Newton iterations were spent, reporting
-  /// FailureStage::Deadline.  Checked between solves, so the abort point is
-  /// deterministic.  0 = no deadline.
-  std::uint64_t deadline_newton_iterations = 0;
 };
-
-/// True once `spent` Newton iterations exhaust the options' deadline.
-[[nodiscard]] inline bool deadline_exceeded(const SimulatorOptions& options,
-                                            std::uint64_t spent) {
-  return options.deadline_newton_iterations != 0 &&
-         spent >= options.deadline_newton_iterations;
-}
 
 struct SpiceCounterBlock;  // spice/counters.hpp
 
@@ -230,31 +191,24 @@ class ScopedContext {
   const EvaluationContext* previous_;
 };
 
-/// `policy` hardened for the engine's `level`-th retry of a failed
-/// evaluation: level 0 leaves it unchanged, level 1 turns the ladder on,
-/// level >= 2 also takes a taller gmin ladder and an extra DC restart.
-[[nodiscard]] RecoveryPolicy escalated(RecoveryPolicy policy, int level);
-
 /// Deterministic fault injection for tests and benches (off by default).
 /// A plan is installed thread-locally, not in the EvaluationContext: it is a
 /// test-only seam around bare simulations and engine calls alike, and an
 /// engine field for it would add a test knob to EngineConfig.  While one is
 /// installed, every Newton solve on that thread consumes one solve index (DC
-/// attempts, source-stepping and gmin rungs, and timestep solves all count),
-/// and a site whose half-open [begin, end) range covers the index forces the
+/// attempts, source-stepping rungs and timestep solves all count), and a
+/// site whose half-open [begin, end) range covers the index forces the
 /// chosen failure mode on that solve.
 struct FaultPlan {
   enum class Kind : std::uint8_t {
     NanStamp,        ///< poison the assembled RHS with a NaN
     SingularMatrix,  ///< zero a matrix row so factorization fails
     NonConverge,     ///< burn max_newton_iterations and report failure
-    SlowConverge,    ///< converge normally, then charge extra iterations
   };
   struct Site {
     std::uint64_t begin = 0;    ///< first faulted solve index
     std::uint64_t end = 0;      ///< one past the last faulted solve index
     Kind kind = Kind::NonConverge;
-    int extra_iterations = 50;  ///< SlowConverge: iterations added per solve
   };
   std::vector<Site> sites;
   /// Solve indices consumed on this thread since the plan was installed.
@@ -279,9 +233,6 @@ struct AssemblyInputs {
   double dt = 0.0;
   double source_scale = 1.0;
   bool trapezoidal = false;
-  /// Extra conductance to ground on every unknown node (gmin-stepping rung;
-  /// 0 outside the recovery ladder, and always 0 on the solve that counts).
-  double extra_gmin = 0.0;
   /// Previous-timepoint solution in padded layout (see StampPlan::padded_size);
   /// required in Transient mode.
   std::span<const double> x_prev{};
@@ -486,7 +437,6 @@ class StampPlan {
     AnalysisMode mode = AnalysisMode::Op;
     bool trapezoidal = false;
     double dt = 0.0;
-    double extra_gmin = 0.0;
     bool valid = false;
   };
   StaticKey key_;
@@ -527,19 +477,16 @@ class Simulator {
   explicit Simulator(const Circuit& circuit, SimulatorOptions options = {},
                      SimulatorWorkspace* workspace = nullptr);
 
-  /// DC operating point (capacitors open), including the cold restart, the
-  /// source-stepping fallback and (when options.recovery.enabled) the
-  /// gmin-stepping ladder.  `warm_start` optionally seeds Newton from a
-  /// previously converged operating point of the same circuit topology
-  /// (e.g. another mismatch draw of the same design); on any mismatch or
-  /// failure the solver falls back to the cold-start path, so a warm start
-  /// can change the iteration count but never the converged solution beyond
-  /// vtol.  `failure`, when non-null, receives the structured report on
-  /// non-convergence.  `time` freezes source waveforms at that transient
-  /// instant (the transient's restart-from-DC rung; 0 is the conventional
-  /// t = 0 operating point).
+  /// DC operating point at t = 0 (capacitors open), including the cold
+  /// restart and the source-stepping fallback.  `warm_start` optionally
+  /// seeds Newton from a previously converged operating point of the same
+  /// circuit topology (e.g. another mismatch draw of the same design); on
+  /// any mismatch or failure the solver falls back to the cold-start path,
+  /// so a warm start can change the iteration count but never the converged
+  /// solution beyond vtol.  `failure`, when non-null, receives the
+  /// structured report on non-convergence.
   [[nodiscard]] OpResult operating_point(const OpResult* warm_start = nullptr,
-                                         FailureReport* failure = nullptr, double time = 0.0);
+                                         FailureReport* failure = nullptr);
 
   /// Transient analysis.  `dc_warm_start` seeds the initial DC solve (no
   /// effect when spec.use_ic); the converged DC point is returned in

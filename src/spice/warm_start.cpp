@@ -51,16 +51,16 @@ DcWarmStartCache& thread_local_dc_cache() {
 }
 
 DcWarmStartCache::Key make_dc_key(std::uint64_t testbench_tag, std::span<const double> x_phys,
-                                  const pdk::PvtCorner& corner, double quantum) {
+                                  const pdk::PvtCorner& corner) {
   DcWarmStartCache::Key key;
   key.reserve(5 + x_phys.size());
   key.push_back(static_cast<std::int64_t>(testbench_tag));
   key.push_back(static_cast<std::int64_t>(corner.process) * 2 +
                 (corner.process_predefined ? 1 : 0));
-  key.push_back(quantize_for_key(corner.vdd, quantum));
-  key.push_back(quantize_for_key(corner.temp_c, quantum));
+  key.push_back(quantize_for_key(corner.vdd));
+  key.push_back(quantize_for_key(corner.temp_c));
   key.push_back(static_cast<std::int64_t>(x_phys.size()));
-  for (const double v : x_phys) key.push_back(quantize_for_key(v, quantum));
+  for (const double v : x_phys) key.push_back(quantize_for_key(v));
   return key;
 }
 

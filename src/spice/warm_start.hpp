@@ -84,12 +84,11 @@ class DcWarmStartCache {
 /// that share a design-vector shape), the physical design vector, and the
 /// PVT corner.  Mismatch draws are deliberately NOT part of the key: all
 /// draws of one (design, corner) share the nominal seed.  Coordinates are
-/// quantized like the evaluation-engine memo keys so round-trip noise never
-/// splits entries.
+/// quantized like the evaluation-engine memo keys (quantize_for_key) so
+/// round-trip noise never splits entries.
 [[nodiscard]] DcWarmStartCache::Key make_dc_key(std::uint64_t testbench_tag,
                                                 std::span<const double> x_phys,
-                                                const pdk::PvtCorner& corner,
-                                                double quantum = 1e-15);
+                                                const pdk::PvtCorner& corner);
 
 /// One transient of `circuit` under the installed EvaluationContext: the
 /// Simulator takes the context's options, and when the context enables warm

@@ -13,11 +13,13 @@
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "circuits/registry.hpp"
 #include "common/log.hpp"
 #include "core/campaign.hpp"
+#include "core/optimizer_base.hpp"
 
 namespace glova {
 namespace {
@@ -135,6 +137,38 @@ TEST(Campaign, CheckpointRejectsASignedCount) {
   } catch (const std::runtime_error& e) {
     EXPECT_NE(std::string(e.what()).find("invalid integer for steps: '-1'"), std::string::npos)
         << e.what();
+  }
+}
+
+// The result record that checkpoints embed takes no sign either: a count in
+// the result or stats line, or a trace row's iteration or sims_total, with a
+// sign is malformed, not 2^64 - 1.
+TEST(Campaign, ResultRecordRejectsASignedCount) {
+  core::GlovaResult result;
+  result.rl_iterations = 3;
+  result.engine_stats.requested = 4;
+  core::IterationTrace row;
+  row.iteration = 2;
+  row.sims_total = 97;
+  result.trace.push_back(row);
+  std::ostringstream os;
+  core::write_glova_result(os, result);
+  const std::string text = os.str();
+  std::istringstream good(text);
+  EXPECT_EQ(core::read_glova_result(good).rl_iterations, 3u);
+  const std::pair<std::string, std::string> edits[] = {
+      {"result 0 3 ", "result 0 -1 "},
+      {"stats 4 ", "stats -4 "},
+      {"\nt 2 ", "\nt -2 "},
+      {" 97\n", " -97\n"},
+  };
+  for (const auto& [from, to] : edits) {
+    std::string bad = text;
+    const std::size_t at = bad.find(from);
+    ASSERT_NE(at, std::string::npos) << text;
+    bad.replace(at, from.size(), to);
+    std::istringstream in(bad);
+    EXPECT_THROW((void)core::read_glova_result(in), std::runtime_error) << to;
   }
 }
 

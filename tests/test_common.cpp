@@ -100,6 +100,20 @@ TEST(Rng, IndexBounds) {
   EXPECT_THROW((void)rng.index(0), std::invalid_argument);
 }
 
+// The seed of a saved stream takes no sign: "-1 <state>" must fail to
+// restore instead of keeping 2^64 - 1.
+TEST(Rng, RestoreRejectsASignedSeed) {
+  const std::string saved = Rng(7).save();
+  const std::string state = saved.substr(saved.find(' '));
+  Rng restored(1);
+  restored.restore("7" + state);
+  EXPECT_EQ(restored.seed(), 7u);
+  for (const char* seed : {"-1", "+7"}) {
+    EXPECT_THROW(restored.restore(seed + state), std::runtime_error) << seed;
+  }
+  EXPECT_EQ(restored.seed(), 7u);
+}
+
 TEST(Rng, SampleWithoutReplacementIsDistinct) {
   Rng rng(9);
   const auto sample = rng.sample_without_replacement(50, 20);

@@ -314,7 +314,6 @@ TEST(RunSpec, RoundTripsThroughText) {
   spec.cost.per_simulation = 2.25;
   spec.engine.parallelism = 4;
   spec.engine.cache_capacity = 128;
-  spec.engine.cache_quantum = 1e-12;
   spec.engine.dc_warm_start = false;
   spec.progress_log = true;
 
@@ -331,9 +330,10 @@ TEST(RunSpec, DefaultSpecIsValidAndRoundTrips) {
 }
 
 // Checkpoints and glova-serve spools written before the retired keys went
-// carry them at the values that still load: the four switches at 0, the
-// surrogate tuning at any value, and adaptive_timestep=1 with mos_model=ekv
-// (every spec written since those became the defaults).  Re-saving drops
+// carry them at the values that still load: the eight switches and counts
+// at 0, the surrogate tuning at any value, adaptive_timestep=1 with
+// mos_model=ekv (every spec written since those became the defaults), and
+// the two knobs that became constants at those constants.  Re-saving drops
 // exactly those tokens and is then a byte fixed point.
 TEST(RunSpec, SpecWrittenWithTheRetiredKeysStillLoads) {
   const std::string saved =
@@ -351,8 +351,11 @@ TEST(RunSpec, SpecWrittenWithTheRetiredKeysStillLoads) {
 
   std::string expected = saved;
   for (const std::string token :
-       {" batched_draws=0", " adaptive_timestep=1", " newton_bypass=0", " mos_model=ekv",
-        " spice_noise=0", " surrogate=0", " surrogate_keep=0.5", " surrogate_warmup=64"}) {
+       {" min_parallel_batch=8", " cache_quantum=1.0000000000000001e-15", " batched_draws=0",
+        " adaptive_timestep=1", " newton_bypass=0", " recovery=0", " mos_model=ekv",
+        " spice_noise=0", " max_eval_retries=0", " eval_deadline_steps=0",
+        " degrade_to_behavioral=0", " surrogate=0", " surrogate_keep=0.5",
+        " surrogate_warmup=64"}) {
     expected.erase(expected.find(token), token.size());
   }
   const std::string resaved = spec.to_string();
@@ -361,11 +364,15 @@ TEST(RunSpec, SpecWrittenWithTheRetiredKeysStillLoads) {
 }
 
 TEST(RunSpec, RetiredKeysRejectOneWithADocsPointer) {
-  // The four switches reject 1; the timestep and channel-model keys reject
-  // the fixed grid and the Level-1 model that every spec written before the
-  // adaptive/EKV defaults carries.
-  for (const char* text : {"batched_draws=1", "newton_bypass=1", "spice_noise=1", "surrogate=1",
-                           "adaptive_timestep=0", "adaptive_timestep=off", "mos_model=level1"}) {
+  // The switches reject 1 and the counts anything but 0; the timestep and
+  // channel-model keys reject the fixed grid and the Level-1 model that
+  // every spec written before the adaptive/EKV defaults carries; the two
+  // knobs that became constants reject any other value.
+  for (const char* text :
+       {"batched_draws=1", "newton_bypass=1", "spice_noise=1", "surrogate=1", "recovery=1",
+        "degrade_to_behavioral=on", "max_eval_retries=2", "eval_deadline_steps=775",
+        "adaptive_timestep=0", "adaptive_timestep=off", "mos_model=level1",
+        "min_parallel_batch=2", "cache_quantum=1e-9"}) {
     try {
       (void)core::RunSpec::from_string(text);
       FAIL() << "expected std::invalid_argument for " << text;
@@ -377,6 +384,11 @@ TEST(RunSpec, RetiredKeysRejectOneWithADocsPointer) {
   EXPECT_EQ(core::RunSpec::from_string("batched_draws=0 newton_bypass=off"), core::RunSpec{});
   EXPECT_EQ(core::RunSpec::from_string("spice_noise=0 surrogate=off"), core::RunSpec{});
   EXPECT_EQ(core::RunSpec::from_string("adaptive_timestep=1 mos_model=ekv"), core::RunSpec{});
+  EXPECT_EQ(core::RunSpec::from_string("recovery=0 degrade_to_behavioral=off max_eval_retries=0 "
+                                       "eval_deadline_steps=0"),
+            core::RunSpec{});
+  EXPECT_EQ(core::RunSpec::from_string("min_parallel_batch=8 cache_quantum=1e-15"),
+            core::RunSpec{});
   // A value that never named a model is a plain grammar error, as before.
   try {
     (void)core::RunSpec::from_string("mos_model=foo");
@@ -386,8 +398,15 @@ TEST(RunSpec, RetiredKeysRejectOneWithADocsPointer) {
     EXPECT_NE(what.find("(see docs/run_spec.md)"), std::string::npos) << what;
     EXPECT_EQ(what.find("retired-keys"), std::string::npos) << what;
   }
-  EXPECT_THROW((void)core::RunSpec::from_string("adaptive_timestep=maybe"),
-               std::invalid_argument);
+  for (const char* text : {"adaptive_timestep=maybe", "max_eval_retries=-1",
+                           "cache_quantum=tiny"}) {
+    try {
+      (void)core::RunSpec::from_string(text);
+      ADD_FAILURE() << "expected std::invalid_argument for " << text;
+    } catch (const std::invalid_argument& e) {
+      EXPECT_EQ(std::string(e.what()).find("retired-keys"), std::string::npos) << e.what();
+    }
+  }
   // The surrogate's tuning keys only acted under surrogate=1: any well-typed
   // value loads and is ignored, a malformed one is still an error.
   EXPECT_EQ(core::RunSpec::from_string("surrogate_keep=0.9 surrogate_warmup=8"), core::RunSpec{});
@@ -419,9 +438,6 @@ TEST(RunSpec, ValidateAcceptsEveryRegistryCombination) {
 }
 
 TEST(RunSpec, ValidateRejectsBadScalars) {
-  core::RunSpec bad_quantum;
-  bad_quantum.engine.cache_quantum = 0.0;
-  EXPECT_THROW(bad_quantum.validate(), std::invalid_argument);
   core::RunSpec bad_iter;
   bad_iter.max_iterations = 0;
   EXPECT_THROW(bad_iter.validate(), std::invalid_argument);

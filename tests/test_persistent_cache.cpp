@@ -167,7 +167,7 @@ TEST(MemoCacheFormat, FileNameShardsByConfigAndSanitizesTheName) {
   // A different numerics config shards to a different file, so two engines
   // with incompatible settings sharing one cache_dir never collide.
   core::EngineConfig b = a;
-  b.cache_quantum = 1e-9;
+  b.dc_warm_start = false;
   EXPECT_NE(core::memo_cache_file_name("my bench/v2", b), name_a);
   EXPECT_NE(core::memo_cache_tag("my bench/v2", b), core::memo_cache_tag("my bench/v2", a));
 }
@@ -282,7 +282,7 @@ TEST(PersistentCache, TagMismatchAtEngineConstructionThrows) {
   // Same file, different numerics config: the tag no longer matches and the
   // stale results must not be served.
   core::EngineConfig other = cfg;
-  other.cache_quantum = 1e-9;
+  other.dc_warm_start = false;
   EXPECT_THROW(
       core::EvaluationEngine(circuits::make_testbench(circuits::Testcase::Sal), other),
       std::runtime_error);

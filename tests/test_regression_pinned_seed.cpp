@@ -313,8 +313,10 @@ void expect_retired_keys_error(const std::invalid_argument& e) {
 
 // Both numerics that spec names are gone.  Running it on the defaults would
 // resume a half-run session on other numerics, so it fails to load with a
-// docs pointer, as text and inside a campaign checkpoint; minus those two
-// tokens it is today's spice_session(Sal).
+// docs pointer, as text and inside a campaign checkpoint.  Minus those two
+// tokens it loads, as text and inside a checkpoint: the six keys retired
+// later sit at their saved values, and it re-saves as today's
+// spice_session(Sal), which is the same text without them.
 TEST(PinnedSeedRegression, SpecWrittenBeforeTheAdaptiveEkvDefaultsFailsWithADocsPointer) {
   set_log_level(LogLevel::Warn);
   try {
@@ -325,8 +327,15 @@ TEST(PinnedSeedRegression, SpecWrittenBeforeTheAdaptiveEkvDefaultsFailsWithADocs
   }
 
   const std::string current = spice_session(circuits::Testcase::Sal).to_string();
-  std::string stripped = kPreDefaultSalSpec;
+  std::string loadable = kPreDefaultSalSpec;
   for (const std::string token : {" adaptive_timestep=0", " mos_model=level1"}) {
+    loadable.erase(loadable.find(token), token.size());
+  }
+  EXPECT_EQ(core::RunSpec::from_string(loadable).to_string(), current);
+  std::string stripped = loadable;
+  for (const std::string token :
+       {" min_parallel_batch=8", " cache_quantum=1.0000000000000001e-15", " recovery=0",
+        " max_eval_retries=0", " eval_deadline_steps=0", " degrade_to_behavioral=0"}) {
     stripped.erase(stripped.find(token), token.size());
   }
   ASSERT_EQ(stripped, current);
@@ -334,18 +343,24 @@ TEST(PinnedSeedRegression, SpecWrittenBeforeTheAdaptiveEkvDefaultsFailsWithADocs
   core::Campaign campaign(std::vector<core::RunSpec>{spice_session(circuits::Testcase::Sal)});
   std::ostringstream saved;
   campaign.save(saved);
-  std::string checkpoint = saved.str();
-  const std::string spec_line = "spec " + current + "\n";
-  const std::size_t at = checkpoint.find(spec_line);
-  ASSERT_NE(at, std::string::npos) << checkpoint;
-  checkpoint.replace(at, spec_line.size(), "spec " + std::string(kPreDefaultSalSpec) + "\n");
-  std::istringstream old_checkpoint(checkpoint);
+  const auto checkpoint_with = [&](const std::string& spec) {
+    std::string checkpoint = saved.str();
+    const std::string spec_line = "spec " + current + "\n";
+    const std::size_t at = checkpoint.find(spec_line);
+    EXPECT_NE(at, std::string::npos) << checkpoint;
+    return checkpoint.replace(at, spec_line.size(), "spec " + spec + "\n");
+  };
+  std::istringstream old_checkpoint(checkpoint_with(kPreDefaultSalSpec));
   try {
     (void)core::Campaign::load(old_checkpoint);
     ADD_FAILURE() << "a checkpoint carrying the pre-default spec loaded";
   } catch (const std::invalid_argument& e) {
     expect_retired_keys_error(e);
   }
+  std::istringstream loadable_checkpoint(checkpoint_with(loadable));
+  std::ostringstream resaved;
+  core::Campaign::load(loadable_checkpoint).save(resaved);
+  EXPECT_EQ(resaved.str(), saved.str());
 }
 
 // A campaign steps its sessions turn by turn on one thread.  A session on

@@ -278,8 +278,7 @@ TEST(DcWarmStart, EngineSurfacesWarmStartCounters) {
   thread_local_dc_cache().clear();
 
   core::EngineConfig cfg;
-  cfg.parallelism = 1;
-  cfg.min_parallel_batch = 1000;  // keep everything inline on this thread
+  cfg.parallelism = 1;  // every draw inline on this thread
   core::EvaluationEngine engine(
       circuits::make_testbench(circuits::Testcase::Sal, circuits::Backend::Spice), cfg);
   const auto& sz = engine.testbench().sizing();
